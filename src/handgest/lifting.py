@@ -18,7 +18,9 @@ flat hand is all zeros.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +29,9 @@ from .errors import (
     DegenerateScale,
     DivergedFit,
     MalformedFrame,
-    NumericalError,
     OutOfBox,
     ShapeMismatch,
+    ValidationError,
 )
 from .skeleton import (
     Finger,
@@ -109,24 +111,26 @@ def rot_z(theta):
     return out
 
 
+# flat (3, 3) positions of [w]x and the rotation-vector entries they hold
+_SKEW_AT = np.array([1, 2, 3, 5, 6, 7])
+_SKEW_OF = np.array([2, 1, 2, 0, 1, 0])
+_SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_EYE3 = np.eye(3)
+
+
 def rotmat_from_rotvec(rv):
     """Exponential map, batched over leading axes.  Safe at theta = 0."""
     rv = np.asarray(rv, dtype=np.float64)
     theta = np.linalg.norm(rv, axis=-1)
-    k = np.zeros(rv.shape[:-1] + (3, 3))
-    k[..., 0, 1] = -rv[..., 2]
-    k[..., 0, 2] = rv[..., 1]
-    k[..., 1, 0] = rv[..., 2]
-    k[..., 1, 2] = -rv[..., 0]
-    k[..., 2, 0] = -rv[..., 1]
-    k[..., 2, 1] = rv[..., 0]
+    k = np.zeros(rv.shape[:-1] + (9,))
+    k[..., _SKEW_AT] = rv[..., _SKEW_OF] * _SKEW_SIGN
+    k = k.reshape(rv.shape[:-1] + (3, 3))
     t2 = theta * theta
     small = theta < 1e-6
     safe = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / safe)
     b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / (safe * safe))
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    return _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
 def rotvec_from_rotmat(r):
@@ -210,10 +214,11 @@ class HandModel:
 
     ``base_frames[i]`` is the rest frame of finger i with columns
     [lateral, along, normal]; flexion rotates about lateral, abduction
-    about normal.
+    about normal.  ``_rest`` holds what the pose seed derives from the rest
+    pose; it is filled on first use.
     """
 
-    __slots__ = ("directions", "lengths", "base_frames")
+    __slots__ = ("directions", "lengths", "base_frames", "_rest")
 
     def __init__(self, directions, lengths):
         d = np.asarray(directions, dtype=np.float64)
@@ -239,6 +244,7 @@ class HandModel:
         self.directions = d
         self.lengths = l
         self.base_frames = frames
+        self._rest = None
 
     def to_dict(self) -> dict:
         return {
@@ -279,11 +285,13 @@ def save_hand_model(path, model: HandModel) -> None:
 
 
 def load_hand_model(path) -> HandModel:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
             data = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise MalformedFrame(f"hand model is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read hand model {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise MalformedFrame(f"hand model {path} is not valid JSON: {exc}") from exc
     return HandModel.from_dict(data)
 
 
@@ -349,39 +357,58 @@ def check_joint_boxes(joints) -> None:
 
 # -- forward kinematics ----------------------------------------------------
 
-def _fk_batch(model: HandModel, pvec: np.ndarray) -> np.ndarray:
-    """Pose vectors (n, 27) -> camera-frame keypoints (n, 21, 3)."""
+# Every finger is the same chain of five turns after its base frame: roll
+# about y (the thumb's own axis; the other fingers hold it at zero), then
+# abduction about -z, then three flexions about x.  _SLOT_JOINT maps
+# (finger, slot) to a JOINT_NAMES index, NUM_JOINT_ANGLES standing for the
+# missing roll of the four fingers.
+_SLOT_JOINT = np.array([[4, 1, 0, 2, 3]]
+                       + [[NUM_JOINT_ANGLES, b + 1, b, b + 2, b + 3] for b in (5, 9, 13, 17)])
+_SLOT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
+_SLOT_AXIS = np.array([1, 2, 0, 0, 0])
+# the finger point (0 = its base on the palm) each slot turns the rest about
+_SLOT_PIVOT = np.array([0, 0, 0, 1, 2])
+_SLOTS = np.arange(5)
+
+# entries of the elementary rotations, all slots at once: row i, column j
+# of slot s holds cos, cos, -sin, sin (see rot_x/rot_y/rot_z)
+_ROT_I, _ROT_J = (_SLOT_AXIS + 1) % 3, (_SLOT_AXIS + 2) % 3
+_ROT_S = np.tile(_SLOTS, 4)
+_ROT_ROW = np.concatenate([_ROT_I, _ROT_J, _ROT_I, _ROT_J])
+_ROT_COL = np.concatenate([_ROT_I, _ROT_J, _ROT_J, _ROT_I])
+
+
+class _Kinematics(NamedTuple):
+    points: np.ndarray   # (n, 21, 3) camera frame
+    r_glob: np.ndarray   # (n, 3, 3) global rotation
+    frames: np.ndarray   # (n, 5, 5, 3, 3) hand-frame finger frame after each slot
+
+
+def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
+    """Pose vectors (n, 27) -> keypoints and the frames that place them."""
     n = pvec.shape[0]
     r_glob = rotmat_from_rotvec(pvec[:, 0:3])
-    t_glob = pvec[:, 3:6]
-    joints = pvec[:, 6:]
-    local = np.empty((n, NUM_KEYPOINTS, 3))
-    local[:, WRIST] = 0.0
+    padded = np.concatenate([pvec[:, 6:], np.zeros((n, 1))], axis=1)
+    angles = padded[:, _SLOT_JOINT] * _SLOT_SIGN
+    c, s = np.cos(angles), np.sin(angles)
+    rots = np.zeros((n, 5, 5, 3, 3))
+    rots[..., _SLOTS, _SLOT_AXIS, _SLOT_AXIS] = 1.0
+    rots[..., _ROT_S, _ROT_ROW, _ROT_COL] = np.concatenate([c, c, -s, s], axis=-1)
 
-    # thumb: roll about its own axis, then cmc (abduction+flexion), mcp, ip
-    jt = joints[:, 0:5]
-    f1 = model.base_frames[0][None] @ rot_y(jt[:, 4]) @ rot_z(-jt[:, 1]) @ rot_x(jt[:, 0])
-    f2 = f1 @ rot_x(jt[:, 2])
-    f3 = f2 @ rot_x(jt[:, 3])
-    lg = model.lengths[0]
-    local[:, 1] = lg[0] * model.directions[0]
-    local[:, 2] = local[:, 1] + lg[1] * f1[:, :, 1]
-    local[:, 3] = local[:, 2] + lg[2] * f2[:, :, 1]
-    local[:, 4] = local[:, 3] + lg[3] * f3[:, :, 1]
+    frames = np.empty((n, 5, 5, 3, 3))
+    frame = model.base_frames
+    for slot in range(5):
+        frame = frame @ rots[:, :, slot]
+        frames[:, :, slot] = frame
 
-    for fi in range(1, 5):
-        j = joints[:, 1 + 4 * fi: 5 + 4 * fi]  # mcp_flex, mcp_abd, pip, dip
-        f1 = model.base_frames[fi][None] @ rot_z(-j[:, 1]) @ rot_x(j[:, 0])
-        f2 = f1 @ rot_x(j[:, 2])
-        f3 = f2 @ rot_x(j[:, 3])
-        lg = model.lengths[fi]
-        k = 1 + 4 * fi
-        local[:, k] = lg[0] * model.directions[fi]
-        local[:, k + 1] = local[:, k] + lg[1] * f1[:, :, 1]
-        local[:, k + 2] = local[:, k + 1] + lg[2] * f2[:, :, 1]
-        local[:, k + 3] = local[:, k + 2] + lg[3] * f3[:, :, 1]
-
-    return np.einsum("nij,nkj->nki", r_glob, local) + t_glob[:, None, :]
+    # the three flexion frames carry the phalanges along their y columns
+    chain = np.empty((n, 5, 4, 3))
+    chain[:, :, 0] = model.lengths[:, 0:1] * model.directions
+    chain[:, :, 1:] = model.lengths[:, 1:, None] * frames[:, :, 2:, :, 1]
+    local = np.zeros((n, NUM_KEYPOINTS, 3))
+    local[:, 1:] = np.cumsum(chain, axis=2).reshape(n, NUM_KEYPOINTS - 1, 3)
+    points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, 3:6]
+    return _Kinematics(points, r_glob, frames)
 
 
 def forward_kinematics(model: HandModel, params: PoseParams,
@@ -389,7 +416,7 @@ def forward_kinematics(model: HandModel, params: PoseParams,
     """Evaluate the model at one pose, returning (21, 3) camera-frame points."""
     if validate:
         check_joint_boxes(params.joints)
-    return _fk_batch(model, params.as_vector()[None])[0]
+    return _fk_batch(model, params.as_vector()[None]).points[0]
 
 
 def normalize_world(kp3d) -> np.ndarray:
@@ -419,38 +446,85 @@ _BOX_W = np.concatenate([np.full(NUM_JOINT_ANGLES, BOX_WEIGHT_JOINT), [BOX_WEIGH
 
 
 def _residuals_batch(model, intrinsics, obs, pvecs):
-    """Residual rows for a batch of pose vectors; rows are nan where the
-    model leaves the camera's forward half-space."""
-    pts = _fk_batch(model, pvecs)
-    z = pts[:, :, 2]
-    out = np.full((pvecs.shape[0], _N_RESIDUALS), np.nan)
-    ok = np.all(z > 1e-9, axis=1) & np.all(np.isfinite(pts.reshape(len(pvecs), -1)), axis=1)
-    if not np.any(ok):
-        return out
-    zp = z[ok]
-    u = intrinsics.f * pts[ok, :, 0] / zp + intrinsics.cx
-    v = intrinsics.f * pts[ok, :, 1] / zp + intrinsics.cy
-    proj = np.stack([u, v], axis=-1)
-    out[ok, : 2 * NUM_KEYPOINTS] = (proj - obs[None]).reshape(int(ok.sum()), -1)
-    vals = np.concatenate([pvecs[ok, 6:], pvecs[ok, 5:6]], axis=1)
-    out[ok, 2 * NUM_KEYPOINTS:] = _BOX_W * (np.clip(vals - _BOX_HI, 0.0, None)
-                                            + np.clip(_BOX_LO - vals, 0.0, None))
-    return out
+    """Residual rows for a batch of pose vectors, nan where the model
+    leaves the camera's forward half-space, and the FK pass behind them."""
+    kin = _fk_batch(model, pvecs)
+    pts = kin.points
+    n = pvecs.shape[0]
+    ok = np.all(pts[:, :, 2] > 1e-9, axis=1) & np.all(np.isfinite(pts.reshape(n, -1)), axis=1)
+    # rows that do not project get a harmless depth, then nan below
+    z = np.where(ok[:, None, None], pts[:, :, 2:3], 1.0)
+    proj = intrinsics.f * pts[:, :, :2] / z + (intrinsics.cx, intrinsics.cy)
+    out = np.empty((n, _N_RESIDUALS))
+    out[:, : 2 * NUM_KEYPOINTS] = (proj - obs).reshape(n, -1)
+    vals = np.concatenate([pvecs[:, 6:], pvecs[:, 5:6]], axis=1)
+    out[:, 2 * NUM_KEYPOINTS:] = _BOX_W * (np.maximum(vals - _BOX_HI, 0.0)
+                                           + np.maximum(_BOX_LO - vals, 0.0))
+    out[~ok] = np.nan
+    return out, kin
 
 
-_JAC_STEP = 1e-6
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _jacobian(model, intrinsics, obs, pvec):
-    """Central-difference Jacobian via one batched model evaluation."""
-    probes = np.tile(pvec, (2 * NUM_POSE_PARAMS, 1))
-    idx = np.arange(NUM_POSE_PARAMS)
-    probes[2 * idx, idx] += _JAC_STEP
-    probes[2 * idx + 1, idx] -= _JAC_STEP
-    res = _residuals_batch(model, intrinsics, obs, probes)
-    if not np.all(np.isfinite(res)):
-        raise NumericalError("model left the camera's view while differentiating")
-    return (res[0::2] - res[1::2]).T / (2.0 * _JAC_STEP)
+def _cross(a, b):
+    """np.cross over the last axis, without its per-call overhead."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _rotvec_left_jac(rv):
+    """J_l(w), with exp([w + d]x) = exp([J_l(w) d]x) exp([w]x) to first order."""
+    theta = float(np.linalg.norm(rv))
+    k = np.array([[0.0, -rv[2], rv[1]],
+                  [rv[2], 0.0, -rv[0]],
+                  [-rv[1], rv[0], 0.0]])
+    t2 = theta * theta
+    if theta < 1e-6:
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+    else:
+        a = (1.0 - math.cos(theta)) / t2
+        b = (theta - math.sin(theta)) / (t2 * theta)
+    return _EYE3 + a * k + b * (k @ k)
+
+
+# Where the derivative of finger point m (1-3) by slot s lands in the point
+# Jacobian: at (keypoint, 6 + joint) when the slot's turn moves the point,
+# otherwise, and for the four fingers' missing roll, in a scratch column
+# past the 27 parameters.
+_MOVES = (np.arange(1, 4)[None, :] > _SLOT_PIVOT[:, None]) & (
+    _SLOT_JOINT < NUM_JOINT_ANGLES)[:, :, None]
+_JAC_KP = np.broadcast_to(2 + 4 * np.arange(5)[:, None, None] + np.arange(3), _MOVES.shape)
+_JAC_COL = np.where(_MOVES, 6 + _SLOT_JOINT[:, :, None], NUM_POSE_PARAMS)
+_SLOT_AXIS_VEC = np.eye(3)[_SLOT_AXIS] * _SLOT_SIGN[:, None]
+_BOX_ROWS = np.arange(2 * NUM_KEYPOINTS, _N_RESIDUALS)
+_BOX_COLS = np.concatenate([np.arange(6, NUM_POSE_PARAMS), [5]])
+
+
+def _linearize(intrinsics, pvec, kin):
+    """Analytic Jacobian (64, 27) of the residuals at one pose vector, from
+    the FK pass (n=1) that evaluated them there."""
+    p = kin.points[0]
+    dp = np.zeros((NUM_KEYPOINTS, 3, NUM_POSE_PARAMS + 1))
+    # global rotation: d(R x) = -[R x]x J_l(w) dw; translation: identity
+    jl = _rotvec_left_jac(pvec[0:3])
+    dp[:, :, 0:3] = _cross(jl.T[None], (p - pvec[3:6])[:, None]).transpose(0, 2, 1)
+    dp[:, :, 3:6] = _EYE3
+    # joint angle: the turn axis in the camera frame crossed with the lever
+    # arm from its pivot, for every point downstream of the joint
+    axes = np.einsum("fsij,sj->fsi", kin.frames[0], _SLOT_AXIS_VEC) @ kin.r_glob[0].T
+    fingers = p[1:].reshape(5, 4, 3)
+    arms = fingers[:, None, 1:] - fingers[:, _SLOT_PIVOT, None]
+    dp[_JAC_KP, :, _JAC_COL] = _cross(axes[:, :, None], arms)
+    dp = dp[:, :, :NUM_POSE_PARAMS]
+    # pinhole: d(u, v)/dP = f/z [[1, 0, -x/z], [0, 1, -y/z]]
+    z = p[:, 2:3]
+    duv = (intrinsics.f / z)[:, :, None] * (dp[:, :2] - (p[:, :2] / z)[:, :, None] * dp[:, 2:3])
+    jac = np.zeros((_N_RESIDUALS, NUM_POSE_PARAMS))
+    jac[:2 * NUM_KEYPOINTS] = duv.reshape(2 * NUM_KEYPOINTS, NUM_POSE_PARAMS)
+    # box penalties: +-W outside the box, zero inside
+    vals = np.concatenate([pvec[6:], pvec[5:6]])
+    jac[_BOX_ROWS, _BOX_COLS] = _BOX_W * ((vals > _BOX_HI).astype(np.float64) - (vals < _BOX_LO))
+    return jac
 
 
 def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PoseParams,
@@ -459,7 +533,10 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     """Fit pose parameters to observed pixels by damped least squares.
 
     Residuals are the 42 reprojection errors plus one-sided penalties that
-    hold joints and depth inside their boxes.  The damping factor starts
+    hold joints and depth inside their boxes.  Each iteration linearizes
+    them with the analytic Jacobian, taken from the FK pass that evaluated
+    the accepted pose; trial steps that take a keypoint to or behind the
+    camera plane are rejected like uphill ones.  The damping factor starts
     at 1e-3, halves on accepted steps and grows tenfold on rejected ones,
     clamped to [1e-12, 1e8]; fitting stops when the relative cost decrease
     falls under ``rel_tol`` or after ``max_iter`` iterations.  Raises
@@ -473,7 +550,8 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
         raise MalformedFrame("non-finite pixel coordinates")
 
     p = init.as_vector()
-    r = _residuals_batch(model, intrinsics, obs, p[None])[0]
+    r, kin = _residuals_batch(model, intrinsics, obs, p[None])
+    r = r[0]
     if not np.all(np.isfinite(r)):
         raise BehindCamera("initial pose places the hand at or behind the camera")
     cost = float(r @ r)
@@ -484,7 +562,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
 
     while not converged and iterations < max_iter:
         iterations += 1
-        jac = _jacobian(model, intrinsics, obs, p)
+        jac = _linearize(intrinsics, p, kin)
         grad = jac.T @ r
         hess = jac.T @ jac
         # Marquardt scaling: damp proportionally to the curvature so that
@@ -499,12 +577,13 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
                 p_try = p + delta
-                r_try = _residuals_batch(model, intrinsics, obs, p_try[None])[0]
+                r_try, kin_try = _residuals_batch(model, intrinsics, obs, p_try[None])
+                r_try = r_try[0]
                 if np.all(np.isfinite(r_try)):
                     cost_try = float(r_try @ r_try)
                     if cost_try < cost:
                         rel = (cost - cost_try) / max(cost, 1e-300)
-                        p, r, cost = p_try, r_try, cost_try
+                        p, r, cost, kin = p_try, r_try, cost_try, kin_try
                         history.append(cost)
                         lam = max(lam * 0.5, 1e-12)
                         accepted = True
@@ -520,7 +599,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
             converged = converged or float(np.max(np.abs(grad))) < 1e-9
             break
 
-    points = _fk_batch(model, p[None])[0]
+    points = kin.points[0]
     proj = project(points, intrinsics)
     rms = float(np.sqrt(np.mean(np.sum((proj - obs) ** 2, axis=1))))
     if rms > max_rms_px:
@@ -551,24 +630,20 @@ def neutral_joints() -> np.ndarray:
     return joints
 
 
-_rest_cache: dict = {}
-
-
 def _rest_alignment(model: HandModel):
     """Roll angle and palm size of the neutral pose viewed frontally, plus
-    its keypoints in the hand frame.  Cached per model instance."""
-    key = id(model)
-    if key not in _rest_cache:
+    its keypoints in the hand frame.  Computed once per model instance."""
+    if model._rest is None:
         pose = np.zeros(NUM_POSE_PARAMS)
         pose[6:] = neutral_joints()
-        rest_local = _fk_batch(model, pose[None])[0]
+        rest_local = _fk_batch(model, pose[None]).points[0]
         plane = (rest_local @ FRONTAL_ROTATION.T)[:, :2]
         center = plane[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
         v = (plane[WRIST] - plane[MIDDLE_MCP]) + (plane[PINKY_MCP] - plane[INDEX_MCP])
         theta0 = float(np.arctan2(v[0], -v[1]))
         size = float(np.max(np.linalg.norm(plane[list(SCALE_KEYPOINTS)] - center, axis=1)))
-        _rest_cache[key] = (theta0, size, rest_local)
-    return _rest_cache[key]
+        model._rest = (theta0, size, rest_local)
+    return model._rest
 
 
 def initial_pose_from_alignment(kp2d, model: HandModel,

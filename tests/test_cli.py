@@ -201,6 +201,23 @@ def test_missing_file_exits_2(tmp_path):
     assert run("features", "--frames", tmp_path / "nope.jsonl") == 2
 
 
+@pytest.mark.parametrize("content", [None, b"not json\n", b"\xff\xfe\x00binary"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_lift_unreadable_model_exits_2(tmp_path, capsys, content):
+    frames = tmp_path / "frames.jsonl"
+    kp2d = [[100.0 + 3.0 * i, 200.0 - 2.0 * i] for i in range(21)]
+    frames.write_text(json.dumps(
+        {"t_us": 0, "w": 640, "h": 480,
+         "hand": {"handedness": "Right", "score": 1.0,
+                  "kp2d": kp2d, "kp3d": None}}) + "\n")
+    model = tmp_path / "model.json"
+    if content is not None:
+        model.write_bytes(content)
+    assert run("lift", "--frames", frames, "--model", model) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_malformed_line_exits_2(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{this is not json\n")

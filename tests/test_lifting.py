@@ -6,9 +6,14 @@ import pytest
 from handgest.errors import BehindCamera, DivergedFit, MalformedFrame, OutOfBox
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, sample_rng, synth_params
+from handgest.labels import ALL_GESTURES
 from handgest.lifting import (
+    BOX_WEIGHT_JOINT,
+    BOX_WEIGHT_TZ,
     JOINT_BOXES,
     NUM_JOINT_ANGLES,
+    NUM_POSE_PARAMS,
+    TZ_BOX,
     CameraIntrinsics,
     HandModel,
     PoseParams,
@@ -29,6 +34,7 @@ from handgest.lifting import (
     rotvec_from_rotmat,
     save_hand_model,
 )
+from handgest.lifting import _linearize, _residuals_batch, _rest_alignment
 
 
 def truth_sample(i=0, label="OpenPalm", seed=5):
@@ -115,6 +121,17 @@ def test_default_hand_model_is_sane():
     np.testing.assert_allclose(np.linalg.norm(model.directions, axis=1), 1.0, atol=1e-9)
     assert np.all(model.lengths > 0.004)
     assert np.all(model.lengths < 0.13)
+
+
+def test_rest_alignment_follows_each_model_instance():
+    # each model is dropped before the next one is built, so the interpreter
+    # may give the next one the same id(); the rest size must still be its own
+    base = default_hand_model()
+    size_1 = _rest_alignment(HandModel(base.directions, base.lengths))[1]
+    for scale in np.linspace(0.8, 1.2, 200):
+        model = HandModel(base.directions, base.lengths * scale)
+        assert _rest_alignment(model)[1] == pytest.approx(scale * size_1, rel=1e-12)
+        del model
 
 
 def test_hand_model_json_round_trip(tmp_path):
@@ -301,3 +318,92 @@ def test_initial_pose_from_alignment_is_usable():
     # close enough for the optimizer to land at machine precision
     res = fit_pose(obs, model, intr, init)
     assert res.rms_px < 0.1
+
+
+# -- analytic Jacobian --------------------------------------------------------
+
+CD_STEP = 1e-6
+
+
+def central_difference_jacobian(model, intr, obs, pvec):
+    """Reference Jacobian: central differences over all 54 probes in one
+    batched residual evaluation."""
+    probes = np.tile(pvec, (2 * NUM_POSE_PARAMS, 1))
+    idx = np.arange(NUM_POSE_PARAMS)
+    probes[2 * idx, idx] += CD_STEP
+    probes[2 * idx + 1, idx] -= CD_STEP
+    res, _ = _residuals_batch(model, intr, obs, probes)
+    assert np.all(np.isfinite(res))
+    return (res[0::2] - res[1::2]).T / (2.0 * CD_STEP)
+
+
+def analytic_jacobian(model, intr, obs, pvec):
+    _, kin = _residuals_batch(model, intr, obs, pvec[None])
+    return _linearize(intr, pvec, kin)
+
+
+def jacobian_error(model, intr, obs, pvec):
+    """Largest analytic-vs-reference difference, relative to the largest entry."""
+    ref = central_difference_jacobian(model, intr, obs, pvec)
+    diff = analytic_jacobian(model, intr, obs, pvec) - ref
+    return float(np.max(np.abs(diff)) / np.max(np.abs(ref)))
+
+
+def test_jacobian_matches_central_differences_on_criterion_6_poses():
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    cfg = SynthConfig(seed=5)
+    worst = 0.0
+    for i in range(200):
+        truth = synth_params(ALL_GESTURES[i % len(ALL_GESTURES)], cfg,
+                             sample_rng(cfg.seed, i))
+        obs = project(forward_kinematics(model, truth), intr)
+        worst = max(worst, jacobian_error(model, intr, obs, truth.as_vector()))
+    assert worst <= 1e-6
+
+
+def off_box_pose():
+    joints = neutral_joints()
+    joints[[0, 5, 7]] = JOINT_BOXES[[0, 5, 7], 1] + 0.05
+    joints[[6, 9, 19]] = JOINT_BOXES[[6, 9, 19], 0] - 0.05
+    return np.concatenate([[0.2, -0.1, 0.3], [0.0, 0.0, TZ_BOX[1] + 0.2], joints])
+
+
+def thumb_roll_pose():
+    joints = neutral_joints()
+    joints[4] = 0.7   # thumb roll
+    return np.concatenate([[2.0, 0.5, -1.0], [0.02, -0.01, 0.45], joints])
+
+
+def tiny_rotation_pose():
+    return np.concatenate([[3e-7, -2e-7, 1e-7], [0.01, 0.02, 0.5], neutral_joints()])
+
+
+def zero_rotation_pose():
+    return np.concatenate([[0.0, 0.0, 0.0], [0.01, 0.02, 0.5], neutral_joints()])
+
+
+@pytest.mark.parametrize("make_pose", [off_box_pose, thumb_roll_pose, tiny_rotation_pose,
+                                       zero_rotation_pose])
+def test_jacobian_matches_central_differences_at_edge_poses(make_pose):
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    pvec = make_pose()
+    obs = project(forward_kinematics(model, truth_sample(7)), intr)
+    assert jacobian_error(model, intr, obs, pvec) <= 1e-6
+
+
+def test_jacobian_penalty_rows_and_thumb_roll_column():
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    obs = project(forward_kinematics(model, truth_sample(7)), intr)
+    jac = analytic_jacobian(model, intr, obs, off_box_pose())
+    penalty = jac[42:]
+    np.testing.assert_array_equal(penalty[[0, 5, 7], [6, 11, 13]], BOX_WEIGHT_JOINT)
+    np.testing.assert_array_equal(penalty[[6, 9, 19], [12, 15, 25]], -BOX_WEIGHT_JOINT)
+    assert penalty[21, 5] == BOX_WEIGHT_TZ
+    assert np.count_nonzero(penalty) == 7
+    # thumb roll moves the thumb's three distal points and nothing else
+    roll = analytic_jacobian(model, intr, obs, thumb_roll_pose())[:42, 6 + 4]
+    moved = np.flatnonzero(np.abs(roll.reshape(21, 2)).max(axis=1) > 0.0)
+    np.testing.assert_array_equal(moved, [2, 3, 4])

@@ -32,83 +32,49 @@ from .errors import (
     ValidationError,
 )
 from .features import EulerAngles, FeatureVector, feature_vector
-from .labels import ALL_GESTURES, CLASSES, NEGATIVE_LABEL, to_class
-from .skeleton import frame_from_dict, frame_to_dict, read_frames
+from .labels import CLASSES, NEGATIVE_LABEL, check_label, to_class
+from .skeleton import (
+    decode_config,
+    frame_from_dict,
+    frame_to_dict,
+    is_int,
+    open_output,
+    read_json,
+    read_jsonl,
+)
 
 FEATURES_SCHEMA = "features/1"
 PREDICTION_SCHEMA = "prediction/1"
 
 
-# -- shared I/O helpers --------------------------------------------------------
-
-def _read_jsonl(path):
-    try:
-        with open(path, encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedFrame(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path):
-    try:
-        with open(path, encoding="utf-8") as fp:
-            return json.load(fp)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedFrame(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _open_out(path):
-    if path is None or path == "-":
-        return sys.stdout
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _close_out(fh):
-    if fh is not sys.stdout:
-        fh.close()
-
-
-def _check_label(label, where):
-    if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
-        raise UnknownLabel(f"{where}: unknown label {label!r}")
-    return label
-
+# -- shared row helpers --------------------------------------------------------
 
 def _features_from_row(obj, where):
-    euler = obj.get("euler")
-    fingers = obj.get("fingers")
-    pairs = obj.get("pairs")
-    if euler is None or fingers is None or pairs is None:
-        raise MalformedFrame(f"{where}: feature row needs euler/fingers/pairs")
-    if len(euler) != 3 or len(fingers) != 5 or len(pairs) != 4:
+    """(t_us, FeatureVector) from one feature row."""
+    t_us = obj.get("t_us", 0)
+    if not is_int(t_us):
+        raise MalformedFrame(f"{where}: t_us must be an integer, got {t_us!r}")
+    try:
+        euler = np.asarray(obj["euler"], dtype=np.float64)
+        fingers = np.asarray(obj["fingers"], dtype=np.float64)
+        pairs = np.asarray(obj["pairs"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFrame(f"{where}: feature row needs numeric "
+                             f"euler/fingers/pairs: {exc!r}") from exc
+    if euler.shape != (3,) or fingers.shape != (5,) or pairs.shape != (4,):
         raise MalformedFrame(f"{where}: feature row has wrong arity")
-    return FeatureVector(
-        euler=EulerAngles(float(euler[0]), float(euler[1]), float(euler[2])),
-        finger_angles=np.asarray(fingers, dtype=np.float64),
-        pair_angles=np.asarray(pairs, dtype=np.float64),
-    )
+    return t_us, FeatureVector(euler=EulerAngles(*map(float, euler)),
+                               finger_angles=fingers, pair_angles=pairs)
 
 
 def _labeled_features(path):
     """(t_us, FeatureVector, label-or-None) from a frames, dataset, or
     features JSONL; frame rows need kp3d."""
-    for i, obj in enumerate(_read_jsonl(path)):
+    for i, obj in enumerate(read_jsonl(path)):
         where = f"{path}:row {i}"
         label = obj.get("label")
         if label is not None:
-            _check_label(str(label), where)
+            check_label(label, where)
         if "hand" in obj:
             frame = frame_from_dict(obj)
             if frame.hand is None:
@@ -118,7 +84,7 @@ def _labeled_features(path):
             fv = feature_vector(frame.hand.kp3d, frame.hand.handedness)
             yield frame.t_us, fv, label
         elif "euler" in obj:
-            yield int(obj.get("t_us", 0)), _features_from_row(obj, where), label
+            yield (*_features_from_row(obj, where), label)
         else:
             raise MalformedFrame(f"{where}: neither a frame nor a feature row")
 
@@ -136,24 +102,15 @@ def _feature_row(t_us, fv, label):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args):
-    obj = _load_json(args.config) if args.config else {}
-    if not isinstance(obj, dict):
-        raise MalformedFrame("synth config must be a JSON object")
-    obj.pop("schema", None)
+    cfg = decode_config(harness.SynthConfig,
+                        read_json(args.config) if args.config else {}, "synth config")
     if args.seed is not None:
-        obj["seed"] = args.seed
-    for key in ("tz_range", "x_range", "y_range"):
-        if key in obj:
-            obj[key] = tuple(obj[key])
-    try:
-        cfg = harness.SynthConfig(**obj)
-    except TypeError as exc:
-        raise ValidationError(f"bad synth config: {exc}") from exc
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     gestures = None
     if args.gestures:
         gestures = [g.strip() for g in args.gestures.split(",") if g.strip()]
         for g in gestures:
-            _check_label(g, "--gestures")
+            check_label(g, "--gestures")
     frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
     harness.write_dataset(args.out, frames, labels)
     print(f"wrote {len(frames)} samples to {args.out}", file=sys.stderr)
@@ -161,14 +118,11 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
-    out = _open_out(args.out)
-    try:
-        n = 0
+    n = 0
+    with open_output(args.out) as out:
         for t_us, fv, label in _labeled_features(args.frames):
             out.write(json.dumps(_feature_row(t_us, fv, label)) + "\n")
             n += 1
-    finally:
-        _close_out(out)
     print(f"wrote {n} feature rows", file=sys.stderr)
     return 0
 
@@ -181,26 +135,19 @@ def cmd_classify(args):
         model = mlp.load_model(args.model)
         predict = lambda fv: mlp.classify_nn(model, fv)
     else:
-        if args.gestures:
-            with open(args.gestures, encoding="utf-8") as fh:
-                gcfg = heuristic.load_config(fh)
-        else:
-            gcfg = heuristic.default_config()
+        gcfg = (heuristic.config_from_dict(read_json(args.gestures)) if args.gestures
+                else heuristic.default_config())
         predict = lambda fv: heuristic.classify_heuristic(fv, gcfg)
-    out = _open_out(args.out)
-    try:
+    with open_output(args.out) as out:
         for t_us, fv, _ in _labeled_features(source):
             row = {"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
                    "label": predict(fv)}
             out.write(json.dumps(row) + "\n")
-    finally:
-        _close_out(out)
     return 0
 
 
 def cmd_train(args):
-    obj = _load_json(args.config) if args.config else {}
-    cfg = mlp.TrainConfig.from_dict(obj)
+    cfg = mlp.TrainConfig.from_dict(read_json(args.config) if args.config else {})
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     examples = []
@@ -234,9 +181,8 @@ def cmd_calibrate(args):
 def cmd_lift(args):
     model = (lifting.load_hand_model(args.model) if args.model
              else lifting.default_hand_model())
-    out = _open_out(args.out)
-    try:
-        for i, obj in enumerate(_read_jsonl(args.frames)):
+    with open_output(args.out) as out:
+        for i, obj in enumerate(read_jsonl(args.frames)):
             frame = frame_from_dict(obj)
             if frame.hand is not None:
                 intr = lifting.default_intrinsics(frame.w, frame.h)
@@ -259,41 +205,30 @@ def cmd_lift(args):
                 row["label"] = obj["label"]
             row.update(frame_to_dict(frame))
             out.write(json.dumps(row) + "\n")
-    finally:
-        _close_out(out)
     return 0
 
 
 def cmd_stream(args):
-    with open(args.pipeline, encoding="utf-8") as fh:
-        cfg = pipeline.load_pipeline_config(fh)
+    cfg = pipeline.PipelineConfig.from_dict(read_json(args.pipeline))
     classifier = pipeline.make_classifier(cfg)
     state = pipeline.initial_state()
-    out = _open_out(args.out)
-    try:
-        with open(args.frames, encoding="utf-8") as fh:
-            for frame in read_frames(fh):
-                state, result = pipeline.step(state, frame, cfg, classifier)
-                out.write(json.dumps(result.to_dict()) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.frames}: {exc}") from exc
-    finally:
-        _close_out(out)
+    with open_output(args.out) as out:
+        for obj in read_jsonl(args.frames):
+            state, result = pipeline.step(state, frame_from_dict(obj), cfg, classifier)
+            out.write(json.dumps(result.to_dict()) + "\n")
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(state.stats.to_dict(), fh)
-            fh.write("\n")
+        with open_output(args.stats) as out:
+            out.write(json.dumps(state.stats.to_dict()) + "\n")
     return 0
 
 
 def _labels_only(path, collapse):
     labels = []
-    for i, obj in enumerate(_read_jsonl(path)):
+    for i, obj in enumerate(read_jsonl(path)):
         label = obj.get("label")
         if label is None:
             raise MalformedFrame(f"{path}:row {i}: missing label")
-        label = str(label)
-        _check_label(label, f"{path}:row {i}")
+        check_label(label, f"{path}:row {i}")
         labels.append(to_class(label) if collapse else label)
     return labels
 
@@ -306,12 +241,8 @@ def cmd_eval(args):
                                f"outside the classifier vocabulary")
     truths = _labels_only(args.truth, collapse=True)
     report = harness.eval_classifier(predictions, truths)
-    out = _open_out(args.out)
-    try:
-        json.dump(report.to_dict(), out, indent=2)
-        out.write("\n")
-    finally:
-        _close_out(out)
+    with open_output(args.out) as out:
+        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 

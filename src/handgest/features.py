@@ -27,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePalm, ShapeMismatch, ZeroSegment
+from .errors import DegeneratePalm, MalformedFrame, ShapeMismatch, ZeroSegment
 from .skeleton import (
     CHAIN_INDICES,
+    HANDEDNESS_VALUES,
     Finger,
     INDEX_MCP,
     MIDDLE_MCP,
@@ -104,9 +105,13 @@ def _wrap_pi(a: float) -> float:
 def palm_pose(kp3d: np.ndarray, handedness: str) -> PalmPose:
     """Extrinsic palm frame from wrist and the index/pinky base knuckles.
 
-    Raises DegeneratePalm when the three points are nearly collinear or the
+    Raises MalformedFrame on a handedness other than "Left" or "Right", and
+    DegeneratePalm when the three points are nearly collinear or the
     wrist-to-middle-MCP distance is degenerate.
     """
+    if handedness not in HANDEDNESS_VALUES:
+        raise MalformedFrame(
+            f"handedness must be one of {HANDEDNESS_VALUES}, got {handedness!r}")
     kp3d = _check_kp3d(kp3d)
     wrist = kp3d[WRIST]
     v1 = kp3d[INDEX_MCP] - wrist
@@ -174,38 +179,15 @@ def intrinsic_keypoints(kp3d: np.ndarray, pose: PalmPose) -> np.ndarray:
     return (kp3d - pose.translation) @ pose.rotation / pose.scale
 
 
-def _segments(kp3d: np.ndarray, finger: Finger) -> np.ndarray:
-    chain = kp3d[list(CHAIN_INDICES[Finger(finger)])]
-    return np.diff(chain, axis=0)  # (4, 3): wrist->base, then three phalanges
-
-
-def _angle(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < EPS_SEGMENT_M or nv < EPS_SEGMENT_M:
-        raise ZeroSegment(f"segment norm below {EPS_SEGMENT_M:.0e} m")
-    return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)))
-
-
-def finger_feature_angle(kp3d: np.ndarray, finger: Finger) -> float:
-    """Curl of one finger: the largest angle between the wrist->base segment
-    and any of the three distal segments. 0 for a straight finger, toward
-    pi for a full curl."""
-    kp3d = _check_kp3d(kp3d)
-    seg = _segments(kp3d, finger)
-    return max(_angle(seg[0], seg[k]) for k in (1, 2, 3))
-
-
-def pair_feature_angle(kp3d: np.ndarray, pair: tuple[Finger, Finger]) -> float:
-    """Unsigned angle between the proximal phalanges of two fingers,
-    each taken base joint -> first intermediate joint."""
-    kp3d = _check_kp3d(kp3d)
-    a, b = pair
-    return _angle(_segments(kp3d, a)[1], _segments(kp3d, b)[1])
-
-
 def _all_angles(kp3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized finger and pair angles for one skeleton."""
+    """Finger curl and pair spread angles for one skeleton.
+
+    A finger's curl is the largest angle between its wrist->base segment
+    and any of its three distal segments: 0 when straight, toward pi for
+    a full curl. A pair's spread is the unsigned angle between the two
+    proximal phalanges (base joint -> first intermediate joint). Raises
+    ZeroSegment on any segment shorter than EPS_SEGMENT_M.
+    """
     chains = kp3d[_CHAIN_TABLE]              # (5, 5, 3)
     seg = np.diff(chains, axis=1)            # (5, 4, 3)
     norms = np.linalg.norm(seg, axis=2)      # (5, 4)

@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, MalformedFrame, UnknownLabel
+from .errors import EmptyInput, LengthMismatch, MalformedFrame, ValidationError
 from .labels import (
     ALL_GESTURES,
     CLASSES,
     NEGATIVE_LABEL,
     POSITIVE_GESTURES,
     check_gesture,
+    check_label,
     to_class,
 )
 from .lifting import (
@@ -50,6 +51,8 @@ from .skeleton import (
     HandSkeleton,
     frame_from_dict,
     frame_to_dict,
+    open_output,
+    read_jsonl,
 )
 
 
@@ -183,6 +186,13 @@ class SynthConfig:
     noise_m: float = 0.0
     handedness: str = "Right"
     score: float = 1.0
+
+    def __post_init__(self):
+        for name in ("tz_range", "x_range", "y_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValidationError(f"{name} must be finite [low, high] with "
+                                      f"low <= high, got {getattr(self, name)}")
 
 
 # abductions and the thumb roll get half the flexion jitter: their
@@ -357,7 +367,7 @@ DATASET_SCHEMA = "dataset/1"
 def write_dataset(path, frames, labels) -> None:
     if len(frames) != len(labels):
         raise LengthMismatch(f"{len(frames)} frames vs {len(labels)} labels")
-    with open(path, "w", encoding="utf-8") as fp:
+    with open_output(path) as fp:
         for frame, label in zip(frames, labels):
             record = {"schema": DATASET_SCHEMA, "label": label}
             record.update(frame_to_dict(frame))
@@ -367,22 +377,12 @@ def write_dataset(path, frames, labels) -> None:
 def read_dataset(path):
     """Frames-plus-label JSONL -> (frames, labels)."""
     frames, labels = [], []
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedFrame(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if "label" not in obj:
-                raise MalformedFrame(f"{path}:{lineno}: dataset line missing 'label'")
-            label = str(obj["label"])
-            if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
-                raise UnknownLabel(f"{path}:{lineno}: unknown label {label!r}")
-            frames.append(frame_from_dict(obj))
-            labels.append(label)
+    for i, obj in enumerate(read_jsonl(path)):
+        where = f"{path}:row {i}"
+        if "label" not in obj:
+            raise MalformedFrame(f"{where}: dataset line missing 'label'")
+        labels.append(check_label(obj["label"], where))
+        frames.append(frame_from_dict(obj))
     return frames, labels
 
 

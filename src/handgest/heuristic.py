@@ -17,10 +17,8 @@ palm geometry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TextIO
 
 import numpy as np
 
@@ -358,7 +356,7 @@ def default_config() -> GestureConfig:
     )
 
 
-# --- JSON config I/O (angles in degrees on disk) ---
+# --- JSON config form (angles in degrees on disk) ---
 
 def config_to_dict(config: GestureConfig) -> dict:
     th = config.thresholds
@@ -392,15 +390,7 @@ def config_from_dict(obj: dict) -> GestureConfig:
             GestureDefinition(str(g["name"]), int(g["priority"]), expr_from_json(g["expr"]))
             for g in obj["gestures"]
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad gesture config: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad gesture config: {exc!r}") from exc
     return GestureConfig(thresholds=thresholds, definitions=definitions)
 
-
-def save_config(fp: TextIO, config: GestureConfig) -> None:
-    json.dump(config_to_dict(config), fp, indent=2)
-    fp.write("\n")
-
-
-def load_config(fp: TextIO) -> GestureConfig:
-    return config_from_dict(json.load(fp))

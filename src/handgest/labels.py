@@ -58,6 +58,14 @@ def check_gesture(name: str) -> str:
     return name
 
 
+def check_label(label, where: str) -> str:
+    """Validate a dataset or prediction label: a generator gesture or
+    Negative. Raises UnknownLabel otherwise."""
+    if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
+        raise UnknownLabel(f"{where}: unknown label {label!r}")
+    return label
+
+
 def to_class(label: str) -> str:
     """Collapse any generator label onto the classifier vocabulary."""
     return label if label in POSITIVE_GESTURES else NEGATIVE_LABEL

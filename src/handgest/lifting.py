@@ -31,7 +31,6 @@ from .errors import (
     MalformedFrame,
     OutOfBox,
     ShapeMismatch,
-    ValidationError,
 )
 from .skeleton import (
     Finger,
@@ -40,6 +39,8 @@ from .skeleton import (
     NUM_KEYPOINTS,
     PINKY_MCP,
     WRIST,
+    open_output,
+    read_json,
 )
 from .alignment import SCALE_KEYPOINTS, compute_alignment
 
@@ -279,20 +280,12 @@ class HandModel:
 
 
 def save_hand_model(path, model: HandModel) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(model.to_dict(), fp, indent=2)
-        fp.write("\n")
+    with open_output(path) as fp:
+        fp.write(json.dumps(model.to_dict(), indent=2) + "\n")
 
 
 def load_hand_model(path) -> HandModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
-    except OSError as exc:
-        raise ValidationError(f"cannot read hand model {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
-        raise MalformedFrame(f"hand model {path} is not valid JSON: {exc}") from exc
-    return HandModel.from_dict(data)
+    return HandModel.from_dict(read_json(path))
 
 
 _default_model = None

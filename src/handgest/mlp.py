@@ -25,6 +25,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
+from .skeleton import decode_config, open_output, read_json
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -99,24 +100,25 @@ class MlpModel:
     def from_dict(cls, obj: dict) -> "MlpModel":
         if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
             raise MalformedFrame(f"expected schema {MODEL_SCHEMA!r}")
-        if list(obj.get("layer_sizes", [])) != list(LAYER_SIZES):
+        if obj.get("layer_sizes") != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
         layers = obj.get("layers")
         if not isinstance(layers, list):
             raise MalformedFrame("missing layers")
-        return cls([L["w"] for L in layers], [L["b"] for L in layers],
-                   obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
+        try:
+            return cls([L["w"] for L in layers], [L["b"] for L in layers],
+                       obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFrame(f"bad model: {exc!r}") from exc
 
 
 def save_model(model: MlpModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model.to_dict(), fh)
-        fh.write("\n")
+    with open_output(path) as fh:
+        fh.write(json.dumps(model.to_dict()) + "\n")
 
 
 def load_model(path) -> MlpModel:
-    with open(path, encoding="utf-8") as fh:
-        return MlpModel.from_dict(json.load(fh))
+    return MlpModel.from_dict(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ class TrainConfig:
     """Focal-loss and optimizer settings; alpha is the per-class weight."""
 
     gamma: float = 2.0
-    alpha: tuple = (1.0,) * len(CLASSES)
+    alpha: float | tuple = (1.0,) * len(CLASSES)
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 100
@@ -159,14 +161,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
-        if not isinstance(obj, dict):
-            raise MalformedFrame("training config must be a JSON object")
-        known = {"gamma", "alpha", "learning_rate", "batch_size", "epochs",
-                 "seed", "val_fraction"}
-        extra = set(obj) - known - {"schema"}
-        if extra:
-            raise ValidationError(f"unknown training config keys: {sorted(extra)}")
-        return cls(**{k: obj[k] for k in known if k in obj})
+        return decode_config(cls, obj, "training config")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .features import feature_vector
-from .skeleton import HandFrame, HandSkeleton
+from .skeleton import HandFrame, HandSkeleton, decode_config, read_json
 
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
@@ -75,12 +75,7 @@ class PipelineConfig:
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         if not isinstance(obj, dict) or obj.get("schema") != CONFIG_SCHEMA:
             raise MalformedFrame(f"expected schema {CONFIG_SCHEMA!r}")
-        known = {"max_detect_hz", "track_loss_frames", "min_track_score",
-                 "classifier", "classifier_ref"}
-        extra = set(obj) - known - {"schema"}
-        if extra:
-            raise ValidationError(f"unknown pipeline config keys: {sorted(extra)}")
-        return cls(**{k: obj[k] for k in known if k in obj})
+        return decode_config(cls, obj, "pipeline config")
 
 
 def save_pipeline_config(fp: TextIO, config: PipelineConfig) -> None:
@@ -107,12 +102,11 @@ def make_classifier(config: PipelineConfig) -> Callable[[HandSkeleton], str]:
                                                      skeleton.handedness))
         return run
 
-    from .heuristic import classify_heuristic, default_config, load_config
+    from .heuristic import classify_heuristic, config_from_dict, default_config
     if config.classifier_ref is None:
         gestures = default_config()
     else:
-        with open(config.classifier_ref, encoding="utf-8") as fh:
-            gestures = load_config(fh)
+        gestures = config_from_dict(read_json(config.classifier_ref))
 
     def run(skeleton: HandSkeleton) -> str:
         if skeleton.kp3d is None:

@@ -20,18 +20,27 @@ Frames stream as JSONL, one object per line:
     {"t_us": int, "w": int, "h": int,
      "hand": null | {"handedness": "Left"|"Right", "score": float,
                      "kp2d": [[x, y] * 21], "kp3d": [[x, y, z] * 21] | null}}
+
+Every file the package opens, frames or config or model, goes through
+read_json, read_jsonl or open_output. They map an OSError to
+ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
+that is not an object) to MalformedFrame naming PATH:LINE, so the CLI
+exits 2 with one line instead of a traceback. decode_config builds the
+flat config dataclasses from JSON with type checks.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
-from typing import Iterable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import MalformedFrame, Missing3D
+from .errors import MalformedFrame, Missing3D, ValidationError
 
 NUM_KEYPOINTS = 21
 
@@ -101,12 +110,15 @@ class HandFrame:
 def validate_frame(frame: HandFrame) -> HandFrame:
     """Check a frame against the schema; returns the frame unchanged.
 
-    Raises MalformedFrame on bad keypoint counts, non-finite values,
-    non-positive image dimensions, out-of-range scores, or an unknown
-    handedness string. Validation is idempotent.
+    Raises MalformedFrame on a t_us, w or h that is not an integer (a bool
+    is not one), bad keypoint counts, non-finite values, non-positive image
+    dimensions, out-of-range scores, or an unknown handedness string.
+    Validation is idempotent.
     """
-    if not isinstance(frame.t_us, int):
-        raise MalformedFrame(f"t_us must be an integer, got {type(frame.t_us).__name__}")
+    for name in ("t_us", "w", "h"):
+        value = getattr(frame, name)
+        if not is_int(value):
+            raise MalformedFrame(f"{name} must be an integer, got {value!r}")
     if frame.w <= 0 or frame.h <= 0:
         raise MalformedFrame(f"image dimensions must be positive, got {frame.w}x{frame.h}")
     hand = frame.hand
@@ -140,7 +152,7 @@ def finger_chain(skeleton: HandSkeleton, finger: Finger) -> np.ndarray:
     return skeleton.kp3d[list(CHAIN_INDICES[Finger(finger)])]
 
 
-# --- JSONL I/O ---
+# --- JSON and JSONL I/O ---
 
 def skeleton_to_dict(hand: HandSkeleton | None) -> dict | None:
     if hand is None:
@@ -166,11 +178,16 @@ def frame_to_dict(frame: HandFrame) -> dict:
 def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise MalformedFrame(f"hand must be an object or null, got {type(obj).__name__}")
     try:
         kp3d = obj.get("kp3d")
+        score = obj["score"]
+        if not _is_number(score):
+            raise MalformedFrame(f"score must be a number, got {score!r}")
         return HandSkeleton(
             handedness=obj["handedness"],
-            score=float(obj["score"]),
+            score=float(score),
             kp2d=np.asarray(obj["kp2d"], dtype=np.float64),
             kp3d=None if kp3d is None else np.asarray(kp3d, dtype=np.float64),
         )
@@ -181,33 +198,115 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
 def frame_from_dict(obj: dict) -> HandFrame:
     try:
         frame = HandFrame(
-            t_us=int(obj["t_us"]),
-            w=int(obj["w"]),
-            h=int(obj["h"]),
+            t_us=obj["t_us"],
+            w=obj["w"],
+            h=obj["h"],
             hand=skeleton_from_dict(obj["hand"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedFrame(f"bad frame object: {exc}") from exc
     return validate_frame(frame)
 
 
-def read_frames(fp: TextIO) -> Iterator[HandFrame]:
-    """Parse and validate frames from a JSONL stream, one per line."""
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
+def read_json(path):
+    """The one JSON document in a file."""
+    try:
+        with open(path, "rb") as fp:
+            data = fp.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        if isinstance(exc, UnicodeDecodeError):
+            lineno = data.count(b"\n", 0, exc.start) + 1
+        else:
+            lineno = getattr(exc, "lineno", 1)
+        raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
+
+
+def read_jsonl(path) -> Iterator[dict]:
+    """One JSON object per non-blank line of a file, in order."""
+    try:
+        with open(path, "rb") as fp:
+            for lineno, raw in enumerate(fp, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    obj = json.loads(line)
+                except ValueError as exc:  # invalid UTF-8 or invalid JSON
+                    raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
+                if not isinstance(obj, dict):
+                    raise MalformedFrame(f"{path}:{lineno}: expected a JSON object, "
+                                         f"got {type(obj).__name__}")
+                yield obj
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+@contextmanager
+def open_output(path) -> Iterator[TextIO]:
+    """Text stream to write: stdout for None or "-", else the file at path."""
+    if path is None or path == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# annotation -> test of a decoded JSON value; "X | Y" takes either
+_JSON_KINDS = {
+    "int": is_int,
+    "float": _is_number,
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
+def decode_config(cls, obj, what: str):
+    """Build the flat config dataclass ``cls`` from a decoded JSON object.
+
+    The keys are the dataclass fields, plus an ignored "schema" tag; a
+    field without a default is required. Each value must match its field's
+    annotation, read as a string: "int" takes an integer, "float" any
+    number (never a bool), "str" a string, "tuple" a list of numbers as
+    long as the default, and "X | Y" either. Lists become tuples.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    extra = set(obj) - set(known) - {"schema"}
+    if extra:
+        raise ValidationError(f"unknown {what} keys: {sorted(extra)}")
+    kwargs = {}
+    for name, f in known.items():
+        if name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{what} needs {name!r}")
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedFrame(f"line {lineno}: invalid JSON: {exc}") from exc
-        yield frame_from_dict(obj)
+        value = obj[name]
+        if not any(_matches(value, kind.strip(), f.default)
+                   for kind in f.type.split("|")):
+            raise ValidationError(f"{what}: {name} must be {f.type}, got {value!r}")
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
-def write_frames(fp: TextIO, frames: Iterable[HandFrame]) -> int:
-    """Write frames as JSONL; returns the number of lines written."""
-    n = 0
-    for frame in frames:
-        fp.write(json.dumps(frame_to_dict(frame)) + "\n")
-        n += 1
-    return n
+def _matches(value, kind: str, default) -> bool:
+    if kind == "tuple":
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(map(_is_number, value)))
+    return _JSON_KINDS[kind](value)

@@ -7,10 +7,11 @@ import pytest
 
 from handgest.cli import main
 from handgest.features import feature_vector
-from handgest.harness import read_dataset
-from handgest.heuristic import classify_heuristic, default_config
+from handgest.harness import SynthConfig, read_dataset, sample_rng, synth_pose
+from handgest.heuristic import classify_heuristic, config_to_dict, default_config
 from handgest.labels import ALL_GESTURES, CLASSES
 from handgest.mlp import load_model
+from handgest.skeleton import frame_to_dict
 
 
 def run(*argv):
@@ -243,3 +244,153 @@ def test_degenerate_geometry_exits_3(tmp_path):
          "hand": {"handedness": "Right", "score": 1.0,
                   "kp2d": kp2d, "kp3d": point}}) + "\n")
     assert run("features", "--frames", frames) == 3
+
+
+# -- every unreadable, undecodable or mistyped input exits 2 with one line --
+
+def _frame_row(**overrides):
+    """One valid dataset row, with top-level fields replaced."""
+    frame, label = synth_pose("OpenPalm", SynthConfig(), sample_rng(0, 0))
+    row = {"schema": "dataset/1", "label": label, **frame_to_dict(frame)}
+    row.update(overrides)
+    return row
+
+
+def _gestures_with(**first):
+    obj = config_to_dict(default_config())
+    obj["gestures"][0].update(first)
+    return obj
+
+
+_FEATURE_ROW = {"t_us": 0, "euler": [0.0, 0.0, 0.0],
+                "fingers": [0.0] * 5, "pairs": [0.5] * 4}
+_PIPE = {"schema": "pipeline/1", "max_detect_hz": 5.0}
+# a valid row, then a line that is not UTF-8
+_BAD_UTF8 = json.dumps(_frame_row()).encode() + b'\n{"t_us": 1\xff}\n'
+_MODEL_HEAD = {"schema": "mlp/1", "layer_sizes": [12, 50, 50, 50, 7]}
+
+# (argv, content of {bad}, part of the error): None leaves {bad} missing,
+# bytes are written as is, anything else as JSON; {nodir} does not exist
+BAD_INPUTS = {
+    # files that cannot be read or decoded
+    "classify-model-missing": ("classify --frames {frames} --model {bad}", None,
+                               "cannot read"),
+    "classify-model-not-json": ("classify --frames {frames} --model {bad}", b"{nope",
+                                "bad.json:1: Expecting property name"),
+    "classify-gestures-missing": ("classify --frames {frames} --gestures {bad}", None,
+                                  "cannot read"),
+    "classify-gestures-not-json": ("classify --frames {frames} --gestures {bad}",
+                                   b"nope", "bad.json:1: Expecting value"),
+    "stream-pipeline-missing": ("stream --frames {frames} --pipeline {bad}", None,
+                                "cannot read"),
+    "stream-pipeline-not-json": ("stream --frames {frames} --pipeline {bad}", b"[1,",
+                                 "bad.json:1: Expecting value"),
+    "stream-heuristic-ref-missing": ("stream --frames {frames} --pipeline {bad}",
+                                     {**_PIPE, "classifier_ref": "no-such-dir/g.json"},
+                                     "cannot read no-such-dir/g.json"),
+    "stream-nn-ref-missing": ("stream --frames {frames} --pipeline {bad}",
+                              {**_PIPE, "classifier": "nn",
+                               "classifier_ref": "no-such-dir/model.json"},
+                              "cannot read no-such-dir/model.json"),
+    "features-not-utf8": ("features --frames {bad}", _BAD_UTF8, "can't decode"),
+    "stream-frames-not-utf8": ("stream --frames {bad} --pipeline {pipe}", _BAD_UTF8,
+                               "can't decode"),
+    "eval-pred-not-utf8": ("eval --pred {bad} --truth {frames}", _BAD_UTF8,
+                           "can't decode"),
+    "synth-config-not-utf8": ("synth --out {out} --config {bad}", b'{"seed": "\xff"}',
+                              "can't decode"),
+    "features-line-not-object": ("features --frames {bad}", b"[1]\n",
+                                 "bad.json:1: expected a JSON object, got list"),
+    "stream-stats-unwritable": ("stream --frames {frames} --pipeline {pipe} "
+                                "--stats {nodir}/stats.json", None, "cannot write"),
+    "train-out-unwritable": ("train --data {frames} --config {train} "
+                             "--out {nodir}/model.json", None, "cannot write"),
+    "synth-out-unwritable": ("synth --out {nodir}/data.jsonl --per-gesture 1 "
+                             "--gestures OpenPalm", None, "cannot write"),
+    # flat configs with a value of the wrong type or a missing key
+    "train-epochs-string": ("train --data {frames} --out {out} --config {bad}",
+                            {"epochs": "5"}, "epochs must be int"),
+    "train-gamma-bool": ("train --data {frames} --out {out} --config {bad}",
+                         {"gamma": True}, "gamma must be float"),
+    "stream-max-detect-hz-string": ("stream --frames {frames} --pipeline {bad}",
+                                    {**_PIPE, "max_detect_hz": "5"},
+                                    "max_detect_hz must be float"),
+    "stream-track-loss-frames-string": ("stream --frames {frames} --pipeline {bad}",
+                                        {**_PIPE, "track_loss_frames": "3"},
+                                        "track_loss_frames must be int"),
+    "stream-max-detect-hz-missing": ("stream --frames {frames} --pipeline {bad}",
+                                     {"schema": "pipeline/1"},
+                                     "needs 'max_detect_hz'"),
+    "synth-width-string": ("synth --out {out} --config {bad}", {"width": "640"},
+                           "width must be int"),
+    "synth-tz-range-number": ("synth --out {out} --config {bad}", {"tz_range": 5},
+                              "tz_range must be tuple"),
+    "synth-tz-range-reversed": ("synth --out {out} --config {bad}",
+                                {"tz_range": [1, 0.6]}, "low <= high"),
+    # nested decoders
+    "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
+                                          {**_MODEL_HEAD, "layers": [1]}, "bad model"),
+    "classify-gestures-priority-string": ("classify --frames {frames} --gestures {bad}",
+                                          _gestures_with(priority="x"),
+                                          "bad gesture config"),
+    "classify-euler-number": ("classify --features {bad}",
+                              {**_FEATURE_ROW, "euler": 5}, "wrong arity"),
+    "classify-euler-not-numeric": ("classify --features {bad}",
+                                   {**_FEATURE_ROW, "euler": [1, "a", 3]},
+                                   "needs numeric euler"),
+    # integers that would be silently truncated or taken from a bool
+    "features-t-us-fraction": ("features --frames {bad}", _frame_row(t_us=1.5),
+                               "t_us must be an integer, got 1.5"),
+    "features-t-us-bool": ("features --frames {bad}", _frame_row(t_us=True),
+                           "t_us must be an integer, got True"),
+    "features-w-fraction": ("features --frames {bad}", _frame_row(w=640.7),
+                            "w must be an integer, got 640.7"),
+    "classify-feature-t-us-fraction": ("classify --features {bad}",
+                                       {**_FEATURE_ROW, "t_us": 1.5},
+                                       "t_us must be an integer, got 1.5"),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(corpus, tmp_path_factory):
+    root = tmp_path_factory.mktemp("good")
+    pipe, train_cfg = root / "pipe.json", root / "train.json"
+    pipe.write_text(json.dumps(_PIPE))
+    train_cfg.write_text(json.dumps({"epochs": 1}))
+    return {"frames": corpus, "pipe": pipe, "train": train_cfg}
+
+
+@pytest.mark.parametrize("argv, content, expect", list(BAD_INPUTS.values()),
+                         ids=list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(good_files, tmp_path, capsys, argv, content,
+                                         expect):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(json.dumps(content) + "\n")
+    paths = {**good_files, "bad": bad, "out": tmp_path / "out.json",
+             "nodir": tmp_path / "no-such-dir"}
+    assert run(*argv.format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert expect in err
+
+
+def test_decode_errors_name_path_and_line(tmp_path, capsys):
+    frames = tmp_path / "frames.jsonl"
+    frames.write_bytes(_BAD_UTF8)
+    assert run("features", "--frames", frames) == 2
+    assert f"{frames}:2: " in capsys.readouterr().err
+    cfg = tmp_path / "synth.json"
+    cfg.write_bytes(b'{\n"seed": 1,\n"width": \xff\n}')
+    assert run("synth", "--out", tmp_path / "x.jsonl", "--config", cfg) == 2
+    assert f"{cfg}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [2.0, [1, 1, 1, 1, 1, 1, 0.5]])
+def test_train_config_alpha_number_or_per_class(corpus, tmp_path, alpha):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"epochs": 1, "alpha": alpha}))
+    assert run("train", "--data", corpus, "--config", cfg,
+               "--out", tmp_path / "model.json") == 0

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handgest.errors import DegeneratePalm, ZeroSegment
+from handgest.errors import DegeneratePalm, MalformedFrame, ZeroSegment
 from handgest.features import (
     EulerAngles,
+    _all_angles,
     euler_from_rotation,
     feature_vector,
-    finger_feature_angle,
     intrinsic_keypoints,
-    pair_feature_angle,
     palm_pose,
     rotation_from_euler,
 )
@@ -65,6 +64,16 @@ def test_palm_pose_left_flips_normal():
     left = palm_pose(kp, "Left")
     np.testing.assert_allclose(left.rotation[:, 2], -right.rotation[:, 2], atol=1e-12)
     assert np.linalg.det(left.rotation) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("handedness", ["right", "left", "", None])
+def test_palm_pose_rejects_unknown_handedness(handedness):
+    # anything but "Right" would otherwise build the mirrored palm frame
+    kp = synth_kp3d("OpenPalm").kp3d
+    with pytest.raises(MalformedFrame, match="handedness"):
+        palm_pose(kp, handedness)
+    with pytest.raises(MalformedFrame, match="handedness"):
+        feature_vector(kp, handedness)
 
 
 def test_palm_pose_rejects_collinear_mcps():
@@ -182,25 +191,29 @@ def chain_kp3d(segments, finger=Finger.INDEX):
     return kp
 
 
+def finger_angle(kp, finger=Finger.INDEX):
+    return _all_angles(kp)[0][finger]
+
+
 def test_finger_angle_straight_chain_is_zero():
     kp = chain_kp3d([(0, 1, 0)] * 4)
-    assert finger_feature_angle(kp, Finger.INDEX) == pytest.approx(0.0, abs=1e-12)
+    assert finger_angle(kp) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_finger_angle_max_over_segments():
     kp = chain_kp3d([(0, 1, 0), (0, 1, 0), (1, 0, 0), (0, 1, 0)])
-    assert finger_feature_angle(kp, Finger.INDEX) == pytest.approx(np.pi / 2.0)
+    assert finger_angle(kp) == pytest.approx(np.pi / 2.0)
 
 
 def test_finger_angle_curled_reaches_pi():
     kp = chain_kp3d([(0, 1, 0), (1, 0, 0), (0, -1, 0), (0, -1, 0)])
-    assert finger_feature_angle(kp, Finger.INDEX) == pytest.approx(np.pi)
+    assert finger_angle(kp) == pytest.approx(np.pi)
 
 
 def test_finger_angle_zero_segment():
     kp = chain_kp3d([(0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0)])
     with pytest.raises(ZeroSegment):
-        finger_feature_angle(kp, Finger.INDEX)
+        finger_angle(kp)
 
 
 def test_finger_angle_monotone_in_deflection():
@@ -209,18 +222,19 @@ def test_finger_angle_monotone_in_deflection():
     for theta in np.linspace(0.0, np.pi, 40):
         seg = (np.sin(theta), np.cos(theta), 0.0)
         kp = chain_kp3d([(0, 1, 0), (0, 1, 0), seg, (0, 1, 0)])
-        ang = finger_feature_angle(kp, Finger.INDEX)
+        ang = finger_angle(kp)
         assert ang >= prev - 1e-12
         prev = ang
 
 
 def test_pair_angle_parallel_and_orthogonal():
     kp = base_kp3d()
+    kp[0] = (0.0, -1.0, 0.0)  # off the index base, so no segment is zero
     kp[5], kp[6] = (0.0, 0.0, 0.0), (0.0, 1.0, 0.0)
     kp[9], kp[10] = (0.1, 0.0, 0.0), (0.1, 1.0, 0.0)
-    assert pair_feature_angle(kp, (Finger.INDEX, Finger.MIDDLE)) == pytest.approx(0.0, abs=1e-12)
+    assert _all_angles(kp)[1][1] == pytest.approx(0.0, abs=1e-12)
     kp[10] = (1.1, 0.0, 0.0)
-    assert pair_feature_angle(kp, (Finger.INDEX, Finger.MIDDLE)) == pytest.approx(np.pi / 2.0)
+    assert _all_angles(kp)[1][1] == pytest.approx(np.pi / 2.0)
 
 
 def test_victory_spreads_index_middle():

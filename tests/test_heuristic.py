@@ -1,6 +1,6 @@
 """State discretization and rule-based gesture classification."""
 
-import io
+import json
 
 import numpy as np
 import pytest
@@ -22,10 +22,8 @@ from handgest.heuristic import (
     discretize_finger,
     discretize_pair,
     expr_from_json,
-    load_config,
-    save_config,
 )
-from handgest.skeleton import Finger
+from handgest.skeleton import Finger, read_json
 
 
 def make_fv(fingers, pairs=(0.3, 0.3, 0.3, 0.3), euler=(0.0, 0.0, 0.0)):
@@ -226,12 +224,11 @@ def test_orientation_free_gestures_survive_rotation():
 
 # --- config I/O ---
 
-def test_config_json_round_trip():
+def test_config_json_round_trip(tmp_path):
     cfg = default_config()
-    buf = io.StringIO()
-    save_config(buf, cfg)
-    buf.seek(0)
-    back = load_config(buf)
+    path = tmp_path / "gestures.json"
+    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
+    back = config_from_dict(read_json(path))
     np.testing.assert_allclose(back.thresholds.straight_max, cfg.thresholds.straight_max)
     np.testing.assert_allclose(back.thresholds.apart_min, cfg.thresholds.apart_min)
     assert [d.name for d in back.definitions] == [d.name for d in cfg.definitions]
@@ -244,3 +241,21 @@ def test_config_dict_round_trip_is_stable():
     d1 = config_to_dict(default_config())
     d2 = config_to_dict(config_from_dict(d1))
     assert d1 == d2
+
+
+@pytest.mark.parametrize("path, value", [
+    (("gestures", 0, "priority"), "x"),
+    (("thresholds", "bent_min_deg"), "x"),
+    (("gestures", 0, "expr", "all"), 5),
+    (("gestures", 1, "expr", "all", 0, "finger"), []),
+    (("gestures", 3, "expr", "all", 5, "lo_deg"), None),
+    (("gestures",), "x"),
+])
+def test_config_from_dict_maps_bad_values(path, value):
+    obj = config_to_dict(default_config())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValidationError):
+        config_from_dict(obj)

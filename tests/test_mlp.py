@@ -253,6 +253,23 @@ def test_train_config_validation():
         TrainConfig(alpha=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("obj", [
+    {"epochs": "5"}, {"epochs": 5.0}, {"batch_size": True}, {"gamma": False},
+    {"learning_rate": None}, {"alpha": [1.0] * 6}, {"alpha": ["1"] * 7},
+    {"alpha": True}, {"seed": [1]}, {"momentum": 0.9}, [],
+])
+def test_train_config_from_dict_rejects_wrong_types(obj):
+    with pytest.raises(ValidationError):
+        TrainConfig.from_dict(obj)
+
+
+def test_train_config_from_dict_takes_numbers():
+    cfg = TrainConfig.from_dict({"schema": "x", "gamma": 1, "alpha": 2,
+                                 "epochs": 3, "learning_rate": 0.01})
+    assert (cfg.gamma, cfg.alpha, cfg.epochs) == (1, (2.0,) * len(CLASSES), 3)
+    assert TrainConfig.from_dict({"alpha": [1, 2, 3, 4, 5, 6, 7]}).alpha[-1] == 7.0
+
+
 def test_labeled_example_rejects_unknown_label():
     with pytest.raises(ValidationError):
         LabeledExample(np.zeros(12), "Wave")
@@ -354,6 +371,16 @@ def test_calibrate_validates_inputs():
 
 
 # -- serialization ------------------------------------------------------------
+
+@pytest.mark.parametrize("change", [
+    {"layers": [1]}, {"layers": [{"w": 1}]}, {"layer_sizes": 5},
+    {"feat_mean": "x"}, {"tau": "x"}, {"tau": None},
+])
+def test_model_from_dict_maps_bad_values(change):
+    obj = {**zero_model().to_dict(), **change}
+    with pytest.raises(ValidationError):
+        MlpModel.from_dict(obj)
+
 
 def test_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(9)

@@ -203,3 +203,19 @@ def test_config_validation_and_io():
     save_pipeline_config(buf, cfg)
     buf.seek(0)
     assert load_pipeline_config(buf) == cfg
+
+
+@pytest.mark.parametrize("extra", [
+    {"max_detect_hz": "5"}, {"max_detect_hz": True}, {"track_loss_frames": "3"},
+    {"track_loss_frames": 3.0}, {"classifier": 1}, {"classifier_ref": 5},
+    {"rate": 1.0},
+])
+def test_pipeline_config_from_dict_rejects_wrong_types(extra):
+    obj = {"schema": "pipeline/1", "max_detect_hz": 5.0, **extra}
+    with pytest.raises(ValidationError):
+        PipelineConfig.from_dict(obj)
+
+
+def test_pipeline_config_from_dict_needs_max_detect_hz():
+    with pytest.raises(ValidationError, match="max_detect_hz"):
+        PipelineConfig.from_dict({"schema": "pipeline/1"})

@@ -1,11 +1,11 @@
 """Topology, frame validation, and JSONL round trips."""
 
-import io
+import json
 
 import numpy as np
 import pytest
 
-from handgest.errors import MalformedFrame, Missing3D
+from handgest.errors import MalformedFrame, Missing3D, ValidationError
 from handgest.skeleton import (
     BONES,
     CHAIN_INDICES,
@@ -17,9 +17,9 @@ from handgest.skeleton import (
     finger_chain,
     frame_from_dict,
     frame_to_dict,
-    read_frames,
+    read_json,
+    read_jsonl,
     validate_frame,
-    write_frames,
 )
 
 
@@ -115,16 +115,15 @@ def test_finger_chain_requires_3d():
         finger_chain(hand, Finger.MIDDLE)
 
 
-def test_jsonl_round_trip():
+def test_jsonl_round_trip(tmp_path):
     frames = [
         make_frame(make_hand(), t_us=0),
         make_frame(None, t_us=33_333),
         make_frame(make_hand(n3d=None), t_us=66_666),
     ]
-    buf = io.StringIO()
-    assert write_frames(buf, frames) == 3
-    buf.seek(0)
-    back = list(read_frames(buf))
+    path = tmp_path / "frames.jsonl"
+    path.write_text("".join(json.dumps(frame_to_dict(f)) + "\n" for f in frames))
+    back = [frame_from_dict(obj) for obj in read_jsonl(path)]
     assert len(back) == 3
     for a, b in zip(frames, back):
         assert (a.t_us, a.w, a.h) == (b.t_us, b.w, b.h)
@@ -139,14 +138,63 @@ def test_jsonl_round_trip():
             np.testing.assert_allclose(b.hand.kp3d, a.hand.kp3d)
 
 
-def test_read_frames_rejects_bad_json():
-    with pytest.raises(MalformedFrame, match="line 1"):
-        list(read_frames(io.StringIO("{not json\n")))
+def test_read_jsonl_rejects_bad_json(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("{not json\n")
+    with pytest.raises(MalformedFrame, match="bad.jsonl:1: "):
+        list(read_jsonl(path))
 
 
 def test_frame_from_dict_rejects_missing_keys():
     with pytest.raises(MalformedFrame):
         frame_from_dict({"t_us": 0, "w": 640, "h": 480})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_us", 1.5), ("t_us", True), ("t_us", "0"),
+    ("w", 640.7), ("w", 640.0), ("h", False), ("h", None),
+])
+def test_frame_from_dict_rejects_non_integers(key, value):
+    # int() would read 1.5 as 1 and true as 1
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj[key] = value
+    with pytest.raises(MalformedFrame, match=f"{key} must be an integer"):
+        frame_from_dict(obj)
+
+
+@pytest.mark.parametrize("hand", [5, [], "Right", {"score": True}])
+def test_frame_from_dict_rejects_bad_hand(hand):
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj["hand"] = dict(obj["hand"], **hand) if isinstance(hand, dict) else hand
+    with pytest.raises(MalformedFrame):
+        frame_from_dict(obj)
+
+
+def test_read_jsonl_skips_blank_lines_and_rejects_non_objects(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
+    assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
+    path.write_text('{"a": 1}\n[1]\n')
+    with pytest.raises(MalformedFrame, match="rows.jsonl:2: expected a JSON object"):
+        list(read_jsonl(path))
+
+
+def test_readers_map_unreadable_and_undecodable_files(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ValidationError, match="cannot read"):
+        read_json(missing)
+    with pytest.raises(ValidationError, match="cannot read"):
+        list(read_jsonl(missing))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{\n"a":\n\xff}\n')
+    with pytest.raises(MalformedFrame, match="bad.json:3: "):
+        read_json(bad)
+    bad.write_bytes(b'{"a": 1}\n\n{"b": "\xff"}\n')
+    with pytest.raises(MalformedFrame, match="bad.json:3: "):
+        list(read_jsonl(bad))
+    bad.write_bytes(b'{"a": 1,\n "b" 2}')
+    with pytest.raises(MalformedFrame, match="bad.json:2: "):
+        read_json(bad)
 
 
 def test_frame_dict_tolerates_extra_keys():

@@ -20,8 +20,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import harness, heuristic, lifting, mlp, pipeline
 from .errors import (
     HandgestError,
@@ -35,6 +33,7 @@ from .features import EulerAngles, FeatureVector, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_label, to_class
 from .skeleton import (
     decode_config,
+    float_array,
     frame_from_dict,
     frame_to_dict,
     is_int,
@@ -55,9 +54,9 @@ def _features_from_row(obj, where):
     if not is_int(t_us):
         raise MalformedFrame(f"{where}: t_us must be an integer, got {t_us!r}")
     try:
-        euler = np.asarray(obj["euler"], dtype=np.float64)
-        fingers = np.asarray(obj["fingers"], dtype=np.float64)
-        pairs = np.asarray(obj["pairs"], dtype=np.float64)
+        euler = float_array(obj["euler"], "euler")
+        fingers = float_array(obj["fingers"], "fingers")
+        pairs = float_array(obj["pairs"], "pairs")
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFrame(f"{where}: feature row needs numeric "
                              f"euler/fingers/pairs: {exc!r}") from exc

@@ -24,6 +24,10 @@ class MalformedFrame(ValidationError):
     """Frame violates the I/O schema (counts, finiteness, ranges)."""
 
 
+class MalformedConfig(ValidationError):
+    """Config or model file violates its schema (keys, types, values)."""
+
+
 class Missing3D(ValidationError):
     """Operation needs metric 3D keypoints but the skeleton has none."""
 

@@ -23,6 +23,7 @@ then roll), so in-plane image rotation lands entirely in yaw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,17 @@ def _wrap_pi(a: float) -> float:
     return np.pi if a <= -np.pi else a
 
 
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis of two arrays, without its per-call overhead.
+
+    The same products and difference as np.cross, so bitwise equal to it.
+    """
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
 def palm_pose(kp3d: np.ndarray, handedness: str) -> PalmPose:
     """Extrinsic palm frame from wrist and the index/pinky base knuckles.
 
@@ -109,30 +121,42 @@ def palm_pose(kp3d: np.ndarray, handedness: str) -> PalmPose:
     DegeneratePalm when the three points are nearly collinear or the
     wrist-to-middle-MCP distance is degenerate.
     """
+    kp3d = _check_kp3d(kp3d)
+    rotation, wrist, scale = _palm_frame(kp3d, handedness)
+    return PalmPose(rotation=rotation, translation=wrist.copy(), scale=scale)
+
+
+def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """(rotation, wrist, scale) of palm_pose, for a checked (21, 3) kp3d.
+
+    Norms are sqrt(v.dot(v)), what np.linalg.norm runs on a vector.
+    """
     if handedness not in HANDEDNESS_VALUES:
         raise MalformedFrame(
             f"handedness must be one of {HANDEDNESS_VALUES}, got {handedness!r}")
-    kp3d = _check_kp3d(kp3d)
     wrist = kp3d[WRIST]
     v1 = kp3d[INDEX_MCP] - wrist
     v2 = kp3d[PINKY_MCP] - wrist
-    normal = np.cross(v1, v2) if handedness == "Right" else np.cross(v2, v1)
-    area = float(np.linalg.norm(normal))
+    normal = cross(v1, v2) if handedness == "Right" else cross(v2, v1)
+    area = math.sqrt(normal.dot(normal))
     if area < EPS_PALM_AREA_M2:
         raise DegeneratePalm(f"palm cross product {area:.3e} m^2 below {EPS_PALM_AREA_M2:.0e}")
-    scale = float(np.linalg.norm(kp3d[MIDDLE_MCP] - wrist))
+    mid = kp3d[MIDDLE_MCP] - wrist
+    scale = math.sqrt(mid.dot(mid))
     if scale < EPS_PALM_SCALE_M:
         raise DegeneratePalm(f"palm scale {scale:.3e} m below {EPS_PALM_SCALE_M:.0e}")
     n = normal / area
     fwd = v1 + v2
     fwd = fwd - np.dot(fwd, n) * n
-    fn = float(np.linalg.norm(fwd))
+    fn = math.sqrt(fwd.dot(fwd))
     if fn < EPS_SEGMENT_M:
         raise DegeneratePalm("forward direction vanished after orthogonalization")
     f = fwd / fn
-    lateral = np.cross(f, n)
-    rotation = np.column_stack([lateral, f, n])
-    return PalmPose(rotation=rotation, translation=wrist.copy(), scale=scale)
+    rotation = np.empty((3, 3))
+    rotation[:, 0] = cross(f, n)  # lateral
+    rotation[:, 1] = f
+    rotation[:, 2] = n
+    return rotation, wrist, scale
 
 
 def rotation_from_euler(euler: EulerAngles) -> np.ndarray:
@@ -188,21 +212,22 @@ def _all_angles(kp3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proximal phalanges (base joint -> first intermediate joint). Raises
     ZeroSegment on any segment shorter than EPS_SEGMENT_M.
     """
-    chains = kp3d[_CHAIN_TABLE]              # (5, 5, 3)
-    seg = np.diff(chains, axis=1)            # (5, 4, 3)
-    norms = np.linalg.norm(seg, axis=2)      # (5, 4)
-    if np.any(norms < EPS_SEGMENT_M):
+    seg = kp3d.take(_SEG_HI, 0) - kp3d.take(_SEG_LO, 0)  # (5, 4, 3) along each chain
+    norms = np.sqrt(np.add.reduce(seg * seg, axis=2))  # np.linalg.norm's reduction
+    if (norms < EPS_SEGMENT_M).any():
         raise ZeroSegment(f"segment norm below {EPS_SEGMENT_M:.0e} m")
     unit = seg / norms[:, :, None]
     cos_f = np.einsum("fj,fkj->fk", unit[:, 0], unit[:, 1:])
-    fingers = np.arccos(np.clip(cos_f, -1.0, 1.0)).max(axis=1)
+    fingers = np.arccos(cos_f.clip(-1.0, 1.0)).max(axis=1)
     prox = unit[:, 1]                        # (5, 3) proximal phalanx directions
     cos_p = np.einsum("pj,pj->p", prox[:-1], prox[1:])
-    pairs = np.arccos(np.clip(cos_p, -1.0, 1.0))
+    pairs = np.arccos(cos_p.clip(-1.0, 1.0))
     return fingers, pairs
 
 
-_CHAIN_TABLE = np.array([list(CHAIN_INDICES[f]) for f in Finger])
+# segment k of finger f runs from chain point k to k + 1
+_SEG_LO = np.array([CHAIN_INDICES[f][:-1] for f in Finger])
+_SEG_HI = np.array([CHAIN_INDICES[f][1:] for f in Finger])
 
 
 def feature_vector(kp3d: np.ndarray, handedness: str) -> FeatureVector:
@@ -214,8 +239,7 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> FeatureVector:
     orientation.
     """
     kp3d = _check_kp3d(kp3d)
-    pose = palm_pose(kp3d, handedness)
-    euler = euler_from_rotation(pose.rotation)
-    intrinsic = intrinsic_keypoints(kp3d, pose)
-    fingers, pairs = _all_angles(intrinsic)
-    return FeatureVector(euler=euler, finger_angles=fingers, pair_angles=pairs)
+    rotation, wrist, scale = _palm_frame(kp3d, handedness)
+    fingers, pairs = _all_angles((kp3d - wrist) @ rotation / scale)  # intrinsic_keypoints
+    return FeatureVector(euler=euler_from_rotation(rotation),
+                         finger_angles=fingers, pair_angles=pairs)

@@ -43,6 +43,7 @@ from .lifting import (
     rotvec_from_rotmat,
 )
 from .skeleton import (
+    HANDEDNESS_VALUES,
     INDEX_MCP,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
@@ -51,6 +52,7 @@ from .skeleton import (
     HandSkeleton,
     frame_from_dict,
     frame_to_dict,
+    is_number,
     open_output,
     read_jsonl,
 )
@@ -193,6 +195,11 @@ class SynthConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValidationError(f"{name} must be finite [low, high] with "
                                       f"low <= high, got {getattr(self, name)}")
+        if self.handedness not in HANDEDNESS_VALUES:
+            raise ValidationError(f"handedness must be one of {HANDEDNESS_VALUES}, "
+                                  f"got {self.handedness!r}")
+        if not (is_number(self.score) and 0.0 <= self.score <= 1.0):  # NaN fails too
+            raise ValidationError(f"score must be a finite number in [0, 1], got {self.score!r}")
 
 
 # abductions and the thumb roll get half the flexion jitter: their

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnknownReference, ValidationError
+from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import EulerAngles, FeatureVector, FINGER_PAIRS
 from .labels import NEGATIVE_LABEL
 from .skeleton import Finger
@@ -391,6 +391,6 @@ def config_from_dict(obj: dict) -> GestureConfig:
             for g in obj["gestures"]
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad gesture config: {exc!r}") from exc
+        raise MalformedConfig(f"bad gesture config: {exc!r}") from exc
     return GestureConfig(thresholds=thresholds, definitions=definitions)
 

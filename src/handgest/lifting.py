@@ -28,6 +28,7 @@ from .errors import (
     BehindCamera,
     DegenerateScale,
     DivergedFit,
+    MalformedConfig,
     MalformedFrame,
     OutOfBox,
     ShapeMismatch,
@@ -43,6 +44,7 @@ from .skeleton import (
     read_json,
 )
 from .alignment import SCALE_KEYPOINTS, compute_alignment
+from .features import cross
 
 NUM_JOINT_ANGLES = 21
 NUM_POSE_PARAMS = 6 + NUM_JOINT_ANGLES
@@ -228,20 +230,20 @@ class HandModel:
             raise ShapeMismatch(f"bad model arrays: directions {d.shape}, lengths {l.shape}")
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms < 1e-9):
-            raise MalformedFrame("zero-length finger direction in hand model")
+            raise MalformedConfig("zero-length finger direction in hand model")
         d = d / norms[:, None]
         if not np.all(np.isfinite(l)) or np.any(l <= MIN_BONE_M) or np.any(l >= MAX_BONE_M):
-            raise MalformedFrame(f"bone lengths must lie in ({MIN_BONE_M}, {MAX_BONE_M}) m")
+            raise MalformedConfig(f"bone lengths must lie in ({MIN_BONE_M}, {MAX_BONE_M}) m")
         frames = np.empty((5, 3, 3))
         z_hat = np.array([0.0, 0.0, 1.0])
         for i in range(5):
             along = d[i]
-            lateral = np.cross(along, z_hat)
+            lateral = cross(along, z_hat)
             ln = np.linalg.norm(lateral)
             if ln < 1e-9:
-                raise MalformedFrame("finger direction parallel to the palm normal")
+                raise MalformedConfig("finger direction parallel to the palm normal")
             lateral = lateral / ln
-            frames[i] = np.column_stack([lateral, along, np.cross(lateral, along)])
+            frames[i] = np.column_stack([lateral, along, cross(lateral, along)])
         self.directions = d
         self.lengths = l
         self.base_frames = frames
@@ -262,20 +264,20 @@ class HandModel:
     @classmethod
     def from_dict(cls, data: dict) -> "HandModel":
         if not isinstance(data, dict) or not isinstance(data.get("fingers"), dict):
-            raise MalformedFrame("hand model JSON must contain a 'fingers' mapping")
+            raise MalformedConfig("hand model JSON must contain a 'fingers' mapping")
         fingers = data["fingers"]
         directions = np.empty((5, 3))
         lengths = np.empty((5, 4))
         for f in Finger:
             name = f.name.lower()
             if name not in fingers:
-                raise MalformedFrame(f"hand model missing finger {name!r}")
+                raise MalformedConfig(f"hand model missing finger {name!r}")
             entry = fingers[name]
             try:
                 directions[f] = np.asarray(entry["direction"], dtype=np.float64)
                 lengths[f] = np.asarray(entry["lengths"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
-                raise MalformedFrame(f"bad hand model entry for {name!r}: {exc}") from exc
+                raise MalformedConfig(f"bad hand model entry for {name!r}: {exc}") from exc
         return cls(directions, lengths)
 
 
@@ -457,14 +459,6 @@ def _residuals_batch(model, intrinsics, obs, pvecs):
     return out, kin
 
 
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def _cross(a, b):
-    """np.cross over the last axis, without its per-call overhead."""
-    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
-
-
 def _rotvec_left_jac(rv):
     """J_l(w), with exp([w + d]x) = exp([J_l(w) d]x) exp([w]x) to first order."""
     theta = float(np.linalg.norm(rv))
@@ -500,14 +494,14 @@ def _linearize(intrinsics, pvec, kin):
     dp = np.zeros((NUM_KEYPOINTS, 3, NUM_POSE_PARAMS + 1))
     # global rotation: d(R x) = -[R x]x J_l(w) dw; translation: identity
     jl = _rotvec_left_jac(pvec[0:3])
-    dp[:, :, 0:3] = _cross(jl.T[None], (p - pvec[3:6])[:, None]).transpose(0, 2, 1)
+    dp[:, :, 0:3] = cross(jl.T[None], (p - pvec[3:6])[:, None]).transpose(0, 2, 1)
     dp[:, :, 3:6] = _EYE3
     # joint angle: the turn axis in the camera frame crossed with the lever
     # arm from its pivot, for every point downstream of the joint
     axes = np.einsum("fsij,sj->fsi", kin.frames[0], _SLOT_AXIS_VEC) @ kin.r_glob[0].T
     fingers = p[1:].reshape(5, 4, 3)
     arms = fingers[:, None, 1:] - fingers[:, _SLOT_PIVOT, None]
-    dp[_JAC_KP, :, _JAC_COL] = _cross(axes[:, :, None], arms)
+    dp[_JAC_KP, :, _JAC_COL] = cross(axes[:, :, None], arms)
     dp = dp[:, :, :NUM_POSE_PARAMS]
     # pinhole: d(u, v)/dP = f/z [[1, 0, -x/z], [0, 1, -y/z]]
     z = p[:, 2:3]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (
     EmptyDataset,
     EmptyNegatives,
-    MalformedFrame,
+    MalformedConfig,
     ShapeMismatch,
     SingleClassDataset,
     UnknownLabel,
@@ -72,12 +72,12 @@ class MlpModel:
         if feat_mean.shape != (FEATURE_SIZE,) or feat_std.shape != (FEATURE_SIZE,):
             raise ShapeMismatch("feat_mean/feat_std must have 12 entries")
         if not np.all(np.isfinite(feat_mean)) or not np.all(np.isfinite(feat_std)):
-            raise MalformedFrame("non-finite standardization stats")
+            raise MalformedConfig("non-finite standardization stats")
         if np.any(feat_std <= 0.0):
-            raise MalformedFrame("feat_std entries must be positive")
+            raise MalformedConfig("feat_std entries must be positive")
         tau = float(tau)
         if not 0.0 <= tau <= 1.0:
-            raise MalformedFrame(f"tau must lie in [0, 1], got {tau}")
+            raise MalformedConfig(f"tau must lie in [0, 1], got {tau}")
         self.weights = weights
         self.biases = biases
         self.feat_mean = feat_mean
@@ -99,17 +99,17 @@ class MlpModel:
     @classmethod
     def from_dict(cls, obj: dict) -> "MlpModel":
         if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
-            raise MalformedFrame(f"expected schema {MODEL_SCHEMA!r}")
+            raise MalformedConfig(f"expected schema {MODEL_SCHEMA!r}")
         if obj.get("layer_sizes") != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
         layers = obj.get("layers")
         if not isinstance(layers, list):
-            raise MalformedFrame("missing layers")
+            raise MalformedConfig("missing layers")
         try:
             return cls([L["w"] for L in layers], [L["b"] for L in layers],
                        obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedFrame(f"bad model: {exc!r}") from exc
+            raise MalformedConfig(f"bad model: {exc!r}") from exc
 
 
 def save_model(model: MlpModel, path) -> None:

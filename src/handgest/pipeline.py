@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, TextIO
 
 from .errors import (
-    MalformedFrame,
+    MalformedConfig,
     Missing3D,
     NonMonotonicTimestamp,
     ValidationError,
@@ -74,7 +74,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         if not isinstance(obj, dict) or obj.get("schema") != CONFIG_SCHEMA:
-            raise MalformedFrame(f"expected schema {CONFIG_SCHEMA!r}")
+            raise MalformedConfig(f"expected schema {CONFIG_SCHEMA!r}")
         return decode_config(cls, obj, "pipeline config")
 
 

@@ -26,7 +26,7 @@ read_json, read_jsonl or open_output. They map an OSError to
 ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
 that is not an object) to MalformedFrame naming PATH:LINE, so the CLI
 exits 2 with one line instead of a traceback. decode_config builds the
-flat config dataclasses from JSON with type checks.
+flat config dataclasses from JSON with type checks, raising MalformedConfig.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import MalformedFrame, Missing3D, ValidationError
+from .errors import MalformedConfig, MalformedFrame, Missing3D, ValidationError
 
 NUM_KEYPOINTS = 21
 
@@ -183,13 +183,13 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
     try:
         kp3d = obj.get("kp3d")
         score = obj["score"]
-        if not _is_number(score):
+        if not is_number(score):
             raise MalformedFrame(f"score must be a number, got {score!r}")
         return HandSkeleton(
             handedness=obj["handedness"],
             score=float(score),
-            kp2d=np.asarray(obj["kp2d"], dtype=np.float64),
-            kp3d=None if kp3d is None else np.asarray(kp3d, dtype=np.float64),
+            kp2d=float_array(obj["kp2d"], "kp2d"),
+            kp3d=None if kp3d is None else float_array(kp3d, "kp3d"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFrame(f"bad hand object: {exc}") from exc
@@ -258,19 +258,34 @@ def open_output(path) -> Iterator[TextIO]:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def float_array(value, what: str) -> np.ndarray:
+    """A decoded JSON array of numbers as float64.
+
+    One conversion and a dtype-kind check, no loop over the entries: a
+    string or null anywhere, or bools throughout, leave a dtype that is not
+    int or float, which raises TypeError instead of being parsed or cast.
+    numpy promotes a bool mixed with numbers to a number, so that passes.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{what} must hold numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def is_int(value) -> bool:
     """True for a JSON integer: an int that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
+    """True for a JSON number: an int or float that is not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # annotation -> test of a decoded JSON value; "X | Y" takes either
 _JSON_KINDS = {
     "int": is_int,
-    "float": _is_number,
+    "float": is_number,
     "str": lambda v: isinstance(v, str),
     "None": lambda v: v is None,
 }
@@ -286,21 +301,21 @@ def decode_config(cls, obj, what: str):
     long as the default, and "X | Y" either. Lists become tuples.
     """
     if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be a JSON object")
+        raise MalformedConfig(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
     extra = set(obj) - set(known) - {"schema"}
     if extra:
-        raise ValidationError(f"unknown {what} keys: {sorted(extra)}")
+        raise MalformedConfig(f"unknown {what} keys: {sorted(extra)}")
     kwargs = {}
     for name, f in known.items():
         if name not in obj:
             if f.default is MISSING and f.default_factory is MISSING:
-                raise ValidationError(f"{what} needs {name!r}")
+                raise MalformedConfig(f"{what} needs {name!r}")
             continue
         value = obj[name]
         if not any(_matches(value, kind.strip(), f.default)
                    for kind in f.type.split("|")):
-            raise ValidationError(f"{what}: {name} must be {f.type}, got {value!r}")
+            raise MalformedConfig(f"{what}: {name} must be {f.type}, got {value!r}")
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 
@@ -308,5 +323,5 @@ def decode_config(cls, obj, what: str):
 def _matches(value, kind: str, default) -> bool:
     if kind == "tuple":
         return (isinstance(value, list) and len(value) == len(default)
-                and all(map(_is_number, value)))
+                and all(map(is_number, value)))
     return _JSON_KINDS[kind](value)

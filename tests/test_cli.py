@@ -256,6 +256,13 @@ def _frame_row(**overrides):
     return row
 
 
+def _hand_row(**fields):
+    """One valid dataset row, with fields of its hand replaced."""
+    row = _frame_row()
+    row["hand"].update(fields)
+    return row
+
+
 def _gestures_with(**first):
     obj = config_to_dict(default_config())
     obj["gestures"][0].update(first)
@@ -327,6 +334,10 @@ BAD_INPUTS = {
                               "tz_range must be tuple"),
     "synth-tz-range-reversed": ("synth --out {out} --config {bad}",
                                 {"tz_range": [1, 0.6]}, "low <= high"),
+    "synth-handedness-lowercase": ("synth --out {out} --config {bad}",
+                                   {"handedness": "right"}, "handedness must be one of"),
+    "synth-score-above-one": ("synth --out {out} --config {bad}", {"score": 3},
+                              "score must be a finite number in [0, 1], got 3"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
                                           {**_MODEL_HEAD, "layers": [1]}, "bad model"),
@@ -338,6 +349,17 @@ BAD_INPUTS = {
     "classify-euler-not-numeric": ("classify --features {bad}",
                                    {**_FEATURE_ROW, "euler": [1, "a", 3]},
                                    "needs numeric euler"),
+    # numbers given as strings or bools are not parsed or cast
+    "features-kp3d-strings": ("features --frames {bad}",
+                              _hand_row(kp3d=[["0.1", "0.2", "0.5"]] * 21),
+                              "kp3d must hold numbers"),
+    "features-kp2d-bools": ("features --frames {bad}",
+                            _hand_row(kp2d=[[True, False]] * 21),
+                            "kp2d must hold numbers"),
+    "classify-euler-strings": ("classify --features {bad}",
+                               {**_FEATURE_ROW, "euler": ["0.1", "0.2", "0.3"]},
+                               "needs numeric euler/fingers/pairs: TypeError('euler must "
+                               "hold numbers"),
     # integers that would be silently truncated or taken from a bool
     "features-t-us-fraction": ("features --frames {bad}", _frame_row(t_us=1.5),
                                "t_us must be an integer, got 1.5"),

@@ -7,16 +7,22 @@ from hypothesis import strategies as st
 
 from handgest.errors import DegeneratePalm, MalformedFrame, ZeroSegment
 from handgest.features import (
+    EPS_GIMBAL,
+    EPS_PALM_AREA_M2,
+    EPS_PALM_SCALE_M,
+    EPS_SEGMENT_M,
     EulerAngles,
     _all_angles,
+    cross,
     euler_from_rotation,
     feature_vector,
     intrinsic_keypoints,
     palm_pose,
     rotation_from_euler,
 )
-from handgest.harness import SynthConfig, synth_pose
-from handgest.skeleton import Finger
+from handgest.harness import SynthConfig, sample_rng, synth_pose
+from handgest.labels import ALL_GESTURES
+from handgest.skeleton import CHAIN_INDICES, Finger
 
 
 def base_kp3d(rng=None):
@@ -278,3 +284,111 @@ def test_feature_vector_scale_invariant_including_euler():
     fv = feature_vector(hand.kp3d, hand.handedness)
     fv3 = feature_vector(hand.kp3d * 3.0, hand.handedness)
     np.testing.assert_allclose(fv3.as_array(), fv.as_array(), atol=1e-9)
+
+
+# --- oracle: the feature vector as first written, with stock numpy calls ---
+
+_REF_CHAINS = np.array([CHAIN_INDICES[f] for f in Finger])
+
+
+def _ref_wrap_pi(a):
+    a = float((a + np.pi) % (2.0 * np.pi) - np.pi)
+    return np.pi if a <= -np.pi else a
+
+
+def reference_feature_vector(kp3d, handedness):
+    """feature_vector built from np.cross, np.column_stack, np.diff and
+    np.linalg.norm; the kernel must match it bit for bit."""
+    if handedness not in ("Left", "Right"):
+        raise MalformedFrame("handedness")
+    wrist = kp3d[0]
+    v1, v2 = kp3d[5] - wrist, kp3d[17] - wrist
+    normal = np.cross(v1, v2) if handedness == "Right" else np.cross(v2, v1)
+    area = float(np.linalg.norm(normal))
+    if area < EPS_PALM_AREA_M2:
+        raise DegeneratePalm("area")
+    scale = float(np.linalg.norm(kp3d[9] - wrist))
+    if scale < EPS_PALM_SCALE_M:
+        raise DegeneratePalm("scale")
+    n = normal / area
+    fwd = v1 + v2
+    fwd = fwd - np.dot(fwd, n) * n
+    fn = float(np.linalg.norm(fwd))
+    if fn < EPS_SEGMENT_M:
+        raise DegeneratePalm("forward")
+    f = fwd / fn
+    r = np.column_stack([np.cross(f, n), f, n])
+    cos_pitch = float(np.hypot(r[2, 1], r[2, 2]))
+    pitch = float(np.arctan2(-r[2, 0], cos_pitch))
+    if cos_pitch < EPS_GIMBAL:
+        sign = 1.0 if -r[2, 0] > 0 else -1.0
+        euler = [0.0, pitch, _ref_wrap_pi(float(np.arctan2(sign * r[0, 1], sign * r[0, 2])))]
+    else:
+        euler = [_ref_wrap_pi(float(np.arctan2(r[1, 0], r[0, 0]))), pitch,
+                 _ref_wrap_pi(float(np.arctan2(r[2, 1], r[2, 2])))]
+    intrinsic = (kp3d - wrist) @ r / scale
+    seg = np.diff(intrinsic[_REF_CHAINS], axis=1)
+    norms = np.linalg.norm(seg, axis=2)
+    if np.any(norms < EPS_SEGMENT_M):
+        raise ZeroSegment("segment")
+    unit = seg / norms[:, :, None]
+    cos_f = np.einsum("fj,fkj->fk", unit[:, 0], unit[:, 1:])
+    fingers = np.arccos(np.clip(cos_f, -1.0, 1.0)).max(axis=1)
+    prox = unit[:, 1]
+    pairs = np.arccos(np.clip(np.einsum("pj,pj->p", prox[:-1], prox[1:]), -1.0, 1.0))
+    return np.concatenate([euler, fingers, pairs])
+
+
+def test_feature_vector_bitwise_equal_to_reference():
+    # 2 x 21 x 50 jittered, noisy skeletons
+    n = 0
+    for handedness in ("Right", "Left"):
+        cfg = SynthConfig(seed=11, noise_m=0.002, handedness=handedness)
+        for label in ALL_GESTURES:
+            for i in range(50):
+                frame, _ = synth_pose(label, cfg, sample_rng(11, n))
+                kp3d = frame.hand.kp3d
+                assert np.array_equal(feature_vector(kp3d, handedness).as_array(),
+                                      reference_feature_vector(kp3d, handedness)), (label, i)
+                n += 1
+    assert n >= 2000
+
+
+def test_feature_vector_bitwise_equal_at_gimbal_lock():
+    kp = synth_kp3d("OpenPalm").kp3d
+    pose = palm_pose(kp, "Right")
+    target = rotation_from_euler(EulerAngles(yaw=0.4, pitch=np.pi / 2.0, roll=-0.2))
+    turned = intrinsic_keypoints(kp, pose) @ target.T * 0.08 + (0.01, -0.02, 0.5)
+    fv = feature_vector(turned, "Right")
+    assert fv.euler.gimbal_lock
+    assert np.array_equal(fv.as_array(), reference_feature_vector(turned, "Right"))
+
+
+def _collinear_palm():
+    kp = synth_kp3d("OpenPalm").kp3d.copy()
+    kp[17] = 2.0 * kp[5] - kp[0]
+    return kp
+
+
+def _zero_bone():
+    kp = synth_kp3d("OpenPalm").kp3d.copy()
+    kp[7] = kp[6]
+    return kp
+
+
+@pytest.mark.parametrize("make, error", [(_collinear_palm, DegeneratePalm),
+                                         (_zero_bone, ZeroSegment)])
+def test_feature_vector_raises_like_reference(make, error):
+    kp = make()
+    with pytest.raises(error):
+        reference_feature_vector(kp, "Right")
+    with pytest.raises(error):
+        feature_vector(kp, "Right")
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((3,), (3,)), ((7, 3), (7, 3)),
+                                              ((4, 1, 3), (1, 5, 3))])
+def test_cross_bitwise_equal_to_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    assert np.array_equal(cross(a, b), np.cross(a, b))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from handgest.errors import EmptyInput, LengthMismatch, UnknownLabel
+from handgest.errors import EmptyInput, LengthMismatch, UnknownLabel, ValidationError
 from handgest.features import feature_vector
 from handgest.harness import (
     FRAME_STEP_US,
@@ -179,3 +179,13 @@ def test_keypoint_error_examples():
     pred = gt.copy()
     pred[4] += (0.021, 0.0, 0.0)
     assert keypoint_error(pred, gt) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("change", [
+    {"handedness": "right"}, {"handedness": None}, {"score": 3}, {"score": -0.1},
+    {"score": float("nan")}, {"score": True}, {"score": "1"},
+])
+def test_synth_config_rejects_bad_handedness_and_score(change):
+    # frames made with these would fail validate_frame when read back
+    with pytest.raises(ValidationError):
+        SynthConfig(**change)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from handgest.errors import UnknownReference, ValidationError
+from handgest.errors import MalformedConfig, UnknownReference, ValidationError
 from handgest.features import EulerAngles, FeatureVector, feature_vector
 from handgest.harness import SynthConfig, synth_pose
 from handgest.heuristic import (
@@ -257,5 +257,5 @@ def test_config_from_dict_maps_bad_values(path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    with pytest.raises(ValidationError):
+    with pytest.raises(MalformedConfig):
         config_from_dict(obj)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from handgest.errors import BehindCamera, DivergedFit, MalformedFrame, OutOfBox
+from handgest.errors import BehindCamera, DivergedFit, MalformedConfig, MalformedFrame, OutOfBox
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, sample_rng, synth_params
 from handgest.labels import ALL_GESTURES
@@ -144,6 +144,14 @@ def test_hand_model_json_round_trip(tmp_path):
     np.testing.assert_allclose(back.directions, model.directions,
                                rtol=0.0, atol=1e-15)
     np.testing.assert_array_equal(back.lengths, model.lengths)
+
+
+@pytest.mark.parametrize("change", [
+    {"fingers": None}, {"fingers": {}}, {"fingers": {"thumb": {"direction": [1, 0, 0]}}},
+])
+def test_hand_model_from_dict_raises_malformed_config(change):
+    with pytest.raises(MalformedConfig):
+        HandModel.from_dict({**default_hand_model().to_dict(), **change})
 
 
 # -- forward kinematics -------------------------------------------------------

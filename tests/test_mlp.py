@@ -7,6 +7,7 @@ import handgest.mlp as mlp
 from handgest.errors import (
     EmptyDataset,
     EmptyNegatives,
+    MalformedConfig,
     ShapeMismatch,
     SingleClassDataset,
     ValidationError,
@@ -375,10 +376,11 @@ def test_calibrate_validates_inputs():
 @pytest.mark.parametrize("change", [
     {"layers": [1]}, {"layers": [{"w": 1}]}, {"layer_sizes": 5},
     {"feat_mean": "x"}, {"tau": "x"}, {"tau": None},
+    {"schema": "mlp/0"}, {"layers": None}, {"tau": 2.0}, {"feat_std": [0.0] * 12},
 ])
 def test_model_from_dict_maps_bad_values(change):
     obj = {**zero_model().to_dict(), **change}
-    with pytest.raises(ValidationError):
+    with pytest.raises(ShapeMismatch if "layer_sizes" in change else MalformedConfig):
         MlpModel.from_dict(obj)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from handgest.errors import NonMonotonicTimestamp, ValidationError
+from handgest.errors import MalformedConfig, NonMonotonicTimestamp, ValidationError
 from handgest.harness import SynthConfig, synth_pose
 from handgest.pipeline import (
     TRACKED,
@@ -212,10 +212,12 @@ def test_config_validation_and_io():
 ])
 def test_pipeline_config_from_dict_rejects_wrong_types(extra):
     obj = {"schema": "pipeline/1", "max_detect_hz": 5.0, **extra}
-    with pytest.raises(ValidationError):
+    with pytest.raises(MalformedConfig):
         PipelineConfig.from_dict(obj)
 
 
 def test_pipeline_config_from_dict_needs_max_detect_hz():
-    with pytest.raises(ValidationError, match="max_detect_hz"):
+    with pytest.raises(MalformedConfig, match="max_detect_hz"):
         PipelineConfig.from_dict({"schema": "pipeline/1"})
+    with pytest.raises(MalformedConfig, match="expected schema"):
+        PipelineConfig.from_dict({"schema": "pipeline/2", "max_detect_hz": 5.0})

@@ -1,11 +1,12 @@
 """Topology, frame validation, and JSONL round trips."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from handgest.errors import MalformedFrame, Missing3D, ValidationError
+from handgest.errors import MalformedConfig, MalformedFrame, Missing3D, ValidationError
 from handgest.skeleton import (
     BONES,
     CHAIN_INDICES,
@@ -14,6 +15,7 @@ from handgest.skeleton import (
     Finger,
     HandFrame,
     HandSkeleton,
+    decode_config,
     finger_chain,
     frame_from_dict,
     frame_to_dict,
@@ -204,3 +206,34 @@ def test_frame_dict_tolerates_extra_keys():
     obj["label"] = "OpenPalm"
     frame = frame_from_dict(obj)
     assert frame.hand is not None
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("kp3d", "0.1"), ("kp2d", True), ("kp3d", None), ("kp2d", {"x": 1}),
+])
+def test_frame_from_dict_rejects_non_numeric_keypoints(key, entry):
+    # np.asarray(..., dtype=float) would parse "0.1" and cast True to 1.0
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj["hand"][key] = [[entry] * len(row) for row in obj["hand"][key]]
+    with pytest.raises(MalformedFrame, match=f"{key} must hold numbers"):
+        frame_from_dict(obj)
+
+
+def test_frame_from_dict_takes_integer_keypoints():
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj["hand"]["kp2d"] = [[int(x), int(y)] for x, y in obj["hand"]["kp2d"]]
+    kp2d = frame_from_dict(obj).hand.kp2d
+    assert kp2d.dtype == np.float64
+    assert kp2d.tolist() == obj["hand"]["kp2d"]
+
+
+@dataclass
+class _Knobs:
+    rate: "float"
+    name: "str" = "x"
+
+
+@pytest.mark.parametrize("obj", [[], {}, {"rate": "1"}, {"rate": 1.0, "extra": 1}])
+def test_decode_config_raises_malformed_config(obj):
+    with pytest.raises(MalformedConfig):
+        decode_config(_Knobs, obj, "knobs")

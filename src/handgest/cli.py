@@ -93,8 +93,8 @@ def _feature_row(t_us, fv, label):
     if label is not None:
         row["label"] = label
     row["euler"] = [fv.euler.yaw, fv.euler.pitch, fv.euler.roll]
-    row["fingers"] = [float(a) for a in fv.finger_angles]
-    row["pairs"] = [float(a) for a in fv.pair_angles]
+    row["fingers"] = fv.finger_angles.tolist()
+    row["pairs"] = fv.pair_angles.tolist()
     return row
 
 
@@ -266,14 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset (default: all 21)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", parents=[common],
-                       help="frames JSONL -> feature rows")
+    p = sub.add_parser("features", help="frames JSONL -> feature rows")
     p.add_argument("--frames", required=True)
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="label feature rows or frames")
+    p = sub.add_parser("classify", help="label feature rows or frames")
     p.add_argument("--features", default=None)
     p.add_argument("--frames", default=None)
     p.add_argument("--model", default=None,
@@ -289,32 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model JSON to write")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="set the model acceptance threshold")
+    p = sub.add_parser("calibrate", help="set the model acceptance threshold")
     p.add_argument("--model", required=True)
     p.add_argument("--negatives", required=True)
     p.add_argument("--fpr", type=float, required=True)
     p.add_argument("--out", default=None, help="default: rewrite --model")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("lift", parents=[common],
-                       help="fit 3D poses to 2D keypoints")
+    p = sub.add_parser("lift", help="fit 3D poses to 2D keypoints")
     p.add_argument("--frames", required=True)
     p.add_argument("--model", default=None,
                    help="hand model JSON; default: packaged model")
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("stream", parents=[common],
-                       help="run the tracking pipeline over a frame stream")
+    p = sub.add_parser("stream", help="run the tracking pipeline over a frame stream")
     p.add_argument("--frames", required=True)
     p.add_argument("--pipeline", required=True, help="pipeline config JSON")
     p.add_argument("--out", default=None, help="default: stdout")
     p.add_argument("--stats", default=None, help="stats JSON to write")
     p.set_defaults(func=cmd_stream)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="score predictions against truth labels")
+    p = sub.add_parser("eval", help="score predictions against truth labels")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--out", default=None, help="default: stdout")

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .alignment import CENTER_KEYPOINTS
 from .errors import EmptyInput, LengthMismatch, MalformedFrame, ValidationError
 from .labels import (
     ALL_GESTURES,
@@ -44,10 +46,7 @@ from .lifting import (
 )
 from .skeleton import (
     HANDEDNESS_VALUES,
-    INDEX_MCP,
-    MIDDLE_MCP,
     NUM_KEYPOINTS,
-    PINKY_MCP,
     HandFrame,
     HandSkeleton,
     frame_from_dict,
@@ -243,15 +242,55 @@ def _wobble(rng: np.random.Generator, std_rad: float) -> np.ndarray:
     return rotmat_from_rotvec(v / n * angle)
 
 
-def _place(local, rotation, rng, cfg):
-    """Rigidly place hand-frame points so the palm center lands at a random
-    offset from the optical axis; returns camera-frame points."""
+def _template_rotation(tpl: GestureTemplate, cfg: SynthConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The template's base orientation under a small wobble; the in-plane
+    spin is drawn always and applied only when the gesture is free."""
+    spin = rng.uniform(-np.pi, np.pi)
+    rotation = _wobble(rng, cfg.orientation_jitter_rad) @ tpl.orientation
+    return rot_z(spin) @ rotation if tpl.orientation_free else rotation
+
+
+def _frontal_rotation(rng: np.random.Generator) -> np.ndarray:
+    return _wobble(rng, math.radians(15.0)) @ _TO_CAMERA
+
+
+def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
+                 cfg: SynthConfig, model: HandModel | None):
+    """The pose sampler behind every generator: (joints, rotation,
+    translation, camera-frame kp3d).
+
+    Draw order is fixed so corpora replay exactly: joint jitter, then
+    ``draw_rotation(rng)``, then the placement draws tz, x, y.  A left hand
+    is the right hand's FK with hand-frame x negated.  Placement
+    puts the palm center (the mean of alignment.CENTER_KEYPOINTS) at
+    (x, y, tz) in the camera frame.  ``model`` None means the default.
+    """
+    joints = _jittered_joints(tpl, rng, cfg)
+    rotation = draw_rotation(rng)
+    model = model if model is not None else default_hand_model()
+    local = forward_kinematics(
+        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
+    if cfg.handedness == "Left":
+        local = local * np.array([-1.0, 1.0, 1.0])
     tz = rng.uniform(*cfg.tz_range)
     x = rng.uniform(*cfg.x_range)
     y = rng.uniform(*cfg.y_range)
-    center_local = local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
-    t = np.array([x, y, tz]) - rotation @ center_local
-    return local @ rotation.T + t
+    t = np.array([x, y, tz]) - rotation @ local[list(CENTER_KEYPOINTS)].mean(axis=0)
+    return joints, rotation, t, local @ rotation.T + t
+
+
+def _observe(kp3d: np.ndarray, rng: np.random.Generator, cfg: SynthConfig,
+             t_us: int) -> HandFrame:
+    """The frame of a placed pose: projected, then pixel and metric noise."""
+    kp2d = project(kp3d, default_intrinsics(cfg.width, cfg.height))
+    if cfg.noise_px > 0.0:
+        kp2d = kp2d + rng.standard_normal((NUM_KEYPOINTS, 2)) * cfg.noise_px
+    if cfg.noise_m > 0.0:
+        kp3d = kp3d + rng.standard_normal((NUM_KEYPOINTS, 3)) * cfg.noise_m
+    hand = HandSkeleton(handedness=cfg.handedness, score=cfg.score,
+                        kp2d=kp2d, kp3d=kp3d)
+    return HandFrame(t_us=int(t_us), w=cfg.width, h=cfg.height, hand=hand)
 
 
 def synth_pose(label: str, cfg: SynthConfig | None = None,
@@ -265,32 +304,9 @@ def synth_pose(label: str, cfg: SynthConfig | None = None,
     check_gesture(label)
     cfg = cfg if cfg is not None else SynthConfig()
     rng = rng if rng is not None else sample_rng(cfg.seed, 0)
-    model = model if model is not None else default_hand_model()
     tpl = TEMPLATES[label]
-
-    joints = _jittered_joints(tpl, rng, cfg)
-    spin = rng.uniform(-np.pi, np.pi)  # drawn always, applied when free
-    wobble = _wobble(rng, cfg.orientation_jitter_rad)
-    rotation = wobble @ tpl.orientation
-    if tpl.orientation_free:
-        rotation = rot_z(spin) @ rotation
-
-    local = forward_kinematics(
-        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
-    if cfg.handedness == "Left":
-        local = local * np.array([-1.0, 1.0, 1.0])
-    kp3d = _place(local, rotation, rng, cfg)
-    intr = default_intrinsics(cfg.width, cfg.height)
-    kp2d = project(kp3d, intr)
-    if cfg.noise_px > 0.0:
-        kp2d = kp2d + rng.standard_normal((NUM_KEYPOINTS, 2)) * cfg.noise_px
-    if cfg.noise_m > 0.0:
-        kp3d = kp3d + rng.standard_normal((NUM_KEYPOINTS, 3)) * cfg.noise_m
-
-    hand = HandSkeleton(handedness=cfg.handedness, score=cfg.score,
-                        kp2d=kp2d, kp3d=kp3d)
-    frame = HandFrame(t_us=int(t_us), w=cfg.width, h=cfg.height, hand=hand)
-    return frame, label
+    *_, kp3d = _sample_pose(tpl, partial(_template_rotation, tpl, cfg), rng, cfg, model)
+    return _observe(kp3d, rng, cfg, t_us), label
 
 
 FRAME_STEP_US = 33_333  # ~30 fps spacing for generated corpora
@@ -301,7 +317,6 @@ def make_dataset(cfg: SynthConfig, per_gesture: int,
     """Labeled corpus: ``per_gesture`` samples of each gesture, sample i
     seeded by (cfg.seed, i) regardless of generation order."""
     gestures = tuple(gestures) if gestures is not None else ALL_GESTURES
-    model = model if model is not None else default_hand_model()
     frames, labels = [], []
     i = 0
     for gesture in gestures:
@@ -320,48 +335,28 @@ def make_alignment_corpus(cfg: SynthConfig, n: int,
     five face the camera head-on (fingers pitched at the lens, where a
     single palm bone foreshortens to nothing), the fifth is uniformly
     rotated so the whole orientation sphere stays covered."""
-    model = model if model is not None else default_hand_model()
     frames = []
     for i in range(n):
         rng = sample_rng(cfg.seed, i)
-        gesture = ALL_GESTURES[int(rng.integers(len(ALL_GESTURES)))]
-        joints = _jittered_joints(TEMPLATES[gesture], rng, cfg)
-        if i % 5 == 0:
-            rotation = random_rotation(rng)
-        else:
-            rotation = _wobble(rng, math.radians(15.0)) @ _TO_CAMERA
-        local = forward_kinematics(
-            model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
-        kp3d = _place(local, rotation, rng, cfg)
-        kp2d = project(kp3d, default_intrinsics(cfg.width, cfg.height))
-        hand = HandSkeleton(handedness=cfg.handedness, score=cfg.score,
-                            kp2d=kp2d, kp3d=kp3d)
-        frames.append(HandFrame(t_us=FRAME_STEP_US * i, w=cfg.width,
-                                h=cfg.height, hand=hand))
+        tpl = TEMPLATES[ALL_GESTURES[int(rng.integers(len(ALL_GESTURES)))]]
+        draw_rotation = random_rotation if i % 5 == 0 else _frontal_rotation
+        *_, kp3d = _sample_pose(tpl, draw_rotation, rng, cfg, model)
+        frames.append(_observe(kp3d, rng, cfg, FRAME_STEP_US * i))
     return frames
 
 
 def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator,
                  model: HandModel | None = None) -> PoseParams:
-    """The PoseParams behind a sample, for fitting round-trips.  Uses the
-    same draw order as synth_pose, so the same rng state yields the pose
-    that generated the frame (right hands only)."""
+    """The PoseParams behind a sample, for fitting round-trips: the same
+    rng state yields the pose that synth_pose places.  Right hands only;
+    no pose of the hand model reaches a mirrored hand."""
     check_gesture(label)
-    model = model if model is not None else default_hand_model()
+    if cfg.handedness != "Right":
+        raise ValidationError(f"synth_params models right hands only, "
+                              f"got handedness {cfg.handedness!r}")
     tpl = TEMPLATES[label]
-    joints = _jittered_joints(tpl, rng, cfg)
-    spin = rng.uniform(-np.pi, np.pi)
-    wobble = _wobble(rng, cfg.orientation_jitter_rad)
-    rotation = wobble @ tpl.orientation
-    if tpl.orientation_free:
-        rotation = rot_z(spin) @ rotation
-    local = forward_kinematics(
-        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
-    tz = rng.uniform(*cfg.tz_range)
-    x = rng.uniform(*cfg.x_range)
-    y = rng.uniform(*cfg.y_range)
-    center_local = local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
-    t = np.array([x, y, tz]) - rotation @ center_local
+    joints, rotation, t, _ = _sample_pose(
+        tpl, partial(_template_rotation, tpl, cfg), rng, cfg, model)
     return PoseParams(rotvec=rotvec_from_rotmat(rotation), translation=t,
                       joints=joints)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import EulerAngles, FeatureVector, FINGER_PAIRS
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger
+from .skeleton import Finger, float_array, is_int
 
 
 class FingerState(Enum):
@@ -381,16 +381,18 @@ def config_from_dict(obj: dict) -> GestureConfig:
         th = obj["thresholds"]
         rad = np.pi / 180.0
         thresholds = StateThresholds(
-            straight_max=np.asarray(th["straight_max_deg"], dtype=np.float64) * rad,
-            bent_min=np.asarray(th["bent_min_deg"], dtype=np.float64) * rad,
-            crossed_max=np.asarray(th["crossed_max_deg"], dtype=np.float64) * rad,
-            apart_min=np.asarray(th["apart_min_deg"], dtype=np.float64) * rad,
+            straight_max=float_array(th["straight_max_deg"], "straight_max_deg") * rad,
+            bent_min=float_array(th["bent_min_deg"], "bent_min_deg") * rad,
+            crossed_max=float_array(th["crossed_max_deg"], "crossed_max_deg") * rad,
+            apart_min=float_array(th["apart_min_deg"], "apart_min_deg") * rad,
         )
-        definitions = tuple(
-            GestureDefinition(str(g["name"]), int(g["priority"]), expr_from_json(g["expr"]))
-            for g in obj["gestures"]
-        )
+        definitions = []
+        for g in obj["gestures"]:
+            if not is_int(g["priority"]):
+                raise TypeError(f"priority must be an integer, got {g['priority']!r}")
+            definitions.append(GestureDefinition(str(g["name"]), g["priority"],
+                                                 expr_from_json(g["expr"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedConfig(f"bad gesture config: {exc!r}") from exc
-    return GestureConfig(thresholds=thresholds, definitions=definitions)
+    return GestureConfig(thresholds=thresholds, definitions=tuple(definitions))
 

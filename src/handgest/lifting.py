@@ -40,6 +40,7 @@ from .skeleton import (
     NUM_KEYPOINTS,
     PINKY_MCP,
     WRIST,
+    float_array,
     open_output,
     read_json,
 )
@@ -274,8 +275,8 @@ class HandModel:
                 raise MalformedConfig(f"hand model missing finger {name!r}")
             entry = fingers[name]
             try:
-                directions[f] = np.asarray(entry["direction"], dtype=np.float64)
-                lengths[f] = np.asarray(entry["lengths"], dtype=np.float64)
+                directions[f] = float_array(entry["direction"], "direction")
+                lengths[f] = float_array(entry["lengths"], "lengths")
             except (KeyError, TypeError, ValueError) as exc:
                 raise MalformedConfig(f"bad hand model entry for {name!r}: {exc}") from exc
         return cls(directions, lengths)

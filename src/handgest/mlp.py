@@ -25,7 +25,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import decode_config, open_output, read_json
+from .skeleton import decode_config, float_array, is_number, open_output, read_json
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -105,9 +105,14 @@ class MlpModel:
         layers = obj.get("layers")
         if not isinstance(layers, list):
             raise MalformedConfig("missing layers")
+        tau = obj.get("tau", 0.0)
+        if not is_number(tau):
+            raise MalformedConfig(f"tau must be a number, got {tau!r}")
         try:
-            return cls([L["w"] for L in layers], [L["b"] for L in layers],
-                       obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
+            return cls([float_array(L["w"], "w") for L in layers],
+                       [float_array(L["b"], "b") for L in layers],
+                       float_array(obj["feat_mean"], "feat_mean"),
+                       float_array(obj["feat_std"], "feat_std"), tau)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedConfig(f"bad model: {exc!r}") from exc
 
@@ -240,24 +245,15 @@ def _label_index(label) -> int:
     return int(label)
 
 
-def _alpha_vector(alpha) -> np.ndarray:
-    a = np.asarray(alpha, dtype=np.float64)
-    if a.ndim == 0:
-        a = np.full(len(CLASSES), float(a))
-    if a.shape != (len(CLASSES),):
-        raise ShapeMismatch(f"alpha must be scalar or {len(CLASSES)}-vector")
-    return a
-
-
 def focal_loss(probs, label, gamma: float = 2.0, alpha=1.0) -> float:
-    """-alpha_t (1 - p_t)^gamma ln(p_t), with p_t clamped to [1e-12, 1]."""
+    """-alpha_t (1 - p_t)^gamma ln(p_t), with p_t clamped to [1e-12, 1];
+    gamma and alpha are checked as TrainConfig checks them."""
     p = np.asarray(probs, dtype=np.float64)
     if p.shape != (len(CLASSES),):
         raise ShapeMismatch(f"expected {len(CLASSES)} probabilities, got {p.shape}")
-    t = _label_index(label)
-    a = _alpha_vector(alpha)[t]
-    pt = min(max(float(p[t]), P_FLOOR), 1.0)
-    return float(-a * (1.0 - pt) ** gamma * np.log(pt))
+    cfg = TrainConfig(gamma=gamma, alpha=alpha)
+    target = np.array([_label_index(label)])
+    return float(_focal_batch(p[None], target, cfg.gamma, np.asarray(cfg.alpha))[0])
 
 
 def _focal_batch(probs: np.ndarray, targets: np.ndarray, gamma: float,
@@ -390,7 +386,7 @@ def gradient_check(model: MlpModel, example: LabeledExample,
     x = _features_array(example.features)
     x_std = ((x - model.feat_mean) / model.feat_std)[None]
     target = np.array([_label_index(example.label)])
-    a_vec = _alpha_vector(alpha)
+    a_vec = np.asarray(TrainConfig(gamma=gamma, alpha=alpha).alpha)
 
     probs, acts, pres = _forward_batch(model, x_std)
     g_w, g_b = _backward_batch(model, probs, acts, pres, target, gamma, a_vec)

@@ -7,8 +7,8 @@ until ``track_loss_frames`` consecutive misses drop it back. Detection is the
 presence of an ingested skeleton with a sufficient score; the palm-detector
 CNN itself is out of scope.
 
-``step`` is a pure function of (state, frame, config), so streams replay
-bit-identically and distinct streams can run in parallel.
+``step`` is a pure function of (state, frame, config, classifier), so
+streams replay bit-identically and distinct streams can run in parallel.
 """
 
 from __future__ import annotations
@@ -168,17 +168,15 @@ class FrameOutput:
 
 
 def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
-         classifier: Callable[[HandSkeleton], str] | None = None):
+         classifier: Callable[[HandSkeleton], str]):
     """One frame through the state machine; returns (state', FrameOutput).
 
-    Pass a prebuilt ``classifier`` when stepping many frames; otherwise one
-    is resolved from the config on every call.
+    ``classifier`` labels tracked skeletons; build it once per stream with
+    make_classifier(config).
     """
     t = frame.t_us
     if state.last_t_us is not None and t <= state.last_t_us:
         raise NonMonotonicTimestamp(f"timestamp {t} after {state.last_t_us}")
-    if classifier is None:
-        classifier = make_classifier(config)
 
     hand = frame.hand
     usable = hand is not None and hand.score >= config.min_track_score
@@ -227,10 +225,8 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
 
 
 def run_stream(frames, config: PipelineConfig,
-               classifier: Callable[[HandSkeleton], str] | None = None):
+               classifier: Callable[[HandSkeleton], str]):
     """Left fold of step over the stream; returns (outputs, stats)."""
-    if classifier is None:
-        classifier = make_classifier(config)
     state = initial_state()
     outputs = []
     for frame in frames:

@@ -160,9 +160,8 @@ def skeleton_to_dict(hand: HandSkeleton | None) -> dict | None:
     return {
         "handedness": hand.handedness,
         "score": float(hand.score),
-        "kp2d": [[float(x), float(y)] for x, y in hand.kp2d],
-        "kp3d": None if hand.kp3d is None
-        else [[float(x), float(y), float(z)] for x, y, z in hand.kp3d],
+        "kp2d": hand.kp2d.tolist(),
+        "kp3d": None if hand.kp3d is None else hand.kp3d.tolist(),
     }
 
 

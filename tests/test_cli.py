@@ -10,7 +10,8 @@ from handgest.features import feature_vector
 from handgest.harness import SynthConfig, read_dataset, sample_rng, synth_pose
 from handgest.heuristic import classify_heuristic, config_to_dict, default_config
 from handgest.labels import ALL_GESTURES, CLASSES
-from handgest.mlp import load_model
+from handgest.lifting import default_hand_model
+from handgest.mlp import LAYER_SIZES, MlpModel, load_model
 from handgest.skeleton import frame_to_dict
 
 
@@ -275,6 +276,11 @@ _PIPE = {"schema": "pipeline/1", "max_detect_hz": 5.0}
 # a valid row, then a line that is not UTF-8
 _BAD_UTF8 = json.dumps(_frame_row()).encode() + b'\n{"t_us": 1\xff}\n'
 _MODEL_HEAD = {"schema": "mlp/1", "layer_sizes": [12, 50, 50, 50, 7]}
+_MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:])],
+                  [np.zeros(o) for o in LAYER_SIZES[1:]],
+                  np.zeros(12), np.ones(12)).to_dict()
+_THRESHOLDS = config_to_dict(default_config())["thresholds"]
+_FINGERS = default_hand_model().to_dict()["fingers"]
 
 # (argv, content of {bad}, part of the error): None leaves {bad} missing,
 # bytes are written as is, anything else as JSON; {nodir} does not exist
@@ -344,6 +350,27 @@ BAD_INPUTS = {
     "classify-gestures-priority-string": ("classify --frames {frames} --gestures {bad}",
                                           _gestures_with(priority="x"),
                                           "bad gesture config"),
+    # model and config files: numbers given as strings are not parsed
+    "classify-model-tau-string": ("classify --frames {frames} --model {bad}",
+                                  {**_MODEL, "tau": "0.5"},
+                                  "tau must be a number, got '0.5'"),
+    "classify-model-feat-mean-strings": ("classify --frames {frames} --model {bad}",
+                                         {**_MODEL, "feat_mean": ["0"] * 12},
+                                         "feat_mean must hold numbers"),
+    "classify-gestures-priority-digits": ("classify --frames {frames} --gestures {bad}",
+                                          _gestures_with(priority="1"),
+                                          "priority must be an integer, got '1'"),
+    "classify-gestures-thresholds-strings": (
+        "classify --frames {frames} --gestures {bad}",
+        {**config_to_dict(default_config()),
+         "thresholds": {**_THRESHOLDS,
+                        "bent_min_deg": [str(a) for a in _THRESHOLDS["bent_min_deg"]]}},
+        "bent_min_deg must hold numbers"),
+    "lift-hand-model-lengths-strings": (
+        "lift --frames {frames} --model {bad}",
+        {"fingers": {**_FINGERS, "thumb": {**_FINGERS["thumb"], "lengths": [
+            str(a) for a in _FINGERS["thumb"]["lengths"]]}}},
+        "bad hand model entry for 'thumb': lengths must hold numbers"),
     "classify-euler-number": ("classify --features {bad}",
                               {**_FEATURE_ROW, "euler": 5}, "wrong arity"),
     "classify-euler-not-numeric": ("classify --features {bad}",
@@ -397,6 +424,17 @@ def test_bad_input_exits_2_with_one_line(good_files, tmp_path, capsys, argv, con
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expect in err
+
+
+@pytest.mark.parametrize("argv", ["classify --frames f.jsonl --config x.json",
+                                  "lift --frames f.jsonl --seed 3"])
+def test_seed_and_config_belong_to_synth_and_train(capsys, argv):
+    # other subcommands would accept and silently ignore them
+    with pytest.raises(SystemExit) as exc:
+        run(*argv.split())
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments" in err
 
 
 def test_decode_errors_name_path_and_line(tmp_path, capsys):

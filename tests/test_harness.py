@@ -6,20 +6,35 @@ import pytest
 from handgest.errors import EmptyInput, LengthMismatch, UnknownLabel, ValidationError
 from handgest.features import feature_vector
 from handgest.harness import (
+    _TO_CAMERA,
     FRAME_STEP_US,
+    TEMPLATES,
     EvalReport,
     SynthConfig,
+    _jittered_joints,
+    _wobble,
     eval_classifier,
     keypoint_error,
     make_alignment_corpus,
     make_dataset,
+    random_rotation,
     read_dataset,
     sample_rng,
+    synth_params,
     synth_pose,
     write_dataset,
 )
 from handgest.labels import ALL_GESTURES, CLASSES, POSITIVE_GESTURES
-from handgest.lifting import default_intrinsics, project
+from handgest.lifting import (
+    PoseParams,
+    default_hand_model,
+    default_intrinsics,
+    forward_kinematics,
+    project,
+    rot_z,
+    rotvec_from_rotmat,
+)
+from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP
 
 
 def clean_cfg(seed=0):
@@ -110,6 +125,160 @@ def test_write_dataset_validates_lengths(tmp_path):
     frames, labels = make_dataset(SynthConfig(seed=0), 1, gestures=("OK",))
     with pytest.raises(LengthMismatch):
         write_dataset(tmp_path / "bad.jsonl", frames, labels + ["OK"])
+
+
+# -- the one pose sampler, against the generators it replaced ------------------
+
+def _ref_place(local, rotation, rng, cfg):
+    tz = rng.uniform(*cfg.tz_range)
+    x = rng.uniform(*cfg.x_range)
+    y = rng.uniform(*cfg.y_range)
+    center_local = local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+    t = np.array([x, y, tz]) - rotation @ center_local
+    return local @ rotation.T + t
+
+
+def _ref_local(model, joints):
+    return forward_kinematics(
+        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
+
+
+def reference_synth_pose(label, cfg, rng):
+    """(kp2d, kp3d) as synth_pose drew them when it wrote out the draw
+    order itself; the sampler must match it bit for bit."""
+    model = default_hand_model()
+    tpl = TEMPLATES[label]
+    joints = _jittered_joints(tpl, rng, cfg)
+    spin = rng.uniform(-np.pi, np.pi)
+    wobble = _wobble(rng, cfg.orientation_jitter_rad)
+    rotation = wobble @ tpl.orientation
+    if tpl.orientation_free:
+        rotation = rot_z(spin) @ rotation
+    local = _ref_local(model, joints)
+    if cfg.handedness == "Left":
+        local = local * np.array([-1.0, 1.0, 1.0])
+    kp3d = _ref_place(local, rotation, rng, cfg)
+    kp2d = project(kp3d, default_intrinsics(cfg.width, cfg.height))
+    if cfg.noise_px > 0.0:
+        kp2d = kp2d + rng.standard_normal((NUM_KEYPOINTS, 2)) * cfg.noise_px
+    if cfg.noise_m > 0.0:
+        kp3d = kp3d + rng.standard_normal((NUM_KEYPOINTS, 3)) * cfg.noise_m
+    return kp2d, kp3d
+
+
+def reference_alignment_corpus(cfg, n):
+    """(kp2d, kp3d) pairs of the right-hand, noise-free alignment corpus as
+    make_alignment_corpus drew them with its own copy of the draw order."""
+    model = default_hand_model()
+    out = []
+    for i in range(n):
+        rng = sample_rng(cfg.seed, i)
+        gesture = ALL_GESTURES[int(rng.integers(len(ALL_GESTURES)))]
+        joints = _jittered_joints(TEMPLATES[gesture], rng, cfg)
+        if i % 5 == 0:
+            rotation = random_rotation(rng)
+        else:
+            rotation = _wobble(rng, np.radians(15.0)) @ _TO_CAMERA
+        kp3d = _ref_place(_ref_local(model, joints), rotation, rng, cfg)
+        out.append((project(kp3d, default_intrinsics(cfg.width, cfg.height)), kp3d))
+    return out
+
+
+def reference_synth_params(label, cfg, rng):
+    """The right-hand PoseParams vector as synth_params drew it inline."""
+    tpl = TEMPLATES[label]
+    joints = _jittered_joints(tpl, rng, cfg)
+    spin = rng.uniform(-np.pi, np.pi)
+    wobble = _wobble(rng, cfg.orientation_jitter_rad)
+    rotation = wobble @ tpl.orientation
+    if tpl.orientation_free:
+        rotation = rot_z(spin) @ rotation
+    local = _ref_local(default_hand_model(), joints)
+    tz = rng.uniform(*cfg.tz_range)
+    x = rng.uniform(*cfg.x_range)
+    y = rng.uniform(*cfg.y_range)
+    center_local = local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+    t = np.array([x, y, tz]) - rotation @ center_local
+    return PoseParams(rotvec_from_rotmat(rotation), t, joints).as_vector()
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(seed=0),
+    SynthConfig(seed=1, handedness="Left"),
+    SynthConfig(seed=2, noise_px=1.0, noise_m=0.002),
+    SynthConfig(seed=3, handedness="Left", noise_px=1.0, noise_m=0.002, score=0.7),
+], ids=["right", "left", "noisy", "left-noisy"])
+def test_dataset_bitwise_equal_to_reference(cfg):
+    frames, labels = make_dataset(cfg, 5)
+    for i, (frame, label) in enumerate(zip(frames, labels)):
+        kp2d, kp3d = reference_synth_pose(label, cfg, sample_rng(cfg.seed, i))
+        assert np.array_equal(frame.hand.kp2d, kp2d), i
+        assert np.array_equal(frame.hand.kp3d, kp3d), i
+        assert (frame.hand.handedness, frame.hand.score) == (cfg.handedness, cfg.score)
+
+
+def test_alignment_corpus_bitwise_equal_to_reference():
+    cfg = SynthConfig(seed=0)
+    frames = make_alignment_corpus(cfg, 200)
+    for i, (frame, (kp2d, kp3d)) in enumerate(
+            zip(frames, reference_alignment_corpus(cfg, 200))):
+        assert np.array_equal(frame.hand.kp2d, kp2d), i
+        assert np.array_equal(frame.hand.kp3d, kp3d), i
+
+
+def test_synth_params_bitwise_equal_to_reference():
+    cfg = SynthConfig(seed=5)
+    for i in range(100):
+        label = ALL_GESTURES[i % len(ALL_GESTURES)]
+        got = synth_params(label, cfg, sample_rng(cfg.seed, i)).as_vector()
+        assert np.array_equal(got, reference_synth_params(label, cfg,
+                                                          sample_rng(cfg.seed, i))), i
+
+
+def test_synth_params_draw_the_pose_synth_pose_places():
+    # criterion 6 fits to FK of synth_params; it holds only while both
+    # generators consume the rng in the same order
+    cfg = SynthConfig(seed=5)
+    model = default_hand_model()
+    worst = 0.0
+    for i in range(200):
+        label = ALL_GESTURES[i % len(ALL_GESTURES)]
+        params = synth_params(label, cfg, sample_rng(cfg.seed, i))
+        frame, _ = synth_pose(label, cfg, sample_rng(cfg.seed, i))
+        worst = max(worst, np.abs(forward_kinematics(model, params)
+                                  - frame.hand.kp3d).max())
+    assert worst <= 1e-12
+
+
+def test_synth_params_rejects_left_hands():
+    with pytest.raises(ValidationError, match="right hands only"):
+        synth_params("OpenPalm", SynthConfig(handedness="Left"), sample_rng(0, 0))
+
+
+def test_left_alignment_corpus_is_mirrored():
+    right = make_alignment_corpus(SynthConfig(seed=4), 10)
+    left = make_alignment_corpus(SynthConfig(seed=4, handedness="Left"), 10)
+    for r, l in zip(right, left):
+        assert l.hand.handedness == "Left"
+        # same draws, so the left hand is the right one reflected about the
+        # common palm center: a linear map with determinant -1
+        rc = r.hand.kp3d - r.hand.kp3d[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+        lc = l.hand.kp3d - l.hand.kp3d[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+        m = np.linalg.lstsq(rc, lc, rcond=None)[0]
+        np.testing.assert_allclose(rc @ m, lc, atol=1e-12)
+        np.testing.assert_allclose(m.T @ m, np.eye(3), atol=1e-9)
+        assert np.linalg.det(m) == pytest.approx(-1.0)
+
+
+def test_alignment_corpus_applies_noise():
+    clean = make_alignment_corpus(SynthConfig(seed=6), 10)
+    noisy = make_alignment_corpus(SynthConfig(seed=6, noise_px=1.5, noise_m=0.002), 10)
+    for c, n in zip(clean, noisy):
+        # noise is drawn after the pose, so the differences are the noise
+        d2 = np.abs(n.hand.kp2d - c.hand.kp2d)
+        d3 = np.abs(n.hand.kp3d - c.hand.kp3d)
+        assert 0.0 < d2.max() < 1.5 * 6.0
+        assert 0.0 < d3.max() < 0.002 * 6.0
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -142,6 +142,17 @@ def test_focal_alpha_scales_linearly():
     assert focal_loss(probs, "Victory", gamma=2.0, alpha=0.25) == pytest.approx(base * 0.25)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), [1.0] * 6])
+def test_focal_alpha_checked_as_train_config_checks_it(alpha):
+    with pytest.raises(ValidationError):
+        TrainConfig(alpha=alpha)
+    with pytest.raises(ValidationError):
+        focal_loss(uniformish(0.7, 1), "Victory", alpha=alpha)
+    ex = LabeledExample(np.zeros(12), "Victory")
+    with pytest.raises(ValidationError):
+        gradient_check(he_model(np.random.default_rng(0)), ex, alpha=alpha)
+
+
 def test_focal_monotone_decreasing_in_p():
     for gamma in (0.0, 0.5, 2.0, 4.0):
         losses = [focal_loss(uniformish(p, 3), "PointingUp", gamma=gamma)

@@ -96,20 +96,3 @@ def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
         rotation_rad=rotation_angle(kp2d),
         scale_px=alignment_scale(kp2d),
     )
-
-
-def roll_normalize_3d(kp3d: np.ndarray, kp2d: np.ndarray) -> np.ndarray:
-    """Rotate kp3d about the optical axis by -rotation_angle(kp2d).
-
-    Keeps the 3D keypoints consistent with an image whose content was
-    rotated upright: the rotation is rigid (pairwise distances preserved)
-    and projecting the result reproduces the derotated 2D keypoints.
-    Propagates DegenerateRotation from the angle estimate.
-    """
-    kp3d = np.asarray(kp3d, dtype=np.float64)
-    if kp3d.shape != (NUM_KEYPOINTS, 3):
-        raise ShapeMismatch(f"expected (21, 3) keypoints, got {kp3d.shape}")
-    theta = rotation_angle(kp2d)
-    c, s = np.cos(-theta), np.sin(-theta)
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    return kp3d @ rz.T

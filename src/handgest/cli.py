@@ -20,7 +20,7 @@ import dataclasses
 import json
 import sys
 
-from . import harness, heuristic, lifting, mlp, pipeline
+from . import harness, lifting, mlp, pipeline
 from .errors import (
     HandgestError,
     MalformedFrame,
@@ -130,13 +130,8 @@ def cmd_classify(args):
     source = args.features or args.frames
     if source is None:
         raise ValidationError("classify needs --features or --frames")
-    if args.model:
-        model = mlp.load_model(args.model)
-        predict = lambda fv: mlp.classify_nn(model, fv)
-    else:
-        gcfg = (heuristic.config_from_dict(read_json(args.gestures)) if args.gestures
-                else heuristic.default_config())
-        predict = lambda fv: heuristic.classify_heuristic(fv, gcfg)
+    predict = pipeline.make_predictor("nn" if args.model else "heuristic",
+                                      args.model or args.gestures)
     with open_output(args.out) as out:
         for t_us, fv, _ in _labeled_features(source):
             row = {"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
@@ -274,10 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="label feature rows or frames")
     p.add_argument("--features", default=None)
     p.add_argument("--frames", default=None)
-    p.add_argument("--model", default=None,
-                   help="MLP model JSON; omit for the heuristic")
-    p.add_argument("--gestures", default=None,
-                   help="heuristic gesture config JSON")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--model", default=None,
+                       help="MLP model JSON; omit for the heuristic")
+    which.add_argument("--gestures", default=None,
+                       help="heuristic gesture config JSON")
     p.add_argument("--out", default=None, help="default: stdout")
     p.set_defaults(func=cmd_classify)
 

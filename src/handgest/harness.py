@@ -37,7 +37,6 @@ from .lifting import (
     default_hand_model,
     default_intrinsics,
     forward_kinematics,
-    normalize_world,
     project,
     rot_x,
     rot_z,
@@ -400,10 +399,9 @@ class EvalReport:
     avg_recall: float
     fpr: float
     n: int
-    mean_keypoint_error_cm: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "schema": "eval_report/1",
             "classes": list(CLASSES),
             "confusion": self.confusion.tolist(),
@@ -412,12 +410,9 @@ class EvalReport:
             "fpr": float(self.fpr),
             "n": int(self.n),
         }
-        if self.mean_keypoint_error_cm is not None:
-            out["mean_keypoint_error_cm"] = float(self.mean_keypoint_error_cm)
-        return out
 
 
-def eval_classifier(predictions, truths, *, keypoint_errors_cm=None) -> EvalReport:
+def eval_classifier(predictions, truths) -> EvalReport:
     """Confusion/recall/FPR over aligned prediction and truth sequences.
 
     Truth labels outside the six targets collapse onto Negative; a None
@@ -446,18 +441,5 @@ def eval_classifier(predictions, truths, *, keypoint_errors_cm=None) -> EvalRepo
     neg_total = int(neg_row.sum())
     fpr = float((neg_total - int(neg_row[index[NEGATIVE_LABEL]])) / neg_total) \
         if neg_total else 0.0
-    err = None
-    if keypoint_errors_cm is not None:
-        errs = list(keypoint_errors_cm)
-        if errs:
-            err = float(np.mean(errs))
     return EvalReport(confusion=confusion, recalls=recalls, avg_recall=avg_recall,
-                      fpr=fpr, n=len(truths), mean_keypoint_error_cm=err)
-
-
-def keypoint_error(pred_kp3d, gt_kp3d) -> float:
-    """Mean per-keypoint Euclidean distance in cm, after shifting both sets
-    so their middle-finger knuckles coincide at the origin."""
-    a = normalize_world(pred_kp3d)
-    b = normalize_world(gt_kp3d)
-    return float(np.mean(np.linalg.norm(a - b, axis=1)) * 100.0)
+                      fpr=fpr, n=len(truths))

@@ -8,7 +8,8 @@ optional Euler-angle bands; the classifier returns the matching definition
 with the best (numerically smallest) priority, or Negative.
 
 Config files carry all angles in degrees and are converted to radians at
-load time. Orientation bands ("up" is the -y pixel direction) are expressed
+load time; the shipped rules are DEFAULT_CONFIG_JSON, a document of the
+same form. Orientation bands ("up" is the -y pixel direction) are expressed
 through the palm-frame Euler angles: with the Z-Y-X convention used here,
 the in-plane pointing direction lives in yaw and palm facing in roll. Band
 centers in the default config were computed from the default hand model's
@@ -17,7 +18,7 @@ palm geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import EulerAngles, FeatureVector, FINGER_PAIRS
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger, float_array, is_int
+from .skeleton import Finger, float_array, is_int, is_number
 
 
 class FingerState(Enum):
@@ -82,16 +83,6 @@ class StateThresholds:
             raise ValidationError("need 0 <= crossed_max < apart_min <= pi per pair")
 
 
-def default_thresholds() -> StateThresholds:
-    deg = np.pi / 180.0
-    return StateThresholds(
-        straight_max=np.array([35.0, 30.0, 30.0, 30.0, 30.0]) * deg,
-        bent_min=np.array([70.0, 90.0, 90.0, 90.0, 90.0]) * deg,
-        crossed_max=np.full(4, 5.0) * deg,
-        apart_min=np.full(4, 15.0) * deg,
-    )
-
-
 def discretize_finger(angle: float, finger: Finger, th: StateThresholds) -> FingerState:
     if angle <= th.straight_max[finger]:
         return FingerState.FULLY_STRAIGHT
@@ -114,9 +105,6 @@ class Expr:
     def evaluate(self, fingers, pairs, euler: EulerAngles) -> bool:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class All(Expr):
@@ -124,9 +112,6 @@ class All(Expr):
 
     def evaluate(self, fingers, pairs, euler):
         return all(a.evaluate(fingers, pairs, euler) for a in self.args)
-
-    def to_json(self):
-        return {"all": [a.to_json() for a in self.args]}
 
 
 @dataclass(frozen=True)
@@ -136,9 +121,6 @@ class Any_(Expr):
     def evaluate(self, fingers, pairs, euler):
         return any(a.evaluate(fingers, pairs, euler) for a in self.args)
 
-    def to_json(self):
-        return {"any": [a.to_json() for a in self.args]}
-
 
 @dataclass(frozen=True)
 class Not(Expr):
@@ -146,9 +128,6 @@ class Not(Expr):
 
     def evaluate(self, fingers, pairs, euler):
         return not self.arg.evaluate(fingers, pairs, euler)
-
-    def to_json(self):
-        return {"not": self.arg.to_json()}
 
 
 @dataclass(frozen=True)
@@ -159,9 +138,6 @@ class FingerIs(Expr):
     def evaluate(self, fingers, pairs, euler):
         return fingers[self.finger] is self.state
 
-    def to_json(self):
-        return {"finger": self.finger.name.capitalize(), "state": self.state.value}
-
 
 @dataclass(frozen=True)
 class PairIs(Expr):
@@ -170,10 +146,6 @@ class PairIs(Expr):
 
     def evaluate(self, fingers, pairs, euler):
         return pairs[self.pair] is self.state
-
-    def to_json(self):
-        name = [k for k, v in PAIR_NAMES.items() if v == self.pair][0]
-        return {"pair": name, "state": self.state.value}
 
 
 @dataclass(frozen=True)
@@ -194,23 +166,38 @@ class EulerIn(Expr):
             return self.lo <= a < self.hi
         return a >= self.lo or a < self.hi
 
-    def to_json(self):
-        return {"euler": self.axis,
-                "lo_deg": round(np.degrees(self.lo), 6),
-                "hi_deg": round(np.degrees(self.hi), 6)}
+
+# node kind (its first key) -> the exact keys a node of that kind carries
+NODE_KEYS = {
+    "all": ("all",),
+    "any": ("any",),
+    "not": ("not",),
+    "finger": ("finger", "state"),
+    "pair": ("pair", "state"),
+    "euler": ("euler", "lo_deg", "hi_deg"),
+}
 
 
 def expr_from_json(obj: dict) -> Expr:
-    """Parse one expression node; raises UnknownReference on bad names."""
-    if not isinstance(obj, dict) or len(obj) == 0:
-        raise ValidationError(f"bad expression node: {obj!r}")
-    if "all" in obj:
+    """Parse one expression node.
+
+    Raises MalformedConfig on a node that is not an object, carries keys
+    other than exactly its kind's NODE_KEYS, or has a band edge that is not
+    a number; UnknownReference on bad names.
+    """
+    kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
+    if kind is None:
+        raise MalformedConfig(f"bad expression node: {obj!r}")
+    if set(obj) != set(NODE_KEYS[kind]):
+        raise MalformedConfig(f"{kind!r} node takes exactly the keys "
+                              f"{list(NODE_KEYS[kind])}, got {sorted(obj)}")
+    if kind == "all":
         return All(tuple(expr_from_json(a) for a in obj["all"]))
-    if "any" in obj:
+    if kind == "any":
         return Any_(tuple(expr_from_json(a) for a in obj["any"]))
-    if "not" in obj:
+    if kind == "not":
         return Not(expr_from_json(obj["not"]))
-    if "finger" in obj:
+    if kind == "finger":
         name, state = obj["finger"], obj["state"]
         if name not in FINGER_NAMES:
             raise UnknownReference(f"unknown finger {name!r}")
@@ -218,7 +205,7 @@ def expr_from_json(obj: dict) -> Expr:
             return FingerIs(FINGER_NAMES[name], FingerState(state))
         except ValueError:
             raise UnknownReference(f"unknown finger state {state!r}") from None
-    if "pair" in obj:
+    if kind == "pair":
         name, state = obj["pair"], obj["state"]
         if name not in PAIR_NAMES:
             raise UnknownReference(f"unknown pair {name!r}")
@@ -226,12 +213,12 @@ def expr_from_json(obj: dict) -> Expr:
             return PairIs(PAIR_NAMES[name], PairState(state))
         except ValueError:
             raise UnknownReference(f"unknown pair state {state!r}") from None
-    if "euler" in obj:
-        axis = obj["euler"]
-        if axis not in EULER_AXES:
-            raise UnknownReference(f"unknown euler axis {axis!r}")
-        return EulerIn(axis, float(np.radians(obj["lo_deg"])), float(np.radians(obj["hi_deg"])))
-    raise ValidationError(f"unrecognized expression node: {sorted(obj)}")
+    axis, lo, hi = obj["euler"], obj["lo_deg"], obj["hi_deg"]
+    if axis not in EULER_AXES:
+        raise UnknownReference(f"unknown euler axis {axis!r}")
+    if not (is_number(lo) and is_number(hi)):
+        raise MalformedConfig(f"lo_deg and hi_deg must be numbers, got {lo!r} and {hi!r}")
+    return EulerIn(axis, float(np.radians(lo)), float(np.radians(hi)))
 
 
 @dataclass(frozen=True)
@@ -278,119 +265,105 @@ def _bent(finger: str) -> dict:
     return {"finger": finger, "state": "FullyBent"}
 
 
-# Palm-facing-camera band: |roll| >= 135 deg, wrapped through +/-180.
-_ROLL_FACING = {"euler": "roll", "lo_deg": 135.0, "hi_deg": -135.0}
+def _roll_facing() -> dict:
+    """Palm-facing-camera band: |roll| >= 135 deg, wrapped through +/-180."""
+    return {"euler": "roll", "lo_deg": 135.0, "hi_deg": -135.0}
 
-DEFAULT_GESTURES_JSON: list[dict] = [
-    {
-        "name": "OpenPalm",
-        "priority": 1,
-        # The NOT-Crossed terms reject salutes with paired touching fingers
-        # while leaving a naturally spread palm untouched.
-        "expr": {"all": [
-            _straight("Thumb"), _straight("Index"), _straight("Middle"),
-            _straight("Ring"), _straight("Pinky"),
-            {"not": {"pair": "IndexMiddle", "state": "Crossed"}},
-            {"not": {"pair": "RingPinky", "state": "Crossed"}},
-        ]},
+
+# The shipped gesture config as a gestures/1 document: the exact form of a
+# --gestures file or a pipeline classifier_ref, with angles in degrees.
+DEFAULT_CONFIG_JSON: dict = {
+    "schema": "gestures/1",
+    "thresholds": {
+        "straight_max_deg": [35.0, 30.0, 30.0, 30.0, 30.0],
+        "bent_min_deg": [70.0, 90.0, 90.0, 90.0, 90.0],
+        "crossed_max_deg": [5.0, 5.0, 5.0, 5.0],
+        "apart_min_deg": [15.0, 15.0, 15.0, 15.0],
     },
-    {
-        "name": "Victory",
-        "priority": 2,
-        "expr": {"all": [
-            _straight("Index"), _straight("Middle"),
-            {"pair": "IndexMiddle", "state": "Apart"},
-            _bent("Ring"), _bent("Pinky"),
-        ]},
-    },
-    {
-        "name": "ClosedFist",
-        "priority": 3,
-        "expr": {"all": [
-            _bent("Thumb"), _bent("Index"), _bent("Middle"),
-            _bent("Ring"), _bent("Pinky"),
-        ]},
-    },
-    {
-        "name": "PointingUp",
-        "priority": 4,
-        # NOT-straight thumb separates this from an L-shape held upright.
-        "expr": {"all": [
-            _straight("Index"), _bent("Middle"), _bent("Ring"), _bent("Pinky"),
-            {"not": _straight("Thumb")},
-            {"euler": "yaw", "lo_deg": -45.0, "hi_deg": 45.0},
-            _ROLL_FACING,
-        ]},
-    },
-    {
-        "name": "ThumbUp",
-        "priority": 5,
-        "expr": {"all": [
-            _straight("Thumb"), _bent("Index"), _bent("Middle"),
-            _bent("Ring"), _bent("Pinky"),
-            {"euler": "yaw", "lo_deg": -108.0, "hi_deg": -18.0},
-            _ROLL_FACING,
-        ]},
-    },
-    {
-        "name": "ThumbDown",
-        "priority": 6,
-        "expr": {"all": [
-            _straight("Thumb"), _bent("Index"), _bent("Middle"),
-            _bent("Ring"), _bent("Pinky"),
-            {"euler": "yaw", "lo_deg": 72.0, "hi_deg": 162.0},
-            _ROLL_FACING,
-        ]},
-    },
-]
+    "gestures": [
+        {
+            "name": "OpenPalm",
+            "priority": 1,
+            # The NOT-Crossed terms reject salutes with paired touching fingers
+            # while leaving a naturally spread palm untouched.
+            "expr": {"all": [
+                _straight("Thumb"), _straight("Index"), _straight("Middle"),
+                _straight("Ring"), _straight("Pinky"),
+                {"not": {"pair": "IndexMiddle", "state": "Crossed"}},
+                {"not": {"pair": "RingPinky", "state": "Crossed"}},
+            ]},
+        },
+        {
+            "name": "Victory",
+            "priority": 2,
+            "expr": {"all": [
+                _straight("Index"), _straight("Middle"),
+                {"pair": "IndexMiddle", "state": "Apart"},
+                _bent("Ring"), _bent("Pinky"),
+            ]},
+        },
+        {
+            "name": "ClosedFist",
+            "priority": 3,
+            "expr": {"all": [
+                _bent("Thumb"), _bent("Index"), _bent("Middle"),
+                _bent("Ring"), _bent("Pinky"),
+            ]},
+        },
+        {
+            "name": "PointingUp",
+            "priority": 4,
+            # NOT-straight thumb separates this from an L-shape held upright.
+            "expr": {"all": [
+                _straight("Index"), _bent("Middle"), _bent("Ring"), _bent("Pinky"),
+                {"not": _straight("Thumb")},
+                {"euler": "yaw", "lo_deg": -45.0, "hi_deg": 45.0},
+                _roll_facing(),
+            ]},
+        },
+        {
+            "name": "ThumbUp",
+            "priority": 5,
+            "expr": {"all": [
+                _straight("Thumb"), _bent("Index"), _bent("Middle"),
+                _bent("Ring"), _bent("Pinky"),
+                {"euler": "yaw", "lo_deg": -108.0, "hi_deg": -18.0},
+                _roll_facing(),
+            ]},
+        },
+        {
+            "name": "ThumbDown",
+            "priority": 6,
+            "expr": {"all": [
+                _straight("Thumb"), _bent("Index"), _bent("Middle"),
+                _bent("Ring"), _bent("Pinky"),
+                {"euler": "yaw", "lo_deg": 72.0, "hi_deg": 162.0},
+                _roll_facing(),
+            ]},
+        },
+    ],
+}
 
 
 def default_config() -> GestureConfig:
     """The six shipped gesture definitions with default thresholds."""
-    return GestureConfig(
-        thresholds=default_thresholds(),
-        definitions=tuple(
-            GestureDefinition(g["name"], g["priority"], expr_from_json(g["expr"]))
-            for g in DEFAULT_GESTURES_JSON
-        ),
-    )
-
-
-# --- JSON config form (angles in degrees on disk) ---
-
-def config_to_dict(config: GestureConfig) -> dict:
-    th = config.thresholds
-    deg = 180.0 / np.pi
-    return {
-        "schema": "gestures/1",
-        "thresholds": {
-            "straight_max_deg": [round(x, 6) for x in th.straight_max * deg],
-            "bent_min_deg": [round(x, 6) for x in th.bent_min * deg],
-            "crossed_max_deg": [round(x, 6) for x in th.crossed_max * deg],
-            "apart_min_deg": [round(x, 6) for x in th.apart_min * deg],
-        },
-        "gestures": [
-            {"name": d.name, "priority": d.priority, "expr": d.expr.to_json()}
-            for d in config.definitions
-        ],
-    }
+    return config_from_dict(DEFAULT_CONFIG_JSON)
 
 
 def config_from_dict(obj: dict) -> GestureConfig:
+    """A gestures/1 document as a GestureConfig, degrees to radians."""
     try:
-        th = obj["thresholds"]
-        rad = np.pi / 180.0
-        thresholds = StateThresholds(
-            straight_max=float_array(th["straight_max_deg"], "straight_max_deg") * rad,
-            bent_min=float_array(th["bent_min_deg"], "bent_min_deg") * rad,
-            crossed_max=float_array(th["crossed_max_deg"], "crossed_max_deg") * rad,
-            apart_min=float_array(th["apart_min_deg"], "apart_min_deg") * rad,
-        )
+        th, rad = obj["thresholds"], np.pi / 180.0
+        thresholds = StateThresholds(**{
+            f.name: float_array(th[f"{f.name}_deg"], f"{f.name}_deg") * rad
+            for f in fields(StateThresholds)})
         definitions = []
         for g in obj["gestures"]:
             if not is_int(g["priority"]):
                 raise TypeError(f"priority must be an integer, got {g['priority']!r}")
-            definitions.append(GestureDefinition(str(g["name"]), g["priority"],
+            if not isinstance(g["name"], str):
+                raise TypeError(f"name must be a string, got {g['name']!r}")
+            definitions.append(GestureDefinition(g["name"], g["priority"],
                                                  expr_from_json(g["expr"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedConfig(f"bad gesture config: {exc!r}") from exc

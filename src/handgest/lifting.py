@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     BehindCamera,
-    DegenerateScale,
     DivergedFit,
     MalformedConfig,
     MalformedFrame,
@@ -35,16 +34,13 @@ from .errors import (
 )
 from .skeleton import (
     Finger,
-    INDEX_MCP,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
-    PINKY_MCP,
-    WRIST,
     float_array,
     open_output,
     read_json,
 )
-from .alignment import SCALE_KEYPOINTS, compute_alignment
+from .alignment import CENTER_KEYPOINTS, compute_alignment
 from .features import cross
 
 NUM_JOINT_ANGLES = 21
@@ -625,12 +621,8 @@ def _rest_alignment(model: HandModel):
         pose = np.zeros(NUM_POSE_PARAMS)
         pose[6:] = neutral_joints()
         rest_local = _fk_batch(model, pose[None]).points[0]
-        plane = (rest_local @ FRONTAL_ROTATION.T)[:, :2]
-        center = plane[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
-        v = (plane[WRIST] - plane[MIDDLE_MCP]) + (plane[PINKY_MCP] - plane[INDEX_MCP])
-        theta0 = float(np.arctan2(v[0], -v[1]))
-        size = float(np.max(np.linalg.norm(plane[list(SCALE_KEYPOINTS)] - center, axis=1)))
-        model._rest = (theta0, size, rest_local)
+        rest = compute_alignment((rest_local @ FRONTAL_ROTATION.T)[:, :2])
+        model._rest = (rest.rotation_rad, rest.scale_px, rest_local)
     return model._rest
 
 
@@ -640,8 +632,6 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     depth from the palm's apparent size, neutral half-bent joints."""
     align = compute_alignment(np.asarray(kp2d, dtype=np.float64))
     theta0, rest_size_m, rest_local = _rest_alignment(model)
-    if align.scale_px <= 0.0:
-        raise DegenerateScale("alignment scale must be positive")
     r_init = rot_z(align.rotation_rad - theta0) @ FRONTAL_ROTATION
     tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px,
                        TZ_BOX[0], TZ_BOX[1]))
@@ -649,7 +639,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
                            tz])
     # place the wrist so the palm center projects onto the 2D center
-    local_center = rest_local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+    local_center = rest_local[list(CENTER_KEYPOINTS)].mean(axis=0)
     t = center_cam - r_init @ local_center
     return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
                       joints=neutral_joints())

@@ -23,7 +23,9 @@ from .errors import (
     NonMonotonicTimestamp,
     ValidationError,
 )
-from .features import feature_vector
+from . import mlp
+from .features import FeatureVector, feature_vector
+from .heuristic import classify_heuristic, config_from_dict, default_config
 from .skeleton import HandFrame, HandSkeleton, decode_config, read_json
 
 UNTRACKED = "Untracked"
@@ -87,32 +89,31 @@ def load_pipeline_config(fp: TextIO) -> PipelineConfig:
     return PipelineConfig.from_dict(json.load(fp))
 
 
+def make_predictor(kind: str, ref: str | None) -> Callable[[FeatureVector], str]:
+    """Resolve a classifier choice into features -> label.
+
+    ``kind`` is one of CLASSIFIER_KINDS; ``ref`` names the model file for
+    "nn" (required) or the gesture config for "heuristic" (None selects the
+    built-in default). The classify function is looked up at each call, so
+    a wrapper installed on its module attribute sees every call.
+    """
+    if kind == "nn":
+        if ref is None:
+            raise ValidationError("nn classifier needs a model file reference")
+        model = mlp.load_model(ref)
+        return lambda fv: mlp.classify_nn(model, fv)
+    gestures = default_config() if ref is None else config_from_dict(read_json(ref))
+    return lambda fv: classify_heuristic(fv, gestures)
+
+
 def make_classifier(config: PipelineConfig) -> Callable[[HandSkeleton], str]:
     """Resolve the config's classifier choice into skeleton -> label."""
-    if config.classifier == "nn":
-        if config.classifier_ref is None:
-            raise ValidationError("nn classifier needs a model file reference")
-        from .mlp import classify_nn, load_model
-        model = load_model(config.classifier_ref)
-
-        def run(skeleton: HandSkeleton) -> str:
-            if skeleton.kp3d is None:
-                raise Missing3D("classification needs metric 3D keypoints")
-            return classify_nn(model, feature_vector(skeleton.kp3d,
-                                                     skeleton.handedness))
-        return run
-
-    from .heuristic import classify_heuristic, config_from_dict, default_config
-    if config.classifier_ref is None:
-        gestures = default_config()
-    else:
-        gestures = config_from_dict(read_json(config.classifier_ref))
+    predict = make_predictor(config.classifier, config.classifier_ref)
 
     def run(skeleton: HandSkeleton) -> str:
         if skeleton.kp3d is None:
             raise Missing3D("classification needs metric 3D keypoints")
-        return classify_heuristic(feature_vector(skeleton.kp3d,
-                                                 skeleton.handedness), gestures)
+        return predict(feature_vector(skeleton.kp3d, skeleton.handedness))
     return run
 
 
@@ -196,20 +197,17 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
             if usable:
                 mode = TRACKED
                 misses = 0
-                label = classifier(hand)
-                actions.append("classify")
-                classifies = 1
+    elif usable:
+        misses = 0
     else:
-        if usable:
+        misses += 1
+        if misses >= config.track_loss_frames:
+            mode = UNTRACKED
             misses = 0
-            label = classifier(hand)
-            actions.append("classify")
-            classifies = 1
-        else:
-            misses += 1
-            if misses >= config.track_loss_frames:
-                mode = UNTRACKED
-                misses = 0
+    if mode == TRACKED and usable:
+        label = classifier(hand)
+        actions.append("classify")
+        classifies = 1
 
     stats = replace(
         state.stats,

@@ -36,11 +36,12 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
+from itertools import chain
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import MalformedConfig, MalformedFrame, Missing3D, ValidationError
+from .errors import MalformedConfig, MalformedFrame, ValidationError
 
 NUM_KEYPOINTS = 21
 
@@ -67,10 +68,8 @@ FINGER_KEYPOINTS = {
 # Chain used for feature angles: wrist, base, two intermediates, tip.
 CHAIN_INDICES = {f: (WRIST,) + FINGER_KEYPOINTS[f] for f in Finger}
 
-THUMB_CMC = 1
 INDEX_MCP = 5
 MIDDLE_MCP = 9
-RING_MCP = 13
 PINKY_MCP = 17
 
 # Parent of each non-wrist keypoint; defines the 20 bones of the hand.
@@ -140,16 +139,6 @@ def validate_frame(frame: HandFrame) -> HandFrame:
         if not np.all(np.isfinite(kp3d)):
             raise MalformedFrame("kp3d contains non-finite values")
     return frame
-
-
-def finger_chain(skeleton: HandSkeleton, finger: Finger) -> np.ndarray:
-    """3D chain [wrist, base, intermediate 1, intermediate 2, tip] for a finger.
-
-    Raises Missing3D when the skeleton carries no metric keypoints.
-    """
-    if skeleton.kp3d is None:
-        raise Missing3D("finger_chain requires kp3d")
-    return skeleton.kp3d[list(CHAIN_INDICES[Finger(finger)])]
 
 
 # --- JSON and JSONL I/O ---
@@ -260,14 +249,20 @@ def open_output(path) -> Iterator[TextIO]:
 def float_array(value, what: str) -> np.ndarray:
     """A decoded JSON array of numbers as float64.
 
-    One conversion and a dtype-kind check, no loop over the entries: a
-    string or null anywhere, or bools throughout, leave a dtype that is not
-    int or float, which raises TypeError instead of being parsed or cast.
-    numpy promotes a bool mixed with numbers to a number, so that passes.
+    One conversion and a dtype-kind check: a string or null anywhere, or
+    bools throughout, leave a dtype that is not int or float, which raises
+    TypeError instead of being parsed or cast. numpy promotes a bool mixed
+    with numbers to a number, so the entries' types are also checked for
+    bool, in one set over the flattened list rather than a Python loop.
     """
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise TypeError(f"{what} must hold numbers, got dtype {arr.dtype}")
+    entries = value
+    for _ in range(arr.ndim - 1):
+        entries = chain.from_iterable(entries)
+    if arr.ndim and bool in set(map(type, entries)):
+        raise TypeError(f"{what} must hold numbers, got a bool among them")
     return arr.astype(np.float64, copy=False)
 
 

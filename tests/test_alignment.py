@@ -8,7 +8,6 @@ from handgest.alignment import (
     alignment_scale,
     center_keypoint,
     compute_alignment,
-    roll_normalize_3d,
     rotation_angle,
     rotation_vector,
 )
@@ -122,40 +121,3 @@ def test_uniform_scale_scales_scale_only():
         scaled = compute_alignment(kp * s)
         assert scaled.scale_px == pytest.approx(base.scale_px * s, rel=1e-12)
         assert scaled.rotation_rad == pytest.approx(base.rotation_rad, abs=1e-12)
-
-
-def test_roll_normalize_identity_when_already_up():
-    kp2d = flat_kp2d(0.0)
-    kp2d[0] = (0.0, -1.0)
-    kp2d[9] = kp2d[5] = kp2d[17] = (0.0, 0.0)
-    kp3d = np.random.default_rng(0).normal(size=(21, 3))
-    np.testing.assert_allclose(roll_normalize_3d(kp3d, kp2d), kp3d, atol=1e-12)
-
-
-def test_roll_normalize_quarter_turn():
-    kp2d = flat_kp2d(0.0)
-    # v = (1,0): points right, needs a -pi/2 roll to face up
-    kp2d[0] = (1.0, 0.0)
-    kp2d[9] = kp2d[5] = kp2d[17] = (0.0, 0.0)
-    assert rotation_angle(kp2d) == pytest.approx(np.pi / 2.0)
-
-    kp3d = np.random.default_rng(1).normal(size=(21, 3))
-    out = roll_normalize_3d(kp3d, kp2d)
-    # rotation about z by -pi/2: (x, y) -> (y, -x), z untouched
-    np.testing.assert_allclose(out[:, 0], kp3d[:, 1], atol=1e-12)
-    np.testing.assert_allclose(out[:, 1], -kp3d[:, 0], atol=1e-12)
-    np.testing.assert_allclose(out[:, 2], kp3d[:, 2], atol=1e-12)
-
-    dist = np.linalg.norm(kp3d[:, None] - kp3d[None, :], axis=-1)
-    dist_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
-    np.testing.assert_allclose(dist_out, dist, atol=1e-12)
-
-
-def test_roll_normalize_preserves_distances_generally():
-    rng = np.random.default_rng(2)
-    kp2d = random_kp2d(2)
-    kp3d = rng.normal(size=(21, 3))
-    out = roll_normalize_3d(kp3d, kp2d)
-    dist = np.linalg.norm(kp3d[:, None] - kp3d[None, :], axis=-1)
-    dist_out = np.linalg.norm(out[:, None] - out[None, :], axis=-1)
-    np.testing.assert_allclose(dist_out, dist, atol=1e-12)

@@ -1,5 +1,6 @@
 """End-to-end runs of the handgest command line."""
 
+import copy
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from handgest.cli import main
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, read_dataset, sample_rng, synth_pose
-from handgest.heuristic import classify_heuristic, config_to_dict, default_config
+from handgest.heuristic import DEFAULT_CONFIG_JSON, classify_heuristic, default_config
 from handgest.labels import ALL_GESTURES, CLASSES
 from handgest.lifting import default_hand_model
 from handgest.mlp import LAYER_SIZES, MlpModel, load_model
@@ -186,6 +187,34 @@ def test_stream_outputs_and_stats(corpus, tmp_path):
     assert stats["detect_invocations"] >= 1
 
 
+@pytest.mark.parametrize("kind", ["rules", "gestures", "model"])
+def test_stream_labels_tracked_frames_as_classify_does(corpus, tmp_path, kind):
+    # classify and stream resolve the classifier through one function
+    ref = tmp_path / "ref.json"
+    if kind == "gestures":
+        gestures = copy.deepcopy(DEFAULT_CONFIG_JSON)
+        gestures["thresholds"]["straight_max_deg"] = [40.0] * 5
+        ref.write_text(json.dumps(gestures))
+    elif kind == "model":
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"epochs": 2}))
+        assert run("train", "--data", corpus, "--out", ref, "--config", cfg) == 0
+    flag = {"rules": [], "gestures": ["--gestures", ref], "model": ["--model", ref]}[kind]
+    preds = tmp_path / "preds.jsonl"
+    assert run("classify", "--frames", corpus, "--out", preds, *flag) == 0
+    pipe = {"schema": "pipeline/1", "max_detect_hz": 5.0,
+            "classifier": "nn" if kind == "model" else "heuristic",
+            "classifier_ref": None if kind == "rules" else str(ref)}
+    (tmp_path / "pipe.json").write_text(json.dumps(pipe))
+    out = tmp_path / "stream.jsonl"
+    assert run("stream", "--frames", corpus, "--pipeline", tmp_path / "pipe.json",
+               "--out", out) == 0
+    pairs = [(s["label"], p["label"]) for s, p in zip(read_jsonl(out), read_jsonl(preds))
+             if s["mode"] == "Tracked" and "classify" in s["actions"]]
+    assert len(pairs) == 42
+    assert all(a == b for a, b in pairs)
+
+
 def test_eval_report(corpus, tmp_path):
     preds = tmp_path / "preds.jsonl"
     report_path = tmp_path / "report.json"
@@ -265,8 +294,17 @@ def _hand_row(**fields):
 
 
 def _gestures_with(**first):
-    obj = config_to_dict(default_config())
+    """The default gesture document, with fields of its first gesture replaced."""
+    obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
     obj["gestures"][0].update(first)
+    return obj
+
+
+def _term_with(gesture, term, **fields):
+    """The default gesture document, with fields set on one top-level term
+    of one gesture's expression."""
+    obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
+    obj["gestures"][gesture]["expr"]["all"][term].update(fields)
     return obj
 
 
@@ -279,7 +317,7 @@ _MODEL_HEAD = {"schema": "mlp/1", "layer_sizes": [12, 50, 50, 50, 7]}
 _MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:])],
                   [np.zeros(o) for o in LAYER_SIZES[1:]],
                   np.zeros(12), np.ones(12)).to_dict()
-_THRESHOLDS = config_to_dict(default_config())["thresholds"]
+_THRESHOLDS = DEFAULT_CONFIG_JSON["thresholds"]
 _FINGERS = default_hand_model().to_dict()["fingers"]
 
 # (argv, content of {bad}, part of the error): None leaves {bad} missing,
@@ -362,7 +400,7 @@ BAD_INPUTS = {
                                           "priority must be an integer, got '1'"),
     "classify-gestures-thresholds-strings": (
         "classify --frames {frames} --gestures {bad}",
-        {**config_to_dict(default_config()),
+        {**DEFAULT_CONFIG_JSON,
          "thresholds": {**_THRESHOLDS,
                         "bent_min_deg": [str(a) for a in _THRESHOLDS["bent_min_deg"]]}},
         "bent_min_deg must hold numbers"),
@@ -371,6 +409,19 @@ BAD_INPUTS = {
         {"fingers": {**_FINGERS, "thumb": {**_FINGERS["thumb"], "lengths": [
             str(a) for a in _FINGERS["thumb"]["lengths"]]}}},
         "bad hand model entry for 'thumb': lengths must hold numbers"),
+    # gesture values that were reinterpreted, and nodes with another kind's key
+    "classify-gestures-name-number": ("classify --frames {frames} --gestures {bad}",
+                                      _gestures_with(name=5),
+                                      "name must be a string, got 5"),
+    "classify-gestures-lo-deg-bool": ("classify --frames {frames} --gestures {bad}",
+                                      _term_with(3, 5, lo_deg=True),
+                                      "lo_deg and hi_deg must be numbers, got True"),
+    "classify-gestures-not-node-with-all": (
+        "classify --frames {frames} --gestures {bad}", _term_with(0, 5, all=[]),
+        "'all' node takes exactly the keys ['all'], got ['all', 'not']"),
+    "classify-gestures-finger-node-with-lo-deg": (
+        "classify --frames {frames} --gestures {bad}", _term_with(1, 0, lo_deg=3),
+        "'finger' node takes exactly the keys ['finger', 'state']"),
     "classify-euler-number": ("classify --features {bad}",
                               {**_FEATURE_ROW, "euler": 5}, "wrong arity"),
     "classify-euler-not-numeric": ("classify --features {bad}",
@@ -380,6 +431,10 @@ BAD_INPUTS = {
     "features-kp3d-strings": ("features --frames {bad}",
                               _hand_row(kp3d=[["0.1", "0.2", "0.5"]] * 21),
                               "kp3d must hold numbers"),
+    "features-kp3d-bool-among-numbers": (
+        "features --frames {bad}",
+        _hand_row(kp3d=[[True, 0.5, 0.2]] + _frame_row()["hand"]["kp3d"][1:]),
+        "kp3d must hold numbers, got a bool among them"),
     "features-kp2d-bools": ("features --frames {bad}",
                             _hand_row(kp2d=[[True, False]] * 21),
                             "kp2d must hold numbers"),
@@ -435,6 +490,15 @@ def test_seed_and_config_belong_to_synth_and_train(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "unrecognized arguments" in err
+
+
+def test_classify_model_and_gestures_exclude_each_other(capsys):
+    # --gestures used to be silently ignored when --model was given
+    with pytest.raises(SystemExit) as exc:
+        run("classify", "--frames", "f.jsonl", "--model", "m.json", "--gestures", "g.json")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "not allowed with argument" in err
 
 
 def test_decode_errors_name_path_and_line(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from handgest.cli import main
-from handgest.heuristic import config_to_dict, default_config
+from handgest.heuristic import DEFAULT_CONFIG_JSON
 
 MAX_EXAMPLES = 30
 
@@ -58,7 +58,7 @@ def seed_docs(tmp_path_factory):
         "train.json": train,
         "synth.json": {"seed": 3, "noise_px": 0.5, "tz_range": [0.4, 0.6]},
         "model.json": json.loads(model.read_text()),
-        "gestures.json": config_to_dict(default_config()),
+        "gestures.json": DEFAULT_CONFIG_JSON,
         "pipeline.json": {"schema": "pipeline/1", "max_detect_hz": 10.0,
                           "track_loss_frames": 2, "classifier": "heuristic",
                           "classifier_ref": "GESTURES"},

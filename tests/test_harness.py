@@ -14,7 +14,6 @@ from handgest.harness import (
     _jittered_joints,
     _wobble,
     eval_classifier,
-    keypoint_error,
     make_alignment_corpus,
     make_dataset,
     random_rotation,
@@ -338,16 +337,6 @@ def test_eval_report_dict_shape():
     assert d["schema"] == "eval_report/1"
     assert d["classes"] == list(CLASSES)
     assert len(d["confusion"]) == 7
-
-
-def test_keypoint_error_examples():
-    rng = np.random.default_rng(2)
-    gt = rng.normal(0.0, 0.04, size=(21, 3))
-    assert keypoint_error(gt, gt) == 0.0
-    assert keypoint_error(gt + (0.01, 0.0, 0.0), gt) == pytest.approx(0.0, abs=1e-12)
-    pred = gt.copy()
-    pred[4] += (0.021, 0.0, 0.0)
-    assert keypoint_error(pred, gt) == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("change", [

@@ -1,5 +1,6 @@
 """State discretization and rule-based gesture classification."""
 
+import copy
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from handgest.errors import MalformedConfig, UnknownReference, ValidationError
 from handgest.features import EulerAngles, FeatureVector, feature_vector
 from handgest.harness import SynthConfig, synth_pose
 from handgest.heuristic import (
+    DEFAULT_CONFIG_JSON,
     FingerState,
     GestureConfig,
     GestureDefinition,
@@ -16,9 +18,7 @@ from handgest.heuristic import (
     StateThresholds,
     classify_heuristic,
     config_from_dict,
-    config_to_dict,
     default_config,
-    default_thresholds,
     discretize_finger,
     discretize_pair,
     expr_from_json,
@@ -43,7 +43,7 @@ def clean_pose(label, seed=0):
 # --- discretization ---
 
 def test_discretize_finger_states():
-    th = default_thresholds()
+    th = default_config().thresholds
     assert discretize_finger(0.0, Finger.INDEX, th) is FingerState.FULLY_STRAIGHT
     assert discretize_finger(np.pi, Finger.INDEX, th) is FingerState.FULLY_BENT
     assert discretize_finger(1.0, Finger.INDEX, th) is FingerState.NEITHER
@@ -69,7 +69,7 @@ def test_thresholds_validated():
 
 
 def test_thumb_gets_its_own_thresholds():
-    th = default_thresholds()
+    th = default_config().thresholds
     ang = np.radians(32.0)   # straight for the thumb (35), not for others (30)
     assert discretize_finger(ang, Finger.THUMB, th) is FingerState.FULLY_STRAIGHT
     assert discretize_finger(ang, Finger.INDEX, th) is FingerState.NEITHER
@@ -127,7 +127,7 @@ def test_victory_needs_spread():
 
 
 def test_priority_breaks_ties():
-    th = default_thresholds()
+    th = default_config().thresholds
     broad = GestureDefinition(
         "Broad", 10, expr_from_json({"finger": "Thumb", "state": "FullyStraight"}))
     narrow = GestureDefinition(
@@ -145,7 +145,7 @@ def test_priority_breaks_ties():
 
 
 def test_duplicate_priorities_rejected():
-    th = default_thresholds()
+    th = default_config().thresholds
     e = expr_from_json({"finger": "Thumb", "state": "FullyStraight"})
     with pytest.raises(ValidationError):
         GestureConfig(thresholds=th, definitions=(
@@ -227,20 +227,27 @@ def test_orientation_free_gestures_survive_rotation():
 def test_config_json_round_trip(tmp_path):
     cfg = default_config()
     path = tmp_path / "gestures.json"
-    path.write_text(json.dumps(config_to_dict(cfg), indent=2))
+    path.write_text(json.dumps(DEFAULT_CONFIG_JSON, indent=2))
     back = config_from_dict(read_json(path))
-    np.testing.assert_allclose(back.thresholds.straight_max, cfg.thresholds.straight_max)
-    np.testing.assert_allclose(back.thresholds.apart_min, cfg.thresholds.apart_min)
+    np.testing.assert_array_equal(back.thresholds.straight_max, cfg.thresholds.straight_max)
+    np.testing.assert_array_equal(back.thresholds.apart_min, cfg.thresholds.apart_min)
     assert [d.name for d in back.definitions] == [d.name for d in cfg.definitions]
     for label in ("Victory", "ThumbDown", "CallMe"):
         fv = clean_pose(label)
         assert classify_heuristic(fv, back) == classify_heuristic(fv, cfg)
 
 
-def test_config_dict_round_trip_is_stable():
-    d1 = config_to_dict(default_config())
-    d2 = config_to_dict(config_from_dict(d1))
-    assert d1 == d2
+def test_default_thresholds_are_the_radian_constants():
+    # the values the defaults had when they were written in radians
+    deg = np.pi / 180.0
+    th = default_config().thresholds
+    for got, want in [
+        (th.straight_max, np.array([35.0, 30.0, 30.0, 30.0, 30.0]) * deg),
+        (th.bent_min, np.array([70.0, 90.0, 90.0, 90.0, 90.0]) * deg),
+        (th.crossed_max, np.full(4, 5.0) * deg),
+        (th.apart_min, np.full(4, 15.0) * deg),
+    ]:
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("path, value", [
@@ -250,9 +257,17 @@ def test_config_dict_round_trip_is_stable():
     (("gestures", 1, "expr", "all", 0, "finger"), []),
     (("gestures", 3, "expr", "all", 5, "lo_deg"), None),
     (("gestures",), "x"),
+    # values that were reinterpreted instead of rejected
+    (("gestures", 0, "name"), 5),
+    (("gestures", 3, "expr", "all", 5, "lo_deg"), True),
+    # nodes that carry a key of another kind
+    (("gestures", 0, "expr", "all", 5, "all"), []),
+    (("gestures", 1, "expr", "all", 0, "lo_deg"), 3),
+    (("gestures", 2, "expr", "any"), []),
+    (("gestures", 3, "expr", "all", 5, "state"), "FullyBent"),
 ])
 def test_config_from_dict_maps_bad_values(path, value):
-    obj = config_to_dict(default_config())
+    obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
     node = obj
     for key in path[:-1]:
         node = node[key]

@@ -1,0 +1,60 @@
+"""Rules that have one home in the package stay in that home.
+
+Each test walks the syntax trees of ``src/handgest`` and names the modules
+that spell a rule out again instead of calling its home.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import handgest
+
+PACKAGE = Path(handgest.__file__).resolve().parent
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+CENTER_KNUCKLES = ({"INDEX_MCP", "MIDDLE_MCP", "PINKY_MCP"}, {5, 9, 17})
+
+
+def _modules_with(predicate):
+    return sorted(name for name, tree in MODULES.items()
+                  if any(predicate(node) for node in ast.walk(tree)))
+
+
+def _calls_open(node):
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return ((isinstance(func, ast.Name) and func.id == "open")
+            or (isinstance(func, ast.Attribute) and func.attr == "open"))
+
+
+def _uses_np_cross(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "cross"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def _lists_center_knuckles(node):
+    if not isinstance(node, (ast.List, ast.Tuple)) or len(node.elts) != 3:
+        return False
+    keys = {e.id if isinstance(e, ast.Name) else getattr(e, "value", None)
+            for e in node.elts}
+    return keys in CENTER_KNUCKLES
+
+
+def test_layout_sees_the_package():
+    assert {"skeleton.py", "alignment.py", "features.py", "lifting.py"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("predicate, home", [
+    # read_json, read_jsonl and open_output hold the one error mapping
+    (_calls_open, ["skeleton.py"]),
+    # features.cross is the one cross product
+    (_uses_np_cross, []),
+    # alignment.CENTER_KEYPOINTS is the one crop centre
+    (_lists_center_knuckles, ["alignment.py"]),
+], ids=["open", "np-cross", "center-knuckles"])
+def test_rule_lives_only_in_its_home(predicate, home):
+    assert _modules_with(predicate) == home

@@ -5,9 +5,11 @@ import pytest
 
 from handgest.errors import BehindCamera, DivergedFit, MalformedConfig, MalformedFrame, OutOfBox
 from handgest.features import feature_vector
-from handgest.harness import SynthConfig, sample_rng, synth_params
+from handgest.alignment import SCALE_KEYPOINTS, compute_alignment
+from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
 from handgest.labels import ALL_GESTURES
 from handgest.lifting import (
+    FRONTAL_ROTATION,
     BOX_WEIGHT_JOINT,
     BOX_WEIGHT_TZ,
     JOINT_BOXES,
@@ -34,7 +36,8 @@ from handgest.lifting import (
     rotvec_from_rotmat,
     save_hand_model,
 )
-from handgest.lifting import _linearize, _residuals_batch, _rest_alignment
+from handgest.lifting import _fk_batch, _linearize, _residuals_batch, _rest_alignment
+from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, PINKY_MCP, WRIST
 
 
 def truth_sample(i=0, label="OpenPalm", seed=5):
@@ -132,6 +135,56 @@ def test_rest_alignment_follows_each_model_instance():
         model = HandModel(base.directions, base.lengths * scale)
         assert _rest_alignment(model)[1] == pytest.approx(scale * size_1, rel=1e-12)
         del model
+
+
+def reference_rest_alignment(model):
+    """The pose seed's rest quantities, spelled out as they were before the
+    seed called compute_alignment: roll, palm size and hand-frame keypoints."""
+    pose = np.zeros(NUM_POSE_PARAMS)
+    pose[6:] = neutral_joints()
+    rest_local = _fk_batch(model, pose[None]).points[0]
+    plane = (rest_local @ FRONTAL_ROTATION.T)[:, :2]
+    center = plane[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+    v = (plane[WRIST] - plane[MIDDLE_MCP]) + (plane[PINKY_MCP] - plane[INDEX_MCP])
+    theta0 = float(np.arctan2(v[0], -v[1]))
+    size = float(np.max(np.linalg.norm(plane[list(SCALE_KEYPOINTS)] - center, axis=1)))
+    return theta0, size, rest_local
+
+
+def reference_seed(kp2d, model, intrinsics):
+    """initial_pose_from_alignment on the reference rest quantities."""
+    align = compute_alignment(np.asarray(kp2d, dtype=np.float64))
+    theta0, rest_size_m, rest_local = reference_rest_alignment(model)
+    r_init = rot_z(align.rotation_rad - theta0) @ FRONTAL_ROTATION
+    tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px, TZ_BOX[0], TZ_BOX[1]))
+    center_cam = np.array([(align.center[0] - intrinsics.cx) * tz / intrinsics.f,
+                           (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
+                           tz])
+    t = center_cam - r_init @ rest_local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+    return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
+                      joints=neutral_joints())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.13])
+def test_rest_alignment_is_bitwise_the_reference(scale):
+    base = default_hand_model()
+    model = HandModel(base.directions, base.lengths * scale)
+    theta0, size, rest_local = _rest_alignment(model)
+    ref_theta0, ref_size, ref_local = reference_rest_alignment(model)
+    assert (theta0, size) == (ref_theta0, ref_size)
+    assert rest_local.tobytes() == ref_local.tobytes()
+
+
+def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
+    model = default_hand_model()
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    intr = default_intrinsics(cfg.width, cfg.height)
+    for i in range(100):
+        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(7, i),
+                              model=model)
+        got = initial_pose_from_alignment(frame.hand.kp2d, model, intr).as_vector()
+        want = reference_seed(frame.hand.kp2d, model, intr).as_vector()
+        assert got.tobytes() == want.tobytes(), i
 
 
 def test_hand_model_json_round_trip(tmp_path):

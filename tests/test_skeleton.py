@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from handgest.errors import MalformedConfig, MalformedFrame, Missing3D, ValidationError
+from handgest.errors import MalformedConfig, MalformedFrame, ValidationError
 from handgest.skeleton import (
     BONES,
     CHAIN_INDICES,
@@ -16,7 +16,7 @@ from handgest.skeleton import (
     HandFrame,
     HandSkeleton,
     decode_config,
-    finger_chain,
+    float_array,
     frame_from_dict,
     frame_to_dict,
     read_json,
@@ -94,27 +94,13 @@ def test_validate_frame_rejects_bad_values():
         validate_frame(make_frame(bad))
 
 
-def test_finger_chain_indices():
-    hand = make_hand()
-    np.testing.assert_array_equal(
-        finger_chain(hand, Finger.INDEX), hand.kp3d[[0, 5, 6, 7, 8]])
-    np.testing.assert_array_equal(
-        finger_chain(hand, Finger.THUMB), hand.kp3d[[0, 1, 2, 3, 4]])
-
-
-def test_finger_chain_partitions_keypoints():
+def test_chain_indices_partition_keypoints():
     seen = []
     for f in Finger:
         chain = CHAIN_INDICES[f]
         assert chain[0] == 0
         seen.extend(chain[1:])
     assert sorted(seen) == list(range(1, NUM_KEYPOINTS))
-
-
-def test_finger_chain_requires_3d():
-    hand = make_hand(n3d=None)
-    with pytest.raises(Missing3D):
-        finger_chain(hand, Finger.MIDDLE)
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -217,6 +203,26 @@ def test_frame_from_dict_rejects_non_numeric_keypoints(key, entry):
     obj["hand"][key] = [[entry] * len(row) for row in obj["hand"][key]]
     with pytest.raises(MalformedFrame, match=f"{key} must hold numbers"):
         frame_from_dict(obj)
+
+
+@pytest.mark.parametrize("key, row", [("kp3d", [True, 0.5, 0.2]), ("kp2d", [3, False])])
+def test_frame_from_dict_rejects_a_bool_among_numbers(key, row):
+    # numpy promotes [True, 0.5, 0.2] to [1.0, 0.5, 0.2]
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj["hand"][key][4] = row
+    with pytest.raises(MalformedFrame, match=f"{key} must hold numbers"):
+        frame_from_dict(obj)
+
+
+@pytest.mark.parametrize("value", [[0.5, True], [1, False], [[1.0, 2.0], [True, 3.0]]])
+def test_float_array_rejects_a_bool_among_numbers(value):
+    with pytest.raises(TypeError, match="got a bool among them"):
+        float_array(value, "x")
+
+
+@pytest.mark.parametrize("value", [2.5, [0.5, 1], [[1, 2.0], [3, 4]]])
+def test_float_array_takes_numbers_of_any_depth(value):
+    np.testing.assert_array_equal(float_array(value, "x"), np.asarray(value, dtype=float))
 
 
 def test_frame_from_dict_takes_integer_keypoints():

@@ -48,14 +48,12 @@ def _check_kp2d(kp2d: np.ndarray) -> np.ndarray:
 
 def center_keypoint(kp2d: np.ndarray) -> np.ndarray:
     """Mean of the index, middle, and pinky base knuckles."""
-    kp2d = _check_kp2d(kp2d)
-    return kp2d[list(CENTER_KEYPOINTS)].mean(axis=0)
+    return _center(_check_kp2d(kp2d))
 
 
 def rotation_vector(kp2d: np.ndarray) -> np.ndarray:
     """Sum of the middle-MCP->wrist and index-MCP->pinky-MCP vectors."""
-    kp2d = _check_kp2d(kp2d)
-    return (kp2d[WRIST] - kp2d[MIDDLE_MCP]) + (kp2d[PINKY_MCP] - kp2d[INDEX_MCP])
+    return _rotation_vector(_check_kp2d(kp2d))
 
 
 def rotation_angle(kp2d: np.ndarray) -> float:
@@ -64,14 +62,7 @@ def rotation_angle(kp2d: np.ndarray) -> float:
     Raises DegenerateRotation when the rotation vector is shorter than
     EPS_ROTATION_PX (the two component vectors cancelled out).
     """
-    v = rotation_vector(kp2d)
-    n = float(np.hypot(v[0], v[1]))
-    if n < EPS_ROTATION_PX:
-        raise DegenerateRotation(f"rotation vector norm {n:.3e} px below {EPS_ROTATION_PX:.0e}")
-    angle = float(np.arctan2(v[0], -v[1]))
-    if angle <= -np.pi:
-        angle += 2.0 * np.pi
-    return angle
+    return _angle(rotation_vector(kp2d))
 
 
 def alignment_scale(kp2d: np.ndarray) -> float:
@@ -81,18 +72,41 @@ def alignment_scale(kp2d: np.ndarray) -> float:
     crops. Raises DegenerateScale below EPS_SCALE_PX.
     """
     kp2d = _check_kp2d(kp2d)
-    center = kp2d[list(CENTER_KEYPOINTS)].mean(axis=0)
+    return _scale(kp2d, _center(kp2d))
+
+
+def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
+    """Center, rotation, and scale for one skeleton, checked once."""
+    kp2d = _check_kp2d(kp2d)
+    center = _center(kp2d)
+    return AlignmentFrame(center=center,
+                          rotation_rad=_angle(_rotation_vector(kp2d)),
+                          scale_px=_scale(kp2d, center))
+
+
+# The rules themselves, on an already checked (21, 2) array.
+
+def _center(kp2d: np.ndarray) -> np.ndarray:
+    return kp2d[list(CENTER_KEYPOINTS)].mean(axis=0)
+
+
+def _rotation_vector(kp2d: np.ndarray) -> np.ndarray:
+    return (kp2d[WRIST] - kp2d[MIDDLE_MCP]) + (kp2d[PINKY_MCP] - kp2d[INDEX_MCP])
+
+
+def _angle(v: np.ndarray) -> float:
+    n = float(np.hypot(v[0], v[1]))
+    if n < EPS_ROTATION_PX:
+        raise DegenerateRotation(f"rotation vector norm {n:.3e} px below {EPS_ROTATION_PX:.0e}")
+    angle = float(np.arctan2(v[0], -v[1]))
+    if angle <= -np.pi:
+        angle += 2.0 * np.pi
+    return angle
+
+
+def _scale(kp2d: np.ndarray, center: np.ndarray) -> float:
     d = np.linalg.norm(kp2d[list(SCALE_KEYPOINTS)] - center, axis=1)
     scale = float(d.max())
     if scale < EPS_SCALE_PX:
         raise DegenerateScale(f"knuckle spread {scale:.3e} px below {EPS_SCALE_PX:.0e}")
     return scale
-
-
-def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
-    """Center, rotation, and scale for one skeleton in a single call."""
-    return AlignmentFrame(
-        center=center_keypoint(kp2d),
-        rotation_rad=rotation_angle(kp2d),
-        scale_px=alignment_scale(kp2d),
-    )

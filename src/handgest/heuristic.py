@@ -178,6 +178,12 @@ NODE_KEYS = {
 }
 
 
+def _exact_keys(obj: dict, keys, what: str) -> None:
+    """Raise MalformedConfig unless ``obj`` carries exactly ``keys``."""
+    if set(obj) != set(keys):
+        raise MalformedConfig(f"{what} takes exactly the keys {list(keys)}, got {sorted(obj)}")
+
+
 def expr_from_json(obj: dict) -> Expr:
     """Parse one expression node.
 
@@ -188,9 +194,7 @@ def expr_from_json(obj: dict) -> Expr:
     kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
     if kind is None:
         raise MalformedConfig(f"bad expression node: {obj!r}")
-    if set(obj) != set(NODE_KEYS[kind]):
-        raise MalformedConfig(f"{kind!r} node takes exactly the keys "
-                              f"{list(NODE_KEYS[kind])}, got {sorted(obj)}")
+    _exact_keys(obj, NODE_KEYS[kind], f"{kind!r} node")
     if kind == "all":
         return All(tuple(expr_from_json(a) for a in obj["all"]))
     if kind == "any":
@@ -270,10 +274,12 @@ def _roll_facing() -> dict:
     return {"euler": "roll", "lo_deg": 135.0, "hi_deg": -135.0}
 
 
+GESTURES_SCHEMA = "gestures/1"
+
 # The shipped gesture config as a gestures/1 document: the exact form of a
 # --gestures file or a pipeline classifier_ref, with angles in degrees.
 DEFAULT_CONFIG_JSON: dict = {
-    "schema": "gestures/1",
+    "schema": GESTURES_SCHEMA,
     "thresholds": {
         "straight_max_deg": [35.0, 30.0, 30.0, 30.0, 30.0],
         "bent_min_deg": [70.0, 90.0, 90.0, 90.0, 90.0],
@@ -351,14 +357,23 @@ def default_config() -> GestureConfig:
 
 
 def config_from_dict(obj: dict) -> GestureConfig:
-    """A gestures/1 document as a GestureConfig, degrees to radians."""
+    """A gestures/1 document as a GestureConfig, degrees to radians.
+
+    The document, its thresholds and each gesture entry must carry exactly
+    their own keys, so a misspelt key is rejected, not ignored.
+    """
+    if not isinstance(obj, dict) or obj.get("schema") != GESTURES_SCHEMA:
+        raise MalformedConfig(f"expected schema {GESTURES_SCHEMA!r}")
     try:
+        _exact_keys(obj, ("schema", "thresholds", "gestures"), "gesture config")
         th, rad = obj["thresholds"], np.pi / 180.0
+        names = [f.name for f in fields(StateThresholds)]
+        _exact_keys(th, [f"{name}_deg" for name in names], "thresholds object")
         thresholds = StateThresholds(**{
-            f.name: float_array(th[f"{f.name}_deg"], f"{f.name}_deg") * rad
-            for f in fields(StateThresholds)})
+            name: float_array(th[f"{name}_deg"], f"{name}_deg") * rad for name in names})
         definitions = []
         for g in obj["gestures"]:
+            _exact_keys(g, ("name", "priority", "expr"), "gesture entry")
             if not is_int(g["priority"]):
                 raise TypeError(f"priority must be an integer, got {g['priority']!r}")
             if not isinstance(g["name"], str):

@@ -71,6 +71,12 @@ MAX_BONE_M = 0.12
 BOX_WEIGHT_JOINT = 100.0
 BOX_WEIGHT_TZ = 1000.0
 
+# A fit has stalled when its last STALL_WINDOW accepted steps together cut
+# the cost by less than STALL_FRACTION of it: a windowed form of the ftol
+# test in MINPACK's lmder (More, 1978)
+STALL_WINDOW = 10
+STALL_FRACTION = 1e-3
+
 
 # -- small rotation helpers ------------------------------------------------
 
@@ -428,7 +434,11 @@ class FitResult:
     rms_px: float
     cost_history: list  # accepted costs, starting with the initial one
     iterations: int
-    converged: bool
+    stop: str  # "tolerance", "stalled", "max_iter" or "no_descent"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("tolerance", "stalled")
 
 
 _N_RESIDUALS = 2 * NUM_KEYPOINTS + NUM_JOINT_ANGLES + 1
@@ -522,10 +532,21 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     the accepted pose; trial steps that take a keypoint to or behind the
     camera plane are rejected like uphill ones.  The damping factor starts
     at 1e-3, halves on accepted steps and grows tenfold on rejected ones,
-    clamped to [1e-12, 1e8]; fitting stops when the relative cost decrease
-    falls under ``rel_tol`` or after ``max_iter`` iterations.  Raises
-    DivergedFit when the final reprojection error exceeds ``max_rms_px``
-    and BehindCamera when the initial pose does not project.
+    clamped to [1e-12, 1e8].  ``FitResult.stop`` says why fitting ended:
+
+    - "tolerance": an accepted step cut the cost by less than ``rel_tol``
+      of it, the cost reached zero, or no step went downhill and the
+      gradient vanished;
+    - "stalled": the last STALL_WINDOW accepted steps together cut the
+      cost by less than STALL_FRACTION of it (a fit creeping along a flat
+      valley below the noise floor);
+    - "max_iter": ``max_iter`` iterations ran out;
+    - "no_descent": no step went downhill even at maximum damping, and
+      the gradient did not vanish.
+
+    ``converged`` is true for the first two.  Raises DivergedFit when the
+    final reprojection error exceeds ``max_rms_px`` and BehindCamera when
+    the initial pose does not project.
     """
     obs = np.asarray(kp2d, dtype=np.float64)
     if obs.shape != (NUM_KEYPOINTS, 2):
@@ -541,10 +562,10 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     cost = float(r @ r)
     history = [cost]
     lam = 1e-3
-    converged = cost == 0.0
+    stop = "tolerance" if cost == 0.0 else None
     iterations = 0
 
-    while not converged and iterations < max_iter:
+    while stop is None and iterations < max_iter:
         iterations += 1
         jac = _linearize(intrinsics, p, kin)
         grad = jac.T @ r
@@ -572,24 +593,28 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                         lam = max(lam * 0.5, 1e-12)
                         accepted = True
                         if rel < rel_tol or cost == 0.0:
-                            converged = True
+                            stop = "tolerance"
+                        elif (len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - cost
+                              < STALL_FRACTION * history[-STALL_WINDOW - 1]):
+                            stop = "stalled"
                         break
             if lam >= 1e8:
                 break
             lam = min(lam * 10.0, 1e8)
         if not accepted:
             # no downhill step even at maximum damping: treat a vanishing
-            # gradient as convergence, anything else as a stall
-            converged = converged or float(np.max(np.abs(grad))) < 1e-9
-            break
+            # gradient as convergence
+            stop = "tolerance" if float(np.max(np.abs(grad))) < 1e-9 else "no_descent"
 
+    stop = stop or "max_iter"
     points = kin.points[0]
     proj = project(points, intrinsics)
     rms = float(np.sqrt(np.mean(np.sum((proj - obs) ** 2, axis=1))))
     if rms > max_rms_px:
-        raise DivergedFit(f"fit stalled at {rms:.2f} px rms (limit {max_rms_px:.2f})")
+        raise DivergedFit(f"fit ended ({stop}) at {rms:.2f} px rms "
+                          f"(limit {max_rms_px:.2f})")
     return FitResult(params=PoseParams.from_vector(p), points=points, rms_px=rms,
-                     cost_history=history, iterations=iterations, converged=converged)
+                     cost_history=history, iterations=iterations, stop=stop)
 
 
 # -- initialization from the 2D alignment ------------------------------------

@@ -66,23 +66,11 @@ class PipelineConfig:
             raise ValidationError(f"classifier must be one of {CLASSIFIER_KINDS}, "
                                   f"got {self.classifier!r}")
 
-    def to_dict(self) -> dict:
-        return {"schema": CONFIG_SCHEMA, "max_detect_hz": self.max_detect_hz,
-                "track_loss_frames": self.track_loss_frames,
-                "min_track_score": self.min_track_score,
-                "classifier": self.classifier,
-                "classifier_ref": self.classifier_ref}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
         if not isinstance(obj, dict) or obj.get("schema") != CONFIG_SCHEMA:
             raise MalformedConfig(f"expected schema {CONFIG_SCHEMA!r}")
         return decode_config(cls, obj, "pipeline config")
-
-
-def save_pipeline_config(fp: TextIO, config: PipelineConfig) -> None:
-    json.dump(config.to_dict(), fp)
-    fp.write("\n")
 
 
 def load_pipeline_config(fp: TextIO) -> PipelineConfig:

@@ -11,7 +11,9 @@ from handgest.alignment import (
     rotation_angle,
     rotation_vector,
 )
-from handgest.errors import DegenerateRotation, DegenerateScale
+from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch
+from handgest.harness import SynthConfig, sample_rng, synth_pose
+from handgest.labels import ALL_GESTURES
 
 
 def flat_kp2d(value=100.0):
@@ -121,3 +123,19 @@ def test_uniform_scale_scales_scale_only():
         scaled = compute_alignment(kp * s)
         assert scaled.scale_px == pytest.approx(base.scale_px * s, rel=1e-12)
         assert scaled.rotation_rad == pytest.approx(base.rotation_rad, abs=1e-12)
+
+
+def test_compute_alignment_is_bitwise_the_three_helpers():
+    cfg = SynthConfig(seed=3, noise_px=1.0)
+    for i in range(100):
+        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(3, i))
+        kp = frame.hand.kp2d
+        got = compute_alignment(kp)
+        assert got.center.tobytes() == center_keypoint(kp).tobytes(), i
+        assert got.rotation_rad == rotation_angle(kp), i
+        assert got.scale_px == alignment_scale(kp), i
+
+
+def test_compute_alignment_rejects_wrong_shape():
+    with pytest.raises(ShapeMismatch):
+        compute_alignment(np.zeros((20, 2)))

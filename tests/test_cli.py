@@ -422,6 +422,21 @@ BAD_INPUTS = {
     "classify-gestures-finger-node-with-lo-deg": (
         "classify --frames {frames} --gestures {bad}", _term_with(1, 0, lo_deg=3),
         "'finger' node takes exactly the keys ['finger', 'state']"),
+    # unknown keys and schema tags that were ignored
+    "classify-gestures-misspelt-priority": (
+        "classify --frames {frames} --gestures {bad}", _gestures_with(priorty=9),
+        "gesture entry takes exactly the keys ['name', 'priority', 'expr']"),
+    "classify-gestures-thresholds-extra-key": (
+        "classify --frames {frames} --gestures {bad}",
+        {**DEFAULT_CONFIG_JSON, "thresholds": {**_THRESHOLDS, "straight_max": [30.0] * 5}},
+        "thresholds object takes exactly the keys"),
+    "classify-gestures-schema-9": ("classify --frames {frames} --gestures {bad}",
+                                   {**DEFAULT_CONFIG_JSON, "schema": "gestures/9"},
+                                   "expected schema 'gestures/1'"),
+    "classify-gestures-no-schema": ("classify --frames {frames} --gestures {bad}",
+                                    {k: v for k, v in DEFAULT_CONFIG_JSON.items()
+                                     if k != "schema"},
+                                    "expected schema 'gestures/1'"),
     "classify-euler-number": ("classify --features {bad}",
                               {**_FEATURE_ROW, "euler": 5}, "wrong arity"),
     "classify-euler-not-numeric": ("classify --features {bad}",

@@ -250,6 +250,9 @@ def test_default_thresholds_are_the_radian_constants():
         assert got.tobytes() == want.tobytes()
 
 
+DROP = object()  # deletes the key instead of setting it
+
+
 @pytest.mark.parametrize("path, value", [
     (("gestures", 0, "priority"), "x"),
     (("thresholds", "bent_min_deg"), "x"),
@@ -265,12 +268,20 @@ def test_default_thresholds_are_the_radian_constants():
     (("gestures", 1, "expr", "all", 0, "lo_deg"), 3),
     (("gestures", 2, "expr", "any"), []),
     (("gestures", 3, "expr", "all", 5, "state"), "FullyBent"),
+    # unknown keys and schema tags that were ignored
+    (("gestures", 0, "priorty"), 9),
+    (("thresholds", "straight_max"), [30.0] * 5),
+    (("schema",), "gestures/9"),
+    (("schema",), DROP),
 ])
 def test_config_from_dict_maps_bad_values(path, value):
     obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
     node = obj
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     with pytest.raises(MalformedConfig):
         config_from_dict(obj)

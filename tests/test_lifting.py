@@ -15,6 +15,8 @@ from handgest.lifting import (
     JOINT_BOXES,
     NUM_JOINT_ANGLES,
     NUM_POSE_PARAMS,
+    STALL_FRACTION,
+    STALL_WINDOW,
     TZ_BOX,
     CameraIntrinsics,
     HandModel,
@@ -293,13 +295,20 @@ def test_normalize_world_keeps_features():
 
 # -- pose fitting -------------------------------------------------------------
 
+def fit(*args, **kwargs):
+    """fit_pose, checking that ``converged`` follows the stop reason."""
+    res = fit_pose(*args, **kwargs)
+    assert res.converged == (res.stop in ("tolerance", "stalled"))
+    return res
+
+
 def test_fit_from_exact_init_stops_immediately():
     model = default_hand_model()
     intr = default_intrinsics(640, 480)
     truth = truth_sample(0)
     obs = project(forward_kinematics(model, truth), intr)
-    res = fit_pose(obs, model, intr, truth)
-    assert res.converged
+    res = fit(obs, model, intr, truth)
+    assert res.stop == "tolerance"
     assert res.iterations <= 2
     assert res.rms_px <= 1e-6
 
@@ -316,7 +325,7 @@ def test_fit_recovers_from_near_init():
         truth.translation + rng.normal(0.0, 0.00125, 3),
         np.clip(truth.joints + rng.normal(0.0, 0.005, 21),
                 JOINT_BOXES[:, 0], JOINT_BOXES[:, 1]))
-    res = fit_pose(obs, model, intr, init)
+    res = fit(obs, model, intr, init)
     assert res.rms_px <= 1e-3
     err = np.linalg.norm(normalize_world(res.points) - normalize_world(gt), axis=1)
     assert err.mean() <= 0.005
@@ -328,10 +337,46 @@ def test_fit_cost_history_monotone():
     truth = truth_sample(2, "CallMe")
     obs = project(forward_kinematics(model, truth), intr)
     init = initial_pose_from_alignment(obs, model, intr)
-    res = fit_pose(obs, model, intr, init)
+    res = fit(obs, model, intr, init)
     costs = np.asarray(res.cost_history)
     assert np.all(np.diff(costs) <= 0.0)
     assert res.rms_px < 2.0
+
+
+def stalls(history, k):
+    """The stall test after the k-th accepted step: the STALL_WINDOW steps
+    up to it cut the cost by less than STALL_FRACTION of it."""
+    if k < STALL_WINDOW:
+        return False
+    before = history[k - STALL_WINDOW]
+    return before - history[k] < STALL_FRACTION * before
+
+
+def test_noisy_fit_stops_when_it_stalls():
+    # a lift-style frame (1 px noise, alignment seed) that crept to the
+    # 200-iteration cap before the stall test existed
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    frame, _ = synth_pose("OpenPalm", cfg, sample_rng(7, 0))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    res = fit(frame.hand.kp2d, model, intr, init)
+    assert res.stop == "stalled" and res.iterations < 200
+    costs = res.cost_history
+    last = len(costs) - 1
+    assert stalls(costs, last)
+    assert not any(stalls(costs, k) for k in range(last))
+    assert np.all(np.diff(costs) < 0.0)
+
+
+def test_fit_stops_at_max_iter():
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    truth = truth_sample(3, "ClosedFist")
+    obs = project(forward_kinematics(model, truth), intr)
+    res = fit(obs, model, intr, PoseParams.identity(), max_iter=5, max_rms_px=np.inf)
+    assert res.stop == "max_iter" and not res.converged
+    assert res.iterations == 5
 
 
 def test_fit_scale_ambiguity():
@@ -340,10 +385,10 @@ def test_fit_scale_ambiguity():
     intr = default_intrinsics(640, 480)
     truth = truth_sample(4)
     obs = project(forward_kinematics(model, truth), intr)
-    res = fit_pose(obs, model, intr, truth)
+    res = fit(obs, model, intr, truth)
     init_big = PoseParams(truth.rotvec.copy(), truth.translation * 1.2,
                           truth.joints.copy())
-    res_big = fit_pose(obs, big, intr, init_big)
+    res_big = fit(obs, big, intr, init_big)
     assert res_big.rms_px < 0.1
     ratio = res_big.params.translation[2] / res.params.translation[2]
     assert ratio == pytest.approx(1.2, rel=0.02)
@@ -354,7 +399,7 @@ def test_fit_rejects_garbage_observations():
     intr = default_intrinsics(640, 480)
     obs = np.random.default_rng(0).uniform(0, 640, size=(21, 2))
     with pytest.raises(DivergedFit):
-        fit_pose(obs, model, intr, PoseParams.identity(), max_iter=40)
+        fit(obs, model, intr, PoseParams.identity(), max_iter=40)
 
 
 def test_fit_rejects_behind_camera_init():
@@ -364,7 +409,7 @@ def test_fit_rejects_behind_camera_init():
     obs = project(forward_kinematics(model, truth), intr)
     bad = PoseParams(np.zeros(3), [0.0, 0.0, -0.5], np.zeros(21))
     with pytest.raises(BehindCamera):
-        fit_pose(obs, model, intr, bad)
+        fit(obs, model, intr, bad)
 
 
 def test_initial_pose_from_alignment_is_usable():
@@ -377,7 +422,7 @@ def test_initial_pose_from_alignment_is_usable():
     assert init.translation[2] > 0.0
     np.testing.assert_array_equal(init.joints, neutral_joints())
     # close enough for the optimizer to land at machine precision
-    res = fit_pose(obs, model, intr, init)
+    res = fit(obs, model, intr, init)
     assert res.rms_px < 0.1
 
 

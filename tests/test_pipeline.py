@@ -1,6 +1,7 @@
 """Flow-control state machine: detect throttling and tracking state."""
 
 import io
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from handgest.pipeline import (
     initial_state,
     load_pipeline_config,
     run_stream,
-    save_pipeline_config,
     step,
 )
 from handgest.skeleton import HandFrame
@@ -197,12 +197,12 @@ def test_config_validation_and_io():
         PipelineConfig(max_detect_hz=5.0, min_track_score=1.5)
     with pytest.raises(ValidationError):
         PipelineConfig(max_detect_hz=5.0, classifier="svm")
-    cfg = PipelineConfig(max_detect_hz=5.0, track_loss_frames=4,
-                         min_track_score=0.25)
-    buf = io.StringIO()
-    save_pipeline_config(buf, cfg)
-    buf.seek(0)
-    assert load_pipeline_config(buf) == cfg
+    doc = {"schema": "pipeline/1", "max_detect_hz": 5.0, "track_loss_frames": 4,
+           "min_track_score": 0.25, "classifier": "nn", "classifier_ref": "model.json"}
+    buf = io.StringIO(json.dumps(doc) + "\n")
+    assert load_pipeline_config(buf) == PipelineConfig(
+        max_detect_hz=5.0, track_loss_frames=4, min_track_score=0.25,
+        classifier="nn", classifier_ref="model.json")
 
 
 @pytest.mark.parametrize("extra", [

@@ -77,6 +77,9 @@ BOX_WEIGHT_TZ = 1000.0
 STALL_WINDOW = 10
 STALL_FRACTION = 1e-3
 
+# Each LM round tries these multiples of the damping factor at once
+DAMPING_FACTORS = np.array([0.01, 0.1, 1.0, 10.0])
+
 
 # -- small rotation helpers ------------------------------------------------
 
@@ -127,15 +130,19 @@ _EYE3 = np.eye(3)
 def rotmat_from_rotvec(rv):
     """Exponential map, batched over leading axes.  Safe at theta = 0."""
     rv = np.asarray(rv, dtype=np.float64)
-    theta = np.linalg.norm(rv, axis=-1)
+    theta = np.sqrt((rv * rv).sum(-1))
     k = np.zeros(rv.shape[:-1] + (9,))
     k[..., _SKEW_AT] = rv[..., _SKEW_OF] * _SKEW_SIGN
     k = k.reshape(rv.shape[:-1] + (3, 3))
-    t2 = theta * theta
     small = theta < 1e-6
-    safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / safe)
-    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / (safe * safe))
+    # small angles divide by theta + 1 and take the Taylor series below
+    safe = theta + small
+    a = np.sin(theta) / safe
+    b = (1.0 - np.cos(theta)) / (safe * safe)
+    if small.any():
+        t2 = theta * theta
+        a = np.where(small, 1.0 - t2 / 6.0, a)
+        b = np.where(small, 0.5 - t2 / 24.0, b)
     return _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
@@ -453,16 +460,20 @@ def _residuals_batch(model, intrinsics, obs, pvecs):
     kin = _fk_batch(model, pvecs)
     pts = kin.points
     n = pvecs.shape[0]
-    ok = np.all(pts[:, :, 2] > 1e-9, axis=1) & np.all(np.isfinite(pts.reshape(n, -1)), axis=1)
-    # rows that do not project get a harmless depth, then nan below
-    z = np.where(ok[:, None, None], pts[:, :, 2:3], 1.0)
+    ok = (pts[:, :, 2] > 1e-9).all(axis=1) & np.isfinite(pts.reshape(n, -1)).all(axis=1)
+    all_ok = ok.all()
+    z = pts[:, :, 2:3]
+    if not all_ok:
+        # rows that do not project get a harmless depth, then nan below
+        z = np.where(ok[:, None, None], z, 1.0)
     proj = intrinsics.f * pts[:, :, :2] / z + (intrinsics.cx, intrinsics.cy)
     out = np.empty((n, _N_RESIDUALS))
     out[:, : 2 * NUM_KEYPOINTS] = (proj - obs).reshape(n, -1)
     vals = np.concatenate([pvecs[:, 6:], pvecs[:, 5:6]], axis=1)
     out[:, 2 * NUM_KEYPOINTS:] = _BOX_W * (np.maximum(vals - _BOX_HI, 0.0)
                                            + np.maximum(_BOX_LO - vals, 0.0))
-    out[~ok] = np.nan
+    if not all_ok:
+        out[~ok] = np.nan
     return out, kin
 
 
@@ -494,10 +505,10 @@ _BOX_ROWS = np.arange(2 * NUM_KEYPOINTS, _N_RESIDUALS)
 _BOX_COLS = np.concatenate([np.arange(6, NUM_POSE_PARAMS), [5]])
 
 
-def _linearize(intrinsics, pvec, kin):
+def _linearize(intrinsics, pvec, kin, row):
     """Analytic Jacobian (64, 27) of the residuals at one pose vector, from
-    the FK pass (n=1) that evaluated them there."""
-    p = kin.points[0]
+    row ``row`` of the batched FK pass that evaluated them there."""
+    p = kin.points[row]
     dp = np.zeros((NUM_KEYPOINTS, 3, NUM_POSE_PARAMS + 1))
     # global rotation: d(R x) = -[R x]x J_l(w) dw; translation: identity
     jl = _rotvec_left_jac(pvec[0:3])
@@ -505,7 +516,7 @@ def _linearize(intrinsics, pvec, kin):
     dp[:, :, 3:6] = _EYE3
     # joint angle: the turn axis in the camera frame crossed with the lever
     # arm from its pivot, for every point downstream of the joint
-    axes = np.einsum("fsij,sj->fsi", kin.frames[0], _SLOT_AXIS_VEC) @ kin.r_glob[0].T
+    axes = np.einsum("fsij,sj->fsi", kin.frames[row], _SLOT_AXIS_VEC) @ kin.r_glob[row].T
     fingers = p[1:].reshape(5, 4, 3)
     arms = fingers[:, None, 1:] - fingers[:, _SLOT_PIVOT, None]
     dp[_JAC_KP, :, _JAC_COL] = cross(axes[:, :, None], arms)
@@ -529,10 +540,15 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     Residuals are the 42 reprojection errors plus one-sided penalties that
     hold joints and depth inside their boxes.  Each iteration linearizes
     them with the analytic Jacobian, taken from the FK pass that evaluated
-    the accepted pose; trial steps that take a keypoint to or behind the
-    camera plane are rejected like uphill ones.  The damping factor starts
-    at 1e-3, halves on accepted steps and grows tenfold on rejected ones,
-    clamped to [1e-12, 1e8].  ``FitResult.stop`` says why fitting ended:
+    the accepted pose, and searches the damping factor lambda in rounds:
+    a round solves the damped normal equations for the DAMPING_FACTORS
+    multiples of lambda in one stacked solve and evaluates the trial poses
+    in one batched FK pass.  The cheapest trial is accepted if it goes
+    downhill, and lambda becomes half of its damping; trials that take a
+    keypoint to or behind the camera plane never count as cheapest.  A
+    round with no downhill trial, or a singular system, retries at ten
+    times its largest damping.  lambda starts at 1e-3 and is clamped to
+    [1e-12, 1e8].  ``FitResult.stop`` says why fitting ended:
 
     - "tolerance": an accepted step cut the cost by less than ``rel_tol``
       of it, the cost reached zero, or no step went downhill and the
@@ -556,7 +572,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
 
     p = init.as_vector()
     r, kin = _residuals_batch(model, intrinsics, obs, p[None])
-    r = r[0]
+    r, row = r[0], 0
     if not np.all(np.isfinite(r)):
         raise BehindCamera("initial pose places the hand at or behind the camera")
     cost = float(r @ r)
@@ -567,7 +583,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
 
     while stop is None and iterations < max_iter:
         iterations += 1
-        jac = _linearize(intrinsics, p, kin)
+        jac = _linearize(intrinsics, p, kin, row)
         grad = jac.T @ r
         hess = jac.T @ jac
         # Marquardt scaling: damp proportionally to the curvature so that
@@ -576,38 +592,41 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
         damp = np.diag(np.clip(np.diag(hess), 1e-12, None))
         accepted = False
         while True:
+            lams = lam * DAMPING_FACTORS
             try:
-                delta = np.linalg.solve(hess + lam * damp, -grad)
+                trials = p + np.linalg.solve(hess + lams[:, None, None] * damp, -grad)
             except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
-                p_try = p + delta
-                r_try, kin_try = _residuals_batch(model, intrinsics, obs, p_try[None])
-                r_try = r_try[0]
-                if np.all(np.isfinite(r_try)):
-                    cost_try = float(r_try @ r_try)
-                    if cost_try < cost:
-                        rel = (cost - cost_try) / max(cost, 1e-300)
-                        p, r, cost, kin = p_try, r_try, cost_try, kin_try
-                        history.append(cost)
-                        lam = max(lam * 0.5, 1e-12)
-                        accepted = True
-                        if rel < rel_tol or cost == 0.0:
-                            stop = "tolerance"
-                        elif (len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - cost
-                              < STALL_FRACTION * history[-STALL_WINDOW - 1]):
-                            stop = "stalled"
-                        break
+                trials = None
+            if trials is not None:
+                # a step that overflowed stays put, so it cannot go downhill
+                trials[~np.isfinite(trials).all(axis=1)] = p
+                r_try, kin_try = _residuals_batch(model, intrinsics, obs, trials)
+                costs = np.einsum("ij,ij->i", r_try, r_try)
+                costs[~np.isfinite(costs)] = np.inf  # behind the camera
+                k = int(np.argmin(costs))
+                if costs[k] < cost:
+                    rel = (cost - costs[k]) / max(cost, 1e-300)
+                    p, r, kin, row = trials[k], r_try[k], kin_try, k
+                    cost = float(costs[k])
+                    history.append(cost)
+                    lam = min(max(lams[k] * 0.5, 1e-12), 1e8)
+                    accepted = True
+                    if rel < rel_tol or cost == 0.0:
+                        stop = "tolerance"
+                    elif (len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - cost
+                          < STALL_FRACTION * history[-STALL_WINDOW - 1]):
+                        stop = "stalled"
+                    break
             if lam >= 1e8:
                 break
-            lam = min(lam * 10.0, 1e8)
+            lam = min(lams[-1] * 10.0, 1e8)
         if not accepted:
             # no downhill step even at maximum damping: treat a vanishing
             # gradient as convergence
             stop = "tolerance" if float(np.max(np.abs(grad))) < 1e-9 else "no_descent"
 
     stop = stop or "max_iter"
-    points = kin.points[0]
+    points = kin.points[row]
     proj = project(points, intrinsics)
     rms = float(np.sqrt(np.mean(np.sum((proj - obs) ** 2, axis=1))))
     if rms > max_rms_px:

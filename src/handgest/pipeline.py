@@ -74,7 +74,11 @@ class PipelineConfig:
 
 
 def load_pipeline_config(fp: TextIO) -> PipelineConfig:
-    return PipelineConfig.from_dict(json.load(fp))
+    try:
+        obj = json.load(fp)
+    except ValueError as exc:  # invalid JSON, or invalid UTF-8 underneath
+        raise MalformedConfig(f"pipeline config: {exc}") from exc
+    return PipelineConfig.from_dict(obj)
 
 
 def make_predictor(kind: str, ref: str | None) -> Callable[[FeatureVector], str]:

@@ -8,6 +8,7 @@ from handgest.features import feature_vector
 from handgest.alignment import SCALE_KEYPOINTS, compute_alignment
 from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
 from handgest.labels import ALL_GESTURES
+from handgest import lifting
 from handgest.lifting import (
     FRONTAL_ROTATION,
     BOX_WEIGHT_JOINT,
@@ -115,6 +116,42 @@ def test_rotvec_zero_and_pi():
     r = rot_x(np.pi)
     back = rotmat_from_rotvec(rotvec_from_rotmat(r))
     np.testing.assert_allclose(back, r, atol=1e-9)
+
+
+def reference_rotmat_from_rotvec(rv):
+    """The exponential map as written before the Taylor branch became
+    conditional: every result must stay bitwise equal to it."""
+    rv = np.asarray(rv, dtype=np.float64)
+    theta = np.linalg.norm(rv, axis=-1)
+    k = np.zeros(rv.shape[:-1] + (3, 3))
+    k[..., 0, 1], k[..., 0, 2] = -rv[..., 2], rv[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = rv[..., 2], -rv[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -rv[..., 1], rv[..., 0]
+    t2 = theta * theta
+    small = theta < 1e-6
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / safe)
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(theta)) / (safe * safe))
+    return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
+
+
+def test_rotmat_from_rotvec_is_bitwise_the_reference():
+    rng = np.random.default_rng(3)
+    batch = rng.normal(size=(40, 3))
+    batch[0] = 0.0
+    batch[1:6] *= np.array([1e-9, 3e-8, 2e-7, 5e-7, 9e-7])[:, None] / np.linalg.norm(
+        batch[1:6], axis=1, keepdims=True)
+    batch[6:] *= rng.uniform(1e-6, np.pi, size=(34, 1)) / np.linalg.norm(
+        batch[6:], axis=1, keepdims=True)
+    assert rotmat_from_rotvec(batch).tobytes() == reference_rotmat_from_rotvec(batch).tobytes()
+    # all ordinary angles: no Taylor branch at all
+    ordinary = batch[6:].reshape(2, 17, 3)
+    assert (rotmat_from_rotvec(ordinary).tobytes()
+            == reference_rotmat_from_rotvec(ordinary).tobytes())
+    for rv in batch[[0, 2, 4, 7, 20]]:
+        got = rotmat_from_rotvec(rv)
+        assert got.shape == (3, 3)
+        assert got.tobytes() == reference_rotmat_from_rotvec(rv).tobytes()
 
 
 # -- hand model ---------------------------------------------------------------
@@ -369,6 +406,82 @@ def test_noisy_fit_stops_when_it_stalls():
     assert np.all(np.diff(costs) < 0.0)
 
 
+@pytest.mark.parametrize("j", [41, 53, 59])
+def test_lift_tail_frames_stop_before_the_cap(j):
+    # lift-style frames (SignOfTheHorns, ILoveYou, Loser) that reached the
+    # 200-iteration cap when each iteration tried one damping at a time
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    frame, _ = synth_pose(ALL_GESTURES[j % len(ALL_GESTURES)], cfg, sample_rng(7, j))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    res = fit(frame.hand.kp2d, model, intr, init)
+    assert res.stop in ("stalled", "tolerance") and res.iterations < 200
+
+
+def fit_rounds(monkeypatch, *args, **kwargs):
+    """A fit plus the residual rows of every damping round it evaluated."""
+    calls = []
+
+    def recording(*a):
+        out = _residuals_batch(*a)
+        calls.append(out[0])
+        return out
+
+    monkeypatch.setattr(lifting, "_residuals_batch", recording)
+    res = fit(*args, **kwargs)
+    assert calls[0].shape == (1, 64)   # the initial pose
+    rounds = calls[1:]
+    assert all(r.shape == (len(lifting.DAMPING_FACTORS), 64) for r in rounds)
+    return res, rounds
+
+
+def replay(res, rounds):
+    """Check each round against the cost history: a round whose cheapest
+    finite trial goes downhill appends exactly that cost, any other round
+    appends nothing.  Returns the indices of the accepting rounds."""
+    history = res.cost_history
+    at, accepting = 0, []
+    for i, rows in enumerate(rounds):
+        costs = np.sum(rows * rows, axis=1)
+        finite = np.isfinite(costs)
+        best = costs[finite].min() if finite.any() else np.inf
+        if best < history[at]:
+            at += 1
+            assert history[at] == pytest.approx(best, rel=1e-12, abs=0.0)
+            accepting.append(i)
+    assert at == len(history) - 1
+    assert np.all(np.diff(history) < 0.0)
+    return accepting
+
+
+def test_each_step_is_the_cheapest_candidate_of_its_round(monkeypatch):
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    frame, _ = synth_pose("Loser", cfg, sample_rng(7, 59))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    res, rounds = fit_rounds(monkeypatch, frame.hand.kp2d, model, intr, init)
+    assert len(replay(res, rounds)) == res.iterations
+
+
+def test_a_trial_behind_the_camera_is_skipped(monkeypatch):
+    # from the identity pose, the lightly damped trials of one early round
+    # overshoot and take keypoints behind the camera
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    truth = truth_sample(3, "PointingUp")
+    obs = project(forward_kinematics(model, truth), intr)
+    res, rounds = fit_rounds(monkeypatch, obs, model, intr, PoseParams.identity(),
+                             max_rms_px=np.inf)
+    accepting = replay(res, rounds)
+    mixed = [i for i in accepting if np.isnan(rounds[i]).any()]
+    assert mixed
+    for i in mixed:
+        rows_ok = np.isfinite(rounds[i]).all(axis=1)
+        assert rows_ok.any() and not rows_ok.all()
+
+
 def test_fit_stops_at_max_iter():
     model = default_hand_model()
     intr = default_intrinsics(640, 480)
@@ -445,7 +558,7 @@ def central_difference_jacobian(model, intr, obs, pvec):
 
 def analytic_jacobian(model, intr, obs, pvec):
     _, kin = _residuals_batch(model, intr, obs, pvec[None])
-    return _linearize(intr, pvec, kin)
+    return _linearize(intr, pvec, kin, 0)
 
 
 def jacobian_error(model, intr, obs, pvec):

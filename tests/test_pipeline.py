@@ -205,6 +205,12 @@ def test_config_validation_and_io():
         classifier="nn", classifier_ref="model.json")
 
 
+@pytest.mark.parametrize("text", ["{", "", "{\"schema\": \"pipeline/1\",}", "[1, 2"])
+def test_load_pipeline_config_maps_bad_json_to_malformed_config(text):
+    with pytest.raises(MalformedConfig):
+        load_pipeline_config(io.StringIO(text))
+
+
 @pytest.mark.parametrize("extra", [
     {"max_detect_hz": "5"}, {"max_detect_hz": True}, {"track_loss_frames": "3"},
     {"track_loss_frames": 3.0}, {"classifier": 1}, {"classifier_ref": 5},

@@ -18,6 +18,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import harness, lifting, mlp, pipeline
@@ -62,6 +63,8 @@ def _features_from_row(obj, where):
                              f"euler/fingers/pairs: {exc!r}") from exc
     if euler.shape != (3,) or fingers.shape != (5,) or pairs.shape != (4,):
         raise MalformedFrame(f"{where}: feature row has wrong arity")
+    if not all(map(math.isfinite, (*euler, *fingers, *pairs))):
+        raise MalformedFrame(f"{where}: feature row must be finite")
     return t_us, FeatureVector(euler=EulerAngles(*map(float, euler)),
                                finger_angles=fingers, pair_angles=pairs)
 

@@ -45,14 +45,6 @@ EPS_PALM_SCALE_M = 1e-6
 EPS_SEGMENT_M = 1e-9
 EPS_GIMBAL = 1e-7
 
-# Adjacent finger pairs for spread angles, thumb side first.
-FINGER_PAIRS = (
-    (Finger.THUMB, Finger.INDEX),
-    (Finger.INDEX, Finger.MIDDLE),
-    (Finger.MIDDLE, Finger.RING),
-    (Finger.RING, Finger.PINKY),
-)
-
 FEATURE_SIZE = 12  # 3 euler + 5 finger + 4 pair
 
 

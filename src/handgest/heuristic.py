@@ -1,11 +1,18 @@
-"""Rule-based gesture classifier over discretized pose features.
+"""Rule-based gesture classifier over one state vector per frame.
 
-Finger curl angles discretize into FullyStraight / FullyBent / Neither and
-pair spread angles into Crossed / Apart / Neither, with thresholds that are
-inclusive toward the extreme state (angle == straight_max still counts as
-FullyStraight). Gestures are boolean expressions over those states plus
-optional Euler-angle bands; the classifier returns the matching definition
-with the best (numerically smallest) priority, or Negative.
+A frame's state vector has the 12 entries of FeatureVector.as_array():
+
+    0-2   yaw, pitch, roll in radians
+    3-7   the five finger curls as codes: FullyStraight 0, Neither 1, FullyBent 2
+    8-11  the four pair spreads as codes: Crossed 0, Neither 1, Apart 2
+
+A code is 1 + (angle >= upper) - (angle <= lower) against the per-entry
+thresholds, so a threshold itself counts toward the extreme state (angle ==
+straight_max is FullyStraight) and a NaN angle reads Neither. Gestures are
+boolean expressions whose every leaf is a half-open band on one entry: a
+finger or pair state S is the band [code(S), code(S) + 1), an Euler node
+the band [lo, hi) in radians. The classifier returns the matching
+definition with the best (numerically smallest) priority, or Negative.
 
 Config files carry all angles in degrees and are converted to radians at
 load time; the shipped rules are DEFAULT_CONFIG_JSON, a document of the
@@ -19,36 +26,21 @@ palm geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from enum import Enum
 
 import numpy as np
 
 from .errors import MalformedConfig, UnknownReference, ValidationError
-from .features import EulerAngles, FeatureVector, FINGER_PAIRS
+from .features import FeatureVector
 from .labels import NEGATIVE_LABEL
 from .skeleton import Finger, float_array, is_int, is_number
 
-
-class FingerState(Enum):
-    FULLY_STRAIGHT = "FullyStraight"
-    FULLY_BENT = "FullyBent"
-    NEITHER = "Neither"
-
-
-class PairState(Enum):
-    CROSSED = "Crossed"
-    APART = "Apart"
-    NEITHER = "Neither"
-
-
-FINGER_NAMES = {f.name.capitalize(): f for f in Finger}
-PAIR_NAMES = {
-    "ThumbIndex": 0,
-    "IndexMiddle": 1,
-    "MiddleRing": 2,
-    "RingPinky": 3,
-}
-EULER_AXES = ("yaw", "pitch", "roll")
+# state-vector index of each name a leaf can reference
+EULER_AXES = {"yaw": 0, "pitch": 1, "roll": 2}
+FINGER_NAMES = {f.name.capitalize(): 3 + f for f in Finger}
+PAIR_NAMES = {"ThumbIndex": 8, "IndexMiddle": 9, "MiddleRing": 10, "RingPinky": 11}
+# state names in code order
+FINGER_STATES = ("FullyStraight", "Neither", "FullyBent")
+PAIR_STATES = ("Crossed", "Neither", "Apart")
 
 
 def _per(value, n: int, what: str) -> np.ndarray:
@@ -81,28 +73,23 @@ class StateThresholds:
         if not np.all((0.0 <= self.crossed_max) & (self.crossed_max < self.apart_min)
                       & (self.apart_min <= np.pi)):
             raise ValidationError("need 0 <= crossed_max < apart_min <= pi per pair")
+        # the same bounds over state-vector entries 3-11, for state_vector
+        object.__setattr__(self, "lower", np.concatenate((self.straight_max, self.crossed_max)))
+        object.__setattr__(self, "upper", np.concatenate((self.bent_min, self.apart_min)))
 
 
-def discretize_finger(angle: float, finger: Finger, th: StateThresholds) -> FingerState:
-    if angle <= th.straight_max[finger]:
-        return FingerState.FULLY_STRAIGHT
-    if angle >= th.bent_min[finger]:
-        return FingerState.FULLY_BENT
-    return FingerState.NEITHER
-
-
-def discretize_pair(angle: float, pair_index: int, th: StateThresholds) -> PairState:
-    if angle <= th.crossed_max[pair_index]:
-        return PairState.CROSSED
-    if angle >= th.apart_min[pair_index]:
-        return PairState.APART
-    return PairState.NEITHER
+def state_vector(fv: FeatureVector, th: StateThresholds) -> np.ndarray:
+    """The 12-entry state vector: Euler angles, then finger and pair codes."""
+    state = fv.as_array()
+    angles = state[3:]
+    state[3:] = 1 + (angles >= th.upper) - (angles <= th.lower)
+    return state
 
 
 # --- expression tree ---
 
 class Expr:
-    def evaluate(self, fingers, pairs, euler: EulerAngles) -> bool:
+    def evaluate(self, state) -> bool:
         raise NotImplementedError
 
 
@@ -110,61 +97,43 @@ class Expr:
 class All(Expr):
     args: tuple
 
-    def evaluate(self, fingers, pairs, euler):
-        return all(a.evaluate(fingers, pairs, euler) for a in self.args)
+    def evaluate(self, state):
+        return all(a.evaluate(state) for a in self.args)
 
 
 @dataclass(frozen=True)
 class Any_(Expr):
     args: tuple
 
-    def evaluate(self, fingers, pairs, euler):
-        return any(a.evaluate(fingers, pairs, euler) for a in self.args)
+    def evaluate(self, state):
+        return any(a.evaluate(state) for a in self.args)
 
 
 @dataclass(frozen=True)
 class Not(Expr):
     arg: Expr
 
-    def evaluate(self, fingers, pairs, euler):
-        return not self.arg.evaluate(fingers, pairs, euler)
+    def evaluate(self, state):
+        return not self.arg.evaluate(state)
 
 
 @dataclass(frozen=True)
-class FingerIs(Expr):
-    finger: Finger
-    state: FingerState
+class In(Expr):
+    """Half-open band [lo, hi) on state-vector entry ``index``.
 
-    def evaluate(self, fingers, pairs, euler):
-        return fingers[self.finger] is self.state
-
-
-@dataclass(frozen=True)
-class PairIs(Expr):
-    pair: int  # index into FINGER_PAIRS
-    state: PairState
-
-    def evaluate(self, fingers, pairs, euler):
-        return pairs[self.pair] is self.state
-
-
-@dataclass(frozen=True)
-class EulerIn(Expr):
-    """Half-open wrapped band [lo, hi) on the circle (-pi, pi].
-
-    With lo > hi the band wraps through pi: EulerIn(roll, 170deg, -170deg)
-    accepts roll = 180deg.
+    With lo > hi the band wraps through pi: In(2, 170deg, -170deg) accepts
+    roll = 180deg. A NaN entry is in no band.
     """
 
-    axis: str
-    lo: float  # radians
+    index: int
+    lo: float
     hi: float
 
-    def evaluate(self, fingers, pairs, euler):
-        a = getattr(euler, self.axis)
+    def evaluate(self, state):
+        x = state[self.index]
         if self.lo <= self.hi:
-            return self.lo <= a < self.hi
-        return a >= self.lo or a < self.hi
+            return self.lo <= x < self.hi
+        return x >= self.lo or x < self.hi
 
 
 # node kind (its first key) -> the exact keys a node of that kind carries
@@ -189,7 +158,7 @@ def expr_from_json(obj: dict) -> Expr:
 
     Raises MalformedConfig on a node that is not an object, carries keys
     other than exactly its kind's NODE_KEYS, or has a band edge that is not
-    a number; UnknownReference on bad names.
+    a finite number; UnknownReference on bad names.
     """
     kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
     if kind is None:
@@ -201,28 +170,25 @@ def expr_from_json(obj: dict) -> Expr:
         return Any_(tuple(expr_from_json(a) for a in obj["any"]))
     if kind == "not":
         return Not(expr_from_json(obj["not"]))
-    if kind == "finger":
-        name, state = obj["finger"], obj["state"]
-        if name not in FINGER_NAMES:
-            raise UnknownReference(f"unknown finger {name!r}")
-        try:
-            return FingerIs(FINGER_NAMES[name], FingerState(state))
-        except ValueError:
-            raise UnknownReference(f"unknown finger state {state!r}") from None
-    if kind == "pair":
-        name, state = obj["pair"], obj["state"]
-        if name not in PAIR_NAMES:
-            raise UnknownReference(f"unknown pair {name!r}")
-        try:
-            return PairIs(PAIR_NAMES[name], PairState(state))
-        except ValueError:
-            raise UnknownReference(f"unknown pair state {state!r}") from None
+    if kind in ("finger", "pair"):
+        names, states = ((FINGER_NAMES, FINGER_STATES) if kind == "finger"
+                         else (PAIR_NAMES, PAIR_STATES))
+        name, state = obj[kind], obj["state"]
+        if name not in names:
+            raise UnknownReference(f"unknown {kind} {name!r}")
+        if state not in states:
+            raise UnknownReference(f"unknown {kind} state {state!r}")
+        code = states.index(state)
+        return In(names[name], code, code + 1)
     axis, lo, hi = obj["euler"], obj["lo_deg"], obj["hi_deg"]
     if axis not in EULER_AXES:
         raise UnknownReference(f"unknown euler axis {axis!r}")
     if not (is_number(lo) and is_number(hi)):
         raise MalformedConfig(f"lo_deg and hi_deg must be numbers, got {lo!r} and {hi!r}")
-    return EulerIn(axis, float(np.radians(lo)), float(np.radians(hi)))
+    band = np.radians([lo, hi])
+    if not np.isfinite(band).all():
+        raise MalformedConfig(f"lo_deg and hi_deg must be finite, got {lo!r} and {hi!r}")
+    return In(EULER_AXES[axis], float(band[0]), float(band[1]))
 
 
 @dataclass(frozen=True)
@@ -250,11 +216,9 @@ class GestureConfig:
 
 def classify_heuristic(fv: FeatureVector, config: GestureConfig) -> str:
     """Best-priority matching gesture name, or Negative when none match."""
-    th = config.thresholds
-    fingers = {f: discretize_finger(float(fv.finger_angles[f]), f, th) for f in Finger}
-    pairs = {i: discretize_pair(float(fv.pair_angles[i]), i, th) for i in range(len(FINGER_PAIRS))}
+    state = state_vector(fv, config.thresholds).tolist()
     for definition in config.definitions:  # already sorted by priority
-        if definition.expr.evaluate(fingers, pairs, fv.euler):
+        if definition.expr.evaluate(state):
             return definition.name
     return NEGATIVE_LABEL
 

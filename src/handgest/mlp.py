@@ -67,6 +67,8 @@ class MlpModel:
             if biases[k].shape != (fan_out,):
                 raise ShapeMismatch(f"layer {k} bias: expected ({fan_out},), "
                                     f"got {biases[k].shape}")
+        if not all(np.isfinite(a).all() for a in weights + biases):
+            raise MalformedConfig("non-finite weights or biases")
         feat_mean = np.asarray(feat_mean, dtype=np.float64)
         feat_std = np.asarray(feat_std, dtype=np.float64)
         if feat_mean.shape != (FEATURE_SIZE,) or feat_std.shape != (FEATURE_SIZE,):
@@ -147,14 +149,15 @@ class TrainConfig:
         if np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
             raise ValidationError("alpha entries must be positive and finite")
         object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
-        if self.gamma < 0.0:
-            raise ValidationError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValidationError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("val_fraction must lie in [0, 1)")
 

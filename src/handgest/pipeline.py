@@ -21,6 +21,7 @@ from .errors import (
     MalformedConfig,
     Missing3D,
     NonMonotonicTimestamp,
+    NumericalError,
     ValidationError,
 )
 from . import mlp
@@ -147,7 +148,8 @@ def initial_state() -> PipelineState:
 @dataclass(frozen=True)
 class FrameOutput:
     """Per-frame result: post-step mode, the label when classification ran
-    (None means no skeleton reached the classifier), and which stages ran."""
+    (None means no skeleton reached the classifier, or the classifier could
+    not label it), and which stages ran."""
 
     timestamp_us: int
     mode: str
@@ -165,7 +167,9 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
     """One frame through the state machine; returns (state', FrameOutput).
 
     ``classifier`` labels tracked skeletons; build it once per stream with
-    make_classifier(config).
+    make_classifier(config). A skeleton it cannot label (Missing3D or a
+    NumericalError) leaves the label None and is neither a classification
+    nor a miss.
     """
     t = frame.t_us
     if state.last_t_us is not None and t <= state.last_t_us:
@@ -197,9 +201,13 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
             mode = UNTRACKED
             misses = 0
     if mode == TRACKED and usable:
-        label = classifier(hand)
-        actions.append("classify")
-        classifies = 1
+        try:
+            label = classifier(hand)
+        except (Missing3D, NumericalError):
+            pass  # an unclassifiable frame keeps label None; it is not a miss
+        else:
+            actions.append("classify")
+            classifies = 1
 
     stats = replace(
         state.stats,

@@ -187,6 +187,30 @@ def test_stream_outputs_and_stats(corpus, tmp_path):
     assert stats["detect_invocations"] >= 1
 
 
+def test_stream_survives_a_frame_it_cannot_classify(corpus, tmp_path):
+    rows = read_jsonl(corpus)[:12]
+    good = tmp_path / "good.jsonl"
+    good.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    rows[5]["hand"]["kp3d"] = None
+    holed = tmp_path / "holed.jsonl"
+    holed.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps(_PIPE))
+    outs, stats = {}, {}
+    for name, frames in (("good", good), ("holed", holed)):
+        out, stats_path = tmp_path / f"{name}.out", tmp_path / f"{name}.stats"
+        assert run("stream", "--frames", frames, "--pipeline", pipe,
+                   "--out", out, "--stats", stats_path) == 0
+        outs[name], stats[name] = read_jsonl(out), json.loads(stats_path.read_text())
+    assert len(outs["holed"]) == 12
+    hole = outs["holed"].pop(5)
+    assert outs["good"].pop(5)["actions"] == ["classify"]
+    assert (hole["mode"], hole["label"], hole["actions"]) == ("Tracked", None, [])
+    assert outs["holed"] == outs["good"]
+    assert stats["holed"] == {**stats["good"],
+                              "classify_invocations": stats["good"]["classify_invocations"] - 1}
+
+
 @pytest.mark.parametrize("kind", ["rules", "gestures", "model"])
 def test_stream_labels_tracked_frames_as_classify_does(corpus, tmp_path, kind):
     # classify and stream resolve the classifier through one function
@@ -318,6 +342,7 @@ _MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:]
                   [np.zeros(o) for o in LAYER_SIZES[1:]],
                   np.zeros(12), np.ones(12)).to_dict()
 _THRESHOLDS = DEFAULT_CONFIG_JSON["thresholds"]
+NAN, INF = float("nan"), float("inf")
 _FINGERS = default_hand_model().to_dict()["fingers"]
 
 # (argv, content of {bad}, part of the error): None leaves {bad} missing,
@@ -467,16 +492,37 @@ BAD_INPUTS = {
     "classify-feature-t-us-fraction": ("classify --features {bad}",
                                        {**_FEATURE_ROW, "t_us": 1.5},
                                        "t_us must be an integer, got 1.5"),
+    # non-finite numbers that were taken as they came
+    "classify-features-nan": ("classify --features {bad} --model {model}",
+                              {**_FEATURE_ROW, "fingers": [0.0, NAN, 0.0, 0.0, 0.0]},
+                              "feature row must be finite"),
+    "classify-features-infinity": ("classify --features {bad}",
+                                   {**_FEATURE_ROW, "euler": [0.0, -INF, 0.0]},
+                                   "feature row must be finite"),
+    "train-learning-rate-nan": ("train --data {frames} --out {out} --config {bad}",
+                                {"learning_rate": NAN},
+                                "learning_rate must be finite and positive, got nan"),
+    "train-gamma-infinity": ("train --data {frames} --out {out} --config {bad}",
+                             {"gamma": INF}, "gamma must be finite and >= 0, got inf"),
+    "classify-model-nan-weight": (
+        "classify --frames {frames} --model {bad}",
+        {**_MODEL, "layers": [{**_MODEL["layers"][0], "w": [[NAN] * 12] * 50},
+                              *_MODEL["layers"][1:]]},
+        "non-finite weights or biases"),
+    "classify-gestures-lo-deg-nan": ("classify --frames {frames} --gestures {bad}",
+                                     _term_with(3, 5, lo_deg=NAN),
+                                     "lo_deg and hi_deg must be finite, got nan"),
 }
 
 
 @pytest.fixture(scope="module")
 def good_files(corpus, tmp_path_factory):
     root = tmp_path_factory.mktemp("good")
-    pipe, train_cfg = root / "pipe.json", root / "train.json"
+    pipe, train_cfg, model = root / "pipe.json", root / "train.json", root / "model.json"
     pipe.write_text(json.dumps(_PIPE))
     train_cfg.write_text(json.dumps({"epochs": 1}))
-    return {"frames": corpus, "pipe": pipe, "train": train_cfg}
+    model.write_text(json.dumps(_MODEL))
+    return {"frames": corpus, "pipe": pipe, "train": train_cfg, "model": model}
 
 
 @pytest.mark.parametrize("argv, content, expect", list(BAD_INPUTS.values()),

@@ -1,4 +1,4 @@
-"""State discretization and rule-based gesture classification."""
+"""State vectors and rule-based gesture classification."""
 
 import copy
 import json
@@ -11,19 +11,18 @@ from handgest.features import EulerAngles, FeatureVector, feature_vector
 from handgest.harness import SynthConfig, synth_pose
 from handgest.heuristic import (
     DEFAULT_CONFIG_JSON,
-    FingerState,
+    FINGER_NAMES,
+    PAIR_NAMES,
     GestureConfig,
     GestureDefinition,
-    PairState,
     StateThresholds,
     classify_heuristic,
     config_from_dict,
     default_config,
-    discretize_finger,
-    discretize_pair,
     expr_from_json,
+    state_vector,
 )
-from handgest.skeleton import Finger, read_json
+from handgest.skeleton import read_json
 
 
 def make_fv(fingers, pairs=(0.3, 0.3, 0.3, 0.3), euler=(0.0, 0.0, 0.0)):
@@ -40,23 +39,40 @@ def clean_pose(label, seed=0):
     return feature_vector(frame.hand.kp3d, frame.hand.handedness)
 
 
-# --- discretization ---
+# --- state vectors ---
+
+STRAIGHT, NEITHER, BENT = 0, 1, 2
+CROSSED, APART = 0, 2
+
 
 def test_discretize_finger_states():
     th = default_config().thresholds
-    assert discretize_finger(0.0, Finger.INDEX, th) is FingerState.FULLY_STRAIGHT
-    assert discretize_finger(np.pi, Finger.INDEX, th) is FingerState.FULLY_BENT
-    assert discretize_finger(1.0, Finger.INDEX, th) is FingerState.NEITHER
+    state = state_vector(make_fv([0.1, 0.0, np.pi, 1.0, 0.1]), th)
+    assert state[FINGER_NAMES["Index"]] == STRAIGHT
+    assert state[FINGER_NAMES["Middle"]] == BENT
+    assert state[FINGER_NAMES["Ring"]] == NEITHER
 
 
 def test_discretize_boundaries_inclusive_toward_extremes():
     th = StateThresholds(straight_max=0.52, bent_min=1.57,
                          crossed_max=0.087, apart_min=0.26)
-    assert discretize_finger(0.52, Finger.MIDDLE, th) is FingerState.FULLY_STRAIGHT
-    assert discretize_finger(1.57, Finger.MIDDLE, th) is FingerState.FULLY_BENT
-    assert discretize_pair(0.087, 0, th) is PairState.CROSSED
-    assert discretize_pair(0.26, 0, th) is PairState.APART
-    assert discretize_pair(0.15, 0, th) is PairState.NEITHER
+    state = state_vector(make_fv([0.1, 0.1, 0.52, 1.57, 0.1],
+                                 pairs=(0.087, 0.26, 0.15, 0.3)), th)
+    assert state[FINGER_NAMES["Middle"]] == STRAIGHT
+    assert state[FINGER_NAMES["Ring"]] == BENT
+    assert state[PAIR_NAMES["ThumbIndex"]] == CROSSED
+    assert state[PAIR_NAMES["IndexMiddle"]] == APART
+    assert state[PAIR_NAMES["MiddleRing"]] == NEITHER
+
+
+def test_state_vector_layout_and_nan():
+    th = default_config().thresholds
+    fv = make_fv([np.nan, 0.0, 0.0, 0.0, 0.0], pairs=(0.3, np.nan, 0.0, 0.3),
+                 euler=(0.25, -0.5, np.pi))
+    state = state_vector(fv, th)
+    assert state.shape == (12,)
+    assert state[:3].tolist() == [0.25, -0.5, np.pi]
+    assert state[3:].tolist() == [NEITHER] + [STRAIGHT] * 4 + [APART, NEITHER, CROSSED, APART]
 
 
 def test_thresholds_validated():
@@ -71,22 +87,31 @@ def test_thresholds_validated():
 def test_thumb_gets_its_own_thresholds():
     th = default_config().thresholds
     ang = np.radians(32.0)   # straight for the thumb (35), not for others (30)
-    assert discretize_finger(ang, Finger.THUMB, th) is FingerState.FULLY_STRAIGHT
-    assert discretize_finger(ang, Finger.INDEX, th) is FingerState.NEITHER
+    state = state_vector(make_fv([ang] * 5), th)
+    assert state[FINGER_NAMES["Thumb"]] == STRAIGHT
+    assert state[FINGER_NAMES["Index"]] == NEITHER
 
 
 # --- expression evaluation ---
 
 def test_euler_in_wrapped_band():
     expr = expr_from_json({"euler": "roll", "lo_deg": 170.0, "hi_deg": -170.0})
-    hit = EulerAngles(0.0, 0.0, np.pi)          # roll = 180 deg
-    miss = EulerAngles(0.0, 0.0, 0.0)
-    assert expr.evaluate({}, {}, hit)
-    assert not expr.evaluate({}, {}, miss)
+    hit = [0.0, 0.0, np.pi] + [NEITHER] * 9         # roll = 180 deg
+    miss = [0.0] * 3 + [NEITHER] * 9
+    assert expr.evaluate(hit)
+    assert not expr.evaluate(miss)
     # straight band for contrast
     expr2 = expr_from_json({"euler": "roll", "lo_deg": -10.0, "hi_deg": 10.0})
-    assert expr2.evaluate({}, {}, miss)
-    assert not expr2.evaluate({}, {}, hit)
+    assert expr2.evaluate(miss)
+    assert not expr2.evaluate(hit)
+
+
+def test_state_leaf_is_the_band_of_its_code():
+    expr = expr_from_json({"pair": "RingPinky", "state": "Apart"})
+    assert (expr.index, expr.lo, expr.hi) == (PAIR_NAMES["RingPinky"], APART, APART + 1)
+    for code in (STRAIGHT, NEITHER, BENT):
+        state = [0.0] * 11 + [code]
+        assert expr.evaluate(state) == (code == APART)
 
 
 def test_expr_parse_rejects_unknown_references():
@@ -176,17 +201,15 @@ def test_determinism():
 def test_thumb_up_down_mutually_exclusive():
     cfg = default_config()
     defs = {d.name: d for d in cfg.definitions}
-    th = cfg.thresholds
     rng = np.random.default_rng(8)
     for _ in range(300):
         fv = make_fv(rng.uniform(0, np.pi, 5), rng.uniform(0, np.pi, 4),
                      euler=(rng.uniform(-np.pi, np.pi),
                             rng.uniform(-np.pi / 2, np.pi / 2),
                             rng.uniform(-np.pi, np.pi)))
-        fingers = {f: discretize_finger(float(fv.finger_angles[f]), f, th) for f in Finger}
-        pairs = {i: discretize_pair(float(fv.pair_angles[i]), i, th) for i in range(4)}
-        up = defs["ThumbUp"].expr.evaluate(fingers, pairs, fv.euler)
-        down = defs["ThumbDown"].expr.evaluate(fingers, pairs, fv.euler)
+        state = state_vector(fv, cfg.thresholds).tolist()
+        up = defs["ThumbUp"].expr.evaluate(state)
+        down = defs["ThumbDown"].expr.evaluate(state)
         assert not (up and down)
 
 
@@ -273,6 +296,10 @@ DROP = object()  # deletes the key instead of setting it
     (("thresholds", "straight_max"), [30.0] * 5),
     (("schema",), "gestures/9"),
     (("schema",), DROP),
+    # band edges that never match
+    (("gestures", 3, "expr", "all", 5, "lo_deg"), float("nan")),
+    (("gestures", 3, "expr", "all", 5, "hi_deg"), float("inf")),
+    (("gestures", 4, "expr", "all", 6, "lo_deg"), float("-inf")),
 ])
 def test_config_from_dict_maps_bad_values(path, value):
     obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
@@ -285,3 +312,149 @@ def test_config_from_dict_maps_bad_values(path, value):
         node[path[-1]] = value
     with pytest.raises(MalformedConfig):
         config_from_dict(obj)
+
+
+# --- the enum/discretizer classifier this module replaced, kept as an oracle ---
+
+_FINGERS = ("Thumb", "Index", "Middle", "Ring", "Pinky")
+_PAIRS = ("ThumbIndex", "IndexMiddle", "MiddleRing", "RingPinky")
+
+
+def _discretize(angle, low_max, high_min, states):
+    """One angle as (low, middle, high)[k], inclusive toward the extremes."""
+    if angle <= low_max:
+        return states[0]
+    if angle >= high_min:
+        return states[2]
+    return states[1]
+
+
+def _reference_eval(node, fingers, pairs, euler):
+    if "all" in node:
+        return all(_reference_eval(a, fingers, pairs, euler) for a in node["all"])
+    if "any" in node:
+        return any(_reference_eval(a, fingers, pairs, euler) for a in node["any"])
+    if "not" in node:
+        return not _reference_eval(node["not"], fingers, pairs, euler)
+    if "finger" in node:
+        return fingers[node["finger"]] == node["state"]
+    if "pair" in node:
+        return pairs[node["pair"]] == node["state"]
+    a = getattr(euler, node["euler"])
+    lo, hi = float(np.radians(node["lo_deg"])), float(np.radians(node["hi_deg"]))
+    if lo <= hi:
+        return lo <= a < hi
+    return a >= lo or a < hi
+
+
+def reference_classify_heuristic(fv, doc):
+    """The label of ``fv`` under the gestures/1 document ``doc``: each finger
+    and pair angle discretized on its own to a state name, each leaf compared
+    with that name or with one Euler angle, the first match by priority."""
+    th = {k: np.asarray(v, dtype=np.float64) * (np.pi / 180.0)
+          for k, v in doc["thresholds"].items()}
+    fingers = {name: _discretize(float(fv.finger_angles[i]), th["straight_max_deg"][i],
+                                 th["bent_min_deg"][i],
+                                 ("FullyStraight", "Neither", "FullyBent"))
+               for i, name in enumerate(_FINGERS)}
+    pairs = {name: _discretize(float(fv.pair_angles[i]), th["crossed_max_deg"][i],
+                               th["apart_min_deg"][i], ("Crossed", "Neither", "Apart"))
+             for i, name in enumerate(_PAIRS)}
+    for g in sorted(doc["gestures"], key=lambda g: g["priority"]):
+        if _reference_eval(g["expr"], fingers, pairs, fv.euler):
+            return g["name"]
+    return "Negative"
+
+
+def _leaf(kind, name, state):
+    return {kind: name, "state": state}
+
+
+# every leaf kind and every state under any/not, wrapped and plain bands on
+# each axis, and thresholds of their own
+MIXED_CONFIG_JSON = {
+    "schema": "gestures/1",
+    "thresholds": {
+        "straight_max_deg": [20.0, 25.0, 30.0, 35.0, 40.0],
+        "bent_min_deg": [60.0, 80.0, 100.0, 120.0, 140.0],
+        "crossed_max_deg": [3.0, 6.0, 9.0, 12.0],
+        "apart_min_deg": [10.0, 20.0, 30.0, 40.0],
+    },
+    "gestures": [
+        {"name": "A", "priority": 4, "expr": {"any": [
+            _leaf("finger", "Thumb", "Neither"),
+            {"all": [_leaf("pair", "MiddleRing", "Crossed"),
+                     {"not": _leaf("finger", "Pinky", "FullyBent")}]},
+        ]}},
+        {"name": "B", "priority": 2, "expr": {"all": [
+            {"not": _leaf("pair", "ThumbIndex", "Apart")},
+            {"any": [{"euler": "pitch", "lo_deg": -30.0, "hi_deg": 30.0},
+                     _leaf("finger", "Ring", "FullyStraight")]},
+            {"not": {"euler": "yaw", "lo_deg": 150.0, "hi_deg": -150.0}},
+        ]}},
+        {"name": "C", "priority": 1, "expr": {"all": [
+            _leaf("finger", "Index", "FullyStraight"),
+            _leaf("pair", "IndexMiddle", "Neither"),
+            {"euler": "roll", "lo_deg": 135.0, "hi_deg": -135.0},
+        ]}},
+        {"name": "D", "priority": 3, "expr": {"any": [
+            {"all": [_leaf("finger", "Middle", "FullyBent"),
+                     _leaf("pair", "RingPinky", "Apart")]},
+            {"not": {"any": [{"euler": "roll", "lo_deg": -135.0, "hi_deg": 135.0},
+                             _leaf("pair", "RingPinky", "Neither")]}},
+        ]}},
+        {"name": "E", "priority": 5, "expr": {"not": {"all": [
+            {"euler": "yaw", "lo_deg": -108.0, "hi_deg": -18.0},
+            _leaf("finger", "Pinky", "Neither"),
+        ]}}},
+    ],
+}
+
+
+def _hard_vectors(n, seed, docs):
+    """Feature vectors whose angles sit on, beside and between the
+    thresholds and band edges of ``docs``, with NaN, 0 and +-pi among them."""
+    rng = np.random.default_rng(seed)
+    rad = np.pi / 180.0
+    near = lambda v: [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]
+    angle_picks, lows, highs = [], [], []  # per angle entry
+    for lo_key, hi_key, size in (("straight_max_deg", "bent_min_deg", 5),
+                                 ("crossed_max_deg", "apart_min_deg", 4)):
+        for i in range(size):
+            los = [float(np.float64(d["thresholds"][lo_key][i]) * rad) for d in docs]
+            his = [float(np.float64(d["thresholds"][hi_key][i]) * rad) for d in docs]
+            angle_picks.append([v for e in los + his for v in near(e)] + [0.0, np.pi, np.nan])
+            lows.append(min(los))
+            highs.append(max(his))
+    band_edges = np.radians([-150.0, -135.0, -108.0, -45.0, -30.0, -18.0,
+                             18.0, 30.0, 45.0, 72.0, 135.0, 150.0, 162.0])
+    euler_picks = [v for e in band_edges for v in near(e)] + [np.pi, -np.pi, 0.0, np.nan]
+    out = []
+    for _ in range(n):
+        # a share of low angles drawn per vector, so that whole hands come
+        # out straight, bent or mixed
+        low_share = rng.random()
+        angles = [rng.choice(p) if rng.random() < 0.3
+                  else rng.uniform(0.0, lo) if rng.random() < low_share
+                  else rng.uniform(hi, np.pi)
+                  for p, lo, hi in zip(angle_picks, lows, highs)]
+        euler = [rng.choice(euler_picks) if rng.random() < 0.4 else rng.uniform(-np.pi, np.pi)
+                 for _ in range(3)]
+        out.append(make_fv(angles[:5], angles[5:], euler=[float(e) for e in euler]))
+    return out
+
+
+def test_classify_heuristic_equals_the_reference():
+    docs = (DEFAULT_CONFIG_JSON, MIXED_CONFIG_JSON)
+    configs = [config_from_dict(d) for d in docs]
+    vectors = _hard_vectors(20_000, 9, docs)
+    # and clean synthetic poses of every default gesture
+    vectors += [clean_pose(label, seed) for label in ("OpenPalm", "Victory", "ClosedFist",
+                                                       "PointingUp", "ThumbUp", "ThumbDown")
+                for seed in range(3)]
+    for doc, config in zip(docs, configs):
+        labels = [classify_heuristic(fv, config) for fv in vectors]
+        want = [reference_classify_heuristic(fv, doc) for fv in vectors]
+        assert labels == want
+        # every gesture of the config is reached, and so is Negative
+        assert set(labels) == {g["name"] for g in doc["gestures"]} | {"Negative"}

@@ -263,6 +263,10 @@ def test_train_config_validation():
         TrainConfig(val_fraction=1.0)
     with pytest.raises(ValidationError):
         TrainConfig(alpha=(1.0, 2.0))
+    for name in ("gamma", "learning_rate"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                TrainConfig(**{name: value})
 
 
 @pytest.mark.parametrize("obj", [
@@ -384,10 +388,19 @@ def test_calibrate_validates_inputs():
 
 # -- serialization ------------------------------------------------------------
 
+def _layers_with(layer, part, value):
+    """The zero model's layers, with ``value`` added to one weight or bias."""
+    layers = zero_model().to_dict()["layers"]
+    layers[layer][part] = (np.asarray(layers[layer][part]) + value).tolist()
+    return layers
+
+
 @pytest.mark.parametrize("change", [
     {"layers": [1]}, {"layers": [{"w": 1}]}, {"layer_sizes": 5},
     {"feat_mean": "x"}, {"tau": "x"}, {"tau": None},
     {"schema": "mlp/0"}, {"layers": None}, {"tau": 2.0}, {"feat_std": [0.0] * 12},
+    {"layers": _layers_with(0, "w", float("nan"))},
+    {"layers": _layers_with(3, "b", float("inf"))},
 ])
 def test_model_from_dict_maps_bad_values(change):
     obj = {**zero_model().to_dict(), **change}

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from handgest.pipeline import (
     PipelineConfig,
     initial_state,
     load_pipeline_config,
+    make_classifier,
     run_stream,
     step,
 )
@@ -129,6 +131,29 @@ def test_run_stream_steady_state_classifies_every_frame():
     assert stats.classify_invocations == 120
     assert all(o.label == "Victory" for o in outputs)
     assert stats.tracked_frames == 120
+
+
+def _zero_thumb_segment(kp3d):
+    kp3d = kp3d.copy()
+    kp3d[2] = kp3d[1]
+    return kp3d
+
+
+@pytest.mark.parametrize("kp3d", [None, np.ones((21, 3)),
+                                  _zero_thumb_segment(VICTORY_HAND.kp3d)],
+                         ids=["missing-3d", "degenerate-palm", "zero-segment"])
+def test_unclassifiable_tracked_frame_gets_a_null_label(kp3d):
+    # with track_loss_frames=1 a miss would drop tracking at once
+    cfg = PipelineConfig(max_detect_hz=5.0, track_loss_frames=1)
+    classifier = make_classifier(cfg)
+    frames = stream_of("hhhhh")
+    frames[2] = replace(frames[2], hand=replace(VICTORY_HAND, kp3d=kp3d))
+    outputs, stats = run_stream(frames, cfg, classifier)
+    label = classifier(VICTORY_HAND)
+    assert [o.label for o in outputs] == [label, label, None, label, label]
+    assert (outputs[2].mode, outputs[2].actions) == (TRACKED, ())
+    assert all(o.mode == TRACKED for o in outputs)
+    assert (stats.classify_invocations, stats.tracked_frames) == (4, 5)
 
 
 def test_run_stream_empty():

@@ -18,8 +18,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse
 import dataclasses
 import json
-import math
 import sys
+
+import numpy as np
 
 from . import harness, lifting, mlp, pipeline
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .features import EulerAngles, FeatureVector, feature_vector
+from .features import FEATURE_MAX, FEATURE_MIN, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_label, to_class
 from .skeleton import (
     decode_config,
@@ -50,7 +51,7 @@ PREDICTION_SCHEMA = "prediction/1"
 # -- shared row helpers --------------------------------------------------------
 
 def _features_from_row(obj, where):
-    """(t_us, FeatureVector) from one feature row."""
+    """(t_us, (12,) feature array) from one feature row."""
     t_us = obj.get("t_us", 0)
     if not is_int(t_us):
         raise MalformedFrame(f"{where}: t_us must be an integer, got {t_us!r}")
@@ -63,14 +64,15 @@ def _features_from_row(obj, where):
                              f"euler/fingers/pairs: {exc!r}") from exc
     if euler.shape != (3,) or fingers.shape != (5,) or pairs.shape != (4,):
         raise MalformedFrame(f"{where}: feature row has wrong arity")
-    if not all(map(math.isfinite, (*euler, *fingers, *pairs))):
-        raise MalformedFrame(f"{where}: feature row must be finite")
-    return t_us, FeatureVector(euler=EulerAngles(*map(float, euler)),
-                               finger_angles=fingers, pair_angles=pairs)
+    fv = np.concatenate((euler, fingers, pairs))
+    if not ((FEATURE_MIN <= fv) & (fv <= FEATURE_MAX)).all():  # NaN fails too
+        raise MalformedFrame(f"{where}: feature row must be finite and in the ranges features "
+                             "writes: yaw, roll [-pi, pi]; pitch [-pi/2, pi/2]; the rest [0, pi]")
+    return t_us, fv
 
 
 def _labeled_features(path):
-    """(t_us, FeatureVector, label-or-None) from a frames, dataset, or
+    """(t_us, feature array, label-or-None) from a frames, dataset, or
     features JSONL; frame rows need kp3d."""
     for i, obj in enumerate(read_jsonl(path)):
         where = f"{path}:row {i}"
@@ -95,9 +97,9 @@ def _feature_row(t_us, fv, label):
     row = {"schema": FEATURES_SCHEMA, "t_us": int(t_us)}
     if label is not None:
         row["label"] = label
-    row["euler"] = [fv.euler.yaw, fv.euler.pitch, fv.euler.roll]
-    row["fingers"] = fv.finger_angles.tolist()
-    row["pairs"] = fv.pair_angles.tolist()
+    row["euler"] = fv[0:3].tolist()
+    row["fingers"] = fv[3:8].tolist()
+    row["pairs"] = fv[8:].tolist()
     return row
 
 

@@ -2,9 +2,12 @@
 
 The 3D skeleton is split into an extrinsic part (where the palm sits in
 camera space: rotation, translation, scale) and an intrinsic part (what the
-fingers do, expressed in the palm frame). Classifiers consume a fixed
-12-value vector: 3 Euler angles, 5 finger curl angles, 4 adjacent-finger
-spread angles.
+fingers do, expressed in the palm frame). Classifiers consume one float64
+array of shape (12,), in the order of a features/1 row, angles in radians:
+
+    0-2   yaw, pitch, roll: yaw and roll in (-pi, pi], pitch in [-pi/2, pi/2]
+    3-7   finger curls, thumb to pinky, in [0, pi]
+    8-11  pair spreads, thumb-index to ring-pinky, in [0, pi]
 
 Palm frame construction, from wrist and the index/pinky base knuckles:
 
@@ -46,6 +49,9 @@ EPS_SEGMENT_M = 1e-9
 EPS_GIMBAL = 1e-7
 
 FEATURE_SIZE = 12  # 3 euler + 5 finger + 4 pair
+# closed bounds of each entry
+FEATURE_MIN = np.array([-np.pi, -np.pi / 2.0, -np.pi] + [0.0] * 9)
+FEATURE_MAX = np.array([np.pi, np.pi / 2.0] + [np.pi] * 10)
 
 
 @dataclass(frozen=True)
@@ -55,31 +61,6 @@ class PalmPose:
     rotation: np.ndarray    # (3, 3) proper rotation, columns [lateral, forward, normal]
     translation: np.ndarray  # (3,) wrist position, meters
     scale: float             # wrist to middle-MCP distance, meters
-
-
-@dataclass(frozen=True)
-class EulerAngles:
-    """Intrinsic Z-Y-X angles; gimbal_lock marks the degenerate extraction."""
-
-    yaw: float     # (-pi, pi]
-    pitch: float   # [-pi/2, pi/2]
-    roll: float    # (-pi, pi]
-    gimbal_lock: bool = False
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.yaw, self.pitch, self.roll])
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 12 classifier inputs, angles in radians."""
-
-    euler: EulerAngles
-    finger_angles: np.ndarray  # (5,) thumb..pinky, [0, pi]
-    pair_angles: np.ndarray    # (4,) thumb-index..ring-pinky, [0, pi]
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.euler.as_array(), self.finger_angles, self.pair_angles])
 
 
 def _check_kp3d(kp3d: np.ndarray) -> np.ndarray:
@@ -151,23 +132,23 @@ def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarr
     return rotation, wrist, scale
 
 
-def rotation_from_euler(euler: EulerAngles) -> np.ndarray:
-    """Compose R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    cy, sy = np.cos(euler.yaw), np.sin(euler.yaw)
-    cp, sp = np.cos(euler.pitch), np.sin(euler.pitch)
-    cr, sr = np.cos(euler.roll), np.sin(euler.roll)
+def rotation_from_euler(euler) -> np.ndarray:
+    """Compose R = Rz(yaw) @ Ry(pitch) @ Rx(roll) from (yaw, pitch, roll)."""
+    yaw, pitch, roll = euler
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cr, sr = np.cos(roll), np.sin(roll)
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
     return rz @ ry @ rx
 
 
-def euler_from_rotation(rotation: np.ndarray) -> EulerAngles:
-    """Extract intrinsic Z-Y-X angles; round-trips through rotation_from_euler.
+def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
+    """Intrinsic Z-Y-X (yaw, pitch, roll); round-trips through rotation_from_euler.
 
     At gimbal lock (|cos pitch| < 1e-7) yaw is pinned to 0 and roll absorbs
-    the residual rotation, flagged via gimbal_lock; the reconstruction is
-    still exact.
+    the residual rotation; the reconstruction is still exact.
     """
     r = np.asarray(rotation, dtype=np.float64)
     if r.shape != (3, 3):
@@ -178,10 +159,10 @@ def euler_from_rotation(rotation: np.ndarray) -> EulerAngles:
     if cos_pitch < EPS_GIMBAL:
         sign = 1.0 if -r[2, 0] > 0 else -1.0
         roll = float(np.arctan2(sign * r[0, 1], sign * r[0, 2]))
-        return EulerAngles(yaw=0.0, pitch=pitch, roll=_wrap_pi(roll), gimbal_lock=True)
+        return 0.0, pitch, _wrap_pi(roll)
     yaw = float(np.arctan2(r[1, 0], r[0, 0]))
     roll = float(np.arctan2(r[2, 1], r[2, 2]))
-    return EulerAngles(yaw=_wrap_pi(yaw), pitch=pitch, roll=_wrap_pi(roll))
+    return _wrap_pi(yaw), pitch, _wrap_pi(roll)
 
 
 def intrinsic_keypoints(kp3d: np.ndarray, pose: PalmPose) -> np.ndarray:
@@ -222,8 +203,8 @@ _SEG_LO = np.array([CHAIN_INDICES[f][:-1] for f in Finger])
 _SEG_HI = np.array([CHAIN_INDICES[f][1:] for f in Finger])
 
 
-def feature_vector(kp3d: np.ndarray, handedness: str) -> FeatureVector:
-    """Full 12-value descriptor for one skeleton.
+def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
+    """The (12,) descriptor of one skeleton, in features/1 row order.
 
     Euler angles come from the palm frame; finger and pair angles are
     computed on the intrinsic keypoints, making them invariant to rigid
@@ -233,5 +214,4 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> FeatureVector:
     kp3d = _check_kp3d(kp3d)
     rotation, wrist, scale = _palm_frame(kp3d, handedness)
     fingers, pairs = _all_angles((kp3d - wrist) @ rotation / scale)  # intrinsic_keypoints
-    return FeatureVector(euler=euler_from_rotation(rotation),
-                         finger_angles=fingers, pair_angles=pairs)
+    return np.concatenate((euler_from_rotation(rotation), fingers, pairs))

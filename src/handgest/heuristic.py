@@ -1,6 +1,6 @@
 """Rule-based gesture classifier over one state vector per frame.
 
-A frame's state vector has the 12 entries of FeatureVector.as_array():
+A frame's state vector has the 12 entries of features.feature_vector:
 
     0-2   yaw, pitch, roll in radians
     3-7   the five finger curls as codes: FullyStraight 0, Neither 1, FullyBent 2
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import MalformedConfig, UnknownReference, ValidationError
-from .features import FeatureVector
 from .labels import NEGATIVE_LABEL
 from .skeleton import Finger, float_array, is_int, is_number
 
@@ -78,9 +77,9 @@ class StateThresholds:
         object.__setattr__(self, "upper", np.concatenate((self.bent_min, self.apart_min)))
 
 
-def state_vector(fv: FeatureVector, th: StateThresholds) -> np.ndarray:
-    """The 12-entry state vector: Euler angles, then finger and pair codes."""
-    state = fv.as_array()
+def state_vector(fv: np.ndarray, th: StateThresholds) -> np.ndarray:
+    """The 12-entry state vector, in a copy of fv: Euler angles, then finger and pair codes."""
+    state = fv.copy()
     angles = state[3:]
     state[3:] = 1 + (angles >= th.upper) - (angles <= th.lower)
     return state
@@ -214,7 +213,7 @@ class GestureConfig:
         object.__setattr__(self, "definitions", ordered)
 
 
-def classify_heuristic(fv: FeatureVector, config: GestureConfig) -> str:
+def classify_heuristic(fv: np.ndarray, config: GestureConfig) -> str:
     """Best-priority matching gesture name, or Negative when none match."""
     state = state_vector(fv, config.thresholds).tolist()
     for definition in config.definitions:  # already sorted by priority

@@ -76,6 +76,8 @@ BOX_WEIGHT_TZ = 1000.0
 # test in MINPACK's lmder (More, 1978)
 STALL_WINDOW = 10
 STALL_FRACTION = 1e-3
+# an accepted step that cuts the cost by less than REL_TOL of it ends the fit
+REL_TOL = 1e-10
 
 # Each LM round tries these multiples of the damping factor at once
 DAMPING_FACTORS = np.array([0.01, 0.1, 1.0, 10.0])
@@ -533,8 +535,7 @@ def _linearize(intrinsics, pvec, kin, row):
 
 
 def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PoseParams,
-             *, max_iter: int = 200, rel_tol: float = 1e-10,
-             max_rms_px: float = 10.0) -> FitResult:
+             *, max_iter: int = 200, max_rms_px: float = 10.0) -> FitResult:
     """Fit pose parameters to observed pixels by damped least squares.
 
     Residuals are the 42 reprojection errors plus one-sided penalties that
@@ -550,8 +551,8 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     times its largest damping.  lambda starts at 1e-3 and is clamped to
     [1e-12, 1e8].  ``FitResult.stop`` says why fitting ended:
 
-    - "tolerance": an accepted step cut the cost by less than ``rel_tol``
-      of it, the cost reached zero, or no step went downhill and the
+    - "tolerance": an accepted step cut the cost by less than REL_TOL of
+      it, the cost reached zero, or no step went downhill and the
       gradient vanished;
     - "stalled": the last STALL_WINDOW accepted steps together cut the
       cost by less than STALL_FRACTION of it (a fit creeping along a flat
@@ -611,7 +612,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                     history.append(cost)
                     lam = min(max(lams[k] * 0.5, 1e-12), 1e8)
                     accepted = True
-                    if rel < rel_tol or cost == 0.0:
+                    if rel < REL_TOL or cost == 0.0:
                         stop = "tolerance"
                     elif (len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - cost
                           < STALL_FRACTION * history[-STALL_WINDOW - 1]):

@@ -176,7 +176,7 @@ class TrainConfig:
 class LabeledExample:
     """A feature vector with its class label (six gestures or Negative)."""
 
-    features: object  # FeatureVector or any 12-element array-like
+    features: object  # any 12-element array-like, feature_vector order
     label: str
 
     def __post_init__(self):
@@ -185,8 +185,7 @@ class LabeledExample:
 
 
 def _features_array(features) -> np.ndarray:
-    arr = features.as_array() if hasattr(features, "as_array") else features
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(features, dtype=np.float64)
     if arr.shape != (FEATURE_SIZE,):
         raise ShapeMismatch(f"expected {FEATURE_SIZE} features, got {arr.shape}")
     return arr
@@ -426,9 +425,10 @@ def gradient_check(model: MlpModel, example: LabeledExample,
 def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
     """Smallest tau keeping the negatives' false-positive fraction in budget.
 
-    The score of a negative is its max gesture (non-Negative) probability;
-    tau is found by sweeping the sorted scores, so on the calibration set
-    itself the achieved FPR is <= target_fpr by construction.
+    The score of a negative is its max gesture (non-Negative) probability,
+    from the per-row forward pass classify_nn compares with tau; tau is the
+    first of 0 and the sorted scores whose exceedance fraction is within
+    target_fpr, so the calibration set's own FPR is <= target_fpr.
     """
     if not 0.0 < target_fpr < 1.0:
         raise ValidationError(f"target_fpr must lie in (0, 1), got {target_fpr}")
@@ -442,8 +442,8 @@ def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
     for i, ex in enumerate(negatives):
         probs = forward(model, ex.features)
         scores[i] = np.max(np.delete(probs, NEGATIVE_INDEX))
-    for tau in (0.0, *np.sort(scores)):
-        if np.mean(scores > tau) <= target_fpr:
-            return float(tau)
-    # unreachable: the largest score always yields zero exceedances
-    raise AssertionError("threshold sweep found no feasible tau")
+    ranked = np.sort(scores)
+    candidates = np.concatenate(([0.0], ranked))
+    above = len(ranked) - np.searchsorted(ranked, candidates, side="right")
+    # the largest score has no exceedances, so some candidate is feasible
+    return float(candidates[np.argmax(above / len(ranked) <= target_fpr)])

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, TextIO
 
+import numpy as np
+
 from .errors import (
     MalformedConfig,
     Missing3D,
@@ -25,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from . import mlp
-from .features import FeatureVector, feature_vector
+from .features import feature_vector
 from .heuristic import classify_heuristic, config_from_dict, default_config
 from .skeleton import HandFrame, HandSkeleton, decode_config, read_json
 
@@ -82,7 +84,7 @@ def load_pipeline_config(fp: TextIO) -> PipelineConfig:
     return PipelineConfig.from_dict(obj)
 
 
-def make_predictor(kind: str, ref: str | None) -> Callable[[FeatureVector], str]:
+def make_predictor(kind: str, ref: str | None) -> Callable[[np.ndarray], str]:
     """Resolve a classifier choice into features -> label.
 
     ``kind`` is one of CLASSIFIER_KINDS; ``ref`` names the model file for

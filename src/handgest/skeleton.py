@@ -32,6 +32,7 @@ flat config dataclasses from JSON with type checks, raising MalformedConfig.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -235,9 +236,21 @@ def read_jsonl(path) -> Iterator[dict]:
 
 @contextmanager
 def open_output(path) -> Iterator[TextIO]:
-    """Text stream to write: stdout for None or "-", else the file at path."""
+    """Text stream to write: stdout for None or "-", else the file at path.
+
+    Stdout is flushed before leaving; a reader that closed it early is a
+    ValidationError, and fd 1 then points at os.devnull so the
+    interpreter's shutdown flush cannot raise again.
+    """
     if path is None or path == "-":
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ValidationError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(path, "w", encoding="utf-8") as fp:

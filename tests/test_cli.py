@@ -1,7 +1,11 @@
 """End-to-end runs of the handgest command line."""
 
 import copy
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,10 +83,9 @@ def test_features_match_library(corpus, tmp_path):
         assert row["label"] == label
         assert row["t_us"] == frame.t_us
         fv = feature_vector(frame.hand.kp3d, frame.hand.handedness)
-        np.testing.assert_allclose(row["euler"],
-                                   [fv.euler.yaw, fv.euler.pitch, fv.euler.roll])
-        np.testing.assert_allclose(row["fingers"], fv.finger_angles)
-        np.testing.assert_allclose(row["pairs"], fv.pair_angles)
+        np.testing.assert_allclose(row["euler"], fv[0:3])
+        np.testing.assert_allclose(row["fingers"], fv[3:8])
+        np.testing.assert_allclose(row["pairs"], fv[8:])
 
 
 def test_classify_heuristic_from_features(corpus, tmp_path):
@@ -499,6 +502,16 @@ BAD_INPUTS = {
     "classify-features-infinity": ("classify --features {bad}",
                                    {**_FEATURE_ROW, "euler": [0.0, -INF, 0.0]},
                                    "feature row must be finite"),
+    # angles outside the ranges features writes, which classified as OpenPalm
+    "classify-features-negative-curls": ("classify --features {bad}",
+                                         {**_FEATURE_ROW, "fingers": [-7] * 5},
+                                         "feature row must be finite and in the ranges"),
+    "classify-features-pitch-past-half-pi": ("classify --features {bad} --model {model}",
+                                             {**_FEATURE_ROW, "euler": [0.0, 1.6, 0.0]},
+                                             "feature row must be finite and in the ranges"),
+    "classify-features-spread-past-pi": ("classify --features {bad}",
+                                         {**_FEATURE_ROW, "pairs": [0.5, 0.5, 0.5, 3.2]},
+                                         "feature row must be finite and in the ranges"),
     "train-learning-rate-nan": ("train --data {frames} --out {out} --config {bad}",
                                 {"learning_rate": NAN},
                                 "learning_rate must be finite and positive, got nan"),
@@ -540,6 +553,62 @@ def test_bad_input_exits_2_with_one_line(good_files, tmp_path, capsys, argv, con
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expect in err
+
+
+@pytest.mark.parametrize("handedness", ["Right", "Left"])
+def test_feature_rows_are_accepted_back(tmp_path, handedness):
+    # every row features writes lies in the ranges classify --features takes
+    cfg, data = tmp_path / "synth.json", tmp_path / "data.jsonl"
+    cfg.write_text(json.dumps({"seed": 3, "handedness": handedness}))
+    assert run("synth", "--out", data, "--per-gesture", 5, "--config", cfg) == 0
+    feats, preds = tmp_path / "feats.jsonl", tmp_path / "preds.jsonl"
+    assert run("features", "--frames", data, "--out", feats) == 0
+    assert run("classify", "--features", feats, "--out", preds) == 0
+    assert len(read_jsonl(preds)) == 5 * len(ALL_GESTURES)
+    # and so do rows on the closed edges of every range
+    edges = tmp_path / "edges.jsonl"
+    edges.write_text("".join(json.dumps({"euler": [s * np.pi, s * np.pi / 2.0, s * np.pi],
+                                         "fingers": [e] * 5, "pairs": [e] * 4}) + "\n"
+                             for s, e in ((-1.0, 0.0), (1.0, np.pi))))
+    assert run("classify", "--features", edges, "--out", preds) == 0
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """A long run of 840 frames, a short one of 5, and a pipeline config."""
+    root = tmp_path_factory.mktemp("runs")
+    long, short, pipe = root / "long.jsonl", root / "short.jsonl", root / "pipe.json"
+    assert run("synth", "--out", long, "--per-gesture", 40, "--seed", 5) == 0
+    short.write_text("".join(long.read_text().splitlines(keepends=True)[:5]))
+    pipe.write_text(json.dumps(_PIPE))
+    return {"long": long, "short": short, "pipe": pipe}
+
+
+@pytest.mark.parametrize("argv", ["features --frames {frames}",
+                                  "stream --frames {frames} --pipeline {pipe}"])
+@pytest.mark.parametrize("length", ["long", "short"])
+def test_closed_stdout_exits_2_without_traceback(runs, tmp_path, argv, length):
+    argv = argv.format(frames=runs[length], pipe=runs["pipe"]).split()
+    whole = tmp_path / "whole.jsonl"
+    assert run(*argv, "--out", whole) == 0
+    # stdout block-buffered, as it is by default on a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "handgest.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if length == "long":
+        # the reader leaves with more than a pipe buffer unread: a write fails
+        assert whole.stat().st_size > 65536
+        proc.stdout.read(100)
+    else:
+        # the reader leaves before the first byte, and the output fits in
+        # stdout's buffer: only the flush on leaving can fail
+        assert whole.stat().st_size < io.DEFAULT_BUFFER_SIZE
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", ["classify --frames f.jsonl --config x.json",

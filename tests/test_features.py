@@ -11,7 +11,6 @@ from handgest.features import (
     EPS_PALM_AREA_M2,
     EPS_PALM_SCALE_M,
     EPS_SEGMENT_M,
-    EulerAngles,
     _all_angles,
     cross,
     euler_from_rotation,
@@ -101,27 +100,24 @@ def test_palm_pose_rejects_zero_scale():
 # --- Euler angles ---
 
 def test_euler_identity():
-    e = euler_from_rotation(np.eye(3))
-    assert (e.yaw, e.pitch, e.roll) == (0.0, 0.0, 0.0)
-    assert not e.gimbal_lock
+    assert euler_from_rotation(np.eye(3)) == (0.0, 0.0, 0.0)
 
 
 def test_euler_quarter_yaw():
     c, s = 0.0, 1.0
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    e = euler_from_rotation(rz)
-    assert e.yaw == pytest.approx(np.pi / 2.0)
-    assert e.pitch == pytest.approx(0.0, abs=1e-12)
-    assert e.roll == pytest.approx(0.0, abs=1e-12)
+    yaw, pitch, roll = e = euler_from_rotation(rz)
+    assert yaw == pytest.approx(np.pi / 2.0)
+    assert pitch == pytest.approx(0.0, abs=1e-12)
+    assert roll == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(rotation_from_euler(e), rz, atol=1e-12)
 
 
 def test_euler_gimbal_lock_reconstructs():
-    e_in = EulerAngles(yaw=0.7, pitch=np.pi / 2.0, roll=-0.3)
-    r = rotation_from_euler(e_in)
+    r = rotation_from_euler((0.7, np.pi / 2.0, -0.3))
     e = euler_from_rotation(r)
-    assert e.gimbal_lock
-    assert e.yaw == 0.0   # documented tie-break: roll absorbs everything
+    assert np.cos(e[1]) < EPS_GIMBAL   # the locked branch
+    assert e[0] == 0.0   # documented tie-break: roll absorbs everything
     np.testing.assert_allclose(rotation_from_euler(e), r, atol=1e-8)
 
 
@@ -132,10 +128,10 @@ def test_euler_gimbal_lock_reconstructs():
     roll=st.floats(-3.141, 3.141),
 )
 def test_euler_round_trip_away_from_gimbal(yaw, pitch, roll):
-    e = euler_from_rotation(rotation_from_euler(EulerAngles(yaw, pitch, roll)))
-    assert abs(e.yaw - yaw) < 1e-8
-    assert abs(e.pitch - pitch) < 1e-8
-    assert abs(e.roll - roll) < 1e-8
+    e = euler_from_rotation(rotation_from_euler((yaw, pitch, roll)))
+    assert abs(e[0] - yaw) < 1e-8
+    assert abs(e[1] - pitch) < 1e-8
+    assert abs(e[2] - roll) < 1e-8
 
 
 def test_rotation_round_trip_random_matrices():
@@ -246,7 +242,7 @@ def test_pair_angle_parallel_and_orthogonal():
 def test_victory_spreads_index_middle():
     hand = synth_kp3d("Victory")
     fv = feature_vector(hand.kp3d, hand.handedness)
-    assert fv.pair_angles[1] > fv.pair_angles[2]   # (index,middle) > (middle,ring)
+    assert fv[9] > fv[10]   # (index,middle) > (middle,ring)
 
 
 # --- full feature vector ---
@@ -255,14 +251,13 @@ def test_feature_vector_ranges():
     for label in ("OpenPalm", "ClosedFist", "PointingUp"):
         hand = synth_kp3d(label)
         fv = feature_vector(hand.kp3d, hand.handedness)
-        arr = fv.as_array()
-        assert arr.shape == (12,)
-        assert np.all(np.isfinite(arr))
-        assert -np.pi < fv.euler.yaw <= np.pi
-        assert -np.pi / 2.0 <= fv.euler.pitch <= np.pi / 2.0
-        assert -np.pi < fv.euler.roll <= np.pi
-        assert np.all(fv.finger_angles >= 0.0) and np.all(fv.finger_angles <= np.pi)
-        assert np.all(fv.pair_angles >= 0.0) and np.all(fv.pair_angles <= np.pi)
+        assert fv.shape == (12,) and fv.dtype == np.float64
+        assert np.all(np.isfinite(fv))
+        assert -np.pi < fv[0] <= np.pi
+        assert -np.pi / 2.0 <= fv[1] <= np.pi / 2.0
+        assert -np.pi < fv[2] <= np.pi
+        assert np.all(fv[3:8] >= 0.0) and np.all(fv[3:8] <= np.pi)
+        assert np.all(fv[8:] >= 0.0) and np.all(fv[8:] <= np.pi)
 
 
 def test_feature_vector_rotation_changes_euler_only():
@@ -274,16 +269,16 @@ def test_feature_vector_rotation_changes_euler_only():
     fv_rot = feature_vector(hand.kp3d @ q.T, hand.handedness)
     # dead-straight fingers sit at the arccos endpoint, where rotation
     # round-off amplifies to ~sqrt(eps); away from 0/pi the drift is ~1e-12
-    np.testing.assert_allclose(fv_rot.finger_angles, fv.finger_angles, atol=1e-7)
-    np.testing.assert_allclose(fv_rot.pair_angles, fv.pair_angles, atol=1e-7)
-    assert not np.allclose(fv_rot.euler.as_array(), fv.euler.as_array(), atol=1e-3)
+    np.testing.assert_allclose(fv_rot[3:8], fv[3:8], atol=1e-7)
+    np.testing.assert_allclose(fv_rot[8:], fv[8:], atol=1e-7)
+    assert not np.allclose(fv_rot[0:3], fv[0:3], atol=1e-3)
 
 
 def test_feature_vector_scale_invariant_including_euler():
     hand = synth_kp3d("ThumbUp")
     fv = feature_vector(hand.kp3d, hand.handedness)
     fv3 = feature_vector(hand.kp3d * 3.0, hand.handedness)
-    np.testing.assert_allclose(fv3.as_array(), fv.as_array(), atol=1e-9)
+    np.testing.assert_allclose(fv3, fv, atol=1e-9)
 
 
 # --- oracle: the feature vector as first written, with stock numpy calls ---
@@ -348,7 +343,7 @@ def test_feature_vector_bitwise_equal_to_reference():
             for i in range(50):
                 frame, _ = synth_pose(label, cfg, sample_rng(11, n))
                 kp3d = frame.hand.kp3d
-                assert np.array_equal(feature_vector(kp3d, handedness).as_array(),
+                assert np.array_equal(feature_vector(kp3d, handedness),
                                       reference_feature_vector(kp3d, handedness)), (label, i)
                 n += 1
     assert n >= 2000
@@ -357,11 +352,11 @@ def test_feature_vector_bitwise_equal_to_reference():
 def test_feature_vector_bitwise_equal_at_gimbal_lock():
     kp = synth_kp3d("OpenPalm").kp3d
     pose = palm_pose(kp, "Right")
-    target = rotation_from_euler(EulerAngles(yaw=0.4, pitch=np.pi / 2.0, roll=-0.2))
+    target = rotation_from_euler((0.4, np.pi / 2.0, -0.2))
     turned = intrinsic_keypoints(kp, pose) @ target.T * 0.08 + (0.01, -0.02, 0.5)
     fv = feature_vector(turned, "Right")
-    assert fv.euler.gimbal_lock
-    assert np.array_equal(fv.as_array(), reference_feature_vector(turned, "Right"))
+    assert np.cos(fv[1]) < EPS_GIMBAL and fv[0] == 0.0   # the locked branch
+    assert np.array_equal(fv, reference_feature_vector(turned, "Right"))
 
 
 def _collinear_palm():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from handgest.errors import MalformedConfig, UnknownReference, ValidationError
-from handgest.features import EulerAngles, FeatureVector, feature_vector
+from handgest.features import feature_vector
 from handgest.harness import SynthConfig, synth_pose
 from handgest.heuristic import (
     DEFAULT_CONFIG_JSON,
@@ -26,11 +26,7 @@ from handgest.skeleton import read_json
 
 
 def make_fv(fingers, pairs=(0.3, 0.3, 0.3, 0.3), euler=(0.0, 0.0, 0.0)):
-    return FeatureVector(
-        euler=EulerAngles(*euler),
-        finger_angles=np.asarray(fingers, dtype=float),
-        pair_angles=np.asarray(pairs, dtype=float),
-    )
+    return np.array([*euler, *fingers, *pairs], dtype=float)
 
 
 def clean_pose(label, seed=0):
@@ -340,7 +336,7 @@ def _reference_eval(node, fingers, pairs, euler):
         return fingers[node["finger"]] == node["state"]
     if "pair" in node:
         return pairs[node["pair"]] == node["state"]
-    a = getattr(euler, node["euler"])
+    a = euler[node["euler"]]
     lo, hi = float(np.radians(node["lo_deg"])), float(np.radians(node["hi_deg"]))
     if lo <= hi:
         return lo <= a < hi
@@ -353,15 +349,16 @@ def reference_classify_heuristic(fv, doc):
     with that name or with one Euler angle, the first match by priority."""
     th = {k: np.asarray(v, dtype=np.float64) * (np.pi / 180.0)
           for k, v in doc["thresholds"].items()}
-    fingers = {name: _discretize(float(fv.finger_angles[i]), th["straight_max_deg"][i],
+    fingers = {name: _discretize(float(fv[3 + i]), th["straight_max_deg"][i],
                                  th["bent_min_deg"][i],
                                  ("FullyStraight", "Neither", "FullyBent"))
                for i, name in enumerate(_FINGERS)}
-    pairs = {name: _discretize(float(fv.pair_angles[i]), th["crossed_max_deg"][i],
+    pairs = {name: _discretize(float(fv[8 + i]), th["crossed_max_deg"][i],
                                th["apart_min_deg"][i], ("Crossed", "Neither", "Apart"))
              for i, name in enumerate(_PAIRS)}
+    euler = dict(zip(("yaw", "pitch", "roll"), fv))
     for g in sorted(doc["gestures"], key=lambda g: g["priority"]):
-        if _reference_eval(g["expr"], fingers, pairs, fv.euler):
+        if _reference_eval(g["expr"], fingers, pairs, euler):
             return g["name"]
     return "Negative"
 

@@ -1,5 +1,7 @@
 """Kinematic model, projection, and 2D-to-3D pose fitting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -325,8 +327,8 @@ def test_normalize_world_centers_middle_mcp():
 def test_normalize_world_keeps_features():
     params = truth_sample(3, "Victory")
     kp = forward_kinematics(default_hand_model(), params)
-    a = feature_vector(kp, "Right").as_array()
-    b = feature_vector(normalize_world(kp), "Right").as_array()
+    a = feature_vector(kp, "Right")
+    b = feature_vector(normalize_world(kp), "Right")
     np.testing.assert_allclose(b, a, atol=1e-9)
 
 
@@ -404,6 +406,21 @@ def test_noisy_fit_stops_when_it_stalls():
     assert stalls(costs, last)
     assert not any(stalls(costs, k) for k in range(last))
     assert np.all(np.diff(costs) < 0.0)
+
+
+def test_tolerance_stop_reads_rel_tol(monkeypatch):
+    # REL_TOL is a module constant, not a fit_pose argument; with the bar
+    # raised to the whole cost, the first accepted step ends the fit
+    assert "rel_tol" not in inspect.signature(fit_pose).parameters
+    assert lifting.REL_TOL == 1e-10
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    frame, _ = synth_pose("OpenPalm", cfg, sample_rng(7, 0))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    monkeypatch.setattr(lifting, "REL_TOL", 1.0)
+    res = fit(frame.hand.kp2d, model, intr, init)
+    assert res.stop == "tolerance" and len(res.cost_history) == 2
 
 
 @pytest.mark.parametrize("j", [41, 53, 59])

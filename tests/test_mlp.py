@@ -375,6 +375,31 @@ def test_calibrate_is_minimal_sweep_point():
             assert np.mean(scores > cand) > target
 
 
+def brute_force_tau(scores, target_fpr):
+    """The O(n^2) sweep calibrate_threshold replaced."""
+    for tau in (0.0, *np.sort(scores)):
+        if np.mean(scores > tau) <= target_fpr:
+            return float(tau)
+
+
+def test_calibrate_equals_the_brute_force_sweep(monkeypatch):
+    # feature entry 0 carries the score straight through forward()
+    def forward_score(model, features):
+        probs = np.zeros(len(CLASSES))
+        probs[0] = features[0]
+        return probs
+    monkeypatch.setattr(mlp, "forward", forward_score)
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        # few distinct levels, so ties and zeros are common
+        scores = rng.choice(np.r_[0.0, rng.uniform(0.0, 1.0, 5)], size=n)
+        negatives = [negative_example(np.r_[s, np.zeros(11)]) for s in scores]
+        for target in (0.01, 0.1, 1.0 / 3.0, 0.5, 0.9, rng.uniform(0.0, 1.0)):
+            assert (calibrate_threshold(None, negatives, target)
+                    == brute_force_tau(scores, target)), (trial, target)
+
+
 def test_calibrate_validates_inputs():
     model = zero_model()
     with pytest.raises(EmptyNegatives):

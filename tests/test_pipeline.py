@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from handgest.errors import MalformedConfig, NonMonotonicTimestamp, ValidationError
+from handgest.features import feature_vector
 from handgest.harness import SynthConfig, synth_pose
+from handgest.mlp import LAYER_SIZES, MlpModel, save_model
 from handgest.pipeline import (
+    CLASSIFIER_KINDS,
     TRACKED,
     UNTRACKED,
     FrameOutput,
@@ -18,6 +21,7 @@ from handgest.pipeline import (
     initial_state,
     load_pipeline_config,
     make_classifier,
+    make_predictor,
     run_stream,
     step,
 )
@@ -252,3 +256,20 @@ def test_pipeline_config_from_dict_needs_max_detect_hz():
         PipelineConfig.from_dict({"schema": "pipeline/1"})
     with pytest.raises(MalformedConfig, match="expected schema"):
         PipelineConfig.from_dict({"schema": "pipeline/2", "max_detect_hz": 5.0})
+
+
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_predictors_leave_the_feature_array_unchanged(tmp_path, kind):
+    ref = None
+    if kind == "nn":
+        rng = np.random.default_rng(4)
+        ref = str(tmp_path / "model.json")
+        sizes = list(zip(LAYER_SIZES, LAYER_SIZES[1:]))
+        save_model(MlpModel([rng.normal(size=(o, i)) for i, o in sizes],
+                            [rng.normal(size=o) for _, o in sizes],
+                            np.zeros(12), np.ones(12)), ref)
+    predict = make_predictor(kind, ref)
+    fv = feature_vector(VICTORY_HAND.kp3d, VICTORY_HAND.handedness)
+    before = fv.copy()
+    predict(fv)
+    assert np.array_equal(fv, before)

@@ -173,7 +173,8 @@ def cmd_calibrate(args):
     tau = mlp.calibrate_threshold(model, negatives, args.fpr)
     model.tau = tau
     mlp.save_model(model, args.out or args.model)
-    print(f"{tau:.6f}")
+    with open_output(None) as out:
+        out.write(f"{tau:.6f}\n")
     return 0
 
 

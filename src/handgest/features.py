@@ -27,7 +27,6 @@ then roll), so in-plane image rotation lands entirely in yaw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,15 +53,6 @@ FEATURE_MIN = np.array([-np.pi, -np.pi / 2.0, -np.pi] + [0.0] * 9)
 FEATURE_MAX = np.array([np.pi, np.pi / 2.0] + [np.pi] * 10)
 
 
-@dataclass(frozen=True)
-class PalmPose:
-    """Rigid pose and scale of the palm in camera space."""
-
-    rotation: np.ndarray    # (3, 3) proper rotation, columns [lateral, forward, normal]
-    translation: np.ndarray  # (3,) wrist position, meters
-    scale: float             # wrist to middle-MCP distance, meters
-
-
 def _check_kp3d(kp3d: np.ndarray) -> np.ndarray:
     kp3d = np.asarray(kp3d, dtype=np.float64)
     if kp3d.shape != (NUM_KEYPOINTS, 3):
@@ -87,22 +77,14 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
-def palm_pose(kp3d: np.ndarray, handedness: str) -> PalmPose:
-    """Extrinsic palm frame from wrist and the index/pinky base knuckles.
+def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Extrinsic palm frame of a checked (21, 3) kp3d: (rotation with
+    columns [lateral, forward, normal], wrist, wrist-to-middle-MCP scale).
 
     Raises MalformedFrame on a handedness other than "Left" or "Right", and
-    DegeneratePalm when the three points are nearly collinear or the
-    wrist-to-middle-MCP distance is degenerate.
-    """
-    kp3d = _check_kp3d(kp3d)
-    rotation, wrist, scale = _palm_frame(kp3d, handedness)
-    return PalmPose(rotation=rotation, translation=wrist.copy(), scale=scale)
-
-
-def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """(rotation, wrist, scale) of palm_pose, for a checked (21, 3) kp3d.
-
-    Norms are sqrt(v.dot(v)), what np.linalg.norm runs on a vector.
+    DegeneratePalm when wrist and the index/pinky base knuckles are nearly
+    collinear or the scale is degenerate.  Norms are sqrt(v.dot(v)), what
+    np.linalg.norm runs on a vector.
     """
     if handedness not in HANDEDNESS_VALUES:
         raise MalformedFrame(
@@ -165,15 +147,15 @@ def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
     return _wrap_pi(yaw), pitch, _wrap_pi(roll)
 
 
-def intrinsic_keypoints(kp3d: np.ndarray, pose: PalmPose) -> np.ndarray:
-    """Map keypoints into the palm frame: p' = R^T (p - t) / scale.
+def _intrinsic(kp3d: np.ndarray, rotation: np.ndarray, wrist: np.ndarray,
+               scale: float) -> np.ndarray:
+    """Map keypoints into their palm frame: p' = R^T (p - wrist) / scale.
 
     The result has the wrist at the origin and unit wrist-to-middle-MCP
     distance, so it is invariant to rigid motion and uniform scaling of
     the input.
     """
-    kp3d = _check_kp3d(kp3d)
-    return (kp3d - pose.translation) @ pose.rotation / pose.scale
+    return (kp3d - wrist) @ rotation / scale
 
 
 def _all_angles(kp3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,5 +195,5 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
     """
     kp3d = _check_kp3d(kp3d)
     rotation, wrist, scale = _palm_frame(kp3d, handedness)
-    fingers, pairs = _all_angles((kp3d - wrist) @ rotation / scale)  # intrinsic_keypoints
+    fingers, pairs = _all_angles(_intrinsic(kp3d, rotation, wrist, scale))
     return np.concatenate((euler_from_rotation(rotation), fingers, pairs))

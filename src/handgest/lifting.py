@@ -79,8 +79,10 @@ STALL_FRACTION = 1e-3
 # an accepted step that cuts the cost by less than REL_TOL of it ends the fit
 REL_TOL = 1e-10
 
-# Each LM round tries these multiples of the damping factor at once
-DAMPING_FACTORS = np.array([0.01, 0.1, 1.0, 10.0])
+# Each LM round tries these multiples of the damping factor at once; two
+# decades apart, so one round reaches both near-Gauss-Newton and short
+# gradient-like steps
+DAMPING_FACTORS = np.array([1e-3, 0.1, 10.0, 1e3])
 
 
 # -- small rotation helpers ------------------------------------------------
@@ -542,14 +544,15 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     hold joints and depth inside their boxes.  Each iteration linearizes
     them with the analytic Jacobian, taken from the FK pass that evaluated
     the accepted pose, and searches the damping factor lambda in rounds:
-    a round solves the damped normal equations for the DAMPING_FACTORS
-    multiples of lambda in one stacked solve and evaluates the trial poses
-    in one batched FK pass.  The cheapest trial is accepted if it goes
-    downhill, and lambda becomes half of its damping; trials that take a
-    keypoint to or behind the camera plane never count as cheapest.  A
-    round with no downhill trial, or a singular system, retries at ten
-    times its largest damping.  lambda starts at 1e-3 and is clamped to
-    [1e-12, 1e8].  ``FitResult.stop`` says why fitting ended:
+    a round solves the damped normal equations for the four DAMPING_FACTORS
+    multiples of lambda, 1e-3, 0.1, 10 and 1e3 (six decades), in one
+    stacked solve and evaluates the trial poses in one batched FK pass.
+    The cheapest trial is accepted if it goes downhill, and lambda becomes
+    half of its damping; trials that take a keypoint to or behind the
+    camera plane never count as cheapest.  A round with no downhill trial,
+    or a singular system, retries at ten times its largest damping.
+    lambda starts at 1e-3 and is clamped to [1e-12, 1e8].
+    ``FitResult.stop`` says why fitting ended:
 
     - "tolerance": an accepted step cut the cost by less than REL_TOL of
       it, the cost reached zero, or no step went downhill and the
@@ -590,20 +593,25 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
         # Marquardt scaling: damp proportionally to the curvature so that
         # weakly observed parameters (e.g. a finger pointing away from the
         # camera) still take useful steps instead of freezing in place
-        damp = np.diag(np.clip(np.diag(hess), 1e-12, None))
+        damp = np.maximum(hess.diagonal(), 1e-12)
         accepted = False
         while True:
             lams = lam * DAMPING_FACTORS
+            systems = np.repeat(hess[None], len(lams), axis=0)
+            # every NUM_POSE_PARAMS + 1-th entry of a flattened system is on its diagonal
+            systems.reshape(len(lams), -1)[:, ::NUM_POSE_PARAMS + 1] += lams[:, None] * damp
             try:
-                trials = p + np.linalg.solve(hess + lams[:, None, None] * damp, -grad)
+                trials = p + np.linalg.solve(systems, -grad)
             except np.linalg.LinAlgError:
                 trials = None
             if trials is not None:
-                # a step that overflowed stays put, so it cannot go downhill
-                trials[~np.isfinite(trials).all(axis=1)] = p
+                if not np.isfinite(trials).all():
+                    # a step that overflowed stays put, so it cannot go downhill
+                    trials[~np.isfinite(trials).all(axis=1)] = p
                 r_try, kin_try = _residuals_batch(model, intrinsics, obs, trials)
                 costs = np.einsum("ij,ij->i", r_try, r_try)
-                costs[~np.isfinite(costs)] = np.inf  # behind the camera
+                if np.isnan(costs).any():
+                    costs[np.isnan(costs)] = np.inf  # behind the camera
                 k = int(np.argmin(costs))
                 if costs[k] < cost:
                     rel = (cost - costs[k]) / max(cost, 1e-300)

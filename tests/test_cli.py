@@ -14,7 +14,7 @@ from handgest.cli import main
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, read_dataset, sample_rng, synth_pose
 from handgest.heuristic import DEFAULT_CONFIG_JSON, classify_heuristic, default_config
-from handgest.labels import ALL_GESTURES, CLASSES
+from handgest.labels import ALL_GESTURES, CLASSES, NEGATIVE_GESTURES
 from handgest.lifting import default_hand_model
 from handgest.mlp import LAYER_SIZES, MlpModel, load_model
 from handgest.skeleton import frame_to_dict
@@ -575,40 +575,59 @@ def test_feature_rows_are_accepted_back(tmp_path, handedness):
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """A long run of 840 frames, a short one of 5, and a pipeline config."""
+    """A long run of 840 frames, a short one of 5, a pipeline config, and a
+    trained model with negatives to calibrate it on."""
     root = tmp_path_factory.mktemp("runs")
     long, short, pipe = root / "long.jsonl", root / "short.jsonl", root / "pipe.json"
     assert run("synth", "--out", long, "--per-gesture", 40, "--seed", 5) == 0
     short.write_text("".join(long.read_text().splitlines(keepends=True)[:5]))
     pipe.write_text(json.dumps(_PIPE))
-    return {"long": long, "short": short, "pipe": pipe}
+    negs, model, train_cfg = root / "negs.jsonl", root / "model.json", root / "train.json"
+    assert run("synth", "--out", negs, "--per-gesture", 3, "--seed", 6,
+               "--gestures", ",".join(NEGATIVE_GESTURES)) == 0
+    train_cfg.write_text(json.dumps({"epochs": 1}))
+    assert run("train", "--data", long, "--out", model, "--config", train_cfg) == 0
+    return {"long": long, "short": short, "pipe": pipe, "negs": negs, "model": model}
 
 
-@pytest.mark.parametrize("argv", ["features --frames {frames}",
-                                  "stream --frames {frames} --pipeline {pipe}"])
-@pytest.mark.parametrize("length", ["long", "short"])
-def test_closed_stdout_exits_2_without_traceback(runs, tmp_path, argv, length):
-    argv = argv.format(frames=runs[length], pipe=runs["pipe"]).split()
-    whole = tmp_path / "whole.jsonl"
-    assert run(*argv, "--out", whole) == 0
+@pytest.mark.parametrize("length, argv", [
+    *((length, argv) for argv in ("features --frames {frames}",
+                                  "stream --frames {frames} --pipeline {pipe}")
+      for length in ("long", "short")),
+    # tau is one short line, printed after the model file is written
+    ("short", "calibrate --model {model} --negatives {negs} --fpr 0.1"),
+])
+def test_closed_stdout_exits_2_without_traceback(runs, tmp_path, capsys, length, argv):
+    model = tmp_path / "model.json"
+    model.write_bytes(runs["model"].read_bytes())
+    argv = argv.format(frames=runs[length], pipe=runs["pipe"], model=model,
+                       negs=runs["negs"]).split()
+    assert run(*argv) == 0
+    whole = capsys.readouterr().out.encode()
+    written = model.read_bytes()
+    model.write_bytes(runs["model"].read_bytes())
     # stdout block-buffered, as it is by default on a pipe
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen([sys.executable, "-m", "handgest.cli", *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if length == "long":
         # the reader leaves with more than a pipe buffer unread: a write fails
-        assert whole.stat().st_size > 65536
+        assert len(whole) > 65536
         proc.stdout.read(100)
     else:
         # the reader leaves before the first byte, and the output fits in
         # stdout's buffer: only the flush on leaving can fail
-        assert whole.stat().st_size < io.DEFAULT_BUFFER_SIZE
+        assert len(whole) < io.DEFAULT_BUFFER_SIZE
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=120) == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    if argv[0] == "calibrate":
+        # the model file holds tau, saved before printing it failed
+        assert model.read_bytes() == written
+        assert whole == f"{load_model(model).tau:.6f}\n".encode() != b"0.000000\n"
 
 
 @pytest.mark.parametrize("argv", ["classify --frames f.jsonl --config x.json",

@@ -12,11 +12,11 @@ from handgest.features import (
     EPS_PALM_SCALE_M,
     EPS_SEGMENT_M,
     _all_angles,
+    _intrinsic,
+    _palm_frame,
     cross,
     euler_from_rotation,
     feature_vector,
-    intrinsic_keypoints,
-    palm_pose,
     rotation_from_euler,
 )
 from handgest.harness import SynthConfig, sample_rng, synth_pose
@@ -49,14 +49,13 @@ def test_palm_pose_frame_construction():
     kp[5] = (1.0, 0.0, 1.0)
     kp[17] = (-1.0, 0.0, 1.0)
     kp[9] = (0.0, 0.0, 1.0)
-    pose = palm_pose(kp, "Right")
-    r = pose.rotation
+    r, wrist, scale = _palm_frame(kp, "Right")
     np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
     # forward axis (second column) carries v1+v2 = (0,0,2)
     np.testing.assert_allclose(r[:, 1], (0.0, 0.0, 1.0), atol=1e-12)
-    np.testing.assert_allclose(pose.translation, kp[0])
-    assert pose.scale == pytest.approx(1.0)
+    np.testing.assert_allclose(wrist, kp[0])
+    assert scale == pytest.approx(1.0)
 
 
 def test_palm_pose_left_flips_normal():
@@ -65,10 +64,10 @@ def test_palm_pose_left_flips_normal():
     kp[5] = (1.0, 0.0, 1.0)
     kp[17] = (-1.0, 0.0, 1.0)
     kp[9] = (0.0, 0.0, 1.0)
-    right = palm_pose(kp, "Right")
-    left = palm_pose(kp, "Left")
-    np.testing.assert_allclose(left.rotation[:, 2], -right.rotation[:, 2], atol=1e-12)
-    assert np.linalg.det(left.rotation) == pytest.approx(1.0, abs=1e-9)
+    right = _palm_frame(kp, "Right")[0]
+    left = _palm_frame(kp, "Left")[0]
+    np.testing.assert_allclose(left[:, 2], -right[:, 2], atol=1e-12)
+    assert np.linalg.det(left) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("handedness", ["right", "left", "", None])
@@ -76,7 +75,7 @@ def test_palm_pose_rejects_unknown_handedness(handedness):
     # anything but "Right" would otherwise build the mirrored palm frame
     kp = synth_kp3d("OpenPalm").kp3d
     with pytest.raises(MalformedFrame, match="handedness"):
-        palm_pose(kp, handedness)
+        _palm_frame(kp, handedness)
     with pytest.raises(MalformedFrame, match="handedness"):
         feature_vector(kp, handedness)
 
@@ -87,14 +86,14 @@ def test_palm_pose_rejects_collinear_mcps():
     kp[5] = (0.0, 0.0, 1.0)
     kp[17] = (0.0, 0.0, 2.0)
     with pytest.raises(DegeneratePalm):
-        palm_pose(kp, "Right")
+        _palm_frame(kp, "Right")
 
 
 def test_palm_pose_rejects_zero_scale():
     kp = base_kp3d()
     kp[9] = kp[0]
     with pytest.raises(DegeneratePalm):
-        palm_pose(kp, "Right")
+        _palm_frame(kp, "Right")
 
 
 # --- Euler angles ---
@@ -152,15 +151,15 @@ def test_intrinsic_identity_pose_is_noop():
     kp[5] = (1.0, 1.0, 0.0)
     kp[17] = (-1.0, 1.0, 0.0)
     kp[9] = (0.0, 1.0, 0.0)
-    pose = palm_pose(kp, "Right")
-    np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(intrinsic_keypoints(kp, pose), kp, atol=1e-12)
+    frame = _palm_frame(kp, "Right")
+    np.testing.assert_allclose(frame[0], np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(_intrinsic(kp, *frame), kp, atol=1e-12)
 
 
 def test_intrinsic_unit_wrist_to_middle_mcp():
     for seed in range(5):
         kp = base_kp3d(np.random.default_rng(seed))
-        out = intrinsic_keypoints(kp, palm_pose(kp, "Right"))
+        out = _intrinsic(kp, *_palm_frame(kp, "Right"))
         np.testing.assert_allclose(out[0], 0.0, atol=1e-12)
         assert np.linalg.norm(out[9] - out[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -168,7 +167,7 @@ def test_intrinsic_unit_wrist_to_middle_mcp():
 def test_intrinsic_invariant_under_rigid_and_scale():
     rng = np.random.default_rng(9)
     kp = synth_kp3d("Victory").kp3d
-    ref = intrinsic_keypoints(kp, palm_pose(kp, "Right"))
+    ref = _intrinsic(kp, *_palm_frame(kp, "Right"))
     for _ in range(10):
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         if np.linalg.det(q) < 0:
@@ -176,7 +175,7 @@ def test_intrinsic_invariant_under_rigid_and_scale():
         s = float(rng.uniform(0.2, 5.0))
         t = rng.normal(0.0, 0.5, size=3)
         moved = kp @ q.T * s + t
-        out = intrinsic_keypoints(moved, palm_pose(moved, "Right"))
+        out = _intrinsic(moved, *_palm_frame(moved, "Right"))
         np.testing.assert_allclose(out, ref, atol=1e-9)
 
 
@@ -351,9 +350,8 @@ def test_feature_vector_bitwise_equal_to_reference():
 
 def test_feature_vector_bitwise_equal_at_gimbal_lock():
     kp = synth_kp3d("OpenPalm").kp3d
-    pose = palm_pose(kp, "Right")
     target = rotation_from_euler((0.4, np.pi / 2.0, -0.2))
-    turned = intrinsic_keypoints(kp, pose) @ target.T * 0.08 + (0.01, -0.02, 0.5)
+    turned = _intrinsic(kp, *_palm_frame(kp, "Right")) @ target.T * 0.08 + (0.01, -0.02, 0.5)
     fv = feature_vector(turned, "Right")
     assert np.cos(fv[1]) < EPS_GIMBAL and fv[0] == 0.0   # the locked branch
     assert np.array_equal(fv, reference_feature_vector(turned, "Right"))

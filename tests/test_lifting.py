@@ -436,6 +436,20 @@ def test_lift_tail_frames_stop_before_the_cap(j):
     assert res.stop in ("stalled", "tolerance") and res.iterations < 200
 
 
+@pytest.mark.parametrize("row", [645, 651, 656, 659])
+def test_noiseless_pointing_frames_lift(row):
+    # rows of `synth --seed 7 --per-gesture 40` (IndexPointingToCamera) that
+    # ended DivergedFit at 10.3-11.1 px rms when the four damping candidates
+    # spanned three decades, 0.01 to 10 times lambda
+    cfg = SynthConfig(seed=7)
+    frame, _ = synth_pose("IndexPointingToCamera", cfg, sample_rng(7, row))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    res = fit(frame.hand.kp2d, model, intr, init)
+    assert res.rms_px <= 10.0
+
+
 def fit_rounds(monkeypatch, *args, **kwargs):
     """A fit plus the residual rows of every damping round it evaluated."""
     calls = []

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .features import FEATURE_MAX, FEATURE_MIN, feature_vector
-from .labels import CLASSES, NEGATIVE_LABEL, check_label, to_class
+from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
     decode_config,
     float_array,
@@ -48,49 +48,72 @@ FEATURES_SCHEMA = "features/1"
 PREDICTION_SCHEMA = "prediction/1"
 
 
-# -- shared row helpers --------------------------------------------------------
+# -- row parsers: each takes one decoded JSONL row -----------------------------
 
-def _features_from_row(obj, where):
+def _features_from_row(obj):
     """(t_us, (12,) feature array) from one feature row."""
     t_us = obj.get("t_us", 0)
     if not is_int(t_us):
-        raise MalformedFrame(f"{where}: t_us must be an integer, got {t_us!r}")
+        raise MalformedFrame(f"t_us must be an integer, got {t_us!r}")
     try:
         euler = float_array(obj["euler"], "euler")
         fingers = float_array(obj["fingers"], "fingers")
         pairs = float_array(obj["pairs"], "pairs")
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFrame(f"{where}: feature row needs numeric "
-                             f"euler/fingers/pairs: {exc!r}") from exc
+        raise MalformedFrame(f"feature row needs numeric euler/fingers/pairs: {exc!r}") from exc
     if euler.shape != (3,) or fingers.shape != (5,) or pairs.shape != (4,):
-        raise MalformedFrame(f"{where}: feature row has wrong arity")
+        raise MalformedFrame("feature row has wrong arity")
     fv = np.concatenate((euler, fingers, pairs))
     if not ((FEATURE_MIN <= fv) & (fv <= FEATURE_MAX)).all():  # NaN fails too
-        raise MalformedFrame(f"{where}: feature row must be finite and in the ranges features "
-                             "writes: yaw, roll [-pi, pi]; pitch [-pi/2, pi/2]; the rest [0, pi]")
+        raise MalformedFrame("feature row must be finite and in the ranges features writes: "
+                             "yaw, roll [-pi, pi]; pitch [-pi/2, pi/2]; the rest [0, pi]")
     return t_us, fv
 
 
-def _labeled_features(path):
-    """(t_us, feature array, label-or-None) from a frames, dataset, or
-    features JSONL; frame rows need kp3d."""
-    for i, obj in enumerate(read_jsonl(path)):
-        where = f"{path}:row {i}"
-        label = obj.get("label")
-        if label is not None:
-            check_label(label, where)
-        if "hand" in obj:
-            frame = frame_from_dict(obj)
-            if frame.hand is None:
-                raise MalformedFrame(f"{where}: frame has no hand")
-            if frame.hand.kp3d is None:
-                raise Missing3D(f"{where}: frame has no 3D keypoints; run lift")
-            fv = feature_vector(frame.hand.kp3d, frame.hand.handedness)
-            yield frame.t_us, fv, label
-        elif "euler" in obj:
-            yield (*_features_from_row(obj, where), label)
-        else:
-            raise MalformedFrame(f"{where}: neither a frame nor a feature row")
+def _labeled_features(obj):
+    """(t_us, feature array, label-or-None) from a frame, dataset, or
+    feature row; frame rows need kp3d."""
+    label = obj.get("label")
+    if label is not None:
+        check_label(label)
+    if "hand" in obj:
+        frame = frame_from_dict(obj)
+        if frame.hand is None:
+            raise MalformedFrame("frame has no hand")
+        if frame.hand.kp3d is None:
+            raise Missing3D("frame has no 3D keypoints; run lift")
+        return frame.t_us, feature_vector(frame.hand.kp3d, frame.hand.handedness), label
+    if "euler" in obj:
+        return (*_features_from_row(obj), label)
+    raise MalformedFrame("neither a frame nor a feature row")
+
+
+def _training_example(obj):
+    _, fv, label = _labeled_features(obj)
+    if label is None:
+        raise ValidationError("training rows need labels")
+    return mlp.LabeledExample(fv, to_class(label))
+
+
+def _negative_example(obj):
+    _, fv, label = _labeled_features(obj)
+    if label is not None and to_class(label) != NEGATIVE_LABEL:
+        raise ValidationError(f"row labeled {label!r} is not a negative")
+    return mlp.LabeledExample(fv, NEGATIVE_LABEL)
+
+
+def _label_only(obj):
+    label = obj.get("label")
+    if label is None:
+        raise MalformedFrame("missing label")
+    return check_label(label)
+
+
+def _prediction(obj):
+    label = _label_only(obj)
+    if label not in CLASSES:
+        raise UnknownLabel(f"prediction {label!r} outside the classifier vocabulary")
+    return label
 
 
 def _feature_row(t_us, fv, label):
@@ -106,15 +129,13 @@ def _feature_row(t_us, fv, label):
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args):
-    cfg = decode_config(harness.SynthConfig,
-                        read_json(args.config) if args.config else {}, "synth config")
+    cfg = harness.SynthConfig() if not args.config else read_json(
+        args.config, lambda obj: decode_config(harness.SynthConfig, obj, "synth config"))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     gestures = None
     if args.gestures:
-        gestures = [g.strip() for g in args.gestures.split(",") if g.strip()]
-        for g in gestures:
-            check_label(g, "--gestures")
+        gestures = [check_gesture(g.strip()) for g in args.gestures.split(",") if g.strip()]
     frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
     harness.write_dataset(args.out, frames, labels)
     print(f"wrote {len(frames)} samples to {args.out}", file=sys.stderr)
@@ -124,7 +145,7 @@ def cmd_synth(args):
 def cmd_features(args):
     n = 0
     with open_output(args.out) as out:
-        for t_us, fv, label in _labeled_features(args.frames):
+        for t_us, fv, label in read_jsonl(args.frames, _labeled_features):
             out.write(json.dumps(_feature_row(t_us, fv, label)) + "\n")
             n += 1
     print(f"wrote {n} feature rows", file=sys.stderr)
@@ -138,7 +159,7 @@ def cmd_classify(args):
     predict = pipeline.make_predictor("nn" if args.model else "heuristic",
                                       args.model or args.gestures)
     with open_output(args.out) as out:
-        for t_us, fv, _ in _labeled_features(source):
+        for t_us, fv, _ in read_jsonl(source, _labeled_features):
             row = {"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
                    "label": predict(fv)}
             out.write(json.dumps(row) + "\n")
@@ -146,14 +167,10 @@ def cmd_classify(args):
 
 
 def cmd_train(args):
-    cfg = mlp.TrainConfig.from_dict(read_json(args.config) if args.config else {})
+    cfg = read_json(args.config, mlp.TrainConfig.from_dict) if args.config else mlp.TrainConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    examples = []
-    for _, fv, label in _labeled_features(args.data):
-        if label is None:
-            raise ValidationError(f"{args.data}: training rows need labels")
-        examples.append(mlp.LabeledExample(fv, to_class(label)))
+    examples = list(read_jsonl(args.data, _training_example))
     model = mlp.train(examples, cfg)
     mlp.save_model(model, args.out)
     print(f"trained on {len(examples)} examples, "
@@ -164,12 +181,7 @@ def cmd_train(args):
 
 def cmd_calibrate(args):
     model = mlp.load_model(args.model)
-    negatives = []
-    for _, fv, label in _labeled_features(args.negatives):
-        if label is not None and to_class(label) != NEGATIVE_LABEL:
-            raise ValidationError(
-                f"{args.negatives}: row labeled {label!r} is not a negative")
-        negatives.append(mlp.LabeledExample(fv, NEGATIVE_LABEL))
+    negatives = list(read_jsonl(args.negatives, _negative_example))
     tau = mlp.calibrate_threshold(model, negatives, args.fpr)
     model.tau = tau
     mlp.save_model(model, args.out or args.model)
@@ -181,40 +193,45 @@ def cmd_calibrate(args):
 def cmd_lift(args):
     model = (lifting.load_hand_model(args.model) if args.model
              else lifting.default_hand_model())
+
+    def lift(obj):
+        frame = frame_from_dict(obj)
+        failure = None
+        if frame.hand is not None:
+            intr = lifting.default_intrinsics(frame.w, frame.h)
+            try:
+                init = lifting.initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+                kp3d = lifting.fit_pose(frame.hand.kp2d, model, intr, init).points
+            except NumericalError as exc:
+                # a degenerate frame degrades to kp3d=null, it does not
+                # abort the batch
+                failure, kp3d = exc, None
+            frame = dataclasses.replace(frame, hand=dataclasses.replace(frame.hand, kp3d=kp3d))
+        row = {key: obj[key] for key in ("schema", "label") if key in obj}
+        row.update(frame_to_dict(frame))
+        return row, failure
+
     with open_output(args.out) as out:
-        for i, obj in enumerate(read_jsonl(args.frames)):
-            frame = frame_from_dict(obj)
-            if frame.hand is not None:
-                intr = lifting.default_intrinsics(frame.w, frame.h)
-                try:
-                    init = lifting.initial_pose_from_alignment(
-                        frame.hand.kp2d, model, intr)
-                    result = lifting.fit_pose(frame.hand.kp2d, model, intr, init)
-                except NumericalError as exc:
-                    # a degenerate frame degrades to kp3d=null, it does not
-                    # abort the batch
-                    print(f"row {i} (t_us {frame.t_us}): {exc}", file=sys.stderr)
-                    hand = dataclasses.replace(frame.hand, kp3d=None)
-                else:
-                    hand = dataclasses.replace(frame.hand, kp3d=result.points)
-                frame = dataclasses.replace(frame, hand=hand)
-            row = {}
-            if "schema" in obj:
-                row["schema"] = obj["schema"]
-            if "label" in obj:
-                row["label"] = obj["label"]
-            row.update(frame_to_dict(frame))
+        # perfbench's lift check reads the 0-based row index back from the note
+        for i, (row, failure) in enumerate(read_jsonl(args.frames, lift)):
+            if failure is not None:
+                print(f"row {i} (t_us {row['t_us']}): {failure}", file=sys.stderr)
             out.write(json.dumps(row) + "\n")
     return 0
 
 
 def cmd_stream(args):
-    cfg = pipeline.PipelineConfig.from_dict(read_json(args.pipeline))
+    cfg = read_json(args.pipeline, pipeline.PipelineConfig.from_dict)
     classifier = pipeline.make_classifier(cfg)
     state = pipeline.initial_state()
+
+    def advance(obj):
+        nonlocal state
+        state, result = pipeline.step(state, frame_from_dict(obj), cfg, classifier)
+        return result
+
     with open_output(args.out) as out:
-        for obj in read_jsonl(args.frames):
-            state, result = pipeline.step(state, frame_from_dict(obj), cfg, classifier)
+        for result in read_jsonl(args.frames, advance):
             out.write(json.dumps(result.to_dict()) + "\n")
     if args.stats:
         with open_output(args.stats) as out:
@@ -222,24 +239,9 @@ def cmd_stream(args):
     return 0
 
 
-def _labels_only(path, collapse):
-    labels = []
-    for i, obj in enumerate(read_jsonl(path)):
-        label = obj.get("label")
-        if label is None:
-            raise MalformedFrame(f"{path}:row {i}: missing label")
-        check_label(label, f"{path}:row {i}")
-        labels.append(to_class(label) if collapse else label)
-    return labels
-
-
 def cmd_eval(args):
-    predictions = _labels_only(args.pred, collapse=False)
-    for i, p in enumerate(predictions):
-        if p not in CLASSES:
-            raise UnknownLabel(f"{args.pred}:row {i}: prediction {p!r} "
-                               f"outside the classifier vocabulary")
-    truths = _labels_only(args.truth, collapse=True)
+    predictions = list(read_jsonl(args.pred, _prediction))
+    truths = list(read_jsonl(args.truth, _label_only))
     report = harness.eval_classifier(predictions, truths)
     with open_output(args.out) as out:
         out.write(json.dumps(report.to_dict(), indent=2) + "\n")

@@ -52,10 +52,6 @@ class EmptyNegatives(ValidationError):
     """Calibration requires at least one negative example."""
 
 
-class OutOfBox(ValidationError):
-    """Pose parameters outside their anatomical boxes."""
-
-
 class NonMonotonicTimestamp(ValidationError):
     """Stream timestamps must strictly increase."""
 

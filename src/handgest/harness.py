@@ -18,14 +18,13 @@ from functools import partial
 import numpy as np
 
 from .alignment import CENTER_KEYPOINTS
-from .errors import EmptyInput, LengthMismatch, MalformedFrame, ValidationError
+from .errors import EmptyInput, LengthMismatch, ValidationError
 from .labels import (
     ALL_GESTURES,
     CLASSES,
     NEGATIVE_LABEL,
     POSITIVE_GESTURES,
     check_gesture,
-    check_label,
     to_class,
 )
 from .lifting import (
@@ -48,11 +47,9 @@ from .skeleton import (
     NUM_KEYPOINTS,
     HandFrame,
     HandSkeleton,
-    frame_from_dict,
     frame_to_dict,
     is_number,
     open_output,
-    read_jsonl,
 )
 
 
@@ -188,6 +185,11 @@ class SynthConfig:
     score: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if self.width <= 0 or self.height <= 0:
+            raise ValidationError(
+                f"width and height must be positive, got {self.width}x{self.height}")
         for name in ("tz_range", "x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -198,6 +200,10 @@ class SynthConfig:
                                   f"got {self.handedness!r}")
         if not (is_number(self.score) and 0.0 <= self.score <= 1.0):  # NaN fails too
             raise ValidationError(f"score must be a finite number in [0, 1], got {self.score!r}")
+        for name in ("jitter_std_rad", "orientation_jitter_rad", "noise_px", "noise_m"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 <= value < math.inf):  # NaN fails too
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 # abductions and the thumb roll get half the flexion jitter: their
@@ -268,8 +274,7 @@ def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
     joints = _jittered_joints(tpl, rng, cfg)
     rotation = draw_rotation(rng)
     model = model if model is not None else default_hand_model()
-    local = forward_kinematics(
-        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
+    local = forward_kinematics(model, PoseParams(np.zeros(3), np.zeros(3), joints))
     if cfg.handedness == "Left":
         local = local * np.array([-1.0, 1.0, 1.0])
     tz = rng.uniform(*cfg.tz_range)
@@ -373,18 +378,6 @@ def write_dataset(path, frames, labels) -> None:
             record = {"schema": DATASET_SCHEMA, "label": label}
             record.update(frame_to_dict(frame))
             fp.write(json.dumps(record) + "\n")
-
-
-def read_dataset(path):
-    """Frames-plus-label JSONL -> (frames, labels)."""
-    frames, labels = [], []
-    for i, obj in enumerate(read_jsonl(path)):
-        where = f"{path}:row {i}"
-        if "label" not in obj:
-            raise MalformedFrame(f"{where}: dataset line missing 'label'")
-        labels.append(check_label(obj["label"], where))
-        frames.append(frame_from_dict(obj))
-    return frames, labels
 
 
 # -- metrics -----------------------------------------------------------------

@@ -58,11 +58,11 @@ def check_gesture(name: str) -> str:
     return name
 
 
-def check_label(label, where: str) -> str:
+def check_label(label) -> str:
     """Validate a dataset or prediction label: a generator gesture or
     Negative. Raises UnknownLabel otherwise."""
     if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
-        raise UnknownLabel(f"{where}: unknown label {label!r}")
+        raise UnknownLabel(f"unknown label {label!r}")
     return label
 
 

@@ -29,7 +29,6 @@ from .errors import (
     DivergedFit,
     MalformedConfig,
     MalformedFrame,
-    OutOfBox,
     ShapeMismatch,
 )
 from .skeleton import (
@@ -301,7 +300,7 @@ def save_hand_model(path, model: HandModel) -> None:
 
 
 def load_hand_model(path) -> HandModel:
-    return HandModel.from_dict(read_json(path))
+    return read_json(path, HandModel.from_dict)
 
 
 _default_model = None
@@ -350,18 +349,6 @@ class PoseParams:
     @classmethod
     def identity(cls) -> "PoseParams":
         return cls(np.zeros(3), np.array([0.0, 0.0, 0.5]), np.zeros(NUM_JOINT_ANGLES))
-
-
-def check_joint_boxes(joints) -> None:
-    j = np.asarray(joints, dtype=np.float64)
-    if j.shape != (NUM_JOINT_ANGLES,):
-        raise ShapeMismatch(f"expected {NUM_JOINT_ANGLES} joint angles, got {j.shape}")
-    bad = (j < JOINT_BOXES[:, 0]) | (j > JOINT_BOXES[:, 1])
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise OutOfBox(
-            f"joint {JOINT_NAMES[idx]} = {j[idx]:.4f} outside "
-            f"[{JOINT_BOXES[idx, 0]}, {JOINT_BOXES[idx, 1]}]")
 
 
 # -- forward kinematics ----------------------------------------------------
@@ -420,11 +407,8 @@ def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
     return _Kinematics(points, r_glob, frames)
 
 
-def forward_kinematics(model: HandModel, params: PoseParams,
-                       validate: bool = True) -> np.ndarray:
+def forward_kinematics(model: HandModel, params: PoseParams) -> np.ndarray:
     """Evaluate the model at one pose, returning (21, 3) camera-frame points."""
-    if validate:
-        check_joint_boxes(params.joints)
     return _fk_batch(model, params.as_vector()[None]).points[0]
 
 
@@ -550,8 +534,9 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     The cheapest trial is accepted if it goes downhill, and lambda becomes
     half of its damping; trials that take a keypoint to or behind the
     camera plane never count as cheapest.  A round with no downhill trial,
-    or a singular system, retries at ten times its largest damping.
-    lambda starts at 1e-3 and is clamped to [1e-12, 1e8].
+    or a singular system, retries at ten times the larger of lambda and
+    its largest damping, so lambda grows whatever the DAMPING_FACTORS and
+    the search ends.  lambda starts at 1e-3 and is clamped to [1e-12, 1e8].
     ``FitResult.stop`` says why fitting ended:
 
     - "tolerance": an accepted step cut the cost by less than REL_TOL of
@@ -628,7 +613,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                     break
             if lam >= 1e8:
                 break
-            lam = min(lams[-1] * 10.0, 1e8)
+            lam = min(10.0 * max(lam, lams[-1]), 1e8)
         if not accepted:
             # no downhill step even at maximum damping: treat a vanishing
             # gradient as convergence

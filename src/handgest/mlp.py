@@ -125,7 +125,7 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    return MlpModel.from_dict(read_json(path))
+    return read_json(path, MlpModel.from_dict)
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,8 @@ class TrainConfig:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}")

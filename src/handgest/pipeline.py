@@ -97,7 +97,7 @@ def make_predictor(kind: str, ref: str | None) -> Callable[[np.ndarray], str]:
             raise ValidationError("nn classifier needs a model file reference")
         model = mlp.load_model(ref)
         return lambda fv: mlp.classify_nn(model, fv)
-    gestures = default_config() if ref is None else config_from_dict(read_json(ref))
+    gestures = default_config() if ref is None else read_json(ref, config_from_dict)
     return lambda fv: classify_heuristic(fv, gestures)
 
 

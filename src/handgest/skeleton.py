@@ -25,8 +25,12 @@ Every file the package opens, frames or config or model, goes through
 read_json, read_jsonl or open_output. They map an OSError to
 ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
 that is not an object) to MalformedFrame naming PATH:LINE, so the CLI
-exits 2 with one line instead of a traceback. decode_config builds the
-flat config dataclasses from JSON with type checks, raising MalformedConfig.
+exits 2 with one line instead of a traceback. The readers return
+``parse`` of the decoded document, or of each row; a HandgestError that
+``parse`` raises comes back as the same class led by ``PATH: `` or
+``PATH:LINE: ``, so its exit code stays and only this module writes a file
+location. decode_config builds the flat config dataclasses from JSON with
+type checks, raising MalformedConfig.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import MalformedConfig, MalformedFrame, ValidationError
+from .errors import HandgestError, MalformedConfig, MalformedFrame, ValidationError
 
 NUM_KEYPOINTS = 21
 
@@ -197,25 +201,29 @@ def frame_from_dict(obj: dict) -> HandFrame:
     return validate_frame(frame)
 
 
-def read_json(path):
-    """The one JSON document in a file."""
+def read_json(path, parse):
+    """``parse`` of the one JSON document in a file."""
     try:
         with open(path, "rb") as fp:
             data = fp.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # invalid UTF-8 or invalid JSON
         if isinstance(exc, UnicodeDecodeError):
             lineno = data.count(b"\n", 0, exc.start) + 1
         else:
             lineno = getattr(exc, "lineno", 1)
         raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return parse(obj)
+    except HandgestError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
-def read_jsonl(path) -> Iterator[dict]:
-    """One JSON object per non-blank line of a file, in order."""
+def read_jsonl(path, parse) -> Iterator:
+    """``parse`` of each JSON object on a non-blank line of a file, in order."""
     try:
         with open(path, "rb") as fp:
             for lineno, raw in enumerate(fp, start=1):
@@ -226,10 +234,13 @@ def read_jsonl(path) -> Iterator[dict]:
                     obj = json.loads(line)
                 except ValueError as exc:  # invalid UTF-8 or invalid JSON
                     raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
-                if not isinstance(obj, dict):
-                    raise MalformedFrame(f"{path}:{lineno}: expected a JSON object, "
-                                         f"got {type(obj).__name__}")
-                yield obj
+                try:
+                    if not isinstance(obj, dict):
+                        raise MalformedFrame(f"expected a JSON object, got {type(obj).__name__}")
+                    item = parse(obj)
+                except HandgestError as exc:
+                    raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+                yield item
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 

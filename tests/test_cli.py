@@ -12,12 +12,13 @@ import pytest
 
 from handgest.cli import main
 from handgest.features import feature_vector
-from handgest.harness import SynthConfig, read_dataset, sample_rng, synth_pose
+from handgest import skeleton
+from handgest.harness import SynthConfig, sample_rng, synth_pose
 from handgest.heuristic import DEFAULT_CONFIG_JSON, classify_heuristic, default_config
 from handgest.labels import ALL_GESTURES, CLASSES, NEGATIVE_GESTURES
 from handgest.lifting import default_hand_model
 from handgest.mlp import LAYER_SIZES, MlpModel, load_model
-from handgest.skeleton import frame_to_dict
+from handgest.skeleton import frame_from_dict, frame_to_dict
 
 
 def run(*argv):
@@ -27,6 +28,12 @@ def run(*argv):
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def frames_and_labels(path):
+    """The frames of a dataset file, and its labels."""
+    return (list(skeleton.read_jsonl(path, frame_from_dict)),
+            [row["label"] for row in read_jsonl(path)])
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +46,7 @@ def corpus(tmp_path_factory):
 
 
 def test_synth_writes_labeled_dataset(corpus):
-    frames, labels = read_dataset(corpus)
+    frames, labels = frames_and_labels(corpus)
     assert len(frames) == 2 * len(ALL_GESTURES)
     assert set(labels) == set(ALL_GESTURES)
     assert all(f.hand is not None for f in frames)
@@ -49,7 +56,7 @@ def test_synth_gesture_subset(tmp_path):
     out = tmp_path / "subset.jsonl"
     assert run("synth", "--out", out, "--per-gesture", 3,
                "--gestures", "Victory,CallMe") == 0
-    _, labels = read_dataset(out)
+    _, labels = frames_and_labels(out)
     assert labels == ["Victory"] * 3 + ["CallMe"] * 3
 
 
@@ -64,11 +71,11 @@ def test_synth_config_overrides(tmp_path):
     out = tmp_path / "small.jsonl"
     assert run("synth", "--out", out, "--per-gesture", 1,
                "--gestures", "OpenPalm", "--config", cfg) == 0
-    frames, _ = read_dataset(out)
+    frames, _ = frames_and_labels(out)
     assert (frames[0].w, frames[0].h) == (320, 200)
     assert run("synth", "--out", out, "--config", cfg,
                "--gestures", "OpenPalm", "--per-gesture", 1, "--seed", 10) == 0
-    frames10, _ = read_dataset(out)
+    frames10, _ = frames_and_labels(out)
     assert not np.allclose(frames10[0].hand.kp2d, frames[0].hand.kp2d)
 
 
@@ -76,7 +83,7 @@ def test_features_match_library(corpus, tmp_path):
     out = tmp_path / "feats.jsonl"
     assert run("features", "--frames", corpus, "--out", out) == 0
     rows = read_jsonl(out)
-    frames, labels = read_dataset(corpus)
+    frames, labels = frames_and_labels(corpus)
     assert len(rows) == len(frames)
     for row, frame, label in zip(rows, frames, labels):
         assert row["schema"] == "features/1"
@@ -94,7 +101,7 @@ def test_classify_heuristic_from_features(corpus, tmp_path):
     assert run("features", "--frames", corpus, "--out", feats) == 0
     assert run("classify", "--features", feats, "--out", preds) == 0
     rows = read_jsonl(preds)
-    frames, _ = read_dataset(corpus)
+    frames, _ = frames_and_labels(corpus)
     cfg = default_config()
     assert len(rows) == len(frames)
     for row, frame in zip(rows, frames):
@@ -171,6 +178,20 @@ def test_lift_recovers_3d(tmp_path):
         centered = kp3d - kp3d[9]
         expect = gt - gt[9]
         assert np.linalg.norm(centered - expect, axis=1).mean() < 0.02
+
+
+def test_lift_notes_a_degraded_row_by_index(tmp_path, capsys):
+    # a collapsed palm degrades its row to kp3d=null and the batch goes on;
+    # the note names the row by its 0-based index and its t_us
+    rows = [_frame_row(t_us=t) for t in (0, 33_333, 66_666)]
+    rows[1]["hand"]["kp2d"] = [[320.0, 240.0]] * 21
+    frames, out = tmp_path / "frames.jsonl", tmp_path / "lifted.jsonl"
+    frames.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert run("lift", "--frames", frames, "--out", out) == 0
+    lifted = read_jsonl(out)
+    assert [r["hand"]["kp3d"] is None for r in lifted] == [False, True, False]
+    err = capsys.readouterr().err
+    assert err.startswith("row 1 (t_us 33333): ") and err.count("\n") == 1, err
 
 
 def test_stream_outputs_and_stats(corpus, tmp_path):
@@ -410,6 +431,28 @@ BAD_INPUTS = {
                                    {"handedness": "right"}, "handedness must be one of"),
     "synth-score-above-one": ("synth --out {out} --config {bad}", {"score": 3},
                               "score must be a finite number in [0, 1], got 3"),
+    # seeds that raised from numpy with a traceback, and image sizes whose
+    # error named no file
+    "synth-seed-negative": ("synth --out {out} --config {bad}", {"seed": -1},
+                            "seed must be >= 0, got -1"),
+    "train-seed-negative": ("train --data {frames} --out {out} --config {bad}",
+                            {"seed": -1}, "seed must be >= 0, got -1"),
+    "synth-width-zero": ("synth --out {out} --config {bad}", {"width": 0},
+                         "width and height must be positive, got 0x480"),
+    # noise and jitter that were taken as zero, or written out as Infinity
+    "synth-noise-px-negative": ("synth --out {out} --config {bad}", {"noise_px": -1.0},
+                                "noise_px must be a finite number >= 0, got -1.0"),
+    "synth-noise-px-nan": ("synth --out {out} --config {bad}", {"noise_px": NAN},
+                           "noise_px must be a finite number >= 0, got nan"),
+    "synth-noise-m-infinity": ("synth --out {out} --config {bad}", {"noise_m": INF},
+                               "noise_m must be a finite number >= 0, got inf"),
+    "synth-jitter-std-rad-nan": ("synth --out {out} --config {bad}",
+                                 {"jitter_std_rad": NAN},
+                                 "jitter_std_rad must be a finite number >= 0, got nan"),
+    "synth-orientation-jitter-rad-nan": ("synth --out {out} --config {bad}",
+                                         {"orientation_jitter_rad": NAN},
+                                         "orientation_jitter_rad must be a finite number "
+                                         ">= 0, got nan"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
                                           {**_MODEL_HEAD, "layers": [1]}, "bad model"),
@@ -549,10 +592,18 @@ def test_bad_input_exits_2_with_one_line(good_files, tmp_path, capsys, argv, con
         bad.write_text(json.dumps(content) + "\n")
     paths = {**good_files, "bad": bad, "out": tmp_path / "out.json",
              "nodir": tmp_path / "no-such-dir"}
-    assert run(*argv.format(**paths).split()) == 2
+    argv = argv.format(**paths).split()
+    assert run(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert expect in err
+    # the file at fault: a referenced classifier file, a target in a
+    # missing directory, or else the bad file itself
+    if isinstance(content, dict) and "classifier_ref" in content:
+        at_fault = content["classifier_ref"]
+    else:
+        at_fault = next((a for a in argv if a.startswith(str(paths["nodir"]))), str(bad))
+    assert at_fault in err, err
 
 
 @pytest.mark.parametrize("handedness", ["Right", "Left"])
@@ -659,6 +710,74 @@ def test_decode_errors_name_path_and_line(tmp_path, capsys):
     cfg.write_bytes(b'{\n"seed": 1,\n"width": \xff\n}')
     assert run("synth", "--out", tmp_path / "x.jsonl", "--config", cfg) == 2
     assert f"{cfg}:3: " in capsys.readouterr().err
+
+
+# a file of three rows whose third is bad: every command names PATH:3 and
+# keeps the exit code of the error underneath
+_ROW_COMMANDS = {
+    "features": "features --frames {bad}",
+    "classify-rules": "classify --frames {bad}",
+    "classify-model": "classify --frames {bad} --model {model}",
+    "train": "train --data {bad} --out {out}",
+    "calibrate": "calibrate --model {model} --negatives {bad} --fpr 0.1 --out {out}",
+    "lift": "lift --frames {bad} --out {out}",
+    "stream": "stream --frames {bad} --pipeline {pipe} --out {out}",
+}
+_FEATURE_COMMANDS = ("features", "classify-rules", "classify-model", "train", "calibrate")
+# a negative label, so calibrate takes the first two rows
+_GOOD_ROW = _frame_row(label="OK")
+_COLLAPSED = [[1.0, 2.0, 3.0]] * 21
+
+
+def _third(**fields):
+    """A third row after two good ones, with fields of the frame and of its
+    hand replaced; None deletes a field."""
+    row = copy.deepcopy(_GOOD_ROW)
+    row["t_us"] = 66_666
+    for key, value in fields.items():
+        target = row if key in row else row["hand"]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return row
+
+
+_ROW_CASES = {
+    **{f"{cmd}-{kind}": (cmd, row, 2)
+       for cmd in _ROW_COMMANDS
+       for kind, row in (("kp2d-20", _third(kp2d=_GOOD_ROW["hand"]["kp2d"][:20])),
+                         ("t-us-fraction", _third(t_us=1.5)),
+                         ("w-fraction", _third(w=1.5)),
+                         ("score-bool", _third(score=True)))},
+    **{f"{cmd}-unknown-label": (cmd, _third(label="Wave"), 2) for cmd in _FEATURE_COMMANDS},
+    **{f"{cmd}-collapsed-palm": (cmd, _third(kp3d=_COLLAPSED), 3)
+       for cmd in _FEATURE_COMMANDS},
+    "train-no-label": ("train", _third(label=None), 2),
+    "calibrate-positive-label": ("calibrate", _third(label="Victory"), 2),
+    "stream-timestamp-out-of-order": ("stream", _third(t_us=1), 2),
+    "eval-pred-unknown-label": ("eval --pred {bad} --truth {good}", {"label": "Wave"}, 2),
+    "eval-pred-outside-classes": ("eval --pred {bad} --truth {good}", {"label": "OK"}, 2),
+    "eval-truth-unknown-label": ("eval --pred {good} --truth {bad}", {"label": "Wave"}, 2),
+    "eval-truth-no-label": ("eval --pred {good} --truth {bad}", {"t_us": 0}, 2),
+}
+
+
+@pytest.mark.parametrize("cmd, third, code", list(_ROW_CASES.values()), ids=list(_ROW_CASES))
+def test_row_errors_name_path_and_line(good_files, tmp_path, capsys, cmd, third, code):
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    if cmd.startswith("eval"):
+        good.write_text(json.dumps({"label": "OpenPalm"}) + "\n")
+        first = [{"label": "OpenPalm"}, {"label": "Negative"}]
+    else:
+        cmd = _ROW_COMMANDS[cmd]
+        first = [_GOOD_ROW, {**_GOOD_ROW, "t_us": 33_333}]
+    bad.write_text("".join(json.dumps(row) + "\n" for row in first + [third]))
+    argv = cmd.format(**good_files, bad=bad, good=good, out=tmp_path / "out.json").split()
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: " if code == 2 else "numerical error: ")
+    assert err.count("\n") == 1 and f"{bad}:3: " in err, err
 
 
 @pytest.mark.parametrize("alpha", [2.0, [1, 1, 1, 1, 1, 1, 0.5]])

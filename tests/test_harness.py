@@ -17,7 +17,6 @@ from handgest.harness import (
     make_alignment_corpus,
     make_dataset,
     random_rotation,
-    read_dataset,
     sample_rng,
     synth_params,
     synth_pose,
@@ -33,7 +32,14 @@ from handgest.lifting import (
     rot_z,
     rotvec_from_rotmat,
 )
-from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP
+from handgest.skeleton import (
+    INDEX_MCP,
+    MIDDLE_MCP,
+    NUM_KEYPOINTS,
+    PINKY_MCP,
+    frame_from_dict,
+    read_jsonl,
+)
 
 
 def clean_cfg(seed=0):
@@ -111,7 +117,8 @@ def test_dataset_file_round_trip(tmp_path):
     frames, labels = make_dataset(cfg, 2, gestures=("OpenPalm", "Loser"))
     path = tmp_path / "data.jsonl"
     write_dataset(path, frames, labels)
-    back_frames, back_labels = read_dataset(path)
+    back_frames = list(read_jsonl(path, frame_from_dict))
+    back_labels = list(read_jsonl(path, lambda row: row["label"]))
     assert back_labels == labels
     assert len(back_frames) == len(frames)
     for a, b in zip(frames, back_frames):
@@ -138,8 +145,7 @@ def _ref_place(local, rotation, rng, cfg):
 
 
 def _ref_local(model, joints):
-    return forward_kinematics(
-        model, PoseParams(np.zeros(3), np.zeros(3), joints), validate=False)
+    return forward_kinematics(model, PoseParams(np.zeros(3), np.zeros(3), joints))
 
 
 def reference_synth_pose(label, cfg, rng):

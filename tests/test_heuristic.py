@@ -247,7 +247,7 @@ def test_config_json_round_trip(tmp_path):
     cfg = default_config()
     path = tmp_path / "gestures.json"
     path.write_text(json.dumps(DEFAULT_CONFIG_JSON, indent=2))
-    back = config_from_dict(read_json(path))
+    back = read_json(path, config_from_dict)
     np.testing.assert_array_equal(back.thresholds.straight_max, cfg.thresholds.straight_max)
     np.testing.assert_array_equal(back.thresholds.apart_min, cfg.thresholds.apart_min)
     assert [d.name for d in back.definitions] == [d.name for d in cfg.definitions]

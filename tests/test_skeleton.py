@@ -1,12 +1,19 @@
 """Topology, frame validation, and JSONL round trips."""
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from handgest.errors import MalformedConfig, MalformedFrame, ValidationError
+from handgest.errors import (
+    DegeneratePalm,
+    MalformedConfig,
+    MalformedFrame,
+    UnknownLabel,
+    ValidationError,
+)
 from handgest.skeleton import (
     BONES,
     CHAIN_INDICES,
@@ -111,7 +118,7 @@ def test_jsonl_round_trip(tmp_path):
     ]
     path = tmp_path / "frames.jsonl"
     path.write_text("".join(json.dumps(frame_to_dict(f)) + "\n" for f in frames))
-    back = [frame_from_dict(obj) for obj in read_jsonl(path)]
+    back = list(read_jsonl(path, frame_from_dict))
     assert len(back) == 3
     for a, b in zip(frames, back):
         assert (a.t_us, a.w, a.h) == (b.t_us, b.w, b.h)
@@ -130,7 +137,7 @@ def test_read_jsonl_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("{not json\n")
     with pytest.raises(MalformedFrame, match="bad.jsonl:1: "):
-        list(read_jsonl(path))
+        list(read_jsonl(path, dict))
 
 
 def test_frame_from_dict_rejects_missing_keys():
@@ -161,28 +168,47 @@ def test_frame_from_dict_rejects_bad_hand(hand):
 def test_read_jsonl_skips_blank_lines_and_rejects_non_objects(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n  \n{"b": 2}\n')
-    assert list(read_jsonl(path)) == [{"a": 1}, {"b": 2}]
+    assert list(read_jsonl(path, dict)) == [{"a": 1}, {"b": 2}]
     path.write_text('{"a": 1}\n[1]\n')
     with pytest.raises(MalformedFrame, match="rows.jsonl:2: expected a JSON object"):
-        list(read_jsonl(path))
+        list(read_jsonl(path, dict))
 
 
 def test_readers_map_unreadable_and_undecodable_files(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(ValidationError, match="cannot read"):
-        read_json(missing)
+        read_json(missing, dict)
     with pytest.raises(ValidationError, match="cannot read"):
-        list(read_jsonl(missing))
+        list(read_jsonl(missing, dict))
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'{\n"a":\n\xff}\n')
     with pytest.raises(MalformedFrame, match="bad.json:3: "):
-        read_json(bad)
+        read_json(bad, dict)
     bad.write_bytes(b'{"a": 1}\n\n{"b": "\xff"}\n')
     with pytest.raises(MalformedFrame, match="bad.json:3: "):
-        list(read_jsonl(bad))
+        list(read_jsonl(bad, dict))
     bad.write_bytes(b'{"a": 1,\n "b" 2}')
     with pytest.raises(MalformedFrame, match="bad.json:2: "):
-        read_json(bad)
+        read_json(bad, dict)
+
+
+@pytest.mark.parametrize("error", [UnknownLabel, DegeneratePalm])
+def test_readers_locate_what_parse_raises(tmp_path, error):
+    # the same class, so the CLI exit code stays the error's own
+    def parse(obj):
+        if obj.get("bad"):
+            raise error("no good")
+        return obj
+
+    path = tmp_path / "doc.json"
+    path.write_text('{"bad": true}')
+    with pytest.raises(error, match=r"^" + re.escape(f"{path}: no good") + "$"):
+        read_json(path, parse)
+    path.write_text('{"bad": false}\n\n{"bad": true}\n')
+    rows = read_jsonl(path, parse)
+    assert next(rows) == {"bad": False}
+    with pytest.raises(error, match=r"^" + re.escape(f"{path}:3: no good") + "$"):
+        next(rows)
 
 
 def test_frame_dict_tolerates_extra_keys():

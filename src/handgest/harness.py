@@ -33,6 +33,7 @@ from .lifting import (
     NUM_JOINT_ANGLES,
     HandModel,
     PoseParams,
+    TZ_BOX,
     default_hand_model,
     default_intrinsics,
     forward_kinematics,
@@ -195,6 +196,8 @@ class SynthConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValidationError(f"{name} must be finite [low, high] with "
                                       f"low <= high, got {getattr(self, name)}")
+        if not TZ_BOX[0] <= self.tz_range[0] <= self.tz_range[1] <= TZ_BOX[1]:
+            raise ValidationError(f"tz_range must lie within {TZ_BOX} m, got {self.tz_range}")
         if self.handedness not in HANDEDNESS_VALUES:
             raise ValidationError(f"handedness must be one of {HANDEDNESS_VALUES}, "
                                   f"got {self.handedness!r}")
@@ -320,6 +323,8 @@ def make_dataset(cfg: SynthConfig, per_gesture: int,
                  gestures=None, model: HandModel | None = None):
     """Labeled corpus: ``per_gesture`` samples of each gesture, sample i
     seeded by (cfg.seed, i) regardless of generation order."""
+    if per_gesture < 1:
+        raise ValidationError(f"per_gesture must be at least 1, got {per_gesture}")
     gestures = tuple(gestures) if gestures is not None else ALL_GESTURES
     frames, labels = [], []
     i = 0

@@ -70,11 +70,10 @@ MAX_BONE_M = 0.12
 BOX_WEIGHT_JOINT = 100.0
 BOX_WEIGHT_TZ = 1000.0
 
-# A fit has stalled when its last STALL_WINDOW accepted steps together cut
-# the cost by less than STALL_FRACTION of it: a windowed form of the ftol
-# test in MINPACK's lmder (More, 1978)
-STALL_WINDOW = 10
-STALL_FRACTION = 1e-3
+# A fit has reached its noise floor when the least-damped step's predicted
+# cut is below one residual pixel's share of the cost: the predicted-reduction
+# test of MINPACK's lmder (More, 1978) read at that share
+FLOOR_FRACTION = 1.0 / (2 * NUM_KEYPOINTS)
 # an accepted step that cuts the cost by less than REL_TOL of it ends the fit
 REL_TOL = 1e-10
 
@@ -542,9 +541,9 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     - "tolerance": an accepted step cut the cost by less than REL_TOL of
       it, the cost reached zero, or no step went downhill and the
       gradient vanished;
-    - "stalled": the last STALL_WINDOW accepted steps together cut the
-      cost by less than STALL_FRACTION of it (a fit creeping along a flat
-      valley below the noise floor);
+    - "stalled": the noise floor: within ``max_rms_px``, the first round's
+      least-damped step d predicts a cut -(2 g.d + d'Hd) below FLOOR_FRACTION
+      of the cost; that iteration runs no trial and is not counted;
     - "max_iter": ``max_iter`` iterations ran out;
     - "no_descent": no step went downhill even at maximum damping, and
       the gradient did not vanish.
@@ -579,17 +578,26 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
         # weakly observed parameters (e.g. a finger pointing away from the
         # camera) still take useful steps instead of freezing in place
         damp = np.maximum(hess.diagonal(), 1e-12)
-        accepted = False
+        px = r[:2 * NUM_KEYPOINTS]
+        # first round only, and only within max_rms_px: never end a fit more steps would lift
+        accepted, floor_test = False, px @ px <= NUM_KEYPOINTS * max_rms_px ** 2
         while True:
             lams = lam * DAMPING_FACTORS
             systems = np.repeat(hess[None], len(lams), axis=0)
             # every NUM_POSE_PARAMS + 1-th entry of a flattened system is on its diagonal
             systems.reshape(len(lams), -1)[:, ::NUM_POSE_PARAMS + 1] += lams[:, None] * damp
             try:
-                trials = p + np.linalg.solve(systems, -grad)
+                steps = np.linalg.solve(systems, -grad)
             except np.linalg.LinAlgError:
-                trials = None
-            if trials is not None:
+                steps = None
+            if floor_test and steps is not None:
+                d = steps[0]
+                if -(2.0 * grad @ d + d @ hess @ d) < FLOOR_FRACTION * cost:
+                    stop, iterations = "stalled", iterations - 1
+                    break
+            floor_test = False
+            if steps is not None:
+                trials = p + steps
                 if not np.isfinite(trials).all():
                     # a step that overflowed stays put, so it cannot go downhill
                     trials[~np.isfinite(trials).all(axis=1)] = p
@@ -607,14 +615,11 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                     accepted = True
                     if rel < REL_TOL or cost == 0.0:
                         stop = "tolerance"
-                    elif (len(history) > STALL_WINDOW and history[-STALL_WINDOW - 1] - cost
-                          < STALL_FRACTION * history[-STALL_WINDOW - 1]):
-                        stop = "stalled"
                     break
             if lam >= 1e8:
                 break
             lam = min(10.0 * max(lam, lams[-1]), 1e8)
-        if not accepted:
+        if not accepted and stop is None:
             # no downhill step even at maximum damping: treat a vanishing
             # gradient as convergence
             stop = "tolerance" if float(np.max(np.abs(grad))) < 1e-9 else "no_descent"

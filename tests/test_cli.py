@@ -453,6 +453,11 @@ BAD_INPUTS = {
                                          {"orientation_jitter_rad": NAN},
                                          "orientation_jitter_rad must be a finite number "
                                          ">= 0, got nan"),
+    # depths at or behind the camera, which exited 3 naming no file
+    "synth-tz-range-behind-camera": ("synth --out {out} --config {bad}",
+                                     {"tz_range": [-1, -0.5]}, "tz_range must lie within"),
+    "synth-tz-range-at-camera": ("synth --out {out} --config {bad}", {"tz_range": [0, 0]},
+                                 "tz_range must lie within (0.05, 3.0) m, got (0, 0)"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
                                           {**_MODEL_HEAD, "layers": [1]}, "bad model"),
@@ -690,6 +695,16 @@ def test_seed_and_config_belong_to_synth_and_train(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_synth_rejects_a_count_below_one(tmp_path, capsys, count):
+    # it used to write an empty dataset and exit 0
+    out = tmp_path / "data.jsonl"
+    assert run("synth", "--out", out, "--per-gesture", count) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: per_gesture must be at least 1, got {count}\n"
+    assert not out.exists()
 
 
 def test_classify_model_and_gestures_exclude_each_other(capsys):

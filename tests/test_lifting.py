@@ -17,8 +17,6 @@ from handgest.lifting import (
     BOX_WEIGHT_TZ,
     JOINT_BOXES,
     NUM_POSE_PARAMS,
-    STALL_FRACTION,
-    STALL_WINDOW,
     TZ_BOX,
     CameraIntrinsics,
     HandModel,
@@ -371,30 +369,26 @@ def test_fit_cost_history_monotone():
     assert res.rms_px < 2.0
 
 
-def stalls(history, k):
-    """The stall test after the k-th accepted step: the STALL_WINDOW steps
-    up to it cut the cost by less than STALL_FRACTION of it."""
-    if k < STALL_WINDOW:
-        return False
-    before = history[k - STALL_WINDOW]
-    return before - history[k] < STALL_FRACTION * before
-
-
-def test_noisy_fit_stops_when_it_stalls():
+def test_noisy_fit_stops_at_its_noise_floor(monkeypatch):
     # a lift-style frame (1 px noise, alignment seed) that crept to the
-    # 200-iteration cap before the stall test existed
+    # 200-iteration cap before any stall test existed, and ran 163
+    # iterations to "tolerance" without the noise-floor test
     cfg = SynthConfig(seed=7, noise_px=1.0)
     frame, _ = synth_pose("OpenPalm", cfg, sample_rng(7, 0))
     model = default_hand_model()
     intr = default_intrinsics(cfg.width, cfg.height)
     init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
     res = fit(frame.hand.kp2d, model, intr, init)
-    assert res.stop == "stalled" and res.iterations < 200
-    costs = res.cost_history
-    last = len(costs) - 1
-    assert stalls(costs, last)
-    assert not any(stalls(costs, k) for k in range(last))
-    assert np.all(np.diff(costs) < 0.0)
+    assert res.stop == "stalled" and res.iterations < 50
+    assert res.iterations == len(res.cost_history) - 1
+    assert np.all(np.diff(res.cost_history) < 0.0)
+    # the test only ends a fit: without it the same steps continue
+    monkeypatch.setattr(lifting, "FLOOR_FRACTION", 0.0)
+    full = fit(frame.hand.kp2d, model, intr, init)
+    assert full.stop == "tolerance" and full.iterations > res.iterations
+    assert full.cost_history[:len(res.cost_history)] == res.cost_history
+    # and what it leaves is under one squared pixel of the 1 px noise
+    assert res.cost_history[-1] - full.cost_history[-1] < 1.0
 
 
 def test_tolerance_stop_reads_rel_tol(monkeypatch):
@@ -425,11 +419,13 @@ def test_lift_tail_frames_stop_before_the_cap(j):
     assert res.stop in ("stalled", "tolerance") and res.iterations < 200
 
 
-@pytest.mark.parametrize("row", [645, 651, 656, 659])
+@pytest.mark.parametrize("row", [645, 649, 651, 656, 659])
 def test_noiseless_pointing_frames_lift(row):
     # rows of `synth --seed 7 --per-gesture 40` (IndexPointingToCamera) that
     # ended DivergedFit at 10.3-11.1 px rms when the four damping candidates
-    # spanned three decades, 0.01 to 10 times lambda
+    # spanned three decades, 0.01 to 10 times lambda; row 649 reaches 3.25 px
+    # only after 140 iterations, and a noise-floor test that ignored
+    # max_rms_px stopped it at 13.5 px
     cfg = SynthConfig(seed=7)
     frame, _ = synth_pose("IndexPointingToCamera", cfg, sample_rng(7, row))
     model = default_hand_model()

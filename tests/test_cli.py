@@ -4,8 +4,10 @@ import copy
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -801,3 +803,154 @@ def test_train_config_alpha_number_or_per_class(corpus, tmp_path, alpha):
     cfg.write_text(json.dumps({"epochs": 1, "alpha": alpha}))
     assert run("train", "--data", corpus, "--config", cfg,
                "--out", tmp_path / "model.json") == 0
+
+
+# -- outputs go to a new file and move into place on success --
+
+# commands that read --frames row by row and write --out as they go
+_OUT_COMMANDS = {
+    "features": "features --frames {frames} --out {out}",
+    "classify": "classify --frames {frames} --out {out}",
+    "lift": "lift --frames {frames} --out {out}",
+    "stream": "stream --frames {frames} --pipeline {pipe} --out {out}",
+}
+
+
+def run_out_command(cmd, good_files, frames, out):
+    return run(*_OUT_COMMANDS[cmd].format(**{**good_files, "frames": frames,
+                                             "out": out}).split())
+
+
+@pytest.mark.parametrize("cmd", list(_OUT_COMMANDS))
+def test_out_may_name_the_input(good_files, tmp_path, cmd):
+    # the reader keeps the old file open while the new one is written, so
+    # the input is not truncated under it
+    other, same = tmp_path / "other.jsonl", tmp_path / "same.jsonl"
+    same.write_bytes(good_files["frames"].read_bytes())
+    assert run_out_command(cmd, good_files, good_files["frames"], other) == 0
+    assert run_out_command(cmd, good_files, same, same) == 0
+    assert len(read_jsonl(other)) == 2 * len(ALL_GESTURES)
+    assert same.read_bytes() == other.read_bytes()
+
+
+_FAILING_RUNS = {
+    **{f"{cmd}-t-us-fraction": (cmd, _third(t_us=1.5), 2) for cmd in _OUT_COMMANDS},
+    **{f"{cmd}-collapsed-palm": (cmd, _third(kp3d=_COLLAPSED), 3)
+       for cmd in ("features", "classify")},
+}
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+@pytest.mark.parametrize("cmd, third, code", list(_FAILING_RUNS.values()),
+                         ids=list(_FAILING_RUNS))
+def test_failed_command_leaves_the_output_alone(good_files, tmp_path, capsys, cmd, third,
+                                                code, existing):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n"
+                           for row in (_GOOD_ROW, {**_GOOD_ROW, "t_us": 33_333}, third)))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out = outdir / "out.jsonl"
+    if existing:
+        out.write_bytes(b"previous output\n")
+    assert run_out_command(cmd, good_files, bad, out) == code
+    assert f"{bad}:3: " in capsys.readouterr().err
+    if existing:
+        assert out.read_bytes() == b"previous output\n"
+    assert os.listdir(outdir) == (["out.jsonl"] if existing else [])
+    # a run that succeeds leaves its output and no other file
+    assert run_out_command(cmd, good_files, good_files["frames"], out) == 0
+    assert os.listdir(outdir) == ["out.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def feature_bytes(corpus, tmp_path_factory):
+    """What `features` writes for the shared corpus to a plain new file."""
+    out = tmp_path_factory.mktemp("feats") / "feats.jsonl"
+    assert run("features", "--frames", corpus, "--out", out) == 0
+    return out.read_bytes()
+
+
+def test_symlinked_out_is_written_through_the_link(corpus, tmp_path, feature_bytes):
+    real, link = tmp_path / "real.jsonl", tmp_path / "link.jsonl"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    assert run("features", "--frames", corpus, "--out", link) == 0
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_bytes() == feature_bytes
+    # a link to a file not there yet creates that file
+    dangling = tmp_path / "dangling.jsonl"
+    dangling.symlink_to("new.jsonl")
+    assert run("features", "--frames", corpus, "--out", dangling) == 0
+    assert dangling.is_symlink() and (tmp_path / "new.jsonl").read_bytes() == feature_bytes
+    assert sorted(os.listdir(tmp_path)) == ["dangling.jsonl", "link.jsonl", "new.jsonl",
+                                            "real.jsonl"]
+
+
+def test_hard_linked_out_is_written_in_place(corpus, tmp_path, feature_bytes):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    first.write_text("old\n")
+    os.link(first, second)
+    assert run("features", "--frames", corpus, "--out", first) == 0
+    assert os.path.samefile(first, second)
+    assert first.read_bytes() == second.read_bytes() == feature_bytes
+
+
+def test_fifo_out_is_written_in_place(corpus, tmp_path, feature_bytes):
+    fifo = tmp_path / "feats.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        assert run("features", "--frames", corpus, "--out", fifo) == 0
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [feature_bytes]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_out_keeps_the_mode_of_its_target(corpus, tmp_path, feature_bytes):
+    out = tmp_path / "feats.jsonl"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert run("features", "--frames", corpus, "--out", out) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes() == feature_bytes
+    # a new target gets 0o666 less the umask, as open(path, "w") gives it
+    umask = os.umask(0)
+    os.umask(umask)
+    new = tmp_path / "new.jsonl"
+    assert run("features", "--frames", corpus, "--out", new) == 0
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_out_exits_2_and_stays(corpus, tmp_path, capsys):
+    out = tmp_path / "feats.jsonl"
+    out.write_text("old\n")
+    out.chmod(0o444)
+    assert run("features", "--frames", corpus, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    assert out.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["feats.jsonl"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_naming_an_open_pipe_is_written_in_place(corpus, feature_bytes):
+    # /dev/stdout is such a path: it resolves to a pipe that has no name
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as fh:
+        try:
+            assert run("features", "--frames", corpus,
+                       "--out", f"/proc/self/fd/{write_end}") == 0
+        finally:
+            os.close(write_end)
+        assert fh.read() == feature_bytes

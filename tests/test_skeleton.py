@@ -1,6 +1,7 @@
 """Topology, frame validation, and JSONL round trips."""
 
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from handgest.skeleton import (
     float_array,
     frame_from_dict,
     frame_to_dict,
+    open_output,
     read_json,
     read_jsonl,
     validate_frame,
@@ -269,3 +271,23 @@ class _Knobs:
 def test_decode_config_raises_malformed_config(obj):
     with pytest.raises(MalformedConfig):
         decode_config(_Knobs, obj, "knobs")
+
+
+def test_open_output_keeps_the_target_when_the_body_raises(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n")
+    with pytest.raises(KeyboardInterrupt):
+        with open_output(target) as fp:
+            fp.write("partial\n")
+            fp.flush()
+            raise KeyboardInterrupt
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_open_output_errors_name_the_given_path(tmp_path):
+    target = tmp_path / "no-such-dir" / "out.jsonl"
+    with pytest.raises(ValidationError) as info:
+        with open_output(target):
+            pass
+    assert str(info.value) == f"cannot write {target}: No such file or directory"

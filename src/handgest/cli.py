@@ -199,9 +199,17 @@ def cmd_lift(args):
         failure = None
         if frame.hand is not None:
             intr = lifting.default_intrinsics(frame.w, frame.h)
+            # the model is a right hand: a left hand is fitted in the mirror
+            # image, u -> 2 cx - u, and its points mirrored back, x -> -x
+            left = frame.hand.handedness == "Left"
+            kp2d = frame.hand.kp2d.copy()
+            if left:
+                kp2d[:, 0] = 2.0 * intr.cx - kp2d[:, 0]
             try:
-                init = lifting.initial_pose_from_alignment(frame.hand.kp2d, model, intr)
-                kp3d = lifting.fit_pose(frame.hand.kp2d, model, intr, init).points
+                init = lifting.initial_pose_from_alignment(kp2d, model, intr)
+                kp3d = lifting.fit_pose(kp2d, model, intr, init).points
+                if left:
+                    kp3d = kp3d * (-1.0, 1.0, 1.0)
             except NumericalError as exc:
                 # a degenerate frame degrades to kp3d=null, it does not
                 # abort the batch

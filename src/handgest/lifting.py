@@ -530,6 +530,9 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     a round solves the damped normal equations for the four DAMPING_FACTORS
     multiples of lambda, 1e-3, 0.1, 10 and 1e3 (six decades), in one
     stacked solve and evaluates the trial poses in one batched FK pass.
+    Each parameter is damped by the largest diagonal entry of J'J it has
+    had so far in the fit, not by the current one (More's scaling, as in
+    MINPACK lmder, mode 1).
     The cheapest trial is accepted if it goes downhill, and lambda becomes
     half of its damping; trials that take a keypoint to or behind the
     camera plane never count as cheapest.  A round with no downhill trial,
@@ -568,16 +571,19 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     lam = 1e-3
     stop = "tolerance" if cost == 0.0 else None
     iterations = 0
+    curvature = np.zeros(NUM_POSE_PARAMS)
 
     while stop is None and iterations < max_iter:
         iterations += 1
         jac = _linearize(intrinsics, p, kin, row)
         grad = jac.T @ r
         hess = jac.T @ jac
-        # Marquardt scaling: damp proportionally to the curvature so that
-        # weakly observed parameters (e.g. a finger pointing away from the
-        # camera) still take useful steps instead of freezing in place
-        damp = np.maximum(hess.diagonal(), 1e-12)
+        # Marquardt scaling by the largest curvature each parameter has had
+        # in this fit (More 1978; MINPACK lmder, mode 1): weakly observed
+        # parameters still take useful steps, and one whose column collapses
+        # (a straight finger passing flexion 0) keeps its damping
+        curvature = np.maximum(curvature, hess.diagonal())
+        damp = np.maximum(curvature, 1e-12)
         px = r[:2 * NUM_KEYPOINTS]
         # first round only, and only within max_rms_px: never end a fit more steps would lift
         accepted, floor_test = False, px @ px <= NUM_KEYPOINTS * max_rms_px ** 2

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
@@ -258,10 +259,12 @@ def open_output(path) -> Iterator[TextIO]:
     symlink) and moved into place when the body returns; a body that raises
     removes it and leaves the target as it was, and ``path`` may name the
     body's own input. The new file gets 0o666 under the umask, as
-    open(path, "w") does, or an existing target's permission bits. A target
-    that is not a regular file with one link (a FIFO, a device, /dev/stdout,
-    a hard-linked file) is written in place and never unlinked. An OSError
-    becomes a ValidationError naming ``path``.
+    open(path, "w") does, or an existing target's permission bits. A
+    hard-linked target is not moved onto: the new file's bytes are copied
+    into it in place, so every one of its names sees them. A target that is
+    not a regular file (a FIFO, a device, /dev/stdout) is written in place
+    and never unlinked. An OSError becomes a ValidationError naming
+    ``path``.
 
     The old target is unlinked and the new file renamed onto its name: ext4's
     auto_da_alloc forces a file truncated or renamed over (os.replace) to
@@ -286,7 +289,7 @@ def open_output(path) -> Iterator[TextIO]:
             st = os.stat(path)
         except FileNotFoundError:
             st = None
-        if st is not None and not (S_ISREG(st.st_mode) and st.st_nlink == 1):
+        if st is not None and not S_ISREG(st.st_mode):
             with open(path, "w", encoding="utf-8") as fp:
                 yield fp
             return
@@ -306,6 +309,12 @@ def open_output(path) -> Iterator[TextIO]:
             with suppress(OSError):
                 os.unlink(new)
             raise
+        if st is not None and st.st_nlink > 1:
+            try:
+                shutil.copyfile(new, target)
+            finally:
+                os.unlink(new)
+            return
         with suppress(FileNotFoundError):
             os.unlink(target)
         os.rename(new, target)

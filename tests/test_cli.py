@@ -182,6 +182,37 @@ def test_lift_recovers_3d(tmp_path):
         assert np.linalg.norm(centered - expect, axis=1).mean() < 0.02
 
 
+def test_lift_fits_a_left_hand_in_the_mirror(tmp_path, capsys):
+    # the hand model is a right hand: a left frame is fitted as its mirror
+    # image (u -> 2 cx - u) and its points mirrored back (x -> -x), so it
+    # lifts bit for bit like the right frame that mirror image is
+    config, left = tmp_path / "left.json", tmp_path / "left.jsonl"
+    config.write_text(json.dumps({"handedness": "Left"}))
+    assert run("synth", "--out", left, "--config", config,
+               "--per-gesture", 2, "--seed", 5) == 0
+    rows = read_jsonl(left)
+    mirrored = copy.deepcopy(rows)
+    for row in mirrored:
+        cx = row["w"] / 2.0
+        row["hand"]["handedness"] = "Right"
+        row["hand"]["kp2d"] = [[2.0 * cx - u, v] for u, v in row["hand"]["kp2d"]]
+    right = tmp_path / "right.jsonl"
+    right.write_text("".join(json.dumps(r) + "\n" for r in mirrored))
+    capsys.readouterr()
+    assert run("lift", "--frames", left, "--out", tmp_path / "left_3d.jsonl") == 0
+    assert run("lift", "--frames", right, "--out", tmp_path / "right_3d.jsonl") == 0
+    assert capsys.readouterr().err == ""
+    errors = []
+    for row, fitted, twin in zip(rows, read_jsonl(tmp_path / "left_3d.jsonl"),
+                                 read_jsonl(tmp_path / "right_3d.jsonl")):
+        assert fitted["hand"]["handedness"] == "Left"
+        kp3d = np.asarray(fitted["hand"]["kp3d"], dtype=np.float64)
+        assert kp3d.tobytes() == (np.asarray(twin["hand"]["kp3d"]) * (-1.0, 1.0, 1.0)).tobytes()
+        truth = np.asarray(row["hand"]["kp3d"])
+        errors.append(np.linalg.norm((kp3d - kp3d[9]) - (truth - truth[9]), axis=1).mean())
+    assert len(errors) == 42 and np.mean(errors) < 0.01
+
+
 def test_lift_notes_a_degraded_row_by_index(tmp_path, capsys):
     # a collapsed palm degrades its row to kp3d=null and the batch goes on;
     # the note names the row by its 0-based index and its t_us
@@ -894,6 +925,40 @@ def test_hard_linked_out_is_written_in_place(corpus, tmp_path, feature_bytes):
     assert run("features", "--frames", corpus, "--out", first) == 0
     assert os.path.samefile(first, second)
     assert first.read_bytes() == second.read_bytes() == feature_bytes
+
+
+@pytest.mark.parametrize("cmd", list(_OUT_COMMANDS))
+def test_hard_linked_out_may_name_the_input(good_files, tmp_path, cmd):
+    # the rows go to a new file while the input is read, and are copied
+    # into the shared file only when the command succeeds
+    other, same, link = (tmp_path / name for name in ("other.jsonl", "same.jsonl",
+                                                       "link.jsonl"))
+    same.write_bytes(good_files["frames"].read_bytes())
+    os.link(same, link)
+    assert run_out_command(cmd, good_files, good_files["frames"], other) == 0
+    assert run_out_command(cmd, good_files, same, same) == 0
+    assert len(read_jsonl(other)) == 2 * len(ALL_GESTURES)
+    assert os.path.samefile(same, link)
+    assert same.read_bytes() == other.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "other.jsonl", "same.jsonl"]
+
+
+@pytest.mark.parametrize("cmd", list(_OUT_COMMANDS))
+def test_failed_command_leaves_a_hard_linked_output_alone(good_files, tmp_path, capsys,
+                                                         cmd):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in (
+        _GOOD_ROW, {**_GOOD_ROW, "t_us": 33_333}, _third(t_us=1.5))))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    out, link = outdir / "out.jsonl", outdir / "link.jsonl"
+    out.write_bytes(b"previous output\n")
+    os.link(out, link)
+    assert run_out_command(cmd, good_files, bad, out) == 2
+    assert f"{bad}:3: " in capsys.readouterr().err
+    assert out.read_bytes() == link.read_bytes() == b"previous output\n"
+    assert os.path.samefile(out, link)
+    assert sorted(os.listdir(outdir)) == ["link.jsonl", "out.jsonl"]
 
 
 def test_fifo_out_is_written_in_place(corpus, tmp_path, feature_bytes):

@@ -419,13 +419,15 @@ def test_lift_tail_frames_stop_before_the_cap(j):
     assert res.stop in ("stalled", "tolerance") and res.iterations < 200
 
 
-@pytest.mark.parametrize("row", [645, 649, 651, 656, 659])
+@pytest.mark.parametrize("row", [645, 647, 649, 651, 656, 659, 662])
 def test_noiseless_pointing_frames_lift(row):
     # rows of `synth --seed 7 --per-gesture 40` (IndexPointingToCamera) that
     # ended DivergedFit at 10.3-11.1 px rms when the four damping candidates
     # spanned three decades, 0.01 to 10 times lambda; row 649 reaches 3.25 px
     # only after 140 iterations, and a noise-floor test that ignored
-    # max_rms_px stopped it at 13.5 px
+    # max_rms_px stopped it at 13.5 px.  Rows 647 and 662 ran to the
+    # 200-iteration cap at 15.2 and 21.1 px while each round damped by the
+    # current diag(J'J) instead of the largest one of the fit
     cfg = SynthConfig(seed=7)
     frame, _ = synth_pose("IndexPointingToCamera", cfg, sample_rng(7, row))
     model = default_hand_model()
@@ -524,6 +526,53 @@ def test_damping_search_ends_for_any_window(monkeypatch, window):
     assert res.stop == "no_descent" and res.iterations == 1
     # the initial pose, then one round per decade of lambda up to 1e8
     assert len(calls) <= 1 + 12
+
+
+@pytest.mark.parametrize("gesture, row, noise_px", [
+    ("Loser", 59, 1.0), ("IndexPointingToCamera", 662, 0.0)])
+def test_damping_never_falls_within_a_fit(monkeypatch, gesture, row, noise_px):
+    # More's scaling: a round damps each parameter by the largest diag(J'J)
+    # the fit has seen, so a column that collapses keeps its damping.  The
+    # damping is read back from the most damped system of each round.
+    cfg = SynthConfig(seed=7, noise_px=noise_px)
+    frame, _ = synth_pose(gesture, cfg, sample_rng(7, row))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    factors, solve, events = lifting.DAMPING_FACTORS, np.linalg.solve, []
+
+    class RecordingFactors(np.ndarray):
+        __array_ufunc__ = None  # so that lam * factors reaches __rmul__
+
+        def __rmul__(self, lam):
+            events.append(("lambda", float(lam)))
+            return float(lam) * self.view(np.ndarray)
+
+    def linearize(*args):
+        jac = _linearize(*args)
+        events.append(("curvature", (jac.T @ jac).diagonal()))
+        return jac
+
+    def recording_solve(systems, rhs):
+        events.append(("systems", systems.copy()))
+        return solve(systems, rhs)
+
+    monkeypatch.setattr(lifting, "DAMPING_FACTORS", factors.view(RecordingFactors))
+    monkeypatch.setattr(lifting, "_linearize", linearize)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    res = fit(frame.hand.kp2d, model, intr, init)
+    assert res.iterations > 5
+    previous = np.zeros(NUM_POSE_PARAMS)
+    for kind, value in events:
+        if kind == "curvature":
+            curvature = value
+        elif kind == "lambda":
+            lam = value
+        else:
+            damp = (value[-1].diagonal() - curvature) / (lam * factors[-1])
+            assert np.all(damp >= previous * (1 - 1e-9))
+            assert np.all(damp >= curvature * (1 - 1e-9))
+            previous = damp
 
 
 def test_fit_stops_at_max_iter():

@@ -36,7 +36,7 @@ from .lifting import (
     TZ_BOX,
     default_hand_model,
     default_intrinsics,
-    forward_kinematics,
+    hand_chain,
     project,
     rot_x,
     rot_z,
@@ -277,7 +277,7 @@ def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
     joints = _jittered_joints(tpl, rng, cfg)
     rotation = draw_rotation(rng)
     model = model if model is not None else default_hand_model()
-    local = forward_kinematics(model, PoseParams(np.zeros(3), np.zeros(3), joints))
+    local = hand_chain(model, joints[None])[0][0]
     if cfg.handedness == "Left":
         local = local * np.array([-1.0, 1.0, 1.0])
     tz = rng.uniform(*cfg.tz_range)

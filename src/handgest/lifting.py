@@ -379,11 +379,12 @@ class _Kinematics(NamedTuple):
     frames: np.ndarray   # (n, 5, 5, 3, 3) hand-frame finger frame after each slot
 
 
-def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
-    """Pose vectors (n, 27) -> keypoints and the frames that place them."""
-    n = pvec.shape[0]
-    r_glob = rotmat_from_rotvec(pvec[:, 0:3])
-    padded = np.concatenate([pvec[:, 6:], np.zeros((n, 1))], axis=1)
+def hand_chain(model: HandModel, joints: np.ndarray):
+    """Joint angles (n, 21) -> hand-frame keypoints (n, 21, 3) and each
+    finger's frame after each slot (n, 5, 5, 3, 3): the model before its
+    rigid placement."""
+    n = joints.shape[0]
+    padded = np.concatenate([joints, np.zeros((n, 1))], axis=1)
     angles = padded[:, _SLOT_JOINT] * _SLOT_SIGN
     c, s = np.cos(angles), np.sin(angles)
     rots = np.zeros((n, 5, 5, 3, 3))
@@ -402,6 +403,13 @@ def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
     chain[:, :, 1:] = model.lengths[:, 1:, None] * frames[:, :, 2:, :, 1]
     local = np.zeros((n, NUM_KEYPOINTS, 3))
     local[:, 1:] = np.cumsum(chain, axis=2).reshape(n, NUM_KEYPOINTS - 1, 3)
+    return local, frames
+
+
+def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
+    """Pose vectors (n, 27) -> keypoints and the frames that place them."""
+    r_glob = rotmat_from_rotvec(pvec[:, 0:3])
+    local, frames = hand_chain(model, pvec[:, 6:])
     points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, 3:6]
     return _Kinematics(points, r_glob, frames)
 

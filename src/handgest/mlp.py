@@ -322,12 +322,20 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
     n = len(x_all)
     rng = np.random.default_rng(config.seed)
 
-    # draw order is frozen: weights, then the split, then epoch shuffles
-    weights, biases = [], []
+    # draw order is frozen: weights, then the split, then epoch shuffles.
+    # Every weight and bias is a view of one flat buffer, in gradient_check's
+    # order (w0, b0, w1, b1, ...), so one Adam update steps them all
+    params = np.zeros(sum((fan_in + 1) * fan_out
+                          for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:])))
+    weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+        w = params[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
         limit = np.sqrt(6.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, (fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
+        w[...] = rng.uniform(-limit, limit, w.shape)
+        at += w.size
+        weights.append(w)
+        biases.append(params[at:at + fan_out])
+        at += fan_out
 
     perm = rng.permutation(n)
     n_val = min(int(n * config.val_fraction), n - 1)
@@ -339,10 +347,8 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
 
     model = MlpModel(weights, biases, mean, std)
     alpha = np.asarray(config.alpha)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
     step = 0
     train_hist, val_hist = [], []
 
@@ -356,17 +362,15 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
             epoch_loss += float(np.sum(_focal_batch(probs, yb, config.gamma, alpha)))
             g_w, g_b = _backward_batch(model, probs, acts, pres, yb,
                                        config.gamma, alpha)
+            g = np.concatenate([a.ravel() for pair in zip(g_w, g_b) for a in pair])
             step += 1
             c1 = 1.0 - _ADAM_BETA1 ** step
             c2 = 1.0 - _ADAM_BETA2 ** step
-            for k in range(len(weights)):
-                for p, g, m, v in ((weights[k], g_w[k], m_w[k], v_w[k]),
-                                   (biases[k], g_b[k], m_b[k], v_b[k])):
-                    m *= _ADAM_BETA1
-                    m += (1.0 - _ADAM_BETA1) * g
-                    v *= _ADAM_BETA2
-                    v += (1.0 - _ADAM_BETA2) * g * g
-                    p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            params -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
         train_hist.append(epoch_loss / len(order))
         if n_val:
             vp, _, _ = _forward_batch(model, x_std[val_idx])

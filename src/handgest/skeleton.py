@@ -36,6 +36,7 @@ type checks, raising MalformedConfig.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import sys
@@ -117,16 +118,18 @@ def validate_frame(frame: HandFrame) -> HandFrame:
     """Check a frame against the schema; returns the frame unchanged.
 
     Raises MalformedFrame on a t_us, w or h that is not an integer (a bool
-    is not one), bad keypoint counts, non-finite values, non-positive image
-    dimensions, out-of-range scores, or an unknown handedness string.
+    is not one), bad keypoint counts, non-finite values, image dimensions
+    that are not positive or that no float can hold, out-of-range scores,
+    or an unknown handedness string.
     Validation is idempotent.
     """
     for name in ("t_us", "w", "h"):
         value = getattr(frame, name)
         if not is_int(value):
             raise MalformedFrame(f"{name} must be an integer, got {value!r}")
-    if frame.w <= 0 or frame.h <= 0:
-        raise MalformedFrame(f"image dimensions must be positive, got {frame.w}x{frame.h}")
+    if not (is_number(frame.w) and is_number(frame.h) and frame.w > 0 and frame.h > 0):
+        raise MalformedFrame(f"image dimensions must be positive and within a float's "
+                             f"range, got {frame.w}x{frame.h}")
     hand = frame.hand
     if hand is None:
         return frame
@@ -348,13 +351,20 @@ def is_int(value) -> bool:
 
 
 def is_number(value) -> bool:
-    """True for a JSON number: an int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a JSON number: an int or float that is not a bool, and an
+    int only if it converts to a finite float (json reads 1e999 as inf but
+    10**400 as an int, which float() cannot take)."""
+    if isinstance(value, float):
+        return True
+    try:
+        return is_int(value) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # annotation -> test of a decoded JSON value; "X | Y" takes either
 _JSON_KINDS = {
-    "int": is_int,
+    "int": lambda v: is_int(v) and is_number(v),
     "float": is_number,
     "str": lambda v: isinstance(v, str),
     "None": lambda v: v is None,
@@ -368,7 +378,8 @@ def decode_config(cls, obj, what: str):
     field without a default is required. Each value must match its field's
     annotation, read as a string: "int" takes an integer, "float" any
     number (never a bool), "str" a string, "tuple" a list of numbers as
-    long as the default, and "X | Y" either. Lists become tuples.
+    long as the default, and "X | Y" either; an integer must convert to a
+    finite float (see is_number). Lists become tuples.
     """
     if not isinstance(obj, dict):
         raise MalformedConfig(f"{what} must be a JSON object")

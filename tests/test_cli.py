@@ -400,6 +400,7 @@ _MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:]
                   np.zeros(12), np.ones(12)).to_dict()
 _THRESHOLDS = DEFAULT_CONFIG_JSON["thresholds"]
 NAN, INF = float("nan"), float("inf")
+HUGE = 10 ** 400  # a JSON integer that float() cannot take
 _FINGERS = default_hand_model().to_dict()["fingers"]
 
 # (argv, content of {bad}, part of the error): None leaves {bad} missing,
@@ -606,6 +607,31 @@ BAD_INPUTS = {
     "classify-gestures-lo-deg-nan": ("classify --frames {frames} --gestures {bad}",
                                      _term_with(3, 5, lo_deg=NAN),
                                      "lo_deg and hi_deg must be finite, got nan"),
+    # JSON integers too large for a float, which raised OverflowError
+    **{f"{argv.split()[0]}-score-huge": (argv, _hand_row(score=HUGE),
+                                         f"score must be a number, got {HUGE}")
+       for argv in ("features --frames {bad}", "classify --frames {bad}",
+                    "train --data {bad} --config {train} --out {out}",
+                    "calibrate --model {model} --negatives {bad} --fpr 0.1 --out {out}",
+                    "lift --frames {bad}",
+                    "stream --frames {bad} --pipeline {pipe}")},
+    "lift-w-huge": ("lift --frames {bad}", _frame_row(w=HUGE),
+                    "image dimensions must be positive and within a float's range"),
+    "lift-h-huge": ("lift --frames {bad}", _frame_row(h=HUGE),
+                    "image dimensions must be positive and within a float's range"),
+    **{f"synth-{key.replace('_', '-')}-huge": ("synth --out {out} --config {bad}",
+                                               {key: value}, f"{key} must be {kind}")
+       for key, value, kind in (("width", HUGE, "int"), ("height", HUGE, "int"),
+                                ("noise_px", HUGE, "float"),
+                                ("tz_range", [0.4, HUGE], "tuple"))},
+    **{f"train-{key.replace('_', '-')}-huge": (
+        "train --data {frames} --out {out} --config {bad}", {key: HUGE},
+        f"{key} must be {kind}")
+       for key, kind in (("learning_rate", "float"), ("gamma", "float"),
+                         ("alpha", "float | tuple"))},
+    "stream-max-detect-hz-huge": ("stream --frames {frames} --pipeline {bad}",
+                                  {**_PIPE, "max_detect_hz": HUGE},
+                                  "max_detect_hz must be float"),
 }
 
 

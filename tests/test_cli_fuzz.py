@@ -1,9 +1,9 @@
 """Fuzzed input files through the command line: every run exits 0, 2 or 3.
 
-Each example starts from one small valid set of files (frames, training
-and synth configs, model, gesture config, pipeline config), makes one
-mutation to one of them, and runs every subcommand but ``lift`` (its fits
-are slow) in process. A Python exception escaping ``main`` fails the test.
+Each example starts from one small valid set of files (frames, negatives,
+training and synth configs, model, gesture config, pipeline config), makes
+one mutation to one of them, and runs every subcommand in process. A Python
+exception escaping ``main`` fails the test.
 """
 
 import json
@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 from handgest.cli import main
 from handgest.heuristic import DEFAULT_CONFIG_JSON
+from handgest.labels import NEGATIVE_GESTURES
 
 MAX_EXAMPLES = 30
 
-# one strategy per JSON type; a mutation swaps a value for one of another type
+# one strategy per JSON type, and integers too large for a float as a type
+# of their own; a mutation swaps a value for one of another type
 JSON_VALUES = {
     "null": st.none(),
     "bool": st.booleans(),
     "int": st.integers(-1000, 1000),
+    "huge": st.sampled_from([10 ** 400, -(10 ** 400)]),
     "float": st.floats(-1e3, 1e3, allow_nan=False),
     "str": st.text(max_size=4),
     "list": st.lists(st.integers(-3, 3), max_size=3),
@@ -44,17 +47,21 @@ def run(*argv):
 
 @pytest.fixture(scope="module")
 def seed_docs(tmp_path_factory):
-    """The valid documents, as decoded JSON; the frames file as a list of rows."""
+    """The valid documents, as decoded JSON; a JSONL file as a list of rows."""
     root = tmp_path_factory.mktemp("fuzz-seed")
-    frames, model = root / "frames.jsonl", root / "model.json"
+    frames, negatives = root / "frames.jsonl", root / "negatives.jsonl"
+    model = root / "model.json"
     train = {"epochs": 1, "batch_size": 4}
     (root / "train.json").write_text(json.dumps(train))
     assert run("synth", "--out", frames, "--per-gesture", 1, "--seed", 4,
                "--gestures", "OpenPalm,Victory,ClosedFist") == 0
+    assert run("synth", "--out", negatives, "--per-gesture", 1, "--seed", 5,
+               "--gestures", ",".join(NEGATIVE_GESTURES[:2])) == 0
     assert run("train", "--data", frames, "--config", root / "train.json",
                "--out", model) == 0
     return {
-        "frames.jsonl": [json.loads(line) for line in frames.read_text().splitlines()],
+        **{path.name: [json.loads(line) for line in path.read_text().splitlines()]
+           for path in (frames, negatives)},
         "train.json": train,
         "synth.json": {"seed": 3, "noise_px": 0.5, "tz_range": [0.4, 0.6]},
         "model.json": json.loads(model.read_text()),
@@ -135,6 +142,9 @@ def test_every_subcommand_exits_0_2_or_3(seed_docs, data):
                 "--out", out),
             run("train", "--data", frames, "--config", d / "train.json",
                 "--out", d / "trained.json"),
+            run("calibrate", "--model", d / "model.json", "--negatives",
+                d / "negatives.jsonl", "--fpr", 0.1, "--out", d / "calibrated.json"),
+            run("lift", "--frames", frames, "--out", out),
             run("synth", "--config", d / "synth.json", "--out", out,
                 "--per-gesture", 1, "--gestures", "OpenPalm,ThumbUp"),
             run("stream", "--frames", frames, "--pipeline", d / "pipeline.json",

@@ -231,6 +231,86 @@ def test_train_same_seed_is_bit_identical():
         np.testing.assert_array_equal(b1, b2)
 
 
+def reference_train(dataset, config):
+    """train as it stepped Adam before its weights shared one flat buffer:
+    one update per weight and bias array, with moments of their own."""
+    x_all, y_all = mlp._dataset_arrays(dataset)
+    n = len(x_all)
+    rng = np.random.default_rng(config.seed)
+    weights, biases = [], []
+    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+        limit = np.sqrt(6.0 / fan_in)
+        weights.append(rng.uniform(-limit, limit, (fan_out, fan_in)))
+        biases.append(np.zeros(fan_out))
+    perm = rng.permutation(n)
+    n_val = min(int(n * config.val_fraction), n - 1)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    mean = x_all[train_idx].mean(axis=0)
+    std = np.maximum(x_all[train_idx].std(axis=0), 1e-6)
+    x_std = (x_all - mean) / std
+    model = MlpModel(weights, biases, mean, std)
+    alpha = np.asarray(config.alpha)
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    step = 0
+    train_hist, val_hist = [], []
+    for _ in range(config.epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            xb, yb = x_std[batch], y_all[batch]
+            probs, acts, pres = mlp._forward_batch(model, xb)
+            epoch_loss += float(np.sum(mlp._focal_batch(probs, yb, config.gamma, alpha)))
+            g_w, g_b = mlp._backward_batch(model, probs, acts, pres, yb,
+                                           config.gamma, alpha)
+            step += 1
+            c1 = 1.0 - mlp._ADAM_BETA1 ** step
+            c2 = 1.0 - mlp._ADAM_BETA2 ** step
+            for k in range(len(weights)):
+                for p, g, m, v in ((weights[k], g_w[k], m_w[k], v_w[k]),
+                                   (biases[k], g_b[k], m_b[k], v_b[k])):
+                    m *= mlp._ADAM_BETA1
+                    m += (1.0 - mlp._ADAM_BETA1) * g
+                    v *= mlp._ADAM_BETA2
+                    v += (1.0 - mlp._ADAM_BETA2) * g * g
+                    p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2)
+                                                            + mlp._ADAM_EPS)
+        train_hist.append(epoch_loss / len(order))
+        if n_val:
+            vp, _, _ = mlp._forward_batch(model, x_std[val_idx])
+            val_hist.append(float(np.mean(
+                mlp._focal_batch(vp, y_all[val_idx], config.gamma, alpha))))
+    model.history = {"train_loss": train_hist, "val_loss": val_hist}
+    return model
+
+
+def seven_class_dataset(n=90):
+    rng = np.random.default_rng(12)
+    return [LabeledExample(rng.normal(0.3 * (i % 7), 1.0, size=12), CLASSES[i % 7])
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("config", [
+    TrainConfig(),
+    TrainConfig(epochs=20, batch_size=16, seed=4,
+                alpha=(0.5, 1.0, 2.0, 1.0, 3.0, 1.0, 0.25)),
+    TrainConfig(epochs=10, batch_size=13, seed=5),  # 81 training rows
+    TrainConfig(epochs=10, batch_size=16, seed=6, val_fraction=0.0),
+], ids=["default", "alpha", "ragged-batch", "no-validation"])
+def test_train_is_bitwise_the_per_array_adam(config):
+    data = seven_class_dataset()
+    got, want = train(data, config), reference_train(data, config)
+    for a, b in zip(got.weights + got.biases + [got.feat_mean, got.feat_std],
+                    want.weights + want.biases + [want.feat_mean, want.feat_std]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for key in ("train_loss", "val_loss"):
+        assert np.array(got.history[key]).tobytes() == np.array(want.history[key]).tobytes()
+    assert len(got.history["val_loss"]) == (config.epochs if config.val_fraction else 0)
+
+
 def test_focal_helps_minority_recall():
     rng = np.random.default_rng(3)
     data = []

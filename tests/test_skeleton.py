@@ -27,6 +27,7 @@ from handgest.skeleton import (
     float_array,
     frame_from_dict,
     frame_to_dict,
+    is_number,
     open_output,
     read_json,
     read_jsonl,
@@ -261,13 +262,25 @@ def test_frame_from_dict_takes_integer_keypoints():
     assert kp2d.tolist() == obj["hand"]["kp2d"]
 
 
+@pytest.mark.parametrize("value, number", [
+    (1, True), (-2.5, True), (float("nan"), True), (float("inf"), True),
+    (int(np.finfo(np.float64).max), True), (2 ** 1024, False), (-(10 ** 400), False),
+    (True, False), ("1", False), (None, False),
+])
+def test_is_number_takes_what_converts_to_a_float(value, number):
+    # non-finite floats are numbers whose ranges the callers check; an
+    # integer past the largest float is not one
+    assert is_number(value) is number
+
+
 @dataclass
 class _Knobs:
     rate: "float"
     name: "str" = "x"
 
 
-@pytest.mark.parametrize("obj", [[], {}, {"rate": "1"}, {"rate": 1.0, "extra": 1}])
+@pytest.mark.parametrize("obj", [[], {}, {"rate": "1"}, {"rate": 1.0, "extra": 1},
+                                 {"rate": 10 ** 400}])
 def test_decode_config_raises_malformed_config(obj):
     with pytest.raises(MalformedConfig):
         decode_config(_Knobs, obj, "knobs")

@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 
-from . import harness, lifting, mlp, pipeline
 from .errors import (
     HandgestError,
     MalformedFrame,
@@ -34,11 +33,13 @@ from .errors import (
 from .features import FEATURE_MAX, FEATURE_MIN, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
+    brief,
     decode_config,
     float_array,
     frame_from_dict,
     frame_to_dict,
     is_int,
+    is_number,
     open_output,
     read_json,
     read_jsonl,
@@ -54,7 +55,7 @@ def _features_from_row(obj):
     """(t_us, (12,) feature array) from one feature row."""
     t_us = obj.get("t_us", 0)
     if not is_int(t_us):
-        raise MalformedFrame(f"t_us must be an integer, got {t_us!r}")
+        raise MalformedFrame(f"t_us must be an integer, got {brief(t_us)}")
     try:
         euler = float_array(obj["euler"], "euler")
         fingers = float_array(obj["fingers"], "fingers")
@@ -89,17 +90,19 @@ def _labeled_features(obj):
 
 
 def _training_example(obj):
+    """(feature array, class) of a labeled row."""
     _, fv, label = _labeled_features(obj)
     if label is None:
         raise ValidationError("training rows need labels")
-    return mlp.LabeledExample(fv, to_class(label))
+    return fv, to_class(label)
 
 
 def _negative_example(obj):
+    """The feature array of a row that is unlabeled or labeled a negative."""
     _, fv, label = _labeled_features(obj)
     if label is not None and to_class(label) != NEGATIVE_LABEL:
         raise ValidationError(f"row labeled {label!r} is not a negative")
-    return mlp.LabeledExample(fv, NEGATIVE_LABEL)
+    return fv
 
 
 def _label_only(obj):
@@ -116,6 +119,17 @@ def _prediction(obj):
     return label
 
 
+def _with_seed(cfg, seed):
+    """cfg with the --seed override, an integer held to the rule of a config
+    seed (is_number: it must convert to a finite float)."""
+    if seed is None:
+        return cfg
+    if not is_number(seed):
+        raise ValidationError(f"--seed must be an integer within a float's range, "
+                              f"got {brief(seed)}")
+    return dataclasses.replace(cfg, seed=seed)
+
+
 def _feature_row(t_us, fv, label):
     row = {"schema": FEATURES_SCHEMA, "t_us": int(t_us)}
     if label is not None:
@@ -127,12 +141,13 @@ def _feature_row(t_us, fv, label):
 
 
 # -- subcommands ---------------------------------------------------------------
+# each imports the stage module it runs, so a command loads only its own stages
 
 def cmd_synth(args):
+    from . import harness
     cfg = harness.SynthConfig() if not args.config else read_json(
         args.config, lambda obj: decode_config(harness.SynthConfig, obj, "synth config"))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _with_seed(cfg, args.seed)
     gestures = None
     if args.gestures:
         gestures = [check_gesture(g.strip()) for g in args.gestures.split(",") if g.strip()]
@@ -153,6 +168,7 @@ def cmd_features(args):
 
 
 def cmd_classify(args):
+    from . import pipeline
     source = args.features or args.frames
     if source is None:
         raise ValidationError("classify needs --features or --frames")
@@ -167,10 +183,11 @@ def cmd_classify(args):
 
 
 def cmd_train(args):
-    cfg = read_json(args.config, mlp.TrainConfig.from_dict) if args.config else mlp.TrainConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    examples = list(read_jsonl(args.data, _training_example))
+    from . import mlp
+    cfg = _with_seed(read_json(args.config, mlp.TrainConfig.from_dict) if args.config
+                     else mlp.TrainConfig(), args.seed)
+    examples = [mlp.LabeledExample(fv, label)
+                for fv, label in read_jsonl(args.data, _training_example)]
     model = mlp.train(examples, cfg)
     mlp.save_model(model, args.out)
     print(f"trained on {len(examples)} examples, "
@@ -180,8 +197,10 @@ def cmd_train(args):
 
 
 def cmd_calibrate(args):
+    from . import mlp
     model = mlp.load_model(args.model)
-    negatives = list(read_jsonl(args.negatives, _negative_example))
+    negatives = [mlp.LabeledExample(fv, NEGATIVE_LABEL)
+                 for fv in read_jsonl(args.negatives, _negative_example)]
     tau = mlp.calibrate_threshold(model, negatives, args.fpr)
     model.tau = tau
     mlp.save_model(model, args.out or args.model)
@@ -191,6 +210,7 @@ def cmd_calibrate(args):
 
 
 def cmd_lift(args):
+    from . import lifting
     model = (lifting.load_hand_model(args.model) if args.model
              else lifting.default_hand_model())
 
@@ -229,6 +249,7 @@ def cmd_lift(args):
 
 
 def cmd_stream(args):
+    from . import pipeline
     cfg = read_json(args.pipeline, pipeline.PipelineConfig.from_dict)
     classifier = pipeline.make_classifier(cfg)
     state = pipeline.initial_state()
@@ -248,6 +269,7 @@ def cmd_stream(args):
 
 
 def cmd_eval(args):
+    from . import harness
     predictions = list(read_jsonl(args.pred, _prediction))
     truths = list(read_jsonl(args.truth, _label_only))
     report = harness.eval_classifier(predictions, truths)

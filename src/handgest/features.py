@@ -40,6 +40,7 @@ from .skeleton import (
     NUM_KEYPOINTS,
     PINKY_MCP,
     WRIST,
+    brief,
 )
 
 EPS_PALM_AREA_M2 = 1e-9
@@ -70,11 +71,21 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis of two arrays, without its per-call overhead.
+    """np.cross over the last axis of two float64 arrays, without its per-call
+    overhead.
 
-    The same products and difference as np.cross, so bitwise equal to it.
+    The same products and difference as np.cross, so bitwise equal to it. Two
+    (3,) vectors go term by term on Python floats, which round each product
+    and difference as numpy does.
     """
+    if a.ndim == 1 == b.ndim:
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
+# wrist first, then the points _palm_frame measures from it
+_PALM_POINTS = np.array([WRIST, INDEX_MCP, PINKY_MCP, MIDDLE_MCP])
 
 
 def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarray, float]:
@@ -88,15 +99,14 @@ def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarr
     """
     if handedness not in HANDEDNESS_VALUES:
         raise MalformedFrame(
-            f"handedness must be one of {HANDEDNESS_VALUES}, got {handedness!r}")
-    wrist = kp3d[WRIST]
-    v1 = kp3d[INDEX_MCP] - wrist
-    v2 = kp3d[PINKY_MCP] - wrist
+            f"handedness must be one of {HANDEDNESS_VALUES}, got {brief(handedness)}")
+    points = kp3d.take(_PALM_POINTS, 0)
+    wrist = points[0]
+    v1, v2, mid = points[1:] - wrist
     normal = cross(v1, v2) if handedness == "Right" else cross(v2, v1)
     area = math.sqrt(normal.dot(normal))
     if area < EPS_PALM_AREA_M2:
         raise DegeneratePalm(f"palm cross product {area:.3e} m^2 below {EPS_PALM_AREA_M2:.0e}")
-    mid = kp3d[MIDDLE_MCP] - wrist
     scale = math.sqrt(mid.dot(mid))
     if scale < EPS_PALM_SCALE_M:
         raise DegeneratePalm(f"palm scale {scale:.3e} m below {EPS_PALM_SCALE_M:.0e}")
@@ -135,6 +145,11 @@ def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
     r = np.asarray(rotation, dtype=np.float64)
     if r.shape != (3, 3):
         raise ShapeMismatch(f"expected a (3, 3) rotation, got {r.shape}")
+    return _euler(r)
+
+
+def _euler(r: np.ndarray) -> tuple[float, float, float]:
+    """euler_from_rotation of a (3, 3) float64 array, unchecked."""
     # cos(pitch) >= 0 because pitch is confined to [-pi/2, pi/2].
     cos_pitch = float(np.hypot(r[2, 1], r[2, 2]))
     pitch = float(np.arctan2(-r[2, 0], cos_pitch))
@@ -167,22 +182,23 @@ def _all_angles(kp3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     proximal phalanges (base joint -> first intermediate joint). Raises
     ZeroSegment on any segment shorter than EPS_SEGMENT_M.
     """
-    seg = kp3d.take(_SEG_HI, 0) - kp3d.take(_SEG_LO, 0)  # (5, 4, 3) along each chain
+    chains = kp3d.take(_CHAINS, 0)                # (5, 5, 3) wrist to tip
+    seg = chains[:, 1:] - chains[:, :-1]          # (5, 4, 3) along each chain
     norms = np.sqrt(np.add.reduce(seg * seg, axis=2))  # np.linalg.norm's reduction
     if (norms < EPS_SEGMENT_M).any():
         raise ZeroSegment(f"segment norm below {EPS_SEGMENT_M:.0e} m")
-    unit = seg / norms[:, :, None]
-    cos_f = np.einsum("fj,fkj->fk", unit[:, 0], unit[:, 1:])
-    fingers = np.arccos(cos_f.clip(-1.0, 1.0)).max(axis=1)
-    prox = unit[:, 1]                        # (5, 3) proximal phalanx directions
-    cos_p = np.einsum("pj,pj->p", prox[:-1], prox[1:])
-    pairs = np.arccos(cos_p.clip(-1.0, 1.0))
-    return fingers, pairs
+    ends = (seg / norms[:, :, None]).reshape(20, 3).take(_COS_ENDS, 0)
+    cos = np.einsum("ij,ij->i", ends[0], ends[1])
+    angles = np.arccos(cos.clip(-1.0, 1.0, out=cos), out=cos)
+    return angles[:15].reshape(5, 3).max(axis=1), angles[15:]
 
 
-# segment k of finger f runs from chain point k to k + 1
-_SEG_LO = np.array([CHAIN_INDICES[f][:-1] for f in Finger])
-_SEG_HI = np.array([CHAIN_INDICES[f][1:] for f in Finger])
+_CHAINS = np.array([CHAIN_INDICES[f] for f in Finger])
+# the two unit segments of each cosine, as rows 4 f + k (finger f, segment k):
+# 15 finger cosines, wrist->base against each distal segment, then 4 pair
+# cosines, one proximal phalanx against the next finger's
+_COS_ENDS = np.array([[4 * f for f in range(5) for _ in range(3)] + [1, 5, 9, 13],
+                      [4 * f + k for f in range(5) for k in (1, 2, 3)] + [5, 9, 13, 17]])
 
 
 def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
@@ -196,4 +212,4 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
     kp3d = _check_kp3d(kp3d)
     rotation, wrist, scale = _palm_frame(kp3d, handedness)
     fingers, pairs = _all_angles(_intrinsic(kp3d, rotation, wrist, scale))
-    return np.concatenate((euler_from_rotation(rotation), fingers, pairs))
+    return np.concatenate((_euler(rotation), fingers, pairs))

@@ -48,6 +48,7 @@ from .skeleton import (
     NUM_KEYPOINTS,
     HandFrame,
     HandSkeleton,
+    brief,
     frame_to_dict,
     is_number,
     open_output,
@@ -187,26 +188,28 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {brief(self.seed)}")
         if self.width <= 0 or self.height <= 0:
-            raise ValidationError(
-                f"width and height must be positive, got {self.width}x{self.height}")
+            raise ValidationError(f"width and height must be positive, "
+                                  f"got {brief(self.width)}x{brief(self.height)}")
         for name in ("tz_range", "x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValidationError(f"{name} must be finite [low, high] with "
-                                      f"low <= high, got {getattr(self, name)}")
+                                      f"low <= high, got {brief(getattr(self, name))}")
         if not TZ_BOX[0] <= self.tz_range[0] <= self.tz_range[1] <= TZ_BOX[1]:
-            raise ValidationError(f"tz_range must lie within {TZ_BOX} m, got {self.tz_range}")
+            raise ValidationError(
+                f"tz_range must lie within {TZ_BOX} m, got {brief(self.tz_range)}")
         if self.handedness not in HANDEDNESS_VALUES:
             raise ValidationError(f"handedness must be one of {HANDEDNESS_VALUES}, "
-                                  f"got {self.handedness!r}")
+                                  f"got {brief(self.handedness)}")
         if not (is_number(self.score) and 0.0 <= self.score <= 1.0):  # NaN fails too
-            raise ValidationError(f"score must be a finite number in [0, 1], got {self.score!r}")
+            raise ValidationError(
+                f"score must be a finite number in [0, 1], got {brief(self.score)}")
         for name in ("jitter_std_rad", "orientation_jitter_rad", "noise_px", "noise_m"):
             value = getattr(self, name)
             if not (is_number(value) and 0.0 <= value < math.inf):  # NaN fails too
-                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+                raise ValidationError(f"{name} must be a finite number >= 0, got {brief(value)}")
 
 
 # abductions and the thumb roll get half the flexion jitter: their
@@ -324,7 +327,7 @@ def make_dataset(cfg: SynthConfig, per_gesture: int,
     """Labeled corpus: ``per_gesture`` samples of each gesture, sample i
     seeded by (cfg.seed, i) regardless of generation order."""
     if per_gesture < 1:
-        raise ValidationError(f"per_gesture must be at least 1, got {per_gesture}")
+        raise ValidationError(f"per_gesture must be at least 1, got {brief(per_gesture)}")
     gestures = tuple(gestures) if gestures is not None else ALL_GESTURES
     frames, labels = [], []
     i = 0

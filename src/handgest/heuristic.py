@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger, float_array, is_int, is_number
+from .skeleton import Finger, brief, float_array, is_int, is_number
 
 # state-vector index of each name a leaf can reference
 EULER_AXES = {"yaw": 0, "pitch": 1, "roll": 2}
@@ -80,8 +80,9 @@ class StateThresholds:
 def state_vector(fv: np.ndarray, th: StateThresholds) -> np.ndarray:
     """The 12-entry state vector, in a copy of fv: Euler angles, then finger and pair codes."""
     state = fv.copy()
-    angles = state[3:]
-    state[3:] = 1 + (angles >= th.upper) - (angles <= th.lower)
+    codes = state[3:]
+    np.subtract(codes >= th.upper, codes <= th.lower, out=codes, dtype=np.float64)
+    codes += 1.0
     return state
 
 
@@ -97,7 +98,10 @@ class All(Expr):
     args: tuple
 
     def evaluate(self, state):
-        return all(a.evaluate(state) for a in self.args)
+        for a in self.args:
+            if not a.evaluate(state):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,10 @@ class Any_(Expr):
     args: tuple
 
     def evaluate(self, state):
-        return any(a.evaluate(state) for a in self.args)
+        for a in self.args:
+            if a.evaluate(state):
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,8 @@ NODE_KEYS = {
 def _exact_keys(obj: dict, keys, what: str) -> None:
     """Raise MalformedConfig unless ``obj`` carries exactly ``keys``."""
     if set(obj) != set(keys):
-        raise MalformedConfig(f"{what} takes exactly the keys {list(keys)}, got {sorted(obj)}")
+        raise MalformedConfig(f"{what} takes exactly the keys {list(keys)}, "
+                              f"got {brief(sorted(obj))}")
 
 
 def expr_from_json(obj: dict) -> Expr:
@@ -161,7 +169,7 @@ def expr_from_json(obj: dict) -> Expr:
     """
     kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
     if kind is None:
-        raise MalformedConfig(f"bad expression node: {obj!r}")
+        raise MalformedConfig(f"bad expression node: {brief(obj)}")
     _exact_keys(obj, NODE_KEYS[kind], f"{kind!r} node")
     if kind == "all":
         return All(tuple(expr_from_json(a) for a in obj["all"]))
@@ -174,19 +182,21 @@ def expr_from_json(obj: dict) -> Expr:
                          else (PAIR_NAMES, PAIR_STATES))
         name, state = obj[kind], obj["state"]
         if name not in names:
-            raise UnknownReference(f"unknown {kind} {name!r}")
+            raise UnknownReference(f"unknown {kind} {brief(name)}")
         if state not in states:
-            raise UnknownReference(f"unknown {kind} state {state!r}")
+            raise UnknownReference(f"unknown {kind} state {brief(state)}")
         code = states.index(state)
         return In(names[name], code, code + 1)
     axis, lo, hi = obj["euler"], obj["lo_deg"], obj["hi_deg"]
     if axis not in EULER_AXES:
-        raise UnknownReference(f"unknown euler axis {axis!r}")
+        raise UnknownReference(f"unknown euler axis {brief(axis)}")
     if not (is_number(lo) and is_number(hi)):
-        raise MalformedConfig(f"lo_deg and hi_deg must be numbers, got {lo!r} and {hi!r}")
+        raise MalformedConfig(
+            f"lo_deg and hi_deg must be numbers, got {brief(lo)} and {brief(hi)}")
     band = np.radians([lo, hi])
     if not np.isfinite(band).all():
-        raise MalformedConfig(f"lo_deg and hi_deg must be finite, got {lo!r} and {hi!r}")
+        raise MalformedConfig(
+            f"lo_deg and hi_deg must be finite, got {brief(lo)} and {brief(hi)}")
     return In(EULER_AXES[axis], float(band[0]), float(band[1]))
 
 
@@ -205,10 +215,10 @@ class GestureConfig:
     def __post_init__(self):
         priorities = [d.priority for d in self.definitions]
         if len(set(priorities)) != len(priorities):
-            raise ValidationError(f"gesture priorities must be unique, got {priorities}")
+            raise ValidationError(f"gesture priorities must be unique, got {brief(priorities)}")
         names = [d.name for d in self.definitions]
         if len(set(names)) != len(names):
-            raise ValidationError(f"gesture names must be unique, got {names}")
+            raise ValidationError(f"gesture names must be unique, got {brief(names)}")
         ordered = tuple(sorted(self.definitions, key=lambda d: d.priority))
         object.__setattr__(self, "definitions", ordered)
 
@@ -338,9 +348,9 @@ def config_from_dict(obj: dict) -> GestureConfig:
         for g in obj["gestures"]:
             _exact_keys(g, ("name", "priority", "expr"), "gesture entry")
             if not is_int(g["priority"]):
-                raise TypeError(f"priority must be an integer, got {g['priority']!r}")
+                raise TypeError(f"priority must be an integer, got {brief(g['priority'])}")
             if not isinstance(g["name"], str):
-                raise TypeError(f"name must be a string, got {g['name']!r}")
+                raise TypeError(f"name must be a string, got {brief(g['name'])}")
             definitions.append(GestureDefinition(g["name"], g["priority"],
                                                  expr_from_json(g["expr"])))
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .errors import UnknownLabel
+from .skeleton import brief
 
 # The six gestures the classifiers target.
 POSITIVE_GESTURES = (
@@ -54,7 +55,7 @@ NEGATIVE_GESTURES = tuple(g for g in ALL_GESTURES if g not in POSITIVE_GESTURES)
 def check_gesture(name: str) -> str:
     """Validate a generator label; raises UnknownLabel otherwise."""
     if name not in ALL_GESTURES:
-        raise UnknownLabel(f"unknown gesture {name!r}")
+        raise UnknownLabel(f"unknown gesture {brief(name)}")
     return name
 
 
@@ -62,7 +63,7 @@ def check_label(label) -> str:
     """Validate a dataset or prediction label: a generator gesture or
     Negative. Raises UnknownLabel otherwise."""
     if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
-        raise UnknownLabel(f"unknown label {label!r}")
+        raise UnknownLabel(f"unknown label {brief(label)}")
     return label
 
 

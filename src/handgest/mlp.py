@@ -25,7 +25,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import decode_config, float_array, is_number, open_output, read_json
+from .skeleton import brief, decode_config, float_array, is_number, open_output, read_json
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -79,7 +79,7 @@ class MlpModel:
             raise MalformedConfig("feat_std entries must be positive")
         tau = float(tau)
         if not 0.0 <= tau <= 1.0:
-            raise MalformedConfig(f"tau must lie in [0, 1], got {tau}")
+            raise MalformedConfig(f"tau must lie in [0, 1], got {brief(tau)}")
         self.weights = weights
         self.biases = biases
         self.feat_mean = feat_mean
@@ -109,7 +109,7 @@ class MlpModel:
             raise MalformedConfig("missing layers")
         tau = obj.get("tau", 0.0)
         if not is_number(tau):
-            raise MalformedConfig(f"tau must be a number, got {tau!r}")
+            raise MalformedConfig(f"tau must be a number, got {brief(tau)}")
         try:
             return cls([float_array(L["w"], "w") for L in layers],
                        [float_array(L["b"], "b") for L in layers],
@@ -150,16 +150,16 @@ class TrainConfig:
             raise ValidationError("alpha entries must be positive and finite")
         object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
         if not 0.0 <= self.gamma < np.inf:
-            raise ValidationError(f"gamma must be finite and >= 0, got {self.gamma}")
+            raise ValidationError(f"gamma must be finite and >= 0, got {brief(self.gamma)}")
         if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ValidationError(f"batch_size must be >= 1, got {brief(self.batch_size)}")
         if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+            raise ValidationError(f"epochs must be >= 1, got {brief(self.epochs)}")
         if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {brief(self.seed)}")
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
+                f"learning_rate must be finite and positive, got {brief(self.learning_rate)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("val_fraction must lie in [0, 1)")
 
@@ -183,7 +183,7 @@ class LabeledExample:
 
     def __post_init__(self):
         if self.label not in CLASSES:
-            raise UnknownLabel(f"label {self.label!r} not in {CLASSES}")
+            raise UnknownLabel(f"label {brief(self.label)} not in {CLASSES}")
 
 
 def _features_array(features) -> np.ndarray:
@@ -244,7 +244,7 @@ def classify_nn(model: MlpModel, features) -> str:
 def _label_index(label) -> int:
     if isinstance(label, str):
         if label not in CLASSES:
-            raise UnknownLabel(f"label {label!r} not in {CLASSES}")
+            raise UnknownLabel(f"label {brief(label)} not in {CLASSES}")
         return CLASSES.index(label)
     return int(label)
 
@@ -442,7 +442,7 @@ def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
         raise EmptyNegatives("calibration requires at least one negative example")
     for ex in negatives:
         if ex.label != NEGATIVE_LABEL:
-            raise ValidationError(f"calibration example labeled {ex.label!r}, "
+            raise ValidationError(f"calibration example labeled {brief(ex.label)}, "
                                   f"expected {NEGATIVE_LABEL!r}")
     scores = np.empty(len(negatives))
     for i, ex in enumerate(negatives):

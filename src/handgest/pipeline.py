@@ -14,7 +14,7 @@ streams replay bit-identically and distinct streams can run in parallel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
 import numpy as np
@@ -29,7 +29,7 @@ from .errors import (
 from . import mlp
 from .features import feature_vector
 from .heuristic import classify_heuristic, config_from_dict, default_config
-from .skeleton import HandFrame, HandSkeleton, decode_config, read_json
+from .skeleton import HandFrame, HandSkeleton, brief, decode_config, read_json
 
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
@@ -58,16 +58,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not self.max_detect_hz > 0.0:
-            raise ValidationError(f"max_detect_hz must be > 0, got {self.max_detect_hz}")
+            raise ValidationError(f"max_detect_hz must be > 0, got {brief(self.max_detect_hz)}")
         if self.track_loss_frames < 1:
             raise ValidationError(
-                f"track_loss_frames must be >= 1, got {self.track_loss_frames}")
+                f"track_loss_frames must be >= 1, got {brief(self.track_loss_frames)}")
         if not 0.0 <= self.min_track_score <= 1.0:
             raise ValidationError(
-                f"min_track_score must lie in [0, 1], got {self.min_track_score}")
+                f"min_track_score must lie in [0, 1], got {brief(self.min_track_score)}")
         if self.classifier not in CLASSIFIER_KINDS:
             raise ValidationError(f"classifier must be one of {CLASSIFIER_KINDS}, "
-                                  f"got {self.classifier!r}")
+                                  f"got {brief(self.classifier)}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
@@ -211,12 +211,12 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
             actions.append("classify")
             classifies = 1
 
-    stats = replace(
-        state.stats,
-        detect_invocations=state.stats.detect_invocations + detects,
-        classify_invocations=state.stats.classify_invocations + classifies,
-        tracked_frames=state.stats.tracked_frames + (mode == TRACKED),
-        untracked_frames=state.stats.untracked_frames + (mode == UNTRACKED),
+    old = state.stats
+    stats = PipelineStats(
+        detect_invocations=old.detect_invocations + detects,
+        classify_invocations=old.classify_invocations + classifies,
+        tracked_frames=old.tracked_frames + (mode == TRACKED),
+        untracked_frames=old.untracked_frames + (mode == UNTRACKED),
     )
     new_state = PipelineState(mode=mode, last_detect_us=last_detect, last_t_us=t,
                               consecutive_misses=misses, stats=stats)

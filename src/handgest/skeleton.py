@@ -126,27 +126,27 @@ def validate_frame(frame: HandFrame) -> HandFrame:
     for name in ("t_us", "w", "h"):
         value = getattr(frame, name)
         if not is_int(value):
-            raise MalformedFrame(f"{name} must be an integer, got {value!r}")
+            raise MalformedFrame(f"{name} must be an integer, got {brief(value)}")
     if not (is_number(frame.w) and is_number(frame.h) and frame.w > 0 and frame.h > 0):
         raise MalformedFrame(f"image dimensions must be positive and within a float's "
-                             f"range, got {frame.w}x{frame.h}")
+                             f"range, got {brief(frame.w)}x{brief(frame.h)}")
     hand = frame.hand
     if hand is None:
         return frame
     if hand.handedness not in HANDEDNESS_VALUES:
-        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, got {hand.handedness!r}")
+        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
+                             f"got {brief(hand.handedness)}")
     if not (0.0 <= hand.score <= 1.0):
-        raise MalformedFrame(f"score must lie in [0, 1], got {hand.score}")
-    kp2d = np.asarray(hand.kp2d, dtype=np.float64)
-    if kp2d.shape != (NUM_KEYPOINTS, 2):
-        raise MalformedFrame(f"kp2d must have shape (21, 2), got {kp2d.shape}")
-    if not np.all(np.isfinite(kp2d)):
+        raise MalformedFrame(f"score must lie in [0, 1], got {brief(hand.score)}")
+    # HandSkeleton.__post_init__ made kp2d and kp3d float64 arrays
+    if hand.kp2d.shape != (NUM_KEYPOINTS, 2):
+        raise MalformedFrame(f"kp2d must have shape (21, 2), got {hand.kp2d.shape}")
+    if not np.isfinite(hand.kp2d).all():
         raise MalformedFrame("kp2d contains non-finite values")
     if hand.kp3d is not None:
-        kp3d = np.asarray(hand.kp3d, dtype=np.float64)
-        if kp3d.shape != (NUM_KEYPOINTS, 3):
-            raise MalformedFrame(f"kp3d must have shape (21, 3), got {kp3d.shape}")
-        if not np.all(np.isfinite(kp3d)):
+        if hand.kp3d.shape != (NUM_KEYPOINTS, 3):
+            raise MalformedFrame(f"kp3d must have shape (21, 3), got {hand.kp3d.shape}")
+        if not np.isfinite(hand.kp3d).all():
             raise MalformedFrame("kp3d contains non-finite values")
     return frame
 
@@ -182,7 +182,7 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
         kp3d = obj.get("kp3d")
         score = obj["score"]
         if not is_number(score):
-            raise MalformedFrame(f"score must be a number, got {score!r}")
+            raise MalformedFrame(f"score must be a number, got {brief(score)}")
         return HandSkeleton(
             handedness=obj["handedness"],
             score=float(score),
@@ -362,6 +362,19 @@ def is_number(value) -> bool:
         return False
 
 
+def brief(value) -> str:
+    """repr(value) for an error message, kept short: an integer of more than
+    20 digits shows its first 8 and its digit count, and any other repr over
+    80 characters its first 60 and its length. An input file can hold a
+    10**400 or a megabyte string; the message quoting it stays one short line.
+    """
+    text = repr(value)
+    digits = text.lstrip("-")
+    if is_int(value) and len(digits) > 20:
+        return f"{'-' if value < 0 else ''}{digits[:8]}...({len(digits)} digits)"
+    return text if len(text) <= 80 else f"{text[:60]}...({len(text)} characters)"
+
+
 # annotation -> test of a decoded JSON value; "X | Y" takes either
 _JSON_KINDS = {
     "int": lambda v: is_int(v) and is_number(v),
@@ -386,7 +399,7 @@ def decode_config(cls, obj, what: str):
     known = {f.name: f for f in fields(cls)}
     extra = set(obj) - set(known) - {"schema"}
     if extra:
-        raise MalformedConfig(f"unknown {what} keys: {sorted(extra)}")
+        raise MalformedConfig(f"unknown {what} keys: {brief(sorted(extra))}")
     kwargs = {}
     for name, f in known.items():
         if name not in obj:
@@ -396,7 +409,7 @@ def decode_config(cls, obj, what: str):
         value = obj[name]
         if not any(_matches(value, kind.strip(), f.default)
                    for kind in f.type.split("|")):
-            raise MalformedConfig(f"{what}: {name} must be {f.type}, got {value!r}")
+            raise MalformedConfig(f"{what}: {name} must be {f.type}, got {brief(value)}")
         kwargs[name] = tuple(value) if isinstance(value, list) else value
     return cls(**kwargs)
 

@@ -607,9 +607,10 @@ BAD_INPUTS = {
     "classify-gestures-lo-deg-nan": ("classify --frames {frames} --gestures {bad}",
                                      _term_with(3, 5, lo_deg=NAN),
                                      "lo_deg and hi_deg must be finite, got nan"),
-    # JSON integers too large for a float, which raised OverflowError
+    # JSON integers too large for a float, which raised OverflowError; the
+    # message shows the first digits and the digit count
     **{f"{argv.split()[0]}-score-huge": (argv, _hand_row(score=HUGE),
-                                         f"score must be a number, got {HUGE}")
+                                         "score must be a number, got 10000000...(401 digits)")
        for argv in ("features --frames {bad}", "classify --frames {bad}",
                     "train --data {bad} --config {train} --out {out}",
                     "calibrate --model {model} --negatives {bad} --fpr 0.1 --out {out}",
@@ -633,6 +634,18 @@ BAD_INPUTS = {
                                   {**_PIPE, "max_detect_hz": HUGE},
                                   "max_detect_hz must be float"),
 }
+
+
+def test_an_oversized_integer_is_quoted_short(tmp_path, capsys, monkeypatch):
+    # the message used to repeat all 401 digits, a line of over 480 characters
+    monkeypatch.chdir(tmp_path)
+    with open("f.jsonl", "w") as fh:
+        fh.write(json.dumps(_frame_row(w=HUGE)) + "\n")
+    assert run("lift", "--frames", "f.jsonl") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: f.jsonl:1: ") and err.count("\n") == 1, err
+    assert "got 10000000...(401 digits)x480" in err
+    assert len(err) < 200
 
 
 @pytest.fixture(scope="module")
@@ -763,6 +776,20 @@ def test_synth_rejects_a_count_below_one(tmp_path, capsys, count):
     assert run("synth", "--out", out, "--per-gesture", count) == 2
     err = capsys.readouterr().err
     assert err == f"error: per_gesture must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["synth --out {out} --per-gesture 1",
+                                 "train --data {data} --out {out}"])
+def test_seed_too_large_for_a_float_exits_2(corpus, tmp_path, capsys, cmd):
+    # a config seed of 10**400 exits 2; the same seed on the command line
+    # used to run
+    out = tmp_path / "out.json"
+    argv = cmd.format(out=out, data=corpus).split() + ["--seed", str(HUGE)]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: --seed must be an integer within a float's range, "
+                   "got 10000000...(401 digits)\n")
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handgest.errors import DegeneratePalm, MalformedFrame, ZeroSegment
+from handgest.errors import DegeneratePalm, MalformedFrame, ShapeMismatch, ZeroSegment
 from handgest.features import (
     EPS_GIMBAL,
     EPS_PALM_AREA_M2,
@@ -385,3 +385,34 @@ def test_cross_bitwise_equal_to_np_cross(shape_a, shape_b):
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
     assert np.array_equal(cross(a, b), np.cross(a, b))
+
+
+def test_cross_of_two_vectors_bitwise_equal_to_np_cross():
+    # (3,) pairs take the Python-float path; compare every bit, signed zeros
+    # included, and NaN where np.cross has NaN
+    rng = np.random.default_rng(3)
+    pairs = list(rng.normal(size=(10_000, 2, 3)) * 10.0 ** rng.integers(-5, 6, (10_000, 1, 1)))
+    tiny, huge = 5e-324, 1e200
+    pairs += [np.array(p, dtype=np.float64) for p in [
+        [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]],
+        [[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]],
+        [[1.0, -0.0, 0.0], [0.0, 1.0, -0.0]],
+        [[tiny, 3 * tiny, 2.0], [0.5, 0.25, tiny]],
+        [[2.2e-308, 1e-300, 1e-10], [1e-10, 2.2e-308, 1e-300]],
+        [[huge, huge, huge], [huge, -huge, huge]],
+        [[huge, huge, huge], [huge, huge, huge]],
+        [[np.inf, 1.0, 0.0], [0.0, 1.0, np.inf]],
+    ]]
+    for a, b in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = cross(a, b), np.cross(a, b)
+        assert got.shape == want.shape == (3,) and got.dtype == want.dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), (a, b)
+        assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan]), (a, b)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (3, 3, 1), (4, 4)])
+def test_euler_from_rotation_rejects_other_shapes(shape):
+    with pytest.raises(ShapeMismatch):
+        euler_from_rotation(np.zeros(shape))

@@ -23,6 +23,7 @@ from handgest.skeleton import (
     Finger,
     HandFrame,
     HandSkeleton,
+    brief,
     decode_config,
     float_array,
     frame_from_dict,
@@ -102,6 +103,32 @@ def test_validate_frame_rejects_bad_values():
     bad.handedness = "Ambidextrous"
     with pytest.raises(MalformedFrame):
         validate_frame(make_frame(bad))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kp2d", [[1.0, 2.0]] * 20),
+    ("kp2d", [[1.0, 2.0]] * 20 + [[float("inf"), 2.0]]),
+    ("kp3d", [[0.1, 0.2, 0.3]] * 22),
+    ("kp3d", [[0.1, 0.2, 0.3]] * 20 + [[0.1, float("nan"), 0.3]]),
+], ids=["kp2d-shape", "kp2d-inf", "kp3d-shape", "kp3d-nan"])
+def test_validate_frame_rejects_bad_keypoint_lists(field, value):
+    # HandSkeleton converts the lists once; validate_frame checks the arrays
+    keypoints = {"kp2d": [[1.0, 2.0]] * 21, "kp3d": [[0.1, 0.2, 0.3]] * 21, field: value}
+    hand = HandSkeleton("Right", 0.9, **keypoints)
+    with pytest.raises(MalformedFrame, match=field):
+        validate_frame(make_frame(hand))
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10 ** 400, "10000000...(401 digits)"),
+    (-10 ** 25 - 7, "-10000000...(26 digits)"),
+    (10 ** 19, "10000000000000000000"),
+    (0.1, "0.1"),
+    ("Right", "'Right'"),
+    ("x" * 100, "'" + "x" * 59 + "...(102 characters)"),
+])
+def test_brief_shortens_what_an_error_quotes(value, shown):
+    assert brief(value) == shown
 
 
 def test_chain_indices_partition_keypoints():

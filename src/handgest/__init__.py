@@ -1,37 +1,8 @@
 """Gesture recognition on 21-keypoint hand skeletons.
 
-Submodules load lazily so entry points can pin threading-related
-environment variables before numpy comes in.
+Import the submodule you need (``from handgest import lifting``); this
+package imports none of them, so ``handgest.cli`` can pin the BLAS threads
+before numpy loads.
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "alignment",
-    "cli",
-    "errors",
-    "features",
-    "harness",
-    "heuristic",
-    "labels",
-    "lifting",
-    "mlp",
-    "pipeline",
-    "skeleton",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        module = import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SUBMODULES))

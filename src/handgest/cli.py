@@ -169,9 +169,7 @@ def cmd_features(args):
 
 def cmd_classify(args):
     from . import pipeline
-    source = args.features or args.frames
-    if source is None:
-        raise ValidationError("classify needs --features or --frames")
+    source = args.features if args.features is not None else args.frames
     predict = pipeline.make_predictor("nn" if args.model else "heuristic",
                                       args.model or args.gestures)
     with open_output(args.out) as out:
@@ -218,18 +216,9 @@ def cmd_lift(args):
         frame = frame_from_dict(obj)
         failure = None
         if frame.hand is not None:
-            intr = lifting.default_intrinsics(frame.w, frame.h)
-            # the model is a right hand: a left hand is fitted in the mirror
-            # image, u -> 2 cx - u, and its points mirrored back, x -> -x
-            left = frame.hand.handedness == "Left"
-            kp2d = frame.hand.kp2d.copy()
-            if left:
-                kp2d[:, 0] = 2.0 * intr.cx - kp2d[:, 0]
             try:
-                init = lifting.initial_pose_from_alignment(kp2d, model, intr)
-                kp3d = lifting.fit_pose(kp2d, model, intr, init).points
-                if left:
-                    kp3d = kp3d * (-1.0, 1.0, 1.0)
+                kp3d = lifting.lift_keypoints(frame.hand.kp2d, frame.hand.handedness, model,
+                                              lifting.default_intrinsics(frame.w, frame.h))
             except NumericalError as exc:
                 # a degenerate frame degrades to kp3d=null, it does not
                 # abort the batch
@@ -305,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="label feature rows or frames")
-    p.add_argument("--features", default=None)
-    p.add_argument("--frames", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--features", default=None)
+    source.add_argument("--frames", default=None)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--model", default=None,
                        help="MLP model JSON; omit for the heuristic")

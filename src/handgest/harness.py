@@ -31,15 +31,13 @@ from .lifting import (
     FRONTAL_ROTATION,
     JOINT_BOXES,
     NUM_JOINT_ANGLES,
-    HandModel,
     PoseParams,
     TZ_BOX,
+    axis_rotation,
     default_hand_model,
     default_intrinsics,
     hand_chain,
     project,
-    rot_x,
-    rot_z,
     rotmat_from_rotvec,
     rotvec_from_rotmat,
 )
@@ -98,7 +96,7 @@ _dt = default_hand_model().directions[0]
 THUMB_UP_SPIN = float(np.arctan2(_dt[1], _dt[0]) - np.pi / 2.0)
 del _dt
 
-_TO_CAMERA = rot_x(np.pi / 2.0) @ _R0  # fingers pitched at the lens
+_TO_CAMERA = axis_rotation(0, np.pi / 2.0) @ _R0  # fingers pitched at the lens
 
 
 def _tpl(joints, orientation=None, coupled=()):
@@ -125,9 +123,9 @@ TEMPLATES: dict = {
     "ClosedFist": _tpl(_joints(_THUMB_FIST, _BENT, _BENT, _BENT, _BENT)),
     "PointingUp": _tpl(_joints(_THUMB_FIST, _STRAIGHT, _BENT, _BENT, _BENT), _R0),
     "ThumbUp": _tpl(_joints(_THUMB_OPEN, _BENT, _BENT, _BENT, _BENT),
-                    rot_z(THUMB_UP_SPIN) @ _R0),
+                    axis_rotation(2, THUMB_UP_SPIN) @ _R0),
     "ThumbDown": _tpl(_joints(_THUMB_OPEN, _BENT, _BENT, _BENT, _BENT),
-                      rot_z(THUMB_UP_SPIN + np.pi) @ _R0),
+                      axis_rotation(2, THUMB_UP_SPIN + np.pi) @ _R0),
     "OK": _tpl(_joints((0.60, -0.10, 0.50, 0.40, 0.35), (1.00, 0.0, 0.75, 0.55),
                        _STRAIGHT, _STRAIGHT, _STRAIGHT)),
     "CallMe": _tpl(_joints((0.0, 0.35, 0.0, 0.0, 0.0), _BENT, _BENT, _BENT, _STRAIGHT)),
@@ -259,7 +257,7 @@ def _template_rotation(tpl: GestureTemplate, cfg: SynthConfig,
     spin is drawn always and applied only when the gesture is free."""
     spin = rng.uniform(-np.pi, np.pi)
     rotation = _wobble(rng, cfg.orientation_jitter_rad) @ tpl.orientation
-    return rot_z(spin) @ rotation if tpl.orientation_free else rotation
+    return axis_rotation(2, spin) @ rotation if tpl.orientation_free else rotation
 
 
 def _frontal_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -267,7 +265,7 @@ def _frontal_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
-                 cfg: SynthConfig, model: HandModel | None):
+                 cfg: SynthConfig):
     """The pose sampler behind every generator: (joints, rotation,
     translation, camera-frame kp3d).
 
@@ -275,12 +273,11 @@ def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
     ``draw_rotation(rng)``, then the placement draws tz, x, y.  A left hand
     is the right hand's FK with hand-frame x negated.  Placement
     puts the palm center (the mean of alignment.CENTER_KEYPOINTS) at
-    (x, y, tz) in the camera frame.  ``model`` None means the default.
+    (x, y, tz) in the camera frame.
     """
     joints = _jittered_joints(tpl, rng, cfg)
     rotation = draw_rotation(rng)
-    model = model if model is not None else default_hand_model()
-    local = hand_chain(model, joints[None])[0][0]
+    local = hand_chain(default_hand_model(), joints[None])[0][0]
     if cfg.handedness == "Left":
         local = local * np.array([-1.0, 1.0, 1.0])
     tz = rng.uniform(*cfg.tz_range)
@@ -304,8 +301,7 @@ def _observe(kp3d: np.ndarray, rng: np.random.Generator, cfg: SynthConfig,
 
 
 def synth_pose(label: str, cfg: SynthConfig | None = None,
-               rng: np.random.Generator | None = None, *,
-               t_us: int = 0, model: HandModel | None = None):
+               rng: np.random.Generator | None = None, *, t_us: int = 0):
     """One labeled sample: a HandFrame with consistent kp2d and kp3d.
 
     Draw order per sample is fixed (joint noise, spin, wobble, placement,
@@ -315,15 +311,14 @@ def synth_pose(label: str, cfg: SynthConfig | None = None,
     cfg = cfg if cfg is not None else SynthConfig()
     rng = rng if rng is not None else sample_rng(cfg.seed, 0)
     tpl = TEMPLATES[label]
-    *_, kp3d = _sample_pose(tpl, partial(_template_rotation, tpl, cfg), rng, cfg, model)
+    *_, kp3d = _sample_pose(tpl, partial(_template_rotation, tpl, cfg), rng, cfg)
     return _observe(kp3d, rng, cfg, t_us), label
 
 
 FRAME_STEP_US = 33_333  # ~30 fps spacing for generated corpora
 
 
-def make_dataset(cfg: SynthConfig, per_gesture: int,
-                 gestures=None, model: HandModel | None = None):
+def make_dataset(cfg: SynthConfig, per_gesture: int, gestures=None):
     """Labeled corpus: ``per_gesture`` samples of each gesture, sample i
     seeded by (cfg.seed, i) regardless of generation order."""
     if per_gesture < 1:
@@ -334,15 +329,14 @@ def make_dataset(cfg: SynthConfig, per_gesture: int,
     for gesture in gestures:
         for _ in range(per_gesture):
             frame, _ = synth_pose(gesture, cfg, sample_rng(cfg.seed, i),
-                                  t_us=FRAME_STEP_US * i, model=model)
+                                  t_us=FRAME_STEP_US * i)
             frames.append(frame)
             labels.append(gesture)
             i += 1
     return frames, labels
 
 
-def make_alignment_corpus(cfg: SynthConfig, n: int,
-                          model: HandModel | None = None):
+def make_alignment_corpus(cfg: SynthConfig, n: int):
     """Orientation-stress corpus centered on frontal views: four samples in
     five face the camera head-on (fingers pitched at the lens, where a
     single palm bone foreshortens to nothing), the fifth is uniformly
@@ -352,13 +346,12 @@ def make_alignment_corpus(cfg: SynthConfig, n: int,
         rng = sample_rng(cfg.seed, i)
         tpl = TEMPLATES[ALL_GESTURES[int(rng.integers(len(ALL_GESTURES)))]]
         draw_rotation = random_rotation if i % 5 == 0 else _frontal_rotation
-        *_, kp3d = _sample_pose(tpl, draw_rotation, rng, cfg, model)
+        *_, kp3d = _sample_pose(tpl, draw_rotation, rng, cfg)
         frames.append(_observe(kp3d, rng, cfg, FRAME_STEP_US * i))
     return frames
 
 
-def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator,
-                 model: HandModel | None = None) -> PoseParams:
+def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator) -> PoseParams:
     """The PoseParams behind a sample, for fitting round-trips: the same
     rng state yields the pose that synth_pose places.  Right hands only;
     no pose of the hand model reaches a mirrored hand."""
@@ -368,7 +361,7 @@ def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator,
                               f"got handedness {cfg.handedness!r}")
     tpl = TEMPLATES[label]
     joints, rotation, t, _ = _sample_pose(
-        tpl, partial(_template_rotation, tpl, cfg), rng, cfg, model)
+        tpl, partial(_template_rotation, tpl, cfg), rng, cfg)
     return PoseParams(rotvec=rotvec_from_rotmat(rotation), translation=t,
                       joints=joints)
 

@@ -32,9 +32,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .skeleton import (
+    HANDEDNESS_VALUES,
     Finger,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
+    brief,
     float_array,
     open_output,
     read_json,
@@ -45,20 +47,12 @@ from .features import cross
 NUM_JOINT_ANGLES = 21
 NUM_POSE_PARAMS = 6 + NUM_JOINT_ANGLES
 
-JOINT_NAMES = (
-    "thumb_cmc_flex", "thumb_cmc_abd", "thumb_mcp_flex", "thumb_ip_flex", "thumb_roll",
-    "index_mcp_flex", "index_mcp_abd", "index_pip_flex", "index_dip_flex",
-    "middle_mcp_flex", "middle_mcp_abd", "middle_pip_flex", "middle_dip_flex",
-    "ring_mcp_flex", "ring_mcp_abd", "ring_pip_flex", "ring_dip_flex",
-    "pinky_mcp_flex", "pinky_mcp_abd", "pinky_pip_flex", "pinky_dip_flex",
-)
-
 FLEXION_BOX = (-0.3, 2.0)
 ABDUCTION_BOX = (-0.6, 0.6)
 THUMB_ROLL_BOX = (-1.0, 1.0)
 TZ_BOX = (0.05, 3.0)
 
-# lo/hi per joint angle, following JOINT_NAMES order
+# lo/hi per joint angle, in the module docstring's joint order
 JOINT_BOXES = np.array(
     [FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX, THUMB_ROLL_BOX]
     + [FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX] * 4
@@ -85,40 +79,18 @@ DAMPING_FACTORS = np.array([1e-3, 0.1, 10.0, 1e3])
 
 # -- small rotation helpers ------------------------------------------------
 
-def rot_x(theta):
-    """Rotation about x; batched when ``theta`` is an array."""
+def axis_rotation(axis: int, theta):
+    """Rotation by ``theta`` about coordinate axis 0, 1 or 2 (x, y, z);
+    batched when ``theta`` is an array."""
     t = np.asarray(theta, dtype=np.float64)
     c, s = np.cos(t), np.sin(t)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
     out = np.zeros(t.shape + (3, 3))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = c
-    out[..., 1, 2] = -s
-    out[..., 2, 1] = s
-    out[..., 2, 2] = c
-    return out
-
-
-def rot_y(theta):
-    t = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(t), np.sin(t)
-    out = np.zeros(t.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 2] = s
-    out[..., 1, 1] = 1.0
-    out[..., 2, 0] = -s
-    out[..., 2, 2] = c
-    return out
-
-
-def rot_z(theta):
-    t = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(t), np.sin(t)
-    out = np.zeros(t.shape + (3, 3))
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = s
-    out[..., 1, 1] = c
-    out[..., 2, 2] = 1.0
+    out[..., axis, axis] = 1.0
+    out[..., i, i] = c
+    out[..., j, j] = c
+    out[..., i, j] = -s
+    out[..., j, i] = s
     return out
 
 
@@ -355,7 +327,7 @@ class PoseParams:
 # Every finger is the same chain of five turns after its base frame: roll
 # about y (the thumb's own axis; the other fingers hold it at zero), then
 # abduction about -z, then three flexions about x.  _SLOT_JOINT maps
-# (finger, slot) to a JOINT_NAMES index, NUM_JOINT_ANGLES standing for the
+# (finger, slot) to a joint angle index, NUM_JOINT_ANGLES standing for the
 # missing roll of the four fingers.
 _SLOT_JOINT = np.array([[4, 1, 0, 2, 3]]
                        + [[NUM_JOINT_ANGLES, b + 1, b, b + 2, b + 3] for b in (5, 9, 13, 17)])
@@ -366,7 +338,7 @@ _SLOT_PIVOT = np.array([0, 0, 0, 1, 2])
 _SLOTS = np.arange(5)
 
 # entries of the elementary rotations, all slots at once: row i, column j
-# of slot s holds cos, cos, -sin, sin (see rot_x/rot_y/rot_z)
+# of slot s holds cos, cos, -sin, sin (see axis_rotation)
 _ROT_I, _ROT_J = (_SLOT_AXIS + 1) % 3, (_SLOT_AXIS + 2) % 3
 _ROT_S = np.tile(_SLOTS, 4)
 _ROT_ROW = np.concatenate([_ROT_I, _ROT_J, _ROT_I, _ROT_J])
@@ -640,8 +612,9 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
 
     stop = stop or "max_iter"
     points = kin.points[row]
-    proj = project(points, intrinsics)
-    rms = float(np.sqrt(np.mean(np.sum((proj - obs) ** 2, axis=1))))
+    # the accepted residual's first 42 entries are the reprojection errors
+    px = r[:2 * NUM_KEYPOINTS].reshape(NUM_KEYPOINTS, 2)
+    rms = float(np.sqrt(np.mean(np.sum(px ** 2, axis=1))))
     if rms > max_rms_px:
         raise DivergedFit(f"fit ended ({stop}) at {rms:.2f} px rms "
                           f"(limit {max_rms_px:.2f})")
@@ -689,7 +662,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     depth from the palm's apparent size, neutral half-bent joints."""
     align = compute_alignment(np.asarray(kp2d, dtype=np.float64))
     theta0, rest_size_m, rest_local = _rest_alignment(model)
-    r_init = rot_z(align.rotation_rad - theta0) @ FRONTAL_ROTATION
+    r_init = axis_rotation(2, align.rotation_rad - theta0) @ FRONTAL_ROTATION
     tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px,
                        TZ_BOX[0], TZ_BOX[1]))
     center_cam = np.array([(align.center[0] - intrinsics.cx) * tz / intrinsics.f,
@@ -700,3 +673,21 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     t = center_cam - r_init @ local_center
     return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
                       joints=neutral_joints())
+
+
+def lift_keypoints(kp2d, handedness: str, model: HandModel,
+                   intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame 3D keypoints (21, 3) of one hand from its pixels (21, 2):
+    the alignment seed, then fit_pose.  The model is a right hand, so a left
+    hand is fitted in the mirror image, u -> 2 cx - u, and its points are
+    mirrored back, x -> -x.  Raises what the seed and the fit raise."""
+    if handedness not in HANDEDNESS_VALUES:
+        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
+                             f"got {brief(handedness)}")
+    kp2d = np.array(kp2d, dtype=np.float64)
+    left = handedness == "Left"
+    if left:
+        kp2d[..., 0] = 2.0 * intrinsics.cx - kp2d[..., 0]
+    init = initial_pose_from_alignment(kp2d, model, intrinsics)
+    kp3d = fit_pose(kp2d, model, intrinsics, init).points
+    return kp3d * (-1.0, 1.0, 1.0) if left else kp3d

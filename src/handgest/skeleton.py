@@ -21,6 +21,8 @@ Frames stream as JSONL, one object per line:
      "hand": null | {"handedness": "Left"|"Right", "score": float,
                      "kp2d": [[x, y] * 21], "kp3d": [[x, y, z] * 21] | null}}
 
+A hand object holds no other keys; kp3d may be left out.
+
 Every file the package opens, frames or config or model, goes through
 read_json, read_jsonl or open_output. They map an OSError to
 ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
@@ -87,6 +89,8 @@ BONE_PARENTS = tuple(
 BONES = tuple((p, i) for i, p in zip(range(1, NUM_KEYPOINTS), BONE_PARENTS))
 
 HANDEDNESS_VALUES = ("Left", "Right")
+# what a hand object may hold; a misspelt "kp3D" must not read as a 2D-only hand
+HAND_KEYS = frozenset(("handedness", "score", "kp2d", "kp3d"))
 
 
 @dataclass
@@ -178,6 +182,9 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
         return None
     if not isinstance(obj, dict):
         raise MalformedFrame(f"hand must be an object or null, got {type(obj).__name__}")
+    extra = obj.keys() - HAND_KEYS
+    if extra:
+        raise MalformedFrame(f"unknown hand keys: {brief(sorted(extra))}")
     try:
         kp3d = obj.get("kp3d")
         score = obj["score"]

@@ -14,7 +14,7 @@ import pytest
 
 from handgest.cli import main
 from handgest.features import feature_vector
-from handgest import skeleton
+from handgest import lifting, skeleton
 from handgest.harness import SynthConfig, sample_rng, synth_pose
 from handgest.heuristic import DEFAULT_CONFIG_JSON, classify_heuristic, default_config
 from handgest.labels import ALL_GESTURES, CLASSES, NEGATIVE_GESTURES
@@ -213,6 +213,24 @@ def test_lift_fits_a_left_hand_in_the_mirror(tmp_path, capsys):
     assert len(errors) == 42 and np.mean(errors) < 0.01
 
 
+def test_lift_writes_what_lift_keypoints_returns(tmp_path, capsys):
+    # lift is a row loop around lifting.lift_keypoints, mirror included
+    config, frames = tmp_path / "left.json", tmp_path / "left.jsonl"
+    config.write_text(json.dumps({"handedness": "Left", "noise_px": 1.0}))
+    assert run("synth", "--out", frames, "--config", config,
+               "--per-gesture", 1, "--seed", 8) == 0
+    out = tmp_path / "lifted.jsonl"
+    capsys.readouterr()
+    assert run("lift", "--frames", frames, "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    model = default_hand_model()
+    for row, lifted in zip(read_jsonl(frames), read_jsonl(out), strict=True):
+        hand = frame_from_dict(row).hand
+        want = lifting.lift_keypoints(hand.kp2d, hand.handedness, model,
+                                      lifting.default_intrinsics(row["w"], row["h"]))
+        assert np.asarray(lifted["hand"]["kp3d"], dtype=np.float64).tobytes() == want.tobytes()
+
+
 def test_lift_notes_a_degraded_row_by_index(tmp_path, capsys):
     # a collapsed palm degrades its row to kp3d=null and the batch goes on;
     # the note names the row by its 0-based index and its t_us
@@ -371,6 +389,13 @@ def _hand_row(**fields):
     """One valid dataset row, with fields of its hand replaced."""
     row = _frame_row()
     row["hand"].update(fields)
+    return row
+
+
+def _misspelt_kp3d_row():
+    """One valid dataset row whose hand spells kp3d as kp3D."""
+    row = _frame_row()
+    row["hand"]["kp3D"] = row["hand"].pop("kp3d")
     return row
 
 
@@ -616,6 +641,11 @@ BAD_INPUTS = {
                     "calibrate --model {model} --negatives {bad} --fpr 0.1 --out {out}",
                     "lift --frames {bad}",
                     "stream --frames {bad} --pipeline {pipe}")},
+    # a misspelt kp3d that used to read as a 2D-only hand
+    **{f"{argv.split()[0]}-kp3D": (argv, _misspelt_kp3d_row(),
+                                   "unknown hand keys: ['kp3D']")
+       for argv in ("features --frames {bad}", "stream --frames {bad} --pipeline {pipe}",
+                    "lift --frames {bad}")},
     "lift-w-huge": ("lift --frames {bad}", _frame_row(w=HUGE),
                     "image dimensions must be positive and within a float's range"),
     "lift-h-huge": ("lift --frames {bad}", _frame_row(h=HUGE),
@@ -800,6 +830,36 @@ def test_classify_model_and_gestures_exclude_each_other(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "not allowed with argument" in err
+
+
+def test_classify_features_and_frames_exclude_each_other(capsys):
+    # --frames used to be silently ignored when --features was given
+    with pytest.raises(SystemExit) as exc:
+        run("classify", "--features", "f.jsonl", "--frames", "f.jsonl")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "not allowed with argument" in err
+    with pytest.raises(SystemExit) as exc:
+        run("classify", "--model", "m.json")
+    assert exc.value.code == 2
+    assert "one of the arguments --features --frames is required" in capsys.readouterr().err
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # cli pins the BLAS threads, which works only while numpy is not loaded
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    code = ("import os, sys, handgest\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+            "from handgest import cli\n"
+            f"print(*(os.environ[v] for v in {THREAD_VARS!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] * len(THREAD_VARS)
 
 
 def test_decode_errors_name_path_and_line(tmp_path, capsys):

@@ -28,8 +28,8 @@ from handgest.lifting import (
     default_hand_model,
     default_intrinsics,
     forward_kinematics,
+    axis_rotation,
     project,
-    rot_z,
     rotvec_from_rotmat,
 )
 from handgest.skeleton import (
@@ -158,7 +158,7 @@ def reference_synth_pose(label, cfg, rng):
     wobble = _wobble(rng, cfg.orientation_jitter_rad)
     rotation = wobble @ tpl.orientation
     if tpl.orientation_free:
-        rotation = rot_z(spin) @ rotation
+        rotation = axis_rotation(2, spin) @ rotation
     local = _ref_local(model, joints)
     if cfg.handedness == "Left":
         local = local * np.array([-1.0, 1.0, 1.0])
@@ -197,7 +197,7 @@ def reference_synth_params(label, cfg, rng):
     wobble = _wobble(rng, cfg.orientation_jitter_rad)
     rotation = wobble @ tpl.orientation
     if tpl.orientation_free:
-        rotation = rot_z(spin) @ rotation
+        rotation = axis_rotation(2, spin) @ rotation
     local = _ref_local(default_hand_model(), joints)
     tz = rng.uniform(*cfg.tz_range)
     x = rng.uniform(*cfg.x_range)

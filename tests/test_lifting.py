@@ -21,18 +21,17 @@ from handgest.lifting import (
     CameraIntrinsics,
     HandModel,
     PoseParams,
+    axis_rotation,
     default_hand_model,
     default_intrinsics,
     fit_pose,
     forward_kinematics,
     initial_pose_from_alignment,
+    lift_keypoints,
     load_hand_model,
     neutral_joints,
     normalize_world,
     project,
-    rot_x,
-    rot_y,
-    rot_z,
     rotmat_from_rotvec,
     rotvec_from_rotmat,
     save_hand_model,
@@ -87,14 +86,68 @@ def test_project_behind_camera():
 
 # -- rotations ----------------------------------------------------------------
 
+def reference_rot_x(theta):
+    """The three elementary rotations as written before axis_rotation
+    replaced them: it must stay bitwise equal to each."""
+    t = np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(t), np.sin(t)
+    out = np.zeros(t.shape + (3, 3))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = c
+    out[..., 1, 2] = -s
+    out[..., 2, 1] = s
+    out[..., 2, 2] = c
+    return out
+
+
+def reference_rot_y(theta):
+    t = np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(t), np.sin(t)
+    out = np.zeros(t.shape + (3, 3))
+    out[..., 0, 0] = c
+    out[..., 0, 2] = s
+    out[..., 1, 1] = 1.0
+    out[..., 2, 0] = -s
+    out[..., 2, 2] = c
+    return out
+
+
+def reference_rot_z(theta):
+    t = np.asarray(theta, dtype=np.float64)
+    c, s = np.cos(t), np.sin(t)
+    out = np.zeros(t.shape + (3, 3))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    out[..., 2, 2] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("axis, reference",
+                         [(0, reference_rot_x), (1, reference_rot_y), (2, reference_rot_z)])
+def test_axis_rotation_is_bitwise_the_reference(axis, reference):
+    rng = np.random.default_rng(11)
+    thetas = np.concatenate([rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 994),
+                             [0.0, -0.0, np.pi, -np.pi, np.pi / 2.0, 1e-300]])
+    batched = axis_rotation(axis, thetas)
+    assert batched.shape == (1000, 3, 3)
+    assert batched.tobytes() == reference(thetas).tobytes()
+    grid = thetas.reshape(10, 100)
+    assert axis_rotation(axis, grid).tobytes() == reference(grid).tobytes()
+    for theta in thetas[::37]:
+        got = axis_rotation(axis, float(theta))
+        assert got.shape == (3, 3)
+        assert got.tobytes() == reference(float(theta)).tobytes()
+
+
 def test_rotvec_matches_elementary_rotations():
     for theta in (-1.2, 0.3, 2.9):
-        np.testing.assert_allclose(
-            rotmat_from_rotvec([theta, 0.0, 0.0]), rot_x(theta), atol=1e-12)
-        np.testing.assert_allclose(
-            rotmat_from_rotvec([0.0, theta, 0.0]), rot_y(theta), atol=1e-12)
-        np.testing.assert_allclose(
-            rotmat_from_rotvec([0.0, 0.0, theta]), rot_z(theta), atol=1e-12)
+        for axis in range(3):
+            rv = np.zeros(3)
+            rv[axis] = theta
+            np.testing.assert_allclose(rotmat_from_rotvec(rv), axis_rotation(axis, theta),
+                                       atol=1e-12)
 
 
 def test_rotvec_round_trip():
@@ -111,7 +164,7 @@ def test_rotvec_zero_and_pi():
     np.testing.assert_allclose(rotmat_from_rotvec([0.0, 0.0, 0.0]), np.eye(3))
     np.testing.assert_allclose(rotvec_from_rotmat(np.eye(3)), 0.0, atol=1e-12)
     # half-turn about x: the angle-pi branch of the extraction
-    r = rot_x(np.pi)
+    r = axis_rotation(0, np.pi)
     back = rotmat_from_rotvec(rotvec_from_rotmat(r))
     np.testing.assert_allclose(back, r, atol=1e-9)
 
@@ -192,7 +245,7 @@ def reference_seed(kp2d, model, intrinsics):
     """initial_pose_from_alignment on the reference rest quantities."""
     align = compute_alignment(np.asarray(kp2d, dtype=np.float64))
     theta0, rest_size_m, rest_local = reference_rest_alignment(model)
-    r_init = rot_z(align.rotation_rad - theta0) @ FRONTAL_ROTATION
+    r_init = reference_rot_z(align.rotation_rad - theta0) @ FRONTAL_ROTATION
     tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px, TZ_BOX[0], TZ_BOX[1]))
     center_cam = np.array([(align.center[0] - intrinsics.cx) * tz / intrinsics.f,
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
@@ -217,8 +270,7 @@ def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
     cfg = SynthConfig(seed=7, noise_px=1.0)
     intr = default_intrinsics(cfg.width, cfg.height)
     for i in range(100):
-        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(7, i),
-                              model=model)
+        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(7, i))
         got = initial_pose_from_alignment(frame.hand.kp2d, model, intr).as_vector()
         want = reference_seed(frame.hand.kp2d, model, intr).as_vector()
         assert got.tobytes() == want.tobytes(), i
@@ -630,6 +682,51 @@ def test_initial_pose_from_alignment_is_usable():
     # close enough for the optimizer to land at machine precision
     res = fit(obs, model, intr, init)
     assert res.rms_px < 0.1
+
+
+def test_fit_rms_is_the_reprojection_rms_bit_for_bit():
+    # rms_px comes from the accepted residual's pixel rows; it used to
+    # project the final points again
+    model = default_hand_model()
+    cfg = SynthConfig(seed=4, noise_px=1.0)
+    intr = default_intrinsics(cfg.width, cfg.height)
+    checked = 0
+    for i in range(42):
+        kp2d = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg,
+                          sample_rng(4, i))[0].hand.kp2d
+        try:
+            res = fit(kp2d, model, intr, initial_pose_from_alignment(kp2d, model, intr))
+        except DivergedFit:
+            continue
+        want = float(np.sqrt(np.mean(np.sum((project(res.points, intr) - kp2d) ** 2, axis=1))))
+        assert res.rms_px == want, i
+        checked += 1
+    assert checked >= 40
+
+
+def test_lift_keypoints_fits_a_left_hand_in_the_mirror():
+    # the seed and the fit on the mirror image u -> 2 cx - u, then x -> -x
+    model = default_hand_model()
+    cfg = SynthConfig(seed=2, noise_px=1.0, handedness="Left")
+    intr = default_intrinsics(cfg.width, cfg.height)
+    kp2d = synth_pose("Victory", cfg, sample_rng(2, 0))[0].hand.kp2d
+    before = kp2d.tobytes()
+    left = lift_keypoints(kp2d, "Left", model, intr)
+    assert kp2d.tobytes() == before
+    twin = kp2d.copy()
+    twin[:, 0] = 2.0 * intr.cx - twin[:, 0]
+    right = fit_pose(twin, model, intr, initial_pose_from_alignment(twin, model, intr)).points
+    assert lift_keypoints(twin, "Right", model, intr).tobytes() == right.tobytes()
+    assert left.tobytes() == (right * (-1.0, 1.0, 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("handedness", ["left", "", None])
+def test_lift_keypoints_rejects_an_unknown_handedness(handedness):
+    # no handedness but "Left" and "Right" says whether to mirror
+    kp2d = project(forward_kinematics(default_hand_model(), truth_sample(0)),
+                   default_intrinsics(640, 480))
+    with pytest.raises(MalformedFrame, match="handedness must be one of"):
+        lift_keypoints(kp2d, handedness, default_hand_model(), default_intrinsics(640, 480))
 
 
 # -- analytic Jacobian --------------------------------------------------------

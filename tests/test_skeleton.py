@@ -250,6 +250,24 @@ def test_frame_dict_tolerates_extra_keys():
     assert frame.hand is not None
 
 
+@pytest.mark.parametrize("rename, extra", [
+    ({"kp3d": "kp3D"}, {}), ({}, {"kp3": None}), ({"score": "confidence"}, {"label": "X"}),
+])
+def test_frame_from_dict_rejects_unknown_hand_keys(rename, extra):
+    # a misspelt "kp3D" used to read as a 2D-only hand
+    obj = frame_to_dict(make_frame(make_hand()))
+    obj["hand"] = {**{rename.get(k, k): v for k, v in obj["hand"].items()}, **extra}
+    unknown = sorted(set(rename.values()) | set(extra))
+    with pytest.raises(MalformedFrame, match=re.escape(f"unknown hand keys: {unknown!r}")):
+        frame_from_dict(obj)
+
+
+def test_frame_from_dict_reads_a_hand_without_kp3d_as_2d_only():
+    obj = frame_to_dict(make_frame(make_hand()))
+    del obj["hand"]["kp3d"]
+    assert frame_from_dict(obj).hand.kp3d is None
+
+
 @pytest.mark.parametrize("key, entry", [
     ("kp3d", "0.1"), ("kp2d", True), ("kp3d", None), ("kp2d", {"x": 1}),
 ])

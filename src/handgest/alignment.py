@@ -46,37 +46,20 @@ def _check_kp2d(kp2d: np.ndarray) -> np.ndarray:
     return kp2d
 
 
-def center_keypoint(kp2d: np.ndarray) -> np.ndarray:
-    """Mean of the index, middle, and pinky base knuckles."""
-    return _center(_check_kp2d(kp2d))
-
-
 def rotation_vector(kp2d: np.ndarray) -> np.ndarray:
     """Sum of the middle-MCP->wrist and index-MCP->pinky-MCP vectors."""
     return _rotation_vector(_check_kp2d(kp2d))
 
 
-def rotation_angle(kp2d: np.ndarray) -> float:
-    """Roll of the hand in the image plane, in (-pi, pi].
-
-    Raises DegenerateRotation when the rotation vector is shorter than
-    EPS_ROTATION_PX (the two component vectors cancelled out).
-    """
-    return _angle(rotation_vector(kp2d))
-
-
-def alignment_scale(kp2d: np.ndarray) -> float:
-    """Distance from the crop center to the farthest non-tip knuckle.
-
-    Tips are excluded so a curled fist and an open palm yield comparable
-    crops. Raises DegenerateScale below EPS_SCALE_PX.
-    """
-    kp2d = _check_kp2d(kp2d)
-    return _scale(kp2d, _center(kp2d))
-
-
 def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
-    """Center, rotation, and scale for one skeleton, checked once."""
+    """Center, rotation, and scale for one skeleton, checked once.
+
+    The center is the mean of the index, middle, and pinky base knuckles;
+    the scale is its distance to the farthest non-tip knuckle, so a curled
+    fist and an open palm yield comparable crops. Raises DegenerateRotation
+    when the rotation vector is shorter than EPS_ROTATION_PX (its two
+    components cancelled out), and DegenerateScale below EPS_SCALE_PX.
+    """
     kp2d = _check_kp2d(kp2d)
     center = _center(kp2d)
     return AlignmentFrame(center=center,

@@ -17,7 +17,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -43,6 +42,8 @@ from .skeleton import (
     open_output,
     read_json,
     read_jsonl,
+    write_json,
+    write_jsonl,
 )
 
 FEATURES_SCHEMA = "features/1"
@@ -158,11 +159,8 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
-    n = 0
-    with open_output(args.out) as out:
-        for t_us, fv, label in read_jsonl(args.frames, _labeled_features):
-            out.write(json.dumps(_feature_row(t_us, fv, label)) + "\n")
-            n += 1
+    n = write_jsonl(args.out, (_feature_row(*row)
+                               for row in read_jsonl(args.frames, _labeled_features)))
     print(f"wrote {n} feature rows", file=sys.stderr)
     return 0
 
@@ -172,11 +170,9 @@ def cmd_classify(args):
     source = args.features if args.features is not None else args.frames
     predict = pipeline.make_predictor("nn" if args.model else "heuristic",
                                       args.model or args.gestures)
-    with open_output(args.out) as out:
-        for t_us, fv, _ in read_jsonl(source, _labeled_features):
-            row = {"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
-                   "label": predict(fv)}
-            out.write(json.dumps(row) + "\n")
+    write_jsonl(args.out, ({"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
+                            "label": predict(fv)}
+                           for t_us, fv, _ in read_jsonl(source, _labeled_features)))
     return 0
 
 
@@ -228,12 +224,14 @@ def cmd_lift(args):
         row.update(frame_to_dict(frame))
         return row, failure
 
-    with open_output(args.out) as out:
+    def rows():
         # perfbench's lift check reads the 0-based row index back from the note
         for i, (row, failure) in enumerate(read_jsonl(args.frames, lift)):
             if failure is not None:
                 print(f"row {i} (t_us {row['t_us']}): {failure}", file=sys.stderr)
-            out.write(json.dumps(row) + "\n")
+            yield row
+
+    write_jsonl(args.out, rows())
     return 0
 
 
@@ -248,12 +246,9 @@ def cmd_stream(args):
         state, result = pipeline.step(state, frame_from_dict(obj), cfg, classifier)
         return result
 
-    with open_output(args.out) as out:
-        for result in read_jsonl(args.frames, advance):
-            out.write(json.dumps(result.to_dict()) + "\n")
+    write_jsonl(args.out, (result.to_dict() for result in read_jsonl(args.frames, advance)))
     if args.stats:
-        with open_output(args.stats) as out:
-            out.write(json.dumps(state.stats.to_dict()) + "\n")
+        write_json(args.stats, state.stats.to_dict())
     return 0
 
 
@@ -262,8 +257,7 @@ def cmd_eval(args):
     predictions = list(read_jsonl(args.pred, _prediction))
     truths = list(read_jsonl(args.truth, _label_only))
     report = harness.eval_classifier(predictions, truths)
-    with open_output(args.out) as out:
-        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    write_json(args.out, report.to_dict(), indent=2)
     return 0
 
 
@@ -348,10 +342,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HandgestError as exc:  # base-class fallback
+    except HandgestError as exc:  # ValidationError and the base class
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

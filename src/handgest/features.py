@@ -30,17 +30,16 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePalm, MalformedFrame, ShapeMismatch, ZeroSegment
+from .errors import DegeneratePalm, ShapeMismatch, ZeroSegment
 from .skeleton import (
     CHAIN_INDICES,
-    HANDEDNESS_VALUES,
     Finger,
     INDEX_MCP,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
     PINKY_MCP,
     WRIST,
-    brief,
+    check_handedness,
 )
 
 EPS_PALM_AREA_M2 = 1e-9
@@ -97,9 +96,7 @@ def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarr
     collinear or the scale is degenerate.  Norms are sqrt(v.dot(v)), what
     np.linalg.norm runs on a vector.
     """
-    if handedness not in HANDEDNESS_VALUES:
-        raise MalformedFrame(
-            f"handedness must be one of {HANDEDNESS_VALUES}, got {brief(handedness)}")
+    check_handedness(handedness)
     points = kp3d.take(_PALM_POINTS, 0)
     wrist = points[0]
     v1, v2, mid = points[1:] - wrist

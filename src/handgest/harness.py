@@ -10,7 +10,6 @@ orientation wobble; the rest are spun uniformly in the image plane.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -42,14 +41,14 @@ from .lifting import (
     rotvec_from_rotmat,
 )
 from .skeleton import (
-    HANDEDNESS_VALUES,
     NUM_KEYPOINTS,
     HandFrame,
     HandSkeleton,
     brief,
+    check_handedness,
     frame_to_dict,
     is_number,
-    open_output,
+    write_jsonl,
 )
 
 
@@ -198,9 +197,7 @@ class SynthConfig:
         if not TZ_BOX[0] <= self.tz_range[0] <= self.tz_range[1] <= TZ_BOX[1]:
             raise ValidationError(
                 f"tz_range must lie within {TZ_BOX} m, got {brief(self.tz_range)}")
-        if self.handedness not in HANDEDNESS_VALUES:
-            raise ValidationError(f"handedness must be one of {HANDEDNESS_VALUES}, "
-                                  f"got {brief(self.handedness)}")
+        check_handedness(self.handedness)
         if not (is_number(self.score) and 0.0 <= self.score <= 1.0):  # NaN fails too
             raise ValidationError(
                 f"score must be a finite number in [0, 1], got {brief(self.score)}")
@@ -374,11 +371,8 @@ DATASET_SCHEMA = "dataset/1"
 def write_dataset(path, frames, labels) -> None:
     if len(frames) != len(labels):
         raise LengthMismatch(f"{len(frames)} frames vs {len(labels)} labels")
-    with open_output(path) as fp:
-        for frame, label in zip(frames, labels):
-            record = {"schema": DATASET_SCHEMA, "label": label}
-            record.update(frame_to_dict(frame))
-            fp.write(json.dumps(record) + "\n")
+    write_jsonl(path, ({"schema": DATASET_SCHEMA, "label": label, **frame_to_dict(frame)}
+                       for frame, label in zip(frames, labels)))
 
 
 # -- metrics -----------------------------------------------------------------

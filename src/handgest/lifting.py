@@ -17,9 +17,10 @@ flat hand is all zeros.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import cache
+from importlib.resources import files
 from typing import NamedTuple
 
 import numpy as np
@@ -32,13 +33,11 @@ from .errors import (
     ShapeMismatch,
 )
 from .skeleton import (
-    HANDEDNESS_VALUES,
     Finger,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
-    brief,
+    check_handedness,
     float_array,
-    open_output,
     read_json,
 )
 from .alignment import CENTER_KEYPOINTS, compute_alignment
@@ -233,18 +232,6 @@ class HandModel:
         self.base_frames = frames
         self._rest = None
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "hand_model/1",
-            "fingers": {
-                f.name.lower(): {
-                    "direction": [float(x) for x in self.directions[f]],
-                    "lengths": [float(x) for x in self.lengths[f]],
-                }
-                for f in Finger
-            },
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "HandModel":
         if not isinstance(data, dict) or not isinstance(data.get("fingers"), dict):
@@ -265,25 +252,14 @@ class HandModel:
         return cls(directions, lengths)
 
 
-def save_hand_model(path, model: HandModel) -> None:
-    with open_output(path) as fp:
-        fp.write(json.dumps(model.to_dict(), indent=2) + "\n")
-
-
 def load_hand_model(path) -> HandModel:
     return read_json(path, HandModel.from_dict)
 
 
-_default_model = None
-
-
+@cache
 def default_hand_model() -> HandModel:
-    global _default_model
-    if _default_model is None:
-        from importlib.resources import files
-        text = files("handgest").joinpath("data/hand_model.json").read_text("utf-8")
-        _default_model = HandModel.from_dict(json.loads(text))
-    return _default_model
+    """The packaged right-hand model, loaded once."""
+    return load_hand_model(files("handgest") / "data" / "hand_model.json")
 
 
 # -- pose parameters -------------------------------------------------------
@@ -681,9 +657,7 @@ def lift_keypoints(kp2d, handedness: str, model: HandModel,
     the alignment seed, then fit_pose.  The model is a right hand, so a left
     hand is fitted in the mirror image, u -> 2 cx - u, and its points are
     mirrored back, x -> -x.  Raises what the seed and the fit raise."""
-    if handedness not in HANDEDNESS_VALUES:
-        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
-                             f"got {brief(handedness)}")
+    check_handedness(handedness)
     kp2d = np.array(kp2d, dtype=np.float64)
     left = handedness == "Left"
     if left:

@@ -9,7 +9,6 @@ Adam, single-threaded and bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import brief, decode_config, float_array, is_number, open_output, read_json
+from .skeleton import brief, decode_config, float_array, is_number, read_json, write_json
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -120,8 +119,7 @@ class MlpModel:
 
 
 def save_model(model: MlpModel, path) -> None:
-    with open_output(path) as fh:
-        fh.write(json.dumps(model.to_dict()) + "\n")
+    write_json(path, model.to_dict())
 
 
 def load_model(path) -> MlpModel:
@@ -162,12 +160,6 @@ class TrainConfig:
                 f"learning_rate must be finite and positive, got {brief(self.learning_rate)}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError("val_fraction must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "alpha": list(self.alpha),
-                "learning_rate": self.learning_rate, "batch_size": self.batch_size,
-                "epochs": self.epochs, "seed": self.seed,
-                "val_fraction": self.val_fraction}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":

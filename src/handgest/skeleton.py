@@ -24,7 +24,8 @@ Frames stream as JSONL, one object per line:
 A hand object holds no other keys; kp3d may be left out.
 
 Every file the package opens, frames or config or model, goes through
-read_json, read_jsonl or open_output. They map an OSError to
+read_json, read_jsonl or open_output, and every JSON file it writes through
+write_json or write_jsonl, which use open_output. They map an OSError to
 ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
 that is not an object) to MalformedFrame naming PATH:LINE, so the CLI
 exits 2 with one line instead of a traceback. The readers return
@@ -137,9 +138,7 @@ def validate_frame(frame: HandFrame) -> HandFrame:
     hand = frame.hand
     if hand is None:
         return frame
-    if hand.handedness not in HANDEDNESS_VALUES:
-        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
-                             f"got {brief(hand.handedness)}")
+    check_handedness(hand.handedness)
     if not (0.0 <= hand.score <= 1.0):
         raise MalformedFrame(f"score must lie in [0, 1], got {brief(hand.score)}")
     # HandSkeleton.__post_init__ made kp2d and kp3d float64 arrays
@@ -153,6 +152,13 @@ def validate_frame(frame: HandFrame) -> HandFrame:
         if not np.isfinite(hand.kp3d).all():
             raise MalformedFrame("kp3d contains non-finite values")
     return frame
+
+
+def check_handedness(value) -> None:
+    """Raises MalformedFrame unless value is "Left" or "Right"."""
+    if value not in HANDEDNESS_VALUES:
+        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
+                             f"got {brief(value)}")
 
 
 # --- JSON and JSONL I/O ---
@@ -255,6 +261,23 @@ def read_jsonl(path, parse) -> Iterator:
                 yield item
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def write_json(path, obj, indent=None) -> None:
+    """obj as one JSON document and a newline, through open_output."""
+    with open_output(path) as fp:
+        fp.write(json.dumps(obj, indent=indent) + "\n")
+
+
+def write_jsonl(path, rows) -> int:
+    """Each row of an iterable as one JSON line, through open_output; returns
+    the row count.  Each line is one write call."""
+    n = 0
+    with open_output(path) as fp:
+        for row in rows:
+            fp.write(json.dumps(row) + "\n")
+            n += 1
+    return n
 
 
 @contextmanager

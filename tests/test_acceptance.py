@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from handgest.alignment import alignment_scale, rotation_vector
+from handgest.alignment import compute_alignment, rotation_vector
 from handgest.features import euler_from_rotation, feature_vector, rotation_from_euler
 from handgest.harness import (
     SynthConfig,
@@ -64,7 +64,7 @@ def test_criterion_1_alignment_non_degeneracy(criterion):
     good = naive_frontal_violations = frontal = 0
     for i, frame in enumerate(frames):
         kp2d = frame.hand.kp2d
-        bound = 0.05 * alignment_scale(kp2d)
+        bound = 0.05 * compute_alignment(kp2d).scale_px
         if np.linalg.norm(rotation_vector(kp2d)) >= bound:
             good += 1
         if i % 5 != 0:   # the frontal-view samples

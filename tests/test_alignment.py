@@ -5,10 +5,11 @@ import pytest
 
 from handgest.alignment import (
     SCALE_KEYPOINTS,
-    alignment_scale,
-    center_keypoint,
+    _angle,
+    _center,
+    _rotation_vector,
+    _scale,
     compute_alignment,
-    rotation_angle,
     rotation_vector,
 )
 from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch
@@ -30,10 +31,10 @@ def test_center_is_mean_of_three_mcps():
     kp[5] = (0.0, 0.0)
     kp[9] = (3.0, 0.0)
     kp[17] = (0.0, 3.0)
-    np.testing.assert_allclose(center_keypoint(kp), (1.0, 1.0))
+    np.testing.assert_allclose(_center(kp), (1.0, 1.0))
 
     kp[5] = kp[9] = kp[17] = (2.0, 2.0)
-    np.testing.assert_allclose(center_keypoint(kp), (2.0, 2.0))
+    np.testing.assert_allclose(_center(kp), (2.0, 2.0))
 
 
 def test_center_matches_brute_force_summation():
@@ -42,7 +43,7 @@ def test_center_matches_brute_force_summation():
         total = np.zeros(2)
         for i in (5, 9, 17):
             total = total + kp[i]
-        np.testing.assert_allclose(center_keypoint(kp), total / 3.0, atol=1e-12)
+        np.testing.assert_allclose(_center(kp), total / 3.0, atol=1e-12)
 
 
 def test_rotation_vector_sum_of_components():
@@ -53,8 +54,8 @@ def test_rotation_vector_sum_of_components():
     kp[5] = (0.0, 0.0)
     kp[17] = (1.0, 0.0)
     np.testing.assert_allclose(rotation_vector(kp), (1.0, 1.0))
-    assert rotation_angle(kp) == pytest.approx(np.arctan2(1.0, -1.0))
-    assert rotation_angle(kp) == pytest.approx(3.0 * np.pi / 4.0)
+    assert _angle(_rotation_vector(kp)) == pytest.approx(np.arctan2(1.0, -1.0))
+    assert _angle(_rotation_vector(kp)) == pytest.approx(3.0 * np.pi / 4.0)
 
 
 def test_rotation_angle_zero_when_pointing_up():
@@ -62,7 +63,7 @@ def test_rotation_angle_zero_when_pointing_up():
     kp[0] = (0.0, -1.0)   # v = (0,-1): toward image top in y-down pixels
     kp[9] = (0.0, 0.0)
     kp[5] = kp[17] = (0.0, 0.0)
-    assert rotation_angle(kp) == 0.0
+    assert _angle(_rotation_vector(kp)) == 0.0
 
 
 def test_rotation_vector_degenerate_when_components_cancel():
@@ -72,13 +73,13 @@ def test_rotation_vector_degenerate_when_components_cancel():
     kp[5] = (1.0, 1.0)
     kp[17] = (0.0, 0.0)   # (kp17-kp5) = -(kp0-kp9), exact cancellation
     with pytest.raises(DegenerateRotation):
-        rotation_angle(kp)
+        _angle(_rotation_vector(kp))
 
 
 def test_alignment_scale_farthest_knuckle():
     kp = flat_kp2d(0.0)
     kp[13] = (3.0, 4.0)   # ring MCP, 5 px from the center at the origin
-    assert alignment_scale(kp) == pytest.approx(5.0)
+    assert _scale(kp, _center(kp)) == pytest.approx(5.0)
 
 
 def test_alignment_scale_excludes_tips_and_wrist():
@@ -86,22 +87,23 @@ def test_alignment_scale_excludes_tips_and_wrist():
     kp[8] = (1000.0, 0.0)   # index tip: not a knuckle
     kp[0] = (500.0, 0.0)    # wrist: not a knuckle
     kp[6] = (3.0, 4.0)
-    assert alignment_scale(kp) == pytest.approx(5.0)
+    assert _scale(kp, _center(kp)) == pytest.approx(5.0)
 
 
 def test_alignment_scale_matches_exhaustive_scan():
     for seed in range(8):
         kp = random_kp2d(seed)
-        center = center_keypoint(kp)
+        center = _center(kp)
         best = 0.0
         for i in SCALE_KEYPOINTS:
             best = max(best, float(np.hypot(*(kp[i] - center))))
-        assert alignment_scale(kp) == pytest.approx(best, abs=1e-12)
+        assert _scale(kp, _center(kp)) == pytest.approx(best, abs=1e-12)
 
 
 def test_alignment_scale_degenerate_when_knuckles_coincide():
+    kp = flat_kp2d(7.0)
     with pytest.raises(DegenerateScale):
-        alignment_scale(flat_kp2d(7.0))
+        _scale(kp, _center(kp))
 
 
 def test_rigid_rotation_shifts_angle_and_preserves_scale():
@@ -131,9 +133,9 @@ def test_compute_alignment_is_bitwise_the_three_helpers():
         frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(3, i))
         kp = frame.hand.kp2d
         got = compute_alignment(kp)
-        assert got.center.tobytes() == center_keypoint(kp).tobytes(), i
-        assert got.rotation_rad == rotation_angle(kp), i
-        assert got.scale_px == alignment_scale(kp), i
+        assert got.center.tobytes() == _center(kp).tobytes(), i
+        assert got.rotation_rad == _angle(_rotation_vector(kp)), i
+        assert got.scale_px == _scale(kp, _center(kp)), i
 
 
 def test_compute_alignment_rejects_wrong_shape():

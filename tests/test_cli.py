@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -426,7 +427,7 @@ _MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:]
 _THRESHOLDS = DEFAULT_CONFIG_JSON["thresholds"]
 NAN, INF = float("nan"), float("inf")
 HUGE = 10 ** 400  # a JSON integer that float() cannot take
-_FINGERS = default_hand_model().to_dict()["fingers"]
+_FINGERS = json.loads((files("handgest") / "data" / "hand_model.json").read_text())["fingers"]
 
 # (argv, content of {bad}, part of the error): None leaves {bad} missing,
 # bytes are written as is, anything else as JSON; {nodir} does not exist

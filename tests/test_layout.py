@@ -36,6 +36,18 @@ def _uses_np_cross(node):
             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
 
 
+def _calls_json_dump(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dumps", "dump")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+
+
+def _names_handedness_values(node):
+    return ((isinstance(node, ast.Name) and node.id == "HANDEDNESS_VALUES")
+            or (isinstance(node, ast.Attribute) and node.attr == "HANDEDNESS_VALUES")
+            or (isinstance(node, ast.alias) and node.name == "HANDEDNESS_VALUES"))
+
+
 def _lists_center_knuckles(node):
     if not isinstance(node, (ast.List, ast.Tuple)) or len(node.elts) != 3:
         return False
@@ -51,10 +63,14 @@ def test_layout_sees_the_package():
 @pytest.mark.parametrize("predicate, home", [
     # read_json, read_jsonl and open_output hold the one error mapping
     (_calls_open, ["skeleton.py"]),
+    # write_json and write_jsonl are the one JSON writer
+    (_calls_json_dump, ["skeleton.py"]),
+    # check_handedness is the one handedness rule
+    (_names_handedness_values, ["skeleton.py"]),
     # features.cross is the one cross product
     (_uses_np_cross, []),
     # alignment.CENTER_KEYPOINTS is the one crop centre
     (_lists_center_knuckles, ["alignment.py"]),
-], ids=["open", "np-cross", "center-knuckles"])
+], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles"])
 def test_rule_lives_only_in_its_home(predicate, home):
     assert _modules_with(predicate) == home

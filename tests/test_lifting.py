@@ -1,6 +1,8 @@
 """Kinematic model, projection, and 2D-to-3D pose fitting."""
 
 import inspect
+import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from handgest.lifting import (
     project,
     rotmat_from_rotvec,
     rotvec_from_rotmat,
-    save_hand_model,
 )
 from handgest.lifting import _fk_batch, _linearize, _residuals_batch, _rest_alignment
 from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, PINKY_MCP, WRIST
@@ -276,15 +277,15 @@ def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
         assert got.tobytes() == want.tobytes(), i
 
 
-def test_hand_model_json_round_trip(tmp_path):
+PACKAGED_MODEL = files("handgest") / "data" / "hand_model.json"
+
+
+def test_hand_model_json_round_trip():
     model = default_hand_model()
-    path = tmp_path / "hand.json"
-    save_hand_model(path, model)
-    back = load_hand_model(path)
-    # the constructor re-normalizes directions, so a round trip can move
-    # already-unit rows by one ulp; lengths pass through untouched
-    np.testing.assert_allclose(back.directions, model.directions,
-                               rtol=0.0, atol=1e-15)
+    assert default_hand_model() is model   # loaded once
+    back = load_hand_model(PACKAGED_MODEL)
+    assert back is not model
+    np.testing.assert_array_equal(back.directions, model.directions)
     np.testing.assert_array_equal(back.lengths, model.lengths)
 
 
@@ -293,7 +294,7 @@ def test_hand_model_json_round_trip(tmp_path):
 ])
 def test_hand_model_from_dict_raises_malformed_config(change):
     with pytest.raises(MalformedConfig):
-        HandModel.from_dict({**default_hand_model().to_dict(), **change})
+        HandModel.from_dict({**json.loads(PACKAGED_MODEL.read_text()), **change})
 
 
 # -- forward kinematics -------------------------------------------------------

@@ -33,6 +33,8 @@ from handgest.skeleton import (
     read_json,
     read_jsonl,
     validate_frame,
+    write_json,
+    write_jsonl,
 )
 
 
@@ -349,3 +351,26 @@ def test_open_output_errors_name_the_given_path(tmp_path):
         with open_output(target):
             pass
     assert str(info.value) == f"cannot write {target}: No such file or directory"
+
+
+def test_write_jsonl_counts_rows_and_keeps_the_target_when_rows_raise(tmp_path):
+    target = tmp_path / "out.jsonl"
+    assert write_jsonl(target, iter([{"a": 1}, {"b": [2.5, None]}])) == 2
+    assert target.read_text() == '{"a": 1}\n{"b": [2.5, null]}\n'
+
+    def rows():
+        yield {"c": 3}
+        raise MalformedFrame("bad row")
+
+    with pytest.raises(MalformedFrame):
+        write_jsonl(target, rows())
+    assert target.read_text() == '{"a": 1}\n{"b": [2.5, null]}\n'
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_write_json_passes_indent_through(tmp_path):
+    target = tmp_path / "out.json"
+    write_json(target, {"n": 2, "xs": [1]}, indent=2)
+    assert target.read_text() == json.dumps({"n": 2, "xs": [1]}, indent=2) + "\n"
+    write_json(target, {"n": 2})
+    assert target.read_text() == '{"n": 2}\n'

@@ -146,7 +146,7 @@ def _feature_row(t_us, fv, label):
 
 def cmd_synth(args):
     from . import harness
-    cfg = harness.SynthConfig() if not args.config else read_json(
+    cfg = harness.SynthConfig() if args.config is None else read_json(
         args.config, lambda obj: decode_config(harness.SynthConfig, obj, "synth config"))
     cfg = _with_seed(cfg, args.seed)
     gestures = None
@@ -168,8 +168,8 @@ def cmd_features(args):
 def cmd_classify(args):
     from . import pipeline
     source = args.features if args.features is not None else args.frames
-    predict = pipeline.make_predictor("nn" if args.model else "heuristic",
-                                      args.model or args.gestures)
+    predict = (pipeline.make_predictor("heuristic", args.gestures) if args.model is None
+               else pipeline.make_predictor("nn", args.model))
     write_jsonl(args.out, ({"schema": PREDICTION_SCHEMA, "t_us": int(t_us),
                             "label": predict(fv)}
                            for t_us, fv, _ in read_jsonl(source, _labeled_features)))
@@ -178,8 +178,8 @@ def cmd_classify(args):
 
 def cmd_train(args):
     from . import mlp
-    cfg = _with_seed(read_json(args.config, mlp.TrainConfig.from_dict) if args.config
-                     else mlp.TrainConfig(), args.seed)
+    cfg = _with_seed(mlp.TrainConfig() if args.config is None
+                     else read_json(args.config, mlp.TrainConfig.from_dict), args.seed)
     examples = [mlp.LabeledExample(fv, label)
                 for fv, label in read_jsonl(args.data, _training_example)]
     model = mlp.train(examples, cfg)
@@ -197,7 +197,7 @@ def cmd_calibrate(args):
                  for fv in read_jsonl(args.negatives, _negative_example)]
     tau = mlp.calibrate_threshold(model, negatives, args.fpr)
     model.tau = tau
-    mlp.save_model(model, args.out or args.model)
+    mlp.save_model(model, args.model if args.out is None else args.out)
     with open_output(None) as out:
         out.write(f"{tau:.6f}\n")
     return 0
@@ -205,8 +205,8 @@ def cmd_calibrate(args):
 
 def cmd_lift(args):
     from . import lifting
-    model = (lifting.load_hand_model(args.model) if args.model
-             else lifting.default_hand_model())
+    model = (lifting.default_hand_model() if args.model is None
+             else lifting.load_hand_model(args.model))
 
     def lift(obj):
         frame = frame_from_dict(obj)
@@ -246,9 +246,12 @@ def cmd_stream(args):
         state, result = pipeline.step(state, frame_from_dict(obj), cfg, classifier)
         return result
 
-    write_jsonl(args.out, (result.to_dict() for result in read_jsonl(args.frames, advance)))
-    if args.stats:
-        write_json(args.stats, state.stats.to_dict())
+    def results():
+        yield from (result.to_dict() for result in read_jsonl(args.frames, advance))
+        if args.stats is not None:  # in place before --out, which a failure leaves alone
+            write_json(args.stats, state.stats.to_dict())
+
+    write_jsonl(args.out, results())
     return 0
 
 

@@ -382,6 +382,12 @@ def gradient_check(model: MlpModel, example: LabeledExample,
     Every weight and bias is probed with step 1e-5; the relative error
     denominator is floored at 1e-4 so entries with near-zero gradient are
     judged by absolute error instead.
+
+    The probes of a layer run as one batch: moving W_k[i, j] by h moves only
+    unit i of layer k's pre-activation, by h * a_{k-1}[j], and moving b_k[i]
+    moves it by h. Each probe is that shifted pre-activation pushed through
+    the layers above, so the model is never copied or written to, and the
+    numeric side never calls the backward pass it checks.
     """
     x = _features_array(example.features)
     x_std = ((x - model.feat_mean) / model.feat_std)[None]
@@ -392,28 +398,18 @@ def gradient_check(model: MlpModel, example: LabeledExample,
     g_w, g_b = _backward_batch(model, probs, acts, pres, target, gamma, a_vec)
     analytic = np.concatenate([a.ravel() for pair in zip(g_w, g_b) for a in pair])
 
-    work = MlpModel([w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                    model.feat_mean, model.feat_std, model.tau)
-
-    def loss_now() -> float:
-        p, _, _ = _forward_batch(work, x_std)
-        return float(_focal_batch(p, target, gamma, a_vec)[0])
-
     h = 1e-5
     parts = []
-    for arr in (a for pair in zip(work.weights, work.biases) for a in pair):
-        flat = arr.ravel()  # view: in-place probes hit the model
-        g = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_now()
-            flat[i] = orig - h
-            lo = loss_now()
-            flat[i] = orig
-            g[i] = (hi - lo) / (2.0 * h)
-        parts.append(g)
+    for k, (a, z) in enumerate(zip(acts, pres)):
+        unit = np.eye(z.shape[1])
+        # row i * fan_in + j probes W_k[i, j]; the last fan_out rows probe b_k
+        steps = h * np.vstack([np.kron(unit, a[0][:, None]), unit])
+        zs = np.vstack([z + steps, z - steps])
+        for w, b in zip(model.weights[k + 1:], model.biases[k + 1:]):
+            zs = np.maximum(zs, 0.0) @ w.T + b
+        loss = _focal_batch(softmax(zs), np.repeat(target, len(zs)), gamma, a_vec)
+        hi, lo = np.split(loss, 2)
+        parts.append((hi - lo) / (2.0 * h))
     numeric = np.concatenate(parts)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)

@@ -317,6 +317,8 @@ def open_output(path) -> Iterator[TextIO]:
             os.close(devnull)
             raise ValidationError(f"cannot write stdout: {exc}") from exc
         return
+    if path == "":  # realpath would name the working directory
+        raise ValidationError("cannot write '': No such file or directory")
     try:
         try:
             st = os.stat(path)

@@ -714,6 +714,42 @@ def test_bad_input_exits_2_with_one_line(good_files, tmp_path, capsys, argv, con
     assert at_fault in err, err
 
 
+# an empty path names no file; it is not an option left out. '' stands for
+# the empty argument, {feats} for unlabeled feature rows (negatives)
+EMPTY_PATHS = {
+    "classify-model": ("classify --features {feats} --model ''", "cannot read"),
+    "lift-model": ("lift --frames {frames} --model ''", "cannot read"),
+    "synth-config": ("synth --out {out} --per-gesture 1 --config ''", "cannot read"),
+    "train-config": ("train --data {frames} --out {out} --config ''", "cannot read"),
+    "calibrate-out": ("calibrate --model {model} --negatives {feats} --fpr 0.1 --out ''",
+                      "cannot write"),
+    "stream-stats": ("stream --frames {frames} --pipeline {pipe} --stats ''",
+                     "cannot write"),
+    "features-out": ("features --frames {frames} --out ''", "cannot write"),
+}
+
+
+@pytest.mark.parametrize("argv, expect", list(EMPTY_PATHS.values()), ids=list(EMPTY_PATHS))
+def test_empty_path_exits_2_with_one_line(good_files, tmp_path, capsys, monkeypatch, argv,
+                                          expect):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    feats, model = work / "feats.jsonl", work / "model.json"
+    feats.write_text(json.dumps(_FEATURE_ROW) + "\n")
+    model.write_bytes(good_files["model"].read_bytes())
+    argv = argv.format(**{**good_files, "feats": feats, "model": model,
+                          "out": work / "out.json"}).split()
+    assert run(*("" if a == "''" else a for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expect} ") and err.count("\n") == 1, err
+    # nothing written: no output, no new file beside the working directory,
+    # and calibrate leaves --model as it was
+    assert sorted(os.listdir(work)) == ["feats.jsonl", "model.json"]
+    assert os.listdir(tmp_path) == ["work"]
+    assert model.read_bytes() == good_files["model"].read_bytes()
+
+
 @pytest.mark.parametrize("handedness", ["Right", "Left"])
 def test_feature_rows_are_accepted_back(tmp_path, handedness):
     # every row features writes lies in the ranges classify --features takes
@@ -1006,6 +1042,20 @@ def test_failed_command_leaves_the_output_alone(good_files, tmp_path, capsys, cm
     # a run that succeeds leaves its output and no other file
     assert run_out_command(cmd, good_files, good_files["frames"], out) == 0
     assert os.listdir(outdir) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("stats", ["no-such-dir/stats.json", ""], ids=["missing-dir", "empty"])
+def test_unwritable_stats_leaves_stream_out_alone(good_files, tmp_path, capsys, stats):
+    # the stats file goes into place first, so its failure leaves --out alone
+    out = tmp_path / "stream.jsonl"
+    out.write_bytes(b"previous output\n")
+    stats = str(tmp_path / stats) if stats else ""
+    assert run("stream", "--frames", good_files["frames"], "--pipeline", good_files["pipe"],
+               "--out", out, "--stats", stats) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert out.read_bytes() == b"previous output\n"
+    assert os.listdir(tmp_path) == ["stream.jsonl"]
 
 
 @pytest.fixture(scope="module")

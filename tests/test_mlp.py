@@ -178,13 +178,16 @@ def test_gradient_check_at_zero_gradient_point():
     assert gradient_check(model, ex, gamma=2.0) <= 1e-4
 
 
-def test_gradient_check_catches_corrupted_gradient(monkeypatch):
+@pytest.mark.parametrize("layer", range(len(LAYER_SIZES) - 1))
+@pytest.mark.parametrize("kind", ["w", "b"])
+def test_gradient_check_catches_corrupted_gradient(monkeypatch, kind, layer):
+    # each layer's probes run as a batch of their own: a sign flip of the
+    # largest weight or bias gradient entry of any layer must show
     real = mlp._backward_batch
 
     def corrupted(model, probs, acts, pres, targets, gamma, alpha):
         gw, gb = real(model, probs, acts, pres, targets, gamma, alpha)
-        k = int(np.argmax([np.max(np.abs(g)) for g in gw]))
-        flat = gw[k].ravel()
+        flat = (gw if kind == "w" else gb)[layer].ravel()
         j = int(np.argmax(np.abs(flat)))
         flat[j] = -flat[j]
         return gw, gb

@@ -353,6 +353,19 @@ def test_open_output_errors_name_the_given_path(tmp_path):
     assert str(info.value) == f"cannot write {target}: No such file or directory"
 
 
+def test_write_jsonl_to_an_empty_path_creates_nothing(tmp_path, monkeypatch):
+    # realpath("") is the working directory: a new file beside it would land
+    # in its parent, and the move onto a directory fails
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(ValidationError) as info:
+        write_jsonl("", [{"a": 1}])
+    assert str(info.value) == "cannot write '': No such file or directory"
+    assert os.listdir(tmp_path) == ["work"]
+    assert os.listdir(work) == []
+
+
 def test_write_jsonl_counts_rows_and_keeps_the_target_when_rows_raise(tmp_path):
     target = tmp_path / "out.jsonl"
     assert write_jsonl(target, iter([{"a": 1}, {"b": [2.5, None]}])) == 2

@@ -150,7 +150,7 @@ def cmd_synth(args):
         args.config, lambda obj: decode_config(harness.SynthConfig, obj, "synth config"))
     cfg = _with_seed(cfg, args.seed)
     gestures = None
-    if args.gestures:
+    if args.gestures is not None:
         gestures = [check_gesture(g.strip()) for g in args.gestures.split(",") if g.strip()]
     frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
     harness.write_dataset(args.out, frames, labels)

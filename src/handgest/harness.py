@@ -11,7 +11,7 @@ orientation wobble; the rest are spun uniformly in the image plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -321,6 +321,8 @@ def make_dataset(cfg: SynthConfig, per_gesture: int, gestures=None):
     if per_gesture < 1:
         raise ValidationError(f"per_gesture must be at least 1, got {brief(per_gesture)}")
     gestures = tuple(gestures) if gestures is not None else ALL_GESTURES
+    if not gestures:
+        raise ValidationError("gestures must name at least one gesture")
     frames, labels = [], []
     i = 0
     for gesture in gestures:
@@ -366,12 +368,29 @@ def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator) -> Pose
 # -- dataset files -----------------------------------------------------------
 
 DATASET_SCHEMA = "dataset/1"
+KP2D_DECIMALS = 3  # 1e-3 px
+KP3D_DECIMALS = 6  # 1e-6 m
+
+
+def _stored(frame: HandFrame) -> HandFrame:
+    hand = frame.hand
+    if hand is None:
+        return frame
+    kp3d = None if hand.kp3d is None else np.round(hand.kp3d, KP3D_DECIMALS)
+    return replace(frame, hand=replace(hand, kp2d=np.round(hand.kp2d, KP2D_DECIMALS),
+                                       kp3d=kp3d))
 
 
 def write_dataset(path, frames, labels) -> None:
+    """Writes one labeled row per frame, keypoints rounded to the stored
+    precision: kp2d to 1e-3 px, kp3d to 1e-6 m (1 um), far below the
+    synthetic noise.  Rounding is idempotent, so reading a dataset and
+    writing it again gives the same bytes.  Only dataset files are rounded:
+    lift, features, classify and stream still write full precision."""
     if len(frames) != len(labels):
         raise LengthMismatch(f"{len(frames)} frames vs {len(labels)} labels")
-    write_jsonl(path, ({"schema": DATASET_SCHEMA, "label": label, **frame_to_dict(frame)}
+    write_jsonl(path, ({"schema": DATASET_SCHEMA, "label": label,
+                        **frame_to_dict(_stored(frame))}
                        for frame, label in zip(frames, labels)))
 
 

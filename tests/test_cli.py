@@ -846,6 +846,15 @@ def test_synth_rejects_a_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", [",", " , ", ""])
+def test_synth_rejects_an_empty_gesture_list(tmp_path, capsys, names):
+    # "," and " , " wrote an empty dataset and "" wrote all 21 gestures
+    out = tmp_path / "data.jsonl"
+    assert run("synth", "--out", out, "--gestures", names) == 2
+    assert capsys.readouterr().err == "error: gestures must name at least one gesture\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cmd", ["synth --out {out} --per-gesture 1",
                                  "train --data {data} --out {out}"])
 def test_seed_too_large_for_a_float_exits_2(corpus, tmp_path, capsys, cmd):

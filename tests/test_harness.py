@@ -123,8 +123,31 @@ def test_dataset_file_round_trip(tmp_path):
     assert len(back_frames) == len(frames)
     for a, b in zip(frames, back_frames):
         assert a.t_us == b.t_us
-        np.testing.assert_allclose(b.hand.kp2d, a.hand.kp2d)
-        np.testing.assert_allclose(b.hand.kp3d, a.hand.kp3d)
+        # the file stores kp2d to 1e-3 px and kp3d to 1e-6 m, bit for bit
+        assert b.hand.kp2d.tobytes() == np.round(a.hand.kp2d, 3).tobytes()
+        assert b.hand.kp3d.tobytes() == np.round(a.hand.kp3d, 6).tobytes()
+
+
+@pytest.mark.parametrize("handedness", ["Right", "Left"])
+def test_rewriting_a_dataset_gives_the_same_bytes(tmp_path, handedness):
+    cfg = SynthConfig(seed=3, handedness=handedness, noise_px=2.0, noise_m=0.002)
+    frames, labels = make_dataset(cfg, 2)
+    # tiny negative coordinates round to -0.0
+    frames[0].hand.kp2d[0, 0] = -1e-4
+    frames[0].hand.kp3d[0, 0] = -1e-7
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_dataset(first, frames, labels)
+    write_dataset(second, list(read_jsonl(first, frame_from_dict)),
+                  list(read_jsonl(first, lambda row: row["label"])))
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text().count("[[-0.0, ") == 2
+    kp3d = np.concatenate([f.hand.kp3d for f in read_jsonl(first, frame_from_dict)])
+    assert (kp3d < 0).any() and (kp3d > 0).any()
+
+
+def test_make_dataset_rejects_an_empty_gesture_list():
+    with pytest.raises(ValidationError, match="at least one gesture"):
+        make_dataset(SynthConfig(seed=0), 1, gestures=())
 
 
 def test_write_dataset_validates_lengths(tmp_path):

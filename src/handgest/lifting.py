@@ -39,10 +39,12 @@ from .skeleton import (
     check_handedness,
     float_array,
     read_json,
+    reject_unknown_keys,
 )
 from .alignment import CENTER_KEYPOINTS, compute_alignment
 from .features import cross
 
+HAND_MODEL_SCHEMA = "hand_model/1"
 NUM_JOINT_ANGLES = 21
 NUM_POSE_PARAMS = 6 + NUM_JOINT_ANGLES
 
@@ -65,8 +67,12 @@ BOX_WEIGHT_TZ = 1000.0
 
 # A fit has reached its noise floor when the least-damped step's predicted
 # cut is below one residual pixel's share of the cost: the predicted-reduction
-# test of MINPACK's lmder (More, 1978) read at that share
+# test of MINPACK's lmder (More, 1978) read at that share.  Near the floor the
+# Gauss-Newton prediction overstates what a step gets, so the last
+# FLOOR_WINDOW accepted steps achieving less than that share together stop
+# the fit too
 FLOOR_FRACTION = 1.0 / (2 * NUM_KEYPOINTS)
+FLOOR_WINDOW = 3
 # an accepted step that cuts the cost by less than REL_TOL of it ends the fit
 REL_TOL = 1e-10
 
@@ -234,9 +240,14 @@ class HandModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HandModel":
+        """A hand_model/1 document; the schema tag may be left out."""
         if not isinstance(data, dict) or not isinstance(data.get("fingers"), dict):
             raise MalformedConfig("hand model JSON must contain a 'fingers' mapping")
+        reject_unknown_keys(data, ("schema", "comment", "fingers"), "hand model")
+        if data.get("schema", HAND_MODEL_SCHEMA) != HAND_MODEL_SCHEMA:
+            raise MalformedConfig(f"expected schema {HAND_MODEL_SCHEMA!r}")
         fingers = data["fingers"]
+        reject_unknown_keys(fingers, [f.name.lower() for f in Finger], "hand model finger")
         directions = np.empty((5, 3))
         lengths = np.empty((5, 4))
         for f in Finger:
@@ -245,6 +256,7 @@ class HandModel:
                 raise MalformedConfig(f"hand model missing finger {name!r}")
             entry = fingers[name]
             try:
+                reject_unknown_keys(entry, ("direction", "lengths"), f"hand model {name!r}")
                 directions[f] = float_array(entry["direction"], "direction")
                 lengths[f] = float_array(entry["lengths"], "lengths")
             except (KeyError, TypeError, ValueError) as exc:
@@ -500,9 +512,13 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     - "tolerance": an accepted step cut the cost by less than REL_TOL of
       it, the cost reached zero, or no step went downhill and the
       gradient vanished;
-    - "stalled": the noise floor: within ``max_rms_px``, the first round's
-      least-damped step d predicts a cut -(2 g.d + d'Hd) below FLOOR_FRACTION
-      of the cost; that iteration runs no trial and is not counted;
+    - "stalled": the noise floor, found by one of two tests that run only
+      within ``max_rms_px`` and never change a step.  Predicted: the first
+      round's least-damped step d predicts a cut -(2 g.d + d'Hd) below
+      FLOOR_FRACTION of the cost; that iteration runs no trial and is not
+      counted.  Achieved: after an accepted step, the last FLOOR_WINDOW
+      accepted steps together cut less than FLOOR_FRACTION of the cost
+      before them; that iteration counts;
     - "max_iter": ``max_iter`` iterations ran out;
     - "no_descent": no step went downhill even at maximum damping, and
       the gradient did not vanish.
@@ -528,6 +544,9 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     stop = "tolerance" if cost == 0.0 else None
     iterations = 0
     curvature = np.zeros(NUM_POSE_PARAMS)
+    # max_rms_px as a sum of squared reprojection errors: the stall tests
+    # never end a fit that more steps would lift
+    floor_px2 = NUM_KEYPOINTS * max_rms_px ** 2
 
     while stop is None and iterations < max_iter:
         iterations += 1
@@ -541,8 +560,8 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
         curvature = np.maximum(curvature, hess.diagonal())
         damp = np.maximum(curvature, 1e-12)
         px = r[:2 * NUM_KEYPOINTS]
-        # first round only, and only within max_rms_px: never end a fit more steps would lift
-        accepted, floor_test = False, px @ px <= NUM_KEYPOINTS * max_rms_px ** 2
+        # first round only
+        accepted, floor_test = False, px @ px <= floor_px2
         while True:
             lams = lam * DAMPING_FACTORS
             systems = np.repeat(hess[None], len(lams), axis=0)
@@ -577,6 +596,10 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
                     accepted = True
                     if rel < REL_TOL or cost == 0.0:
                         stop = "tolerance"
+                    elif len(history) > FLOOR_WINDOW:
+                        before, px = history[-1 - FLOOR_WINDOW], r[:2 * NUM_KEYPOINTS]
+                        if before - cost < FLOOR_FRACTION * before and px @ px <= floor_px2:
+                            stop = "stalled"
                     break
             if lam >= 1e8:
                 break

@@ -24,7 +24,8 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import brief, decode_config, float_array, is_number, read_json, write_json
+from .skeleton import (brief, decode_config, float_array, is_number, read_json,
+                       reject_unknown_keys, write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -101,6 +102,9 @@ class MlpModel:
     def from_dict(cls, obj: dict) -> "MlpModel":
         if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
             raise MalformedConfig(f"expected schema {MODEL_SCHEMA!r}")
+        # a misspelt "Tau" would otherwise load as tau 0, plain argmax
+        reject_unknown_keys(obj, ("schema", "layer_sizes", "layers", "feat_mean",
+                                  "feat_std", "tau"), "model")
         if obj.get("layer_sizes") != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
         layers = obj.get("layers")
@@ -110,6 +114,8 @@ class MlpModel:
         if not is_number(tau):
             raise MalformedConfig(f"tau must be a number, got {brief(tau)}")
         try:
+            for L in layers:
+                reject_unknown_keys(L, ("w", "b"), "model layer")
             return cls([float_array(L["w"], "w") for L in layers],
                        [float_array(L["b"], "b") for L in layers],
                        float_array(obj["feat_mean"], "feat_mean"),

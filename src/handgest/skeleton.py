@@ -407,6 +407,14 @@ def brief(value) -> str:
     return text if len(text) <= 80 else f"{text[:60]}...({len(text)} characters)"
 
 
+def reject_unknown_keys(obj: dict, keys, what: str) -> None:
+    """Raise MalformedConfig if ``obj`` carries a key outside ``keys``, so a
+    misspelt key is rejected, not read as one left out."""
+    extra = set(obj) - set(keys)
+    if extra:
+        raise MalformedConfig(f"unknown {what} keys: {brief(sorted(extra))}")
+
+
 # annotation -> test of a decoded JSON value; "X | Y" takes either
 _JSON_KINDS = {
     "int": lambda v: is_int(v) and is_number(v),
@@ -429,9 +437,7 @@ def decode_config(cls, obj, what: str):
     if not isinstance(obj, dict):
         raise MalformedConfig(f"{what} must be a JSON object")
     known = {f.name: f for f in fields(cls)}
-    extra = set(obj) - set(known) - {"schema"}
-    if extra:
-        raise MalformedConfig(f"unknown {what} keys: {brief(sorted(extra))}")
+    reject_unknown_keys(obj, [*known, "schema"], what)
     kwargs = {}
     for name, f in known.items():
         if name not in obj:

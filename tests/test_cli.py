@@ -566,6 +566,16 @@ BAD_INPUTS = {
         "classify --frames {frames} --gestures {bad}",
         {**DEFAULT_CONFIG_JSON, "thresholds": {**_THRESHOLDS, "straight_max": [30.0] * 5}},
         "thresholds object takes exactly the keys"),
+    "classify-model-misspelt-tau": ("classify --frames {frames} --model {bad}",
+                                    {**_MODEL, "Tau": 0.5}, "unknown model keys: ['Tau']"),
+    "lift-hand-model-misspelt-lengths": (
+        "lift --frames {frames} --model {bad}",
+        {"schema": "hand_model/1", "fingers": {**_FINGERS, "ring": {
+            "direction": _FINGERS["ring"]["direction"], "lenghts": _FINGERS["ring"]["lengths"]}}},
+        "unknown hand model 'ring' keys: ['lenghts']"),
+    "lift-hand-model-schema-2": ("lift --frames {frames} --model {bad}",
+                                 {"schema": "hand_model/2", "fingers": _FINGERS},
+                                 "expected schema 'hand_model/1'"),
     "classify-gestures-schema-9": ("classify --frames {frames} --gestures {bad}",
                                    {**DEFAULT_CONFIG_JSON, "schema": "gestures/9"},
                                    "expected schema 'gestures/1'"),

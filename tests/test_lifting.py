@@ -278,6 +278,7 @@ def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
 
 
 PACKAGED_MODEL = files("handgest") / "data" / "hand_model.json"
+_FINGERS = json.loads(PACKAGED_MODEL.read_text())["fingers"]
 
 
 def test_hand_model_json_round_trip():
@@ -291,10 +292,20 @@ def test_hand_model_json_round_trip():
 
 @pytest.mark.parametrize("change", [
     {"fingers": None}, {"fingers": {}}, {"fingers": {"thumb": {"direction": [1, 0, 0]}}},
+    # keys and tags that were ignored
+    {"fingres": _FINGERS}, {"schema": "hand_model/2"}, {"schema": None},
+    {"fingers": {**_FINGERS, "thumbs": _FINGERS["thumb"]}},
+    {"fingers": {**_FINGERS, "ring": {**_FINGERS["ring"], "lenghts": [0.05] * 4}}},
+    {"fingers": {**_FINGERS, "index": {**_FINGERS["index"], "roll": 0.0}}},
 ])
 def test_hand_model_from_dict_raises_malformed_config(change):
     with pytest.raises(MalformedConfig):
         HandModel.from_dict({**json.loads(PACKAGED_MODEL.read_text()), **change})
+
+
+def test_hand_model_from_dict_takes_a_document_without_schema_or_comment():
+    model = HandModel.from_dict({"fingers": _FINGERS})
+    np.testing.assert_array_equal(model.lengths, default_hand_model().lengths)
 
 
 # -- forward kinematics -------------------------------------------------------
@@ -442,6 +453,46 @@ def test_noisy_fit_stops_at_its_noise_floor(monkeypatch):
     assert full.cost_history[:len(res.cost_history)] == res.cost_history
     # and what it leaves is under one squared pixel of the 1 px noise
     assert res.cost_history[-1] - full.cost_history[-1] < 1.0
+
+
+def lift_style_fit(j, **kwargs):
+    """Row j of a seed-7 lift-style input (1 px noise, one template per
+    row), fitted from the alignment seed."""
+    cfg = SynthConfig(seed=7, noise_px=1.0)
+    frame, _ = synth_pose(ALL_GESTURES[j % len(ALL_GESTURES)], cfg, sample_rng(7, j))
+    model = default_hand_model()
+    intr = default_intrinsics(cfg.width, cfg.height)
+    init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+    return lambda: fit(frame.hand.kp2d, model, intr, init, **kwargs)
+
+
+def test_achieved_reduction_stops_a_crawling_fit(monkeypatch):
+    # row 9 (Three) crawls below its noise floor: 23 iterations to
+    # "tolerance" with the predicted-reduction test alone
+    run = lift_style_fit(9)
+    res = run()
+    assert res.stop == "stalled" and res.iterations <= 10
+    assert res.iterations == len(res.cost_history) - 1
+    window = res.cost_history[-1 - lifting.FLOOR_WINDOW:]
+    assert window[0] - window[-1] < lifting.FLOOR_FRACTION * window[0]
+    # the test only ends a fit: without it the same steps continue
+    monkeypatch.setattr(lifting, "FLOOR_FRACTION", 0.0)
+    full = run()
+    assert full.iterations > res.iterations
+    assert full.cost_history[:len(res.cost_history)] == res.cost_history
+    assert res.cost_history[-1] - full.cost_history[-1] < 1.0
+
+
+def test_floor_tests_never_fire_above_max_rms_px(monkeypatch):
+    # a 1 px frame cannot fit within 0.5 px: the fit runs on past its floor
+    # and fails exactly as it does with both floor tests off
+    run = lift_style_fit(9, max_rms_px=0.5)
+    with pytest.raises(DivergedFit) as stopped:
+        run()
+    monkeypatch.setattr(lifting, "FLOOR_FRACTION", 0.0)
+    with pytest.raises(DivergedFit) as unstopped:
+        run()
+    assert str(stopped.value) == str(unstopped.value)
 
 
 def test_tolerance_stop_reads_rel_tol(monkeypatch):

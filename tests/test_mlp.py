@@ -509,6 +509,10 @@ def _layers_with(layer, part, value):
     {"schema": "mlp/0"}, {"layers": None}, {"tau": 2.0}, {"feat_std": [0.0] * 12},
     {"layers": _layers_with(0, "w", float("nan"))},
     {"layers": _layers_with(3, "b", float("inf"))},
+    # keys that were ignored: a misspelt tau loaded as tau 0, plain argmax
+    {"Tau": 0.5}, {"comment": "x"},
+    {"layers": [{**L, "v": 0.0} for L in zero_model().to_dict()["layers"]]},
+    {"layers": [{"w": L["w"]} for L in zero_model().to_dict()["layers"]]},
 ])
 def test_model_from_dict_maps_bad_values(change):
     obj = {**zero_model().to_dict(), **change}

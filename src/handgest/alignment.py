@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation, DegenerateScale, ShapeMismatch
-from .skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST
+from .errors import DegenerateRotation, DegenerateScale
+from .skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST, float_array
 
 # Knuckles defining the crop center.
 CENTER_KEYPOINTS = (INDEX_MCP, MIDDLE_MCP, PINKY_MCP)
@@ -39,16 +39,9 @@ class AlignmentFrame:
     scale_px: float         # > 0
 
 
-def _check_kp2d(kp2d: np.ndarray) -> np.ndarray:
-    kp2d = np.asarray(kp2d, dtype=np.float64)
-    if kp2d.shape != (NUM_KEYPOINTS, 2):
-        raise ShapeMismatch(f"expected (21, 2) keypoints, got {kp2d.shape}")
-    return kp2d
-
-
 def rotation_vector(kp2d: np.ndarray) -> np.ndarray:
     """Sum of the middle-MCP->wrist and index-MCP->pinky-MCP vectors."""
-    return _rotation_vector(_check_kp2d(kp2d))
+    return _rotation_vector(float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2)))
 
 
 def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
@@ -60,7 +53,7 @@ def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
     when the rotation vector is shorter than EPS_ROTATION_PX (its two
     components cancelled out), and DegenerateScale below EPS_SCALE_PX.
     """
-    kp2d = _check_kp2d(kp2d)
+    kp2d = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
     center = _center(kp2d)
     return AlignmentFrame(center=center,
                           rotation_rad=_angle(_rotation_vector(kp2d)),

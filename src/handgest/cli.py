@@ -26,6 +26,7 @@ from .errors import (
     MalformedFrame,
     Missing3D,
     NumericalError,
+    ShapeMismatch,
     UnknownLabel,
     ValidationError,
 )
@@ -48,6 +49,8 @@ from .skeleton import (
 
 FEATURES_SCHEMA = "features/1"
 PREDICTION_SCHEMA = "prediction/1"
+# the entries of a features/1 row, in feature_vector order
+_FEATURE_PARTS = (("euler", 3), ("fingers", 5), ("pairs", 4))
 
 
 # -- row parsers: each takes one decoded JSONL row -----------------------------
@@ -58,14 +61,11 @@ def _features_from_row(obj):
     if not is_int(t_us):
         raise MalformedFrame(f"t_us must be an integer, got {brief(t_us)}")
     try:
-        euler = float_array(obj["euler"], "euler")
-        fingers = float_array(obj["fingers"], "fingers")
-        pairs = float_array(obj["pairs"], "pairs")
+        fv = np.concatenate([float_array(obj[key], key, (n,)) for key, n in _FEATURE_PARTS])
+    except ShapeMismatch as exc:
+        raise MalformedFrame("feature row has wrong arity") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFrame(f"feature row needs numeric euler/fingers/pairs: {exc!r}") from exc
-    if euler.shape != (3,) or fingers.shape != (5,) or pairs.shape != (4,):
-        raise MalformedFrame("feature row has wrong arity")
-    fv = np.concatenate((euler, fingers, pairs))
     if not ((FEATURE_MIN <= fv) & (fv <= FEATURE_MAX)).all():  # NaN fails too
         raise MalformedFrame("feature row must be finite and in the ranges features writes: "
                              "yaw, roll [-pi, pi]; pitch [-pi/2, pi/2]; the rest [0, pi]")
@@ -152,8 +152,11 @@ def cmd_synth(args):
     gestures = None
     if args.gestures is not None:
         gestures = [check_gesture(g.strip()) for g in args.gestures.split(",") if g.strip()]
-    frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
-    harness.write_dataset(args.out, frames, labels)
+    # a range or noise past a float's range overflows to inf, which
+    # write_dataset rejects; numpy's warning would be a second stderr line
+    with np.errstate(over="ignore"):
+        frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
+        harness.write_dataset(args.out, frames, labels)
     print(f"wrote {len(frames)} samples to {args.out}", file=sys.stderr)
     return 0
 
@@ -182,7 +185,8 @@ def cmd_train(args):
                      else read_json(args.config, mlp.TrainConfig.from_dict), args.seed)
     examples = [mlp.LabeledExample(fv, label)
                 for fv, label in read_jsonl(args.data, _training_example)]
-    model = mlp.train(examples, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # train raises NumericalError
+        model = mlp.train(examples, cfg)
     mlp.save_model(model, args.out)
     print(f"trained on {len(examples)} examples, "
           f"final train loss {model.history['train_loss'][-1]:.6f}",

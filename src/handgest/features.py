@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePalm, ShapeMismatch, ZeroSegment
+from .errors import DegeneratePalm, ZeroSegment
 from .skeleton import (
     CHAIN_INDICES,
     Finger,
@@ -40,6 +40,7 @@ from .skeleton import (
     PINKY_MCP,
     WRIST,
     check_handedness,
+    float_array,
 )
 
 EPS_PALM_AREA_M2 = 1e-9
@@ -51,13 +52,6 @@ FEATURE_SIZE = 12  # 3 euler + 5 finger + 4 pair
 # closed bounds of each entry
 FEATURE_MIN = np.array([-np.pi, -np.pi / 2.0, -np.pi] + [0.0] * 9)
 FEATURE_MAX = np.array([np.pi, np.pi / 2.0] + [np.pi] * 10)
-
-
-def _check_kp3d(kp3d: np.ndarray) -> np.ndarray:
-    kp3d = np.asarray(kp3d, dtype=np.float64)
-    if kp3d.shape != (NUM_KEYPOINTS, 3):
-        raise ShapeMismatch(f"expected (21, 3) keypoints, got {kp3d.shape}")
-    return kp3d
 
 
 def _wrap_pi(a: float) -> float:
@@ -81,6 +75,20 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
         return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
     return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+
+
+def axis_rotation(axis: int, theta):
+    """Rotation by ``theta`` about coordinate axis 0, 1 or 2 (x, y, z);
+    batched when ``theta`` is an array."""
+    c, s = np.cos(theta), np.sin(theta)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    out = np.zeros(np.shape(theta) + (3, 3))
+    out[..., axis, axis] = 1.0
+    out[..., i, i] = c
+    out[..., j, j] = c
+    out[..., i, j] = -s
+    out[..., j, i] = s
+    return out
 
 
 # wrist first, then the points _palm_frame measures from it
@@ -124,13 +132,7 @@ def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarr
 def rotation_from_euler(euler) -> np.ndarray:
     """Compose R = Rz(yaw) @ Ry(pitch) @ Rx(roll) from (yaw, pitch, roll)."""
     yaw, pitch, roll = euler
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    cp, sp = np.cos(pitch), np.sin(pitch)
-    cr, sr = np.cos(roll), np.sin(roll)
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    return rz @ ry @ rx
+    return axis_rotation(2, yaw) @ axis_rotation(1, pitch) @ axis_rotation(0, roll)
 
 
 def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
@@ -139,10 +141,7 @@ def euler_from_rotation(rotation: np.ndarray) -> tuple[float, float, float]:
     At gimbal lock (|cos pitch| < 1e-7) yaw is pinned to 0 and roll absorbs
     the residual rotation; the reconstruction is still exact.
     """
-    r = np.asarray(rotation, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise ShapeMismatch(f"expected a (3, 3) rotation, got {r.shape}")
-    return _euler(r)
+    return _euler(float_array(rotation, "rotation", (3, 3)))
 
 
 def _euler(r: np.ndarray) -> tuple[float, float, float]:
@@ -206,7 +205,7 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
     motion and uniform scale while the Euler block keeps the extrinsic
     orientation.
     """
-    kp3d = _check_kp3d(kp3d)
+    kp3d = float_array(kp3d, "kp3d", (NUM_KEYPOINTS, 3))
     rotation, wrist, scale = _palm_frame(kp3d, handedness)
     fingers, pairs = _all_angles(_intrinsic(kp3d, rotation, wrist, scale))
     return np.concatenate((_euler(rotation), fingers, pairs))

@@ -26,13 +26,14 @@ from .labels import (
     check_gesture,
     to_class,
 )
+from .features import axis_rotation
 from .lifting import (
+    FLEXION_JOINTS,
     FRONTAL_ROTATION,
     JOINT_BOXES,
     NUM_JOINT_ANGLES,
     PoseParams,
     TZ_BOX,
-    axis_rotation,
     default_hand_model,
     default_intrinsics,
     hand_chain,
@@ -42,6 +43,7 @@ from .lifting import (
 )
 from .skeleton import (
     NUM_KEYPOINTS,
+    Finger,
     HandFrame,
     HandSkeleton,
     brief,
@@ -59,7 +61,7 @@ class GestureTemplate:
     """Joint angles (21, radians), base orientation (hand frame to camera),
     and whether the gesture keeps its meaning under in-plane spin.
 
-    ``coupled`` lists groups of fingers pressed against each other; their
+    ``coupled`` lists groups of Fingers pressed against each other; their
     flexion jitter is drawn once per group since touching fingers move
     together, keeping the pair angle tight the way real contact does.
     """
@@ -71,8 +73,7 @@ class GestureTemplate:
 
 
 def _joints(thumb, index, middle, ring, pinky) -> np.ndarray:
-    return np.array(tuple(thumb) + tuple(index) + tuple(middle)
-                    + tuple(ring) + tuple(pinky), dtype=np.float64)
+    return np.concatenate((thumb, index, middle, ring, pinky))
 
 
 # per finger: (mcp_flex, mcp_abd, pip_flex, dip_flex)
@@ -104,21 +105,14 @@ def _tpl(joints, orientation=None, coupled=()):
     return GestureTemplate(joints, orientation, False, coupled)
 
 
-# flexion joint indices (mcp/cmc, pip, dip) per finger name
-_FLEX_IDX = {
-    "thumb": (0, 2, 3),
-    "index": (5, 7, 8),
-    "middle": (9, 11, 12),
-    "ring": (13, 15, 16),
-    "pinky": (17, 19, 20),
-}
-
+_INDEX_MIDDLE = (Finger.INDEX, Finger.MIDDLE)
+_RING_PINKY = (Finger.RING, Finger.PINKY)
 
 TEMPLATES: dict = {
     "OpenPalm": _tpl(_joints(_THUMB_OPEN, _STRAIGHT, _STRAIGHT, _STRAIGHT, _STRAIGHT)),
     "Victory": _tpl(_joints(_THUMB_FIST, (0.0, 0.20, 0.0, 0.0), (0.0, -0.10, 0.0, 0.0),
                             (0.40, 0.0, 1.60, 0.95), (0.40, 0.0, 1.60, 0.95)),
-                    coupled=(("ring", "pinky"),)),
+                    coupled=(_RING_PINKY,)),
     "ClosedFist": _tpl(_joints(_THUMB_FIST, _BENT, _BENT, _BENT, _BENT)),
     "PointingUp": _tpl(_joints(_THUMB_FIST, _STRAIGHT, _BENT, _BENT, _BENT), _R0),
     "ThumbUp": _tpl(_joints(_THUMB_OPEN, _BENT, _BENT, _BENT, _BENT),
@@ -130,7 +124,7 @@ TEMPLATES: dict = {
     "CallMe": _tpl(_joints((0.0, 0.35, 0.0, 0.0, 0.0), _BENT, _BENT, _BENT, _STRAIGHT)),
     "IndexMiddlePointingUp": _tpl(
         _joints(_THUMB_HALF, _INDEX_PAIRED, _MIDDLE_PAIRED, _BENT, _BENT), _R0,
-        coupled=(("index", "middle"),)),
+        coupled=(_INDEX_MIDDLE,)),
     "Three": _tpl(_joints(_THUMB_FIST, _STRAIGHT, _STRAIGHT, _STRAIGHT, _BENT)),
     "Four": _tpl(_joints(_THUMB_FIST, _STRAIGHT, _STRAIGHT, _STRAIGHT, _STRAIGHT)),
     "ILoveYou": _tpl(_joints(_THUMB_OPEN, _STRAIGHT, _BENT, _BENT, _STRAIGHT)),
@@ -142,10 +136,10 @@ TEMPLATES: dict = {
                               _HALF, _HALF, _HALF, _HALF)),
     "IndexMiddlePointingUpWithClosedThumb": _tpl(
         _joints(_THUMB_FIST, _INDEX_PAIRED, _MIDDLE_PAIRED, _BENT, _BENT), _R0,
-        coupled=(("index", "middle"),)),
+        coupled=(_INDEX_MIDDLE,)),
     "IndexMiddlePointingUpWithOpenThumb": _tpl(
         _joints((0.0, 0.35, 0.0, 0.0, 0.0), _INDEX_PAIRED, _MIDDLE_PAIRED,
-                _BENT, _BENT), _R0, coupled=(("index", "middle"),)),
+                _BENT, _BENT), _R0, coupled=(_INDEX_MIDDLE,)),
     "IndexPointingToCamera": _tpl(
         _joints(_THUMB_FIST, _STRAIGHT, _BENT, _BENT, _BENT), _TO_CAMERA),
     "Loser": _tpl(_joints((0.0, 0.40, 0.0, 0.0, 0.0), _STRAIGHT, _BENT, _BENT, _BENT),
@@ -155,7 +149,7 @@ TEMPLATES: dict = {
                                    (0.60, 0.10, 0.30, 0.20), (0.60, 0.20, 0.30, 0.20))),
     "VulcanSalute": _tpl(_joints(_THUMB_OPEN, _INDEX_PAIRED, _MIDDLE_PAIRED,
                                  (0.0, -0.28, 0.0, 0.0), _STRAIGHT),
-                         coupled=(("index", "middle"), ("ring", "pinky"))),
+                         coupled=(_INDEX_MIDDLE, _RING_PINKY)),
     "SignOfTheHorns": _tpl(_joints((0.45, -0.20, 0.80, 0.70, 0.45),
                                    _STRAIGHT, _BENT, _BENT, _STRAIGHT)),
 }
@@ -194,6 +188,9 @@ class SynthConfig:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise ValidationError(f"{name} must be finite [low, high] with "
                                       f"low <= high, got {brief(getattr(self, name))}")
+            if not math.isfinite(float(hi) - float(lo)):
+                raise ValidationError(f"{name} must have a finite high - low, "
+                                      f"got {brief(getattr(self, name))}")
         if not TZ_BOX[0] <= self.tz_range[0] <= self.tz_range[1] <= TZ_BOX[1]:
             raise ValidationError(
                 f"tz_range must lie within {TZ_BOX} m, got {brief(self.tz_range)}")
@@ -209,16 +206,14 @@ class SynthConfig:
 
 # abductions and the thumb roll get half the flexion jitter: their
 # anatomical boxes span roughly half the range
-_JITTER_SCALE = np.array([1.0, 0.5, 1.0, 1.0, 0.5] + [1.0, 0.5, 1.0, 1.0] * 4)
+_JITTER_SCALE = np.where(np.isin(np.arange(NUM_JOINT_ANGLES), FLEXION_JOINTS), 1.0, 0.5)
 
 
 def _jittered_joints(tpl: GestureTemplate, rng: np.random.Generator,
                      cfg: "SynthConfig") -> np.ndarray:
     noise = rng.standard_normal(NUM_JOINT_ANGLES)
-    for group in tpl.coupled:
-        lead = _FLEX_IDX[group[0]]
-        for other in group[1:]:
-            noise[list(_FLEX_IDX[other])] = noise[list(lead)]
+    for lead, *others in tpl.coupled:
+        noise[FLEXION_JOINTS[others]] = noise[FLEXION_JOINTS[lead]]
     joints = tpl.joints + noise * cfg.jitter_std_rad * _JITTER_SCALE
     return np.clip(joints, JOINT_BOXES[:, 0], JOINT_BOXES[:, 1])
 
@@ -376,9 +371,12 @@ def _stored(frame: HandFrame) -> HandFrame:
     hand = frame.hand
     if hand is None:
         return frame
+    kp2d = np.round(hand.kp2d, KP2D_DECIMALS)
     kp3d = None if hand.kp3d is None else np.round(hand.kp3d, KP3D_DECIMALS)
-    return replace(frame, hand=replace(hand, kp2d=np.round(hand.kp2d, KP2D_DECIMALS),
-                                       kp3d=kp3d))
+    if not (np.isfinite(kp2d).all() and (kp3d is None or np.isfinite(kp3d).all())):
+        raise ValidationError(f"the frame at t_us {frame.t_us} has keypoints beyond a "
+                              f"float's range; lower x_range, y_range, noise_px or noise_m")
+    return replace(frame, hand=replace(hand, kp2d=kp2d, kp3d=kp3d))
 
 
 def write_dataset(path, frames, labels) -> None:
@@ -386,12 +384,14 @@ def write_dataset(path, frames, labels) -> None:
     precision: kp2d to 1e-3 px, kp3d to 1e-6 m (1 um), far below the
     synthetic noise.  Rounding is idempotent, so reading a dataset and
     writing it again gives the same bytes.  Only dataset files are rounded:
-    lift, features, classify and stream still write full precision."""
+    lift, features, classify and stream still write full precision.  A
+    keypoint that is not finite once rounded raises ValidationError before
+    anything is written."""
     if len(frames) != len(labels):
         raise LengthMismatch(f"{len(frames)} frames vs {len(labels)} labels")
-    write_jsonl(path, ({"schema": DATASET_SCHEMA, "label": label,
-                        **frame_to_dict(_stored(frame))}
-                       for frame, label in zip(frames, labels)))
+    stored = [_stored(frame) for frame in frames]
+    write_jsonl(path, ({"schema": DATASET_SCHEMA, "label": label, **frame_to_dict(frame)}
+                       for frame, label in zip(stored, labels)))
 
 
 # -- metrics -----------------------------------------------------------------

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import MalformedConfig, UnknownReference, ValidationError
+from .features import FEATURE_SIZE
 from .labels import NEGATIVE_LABEL
 from .skeleton import Finger, brief, float_array, is_int, is_number
 
@@ -43,13 +44,9 @@ PAIR_STATES = ("Crossed", "Neither", "Apart")
 
 
 def _per(value, n: int, what: str) -> np.ndarray:
-    """Broadcast a scalar threshold or validate a per-entry list."""
-    arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if arr.shape == (1,):
-        arr = np.full(n, arr[0])
-    if arr.shape != (n,):
-        raise ValidationError(f"{what} must be a scalar or length-{n} list")
-    return arr
+    """Broadcast a scalar or one-entry threshold, or check a per-entry list."""
+    arr = float_array(value, what)
+    return float_array(np.full(n, arr) if arr.shape in ((), (1,)) else arr, what, (n,))
 
 
 @dataclass(frozen=True)
@@ -225,6 +222,7 @@ class GestureConfig:
 
 def classify_heuristic(fv: np.ndarray, config: GestureConfig) -> str:
     """Best-priority matching gesture name, or Negative when none match."""
+    fv = float_array(fv, "features", (FEATURE_SIZE,))
     state = state_vector(fv, config.thresholds).tolist()
     for definition in config.definitions:  # already sorted by priority
         if definition.expr.evaluate(state):

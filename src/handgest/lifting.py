@@ -25,13 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BehindCamera,
-    DivergedFit,
-    MalformedConfig,
-    MalformedFrame,
-    ShapeMismatch,
-)
+from .errors import BehindCamera, DivergedFit, MalformedConfig, MalformedFrame, ShapeMismatch
 from .skeleton import (
     Finger,
     MIDDLE_MCP,
@@ -42,7 +36,7 @@ from .skeleton import (
     reject_unknown_keys,
 )
 from .alignment import CENTER_KEYPOINTS, compute_alignment
-from .features import cross
+from .features import axis_rotation, cross
 
 HAND_MODEL_SCHEMA = "hand_model/1"
 NUM_JOINT_ANGLES = 21
@@ -84,21 +78,6 @@ DAMPING_FACTORS = np.array([1e-3, 0.1, 10.0, 1e3])
 
 # -- small rotation helpers ------------------------------------------------
 
-def axis_rotation(axis: int, theta):
-    """Rotation by ``theta`` about coordinate axis 0, 1 or 2 (x, y, z);
-    batched when ``theta`` is an array."""
-    t = np.asarray(theta, dtype=np.float64)
-    c, s = np.cos(t), np.sin(t)
-    i, j = (axis + 1) % 3, (axis + 2) % 3
-    out = np.zeros(t.shape + (3, 3))
-    out[..., axis, axis] = 1.0
-    out[..., i, i] = c
-    out[..., j, j] = c
-    out[..., i, j] = -s
-    out[..., j, i] = s
-    return out
-
-
 # flat (3, 3) positions of [w]x and the rotation-vector entries they hold
 _SKEW_AT = np.array([1, 2, 3, 5, 6, 7])
 _SKEW_OF = np.array([2, 1, 2, 0, 1, 0])
@@ -108,7 +87,7 @@ _EYE3 = np.eye(3)
 
 def rotmat_from_rotvec(rv):
     """Exponential map, batched over leading axes.  Safe at theta = 0."""
-    rv = np.asarray(rv, dtype=np.float64)
+    rv = float_array(rv, "rotvec")
     theta = np.sqrt((rv * rv).sum(-1))
     k = np.zeros(rv.shape[:-1] + (9,))
     k[..., _SKEW_AT] = rv[..., _SKEW_OF] * _SKEW_SIGN
@@ -127,9 +106,7 @@ def rotmat_from_rotvec(rv):
 
 def rotvec_from_rotmat(r):
     """Log map for one 3x3 rotation, via quaternion for stability near pi."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
-        raise ShapeMismatch(f"expected a (3, 3) rotation, got {r.shape}")
+    r = float_array(r, "rotation", (3, 3))
     # Shepperd's method: pivot on the largest of trace and diagonal entries
     tr = float(np.trace(r))
     case = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
@@ -186,9 +163,9 @@ def default_intrinsics(width: int, height: int) -> CameraIntrinsics:
 
 def project(points, intrinsics: CameraIntrinsics):
     """Perspective-project camera-frame points (..., 3) to pixels (..., 2)."""
-    p = np.asarray(points, dtype=np.float64)
-    if p.shape[-1] != 3:
-        raise ShapeMismatch(f"expected (..., 3) points, got {p.shape}")
+    p = float_array(points, "points")
+    if p.shape[-1:] != (3,):
+        raise ShapeMismatch(f"points must have shape (..., 3), got {p.shape}")
     z = p[..., 2]
     if not np.all(np.isfinite(p)) or np.any(z <= 0.0):
         raise BehindCamera("points at or behind the camera plane cannot be projected")
@@ -213,10 +190,8 @@ class HandModel:
     __slots__ = ("directions", "lengths", "base_frames", "_rest")
 
     def __init__(self, directions, lengths):
-        d = np.asarray(directions, dtype=np.float64)
-        l = np.asarray(lengths, dtype=np.float64)
-        if d.shape != (5, 3) or l.shape != (5, 4):
-            raise ShapeMismatch(f"bad model arrays: directions {d.shape}, lengths {l.shape}")
+        d = float_array(directions, "directions", (5, 3))
+        l = float_array(lengths, "lengths", (5, 4))
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms < 1e-9):
             raise MalformedConfig("zero-length finger direction in hand model")
@@ -257,9 +232,9 @@ class HandModel:
             entry = fingers[name]
             try:
                 reject_unknown_keys(entry, ("direction", "lengths"), f"hand model {name!r}")
-                directions[f] = float_array(entry["direction"], "direction")
-                lengths[f] = float_array(entry["lengths"], "lengths")
-            except (KeyError, TypeError, ValueError) as exc:
+                directions[f] = float_array(entry["direction"], "direction", (3,))
+                lengths[f] = float_array(entry["lengths"], "lengths", (4,))
+            except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
                 raise MalformedConfig(f"bad hand model entry for {name!r}: {exc}") from exc
         return cls(directions, lengths)
 
@@ -286,23 +261,16 @@ class PoseParams:
     joints: np.ndarray
 
     def __post_init__(self):
-        self.rotvec = np.asarray(self.rotvec, dtype=np.float64)
-        self.translation = np.asarray(self.translation, dtype=np.float64)
-        self.joints = np.asarray(self.joints, dtype=np.float64)
-        if self.rotvec.shape != (3,) or self.translation.shape != (3,):
-            raise ShapeMismatch("rotvec and translation must both be (3,)")
-        if self.joints.shape != (NUM_JOINT_ANGLES,):
-            raise ShapeMismatch(
-                f"expected {NUM_JOINT_ANGLES} joint angles, got {self.joints.shape}")
+        self.rotvec = float_array(self.rotvec, "rotvec", (3,))
+        self.translation = float_array(self.translation, "translation", (3,))
+        self.joints = float_array(self.joints, "joints", (NUM_JOINT_ANGLES,))
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.rotvec, self.translation, self.joints])
 
     @classmethod
     def from_vector(cls, vec) -> "PoseParams":
-        v = np.asarray(vec, dtype=np.float64)
-        if v.shape != (NUM_POSE_PARAMS,):
-            raise ShapeMismatch(f"expected ({NUM_POSE_PARAMS},) vector, got {v.shape}")
+        v = float_array(vec, "pose vector", (NUM_POSE_PARAMS,))
         return cls(rotvec=v[0:3].copy(), translation=v[3:6].copy(), joints=v[6:].copy())
 
     @classmethod
@@ -319,6 +287,8 @@ class PoseParams:
 # missing roll of the four fingers.
 _SLOT_JOINT = np.array([[4, 1, 0, 2, 3]]
                        + [[NUM_JOINT_ANGLES, b + 1, b, b + 2, b + 3] for b in (5, 9, 13, 17)])
+# the three flexion joints of each finger, base to tip, thumb first
+FLEXION_JOINTS = _SLOT_JOINT[:, 2:]
 _SLOT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
 _SLOT_AXIS = np.array([1, 2, 0, 0, 0])
 # the finger point (0 = its base on the palm) each slot turns the rest about
@@ -381,9 +351,7 @@ def forward_kinematics(model: HandModel, params: PoseParams) -> np.ndarray:
 
 def normalize_world(kp3d) -> np.ndarray:
     """Shift 3D keypoints so the middle-finger base sits at the origin."""
-    p = np.asarray(kp3d, dtype=np.float64)
-    if p.shape != (NUM_KEYPOINTS, 3):
-        raise ShapeMismatch(f"expected ({NUM_KEYPOINTS}, 3), got {p.shape}")
+    p = float_array(kp3d, "kp3d", (NUM_KEYPOINTS, 3))
     return p - p[MIDDLE_MCP]
 
 
@@ -527,9 +495,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     final reprojection error exceeds ``max_rms_px`` and BehindCamera when
     the initial pose does not project.
     """
-    obs = np.asarray(kp2d, dtype=np.float64)
-    if obs.shape != (NUM_KEYPOINTS, 2):
-        raise ShapeMismatch(f"expected ({NUM_KEYPOINTS}, 2) pixels, got {obs.shape}")
+    obs = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
     if not np.all(np.isfinite(obs)):
         raise MalformedFrame("non-finite pixel coordinates")
 
@@ -637,9 +603,7 @@ def neutral_joints() -> np.ndarray:
     multi-hypothesis initialization is deliberately out of scope.
     """
     joints = np.zeros(NUM_JOINT_ANGLES)
-    joints[[0, 2, 3]] = (0.30, 0.40, 0.30)
-    for base in (5, 9, 13, 17):
-        joints[[base, base + 2, base + 3]] = (0.35, 0.35, 0.20)
+    joints[FLEXION_JOINTS] = [(0.30, 0.40, 0.30)] + [(0.35, 0.35, 0.20)] * 4
     return joints
 
 
@@ -659,7 +623,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
                                 intrinsics: CameraIntrinsics) -> PoseParams:
     """Rough pose seed: frontal orientation spun to match the 2D roll angle,
     depth from the palm's apparent size, neutral half-bent joints."""
-    align = compute_alignment(np.asarray(kp2d, dtype=np.float64))
+    align = compute_alignment(kp2d)
     theta0, rest_size_m, rest_local = _rest_alignment(model)
     r_init = axis_rotation(2, align.rotation_rad - theta0) @ FRONTAL_ROTATION
     tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px,
@@ -681,10 +645,10 @@ def lift_keypoints(kp2d, handedness: str, model: HandModel,
     hand is fitted in the mirror image, u -> 2 cx - u, and its points are
     mirrored back, x -> -x.  Raises what the seed and the fit raise."""
     check_handedness(handedness)
-    kp2d = np.array(kp2d, dtype=np.float64)
+    kp2d = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
     left = handedness == "Left"
     if left:
-        kp2d[..., 0] = 2.0 * intrinsics.cx - kp2d[..., 0]
+        kp2d = np.column_stack((2.0 * intrinsics.cx - kp2d[:, 0], kp2d[:, 1]))
     init = initial_pose_from_alignment(kp2d, model, intrinsics)
     kp3d = fit_pose(kp2d, model, intrinsics, init).points
     return kp3d * (-1.0, 1.0, 1.0) if left else kp3d

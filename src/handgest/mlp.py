@@ -17,6 +17,7 @@ from .errors import (
     EmptyDataset,
     EmptyNegatives,
     MalformedConfig,
+    NumericalError,
     ShapeMismatch,
     SingleClassDataset,
     UnknownLabel,
@@ -55,24 +56,19 @@ class MlpModel:
     __slots__ = ("weights", "biases", "feat_mean", "feat_std", "tau", "history")
 
     def __init__(self, weights, biases, feat_mean, feat_std, tau=0.0, history=None):
-        weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        if len(weights) != len(LAYER_SIZES) - 1 or len(biases) != len(weights):
-            raise ShapeMismatch(f"expected {len(LAYER_SIZES) - 1} layers, "
+        shapes = list(zip(LAYER_SIZES[1:], LAYER_SIZES))  # (fan_out, fan_in)
+        weights, biases = list(weights), list(biases)
+        if len(weights) != len(shapes) or len(biases) != len(shapes):
+            raise ShapeMismatch(f"expected {len(shapes)} layers, "
                                 f"got {len(weights)} weights / {len(biases)} biases")
-        for k, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES, LAYER_SIZES[1:])):
-            if weights[k].shape != (fan_out, fan_in):
-                raise ShapeMismatch(f"layer {k} weights: expected {(fan_out, fan_in)}, "
-                                    f"got {weights[k].shape}")
-            if biases[k].shape != (fan_out,):
-                raise ShapeMismatch(f"layer {k} bias: expected ({fan_out},), "
-                                    f"got {biases[k].shape}")
+        weights = [float_array(w, f"layer {k} weights", shape)
+                   for k, (w, shape) in enumerate(zip(weights, shapes))]
+        biases = [float_array(b, f"layer {k} bias", shape[:1])
+                  for k, (b, shape) in enumerate(zip(biases, shapes))]
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise MalformedConfig("non-finite weights or biases")
-        feat_mean = np.asarray(feat_mean, dtype=np.float64)
-        feat_std = np.asarray(feat_std, dtype=np.float64)
-        if feat_mean.shape != (FEATURE_SIZE,) or feat_std.shape != (FEATURE_SIZE,):
-            raise ShapeMismatch("feat_mean/feat_std must have 12 entries")
+        feat_mean = float_array(feat_mean, "feat_mean", (FEATURE_SIZE,))
+        feat_std = float_array(feat_std, "feat_std", (FEATURE_SIZE,))
         if not np.all(np.isfinite(feat_mean)) or not np.all(np.isfinite(feat_std)):
             raise MalformedConfig("non-finite standardization stats")
         if np.any(feat_std <= 0.0):
@@ -116,10 +112,8 @@ class MlpModel:
         try:
             for L in layers:
                 reject_unknown_keys(L, ("w", "b"), "model layer")
-            return cls([float_array(L["w"], "w") for L in layers],
-                       [float_array(L["b"], "b") for L in layers],
-                       float_array(obj["feat_mean"], "feat_mean"),
-                       float_array(obj["feat_std"], "feat_std"), tau)
+            return cls([L["w"] for L in layers], [L["b"] for L in layers],
+                       obj["feat_mean"], obj["feat_std"], tau)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedConfig(f"bad model: {exc!r}") from exc
 
@@ -145,14 +139,12 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.ndim == 0:
-            alpha = np.full(len(CLASSES), float(alpha))
-        if alpha.shape != (len(CLASSES),):
-            raise ShapeMismatch(f"alpha must have {len(CLASSES)} entries")
+        alpha = float_array(self.alpha, "alpha")
+        alpha = float_array(np.full(len(CLASSES), alpha) if alpha.ndim == 0 else alpha,
+                            "alpha", (len(CLASSES),))
         if np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
             raise ValidationError("alpha entries must be positive and finite")
-        object.__setattr__(self, "alpha", tuple(float(a) for a in alpha))
+        object.__setattr__(self, "alpha", tuple(alpha.tolist()))
         if not 0.0 <= self.gamma < np.inf:
             raise ValidationError(f"gamma must be finite and >= 0, got {brief(self.gamma)}")
         if self.batch_size < 1:
@@ -184,18 +176,11 @@ class LabeledExample:
             raise UnknownLabel(f"label {brief(self.label)} not in {CLASSES}")
 
 
-def _features_array(features) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.shape != (FEATURE_SIZE,):
-        raise ShapeMismatch(f"expected {FEATURE_SIZE} features, got {arr.shape}")
-    return arr
-
-
 # -- inference ----------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = float_array(logits, "logits")
     z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
@@ -222,7 +207,7 @@ def _forward_batch(model: MlpModel, x: np.ndarray):
 
 def forward(model: MlpModel, features) -> np.ndarray:
     """Class probabilities for one feature vector, CLASSES order."""
-    x = _features_array(features)
+    x = float_array(features, "features", (FEATURE_SIZE,))
     std = (x - model.feat_mean) / model.feat_std
     probs, _, _ = _forward_batch(model, std[None])
     return probs[0]
@@ -250,9 +235,7 @@ def _label_index(label) -> int:
 def focal_loss(probs, label, gamma: float = 2.0, alpha=1.0) -> float:
     """-alpha_t (1 - p_t)^gamma ln(p_t), with p_t clamped to [1e-12, 1];
     gamma and alpha are checked as TrainConfig checks them."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.shape != (len(CLASSES),):
-        raise ShapeMismatch(f"expected {len(CLASSES)} probabilities, got {p.shape}")
+    p = float_array(probs, "probs", (len(CLASSES),))
     cfg = TrainConfig(gamma=gamma, alpha=alpha)
     target = np.array([_label_index(label)])
     return float(_focal_batch(p[None], target, cfg.gamma, np.asarray(cfg.alpha))[0])
@@ -300,7 +283,7 @@ def _backward_batch(model: MlpModel, probs, acts, pres, targets: np.ndarray,
 def _dataset_arrays(dataset):
     if len(dataset) == 0:
         raise EmptyDataset("training dataset is empty")
-    x = np.stack([_features_array(ex.features) for ex in dataset])
+    x = np.stack([float_array(ex.features, "features", (FEATURE_SIZE,)) for ex in dataset])
     y = np.array([_label_index(ex.label) for ex in dataset], dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training requires at least two distinct labels")
@@ -313,7 +296,9 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
     Weight initialization is He-uniform seeded by config.seed, so two runs
     with the same seed and data produce identical weights. Standardization
     stats come from the training split (a val_fraction slice is held out
-    for the validation loss curve).
+    for the validation loss curve). Raises NumericalError at the end of the
+    first epoch whose loss or weights are not finite, so no model that its
+    own loader rejects comes out.
     """
     config = config or TrainConfig()
     x_all, y_all = _dataset_arrays(dataset)
@@ -370,6 +355,9 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
             v += (1.0 - _ADAM_BETA2) * g * g
             params -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
         train_hist.append(epoch_loss / len(order))
+        if not (np.isfinite(epoch_loss) and np.isfinite(params).all()):
+            raise NumericalError(f"training diverged in epoch {len(train_hist)}: the loss "
+                                 f"or the weights are no longer finite; lower learning_rate")
         if n_val:
             vp, _, _ = _forward_batch(model, x_std[val_idx])
             val_hist.append(float(np.mean(
@@ -395,7 +383,7 @@ def gradient_check(model: MlpModel, example: LabeledExample,
     the layers above, so the model is never copied or written to, and the
     numeric side never calls the backward pass it checks.
     """
-    x = _features_array(example.features)
+    x = float_array(example.features, "features", (FEATURE_SIZE,))
     x_std = ((x - model.feat_mean) / model.feat_std)[None]
     target = np.array([_label_index(example.label)])
     a_vec = np.asarray(TrainConfig(gamma=gamma, alpha=alpha).alpha)

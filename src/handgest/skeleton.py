@@ -34,6 +34,12 @@ exits 2 with one line instead of a traceback. The readers return
 ``PATH:LINE: ``, so its exit code stays and only this module writes a file
 location. decode_config builds the flat config dataclasses from JSON with
 type checks, raising MalformedConfig.
+
+float_array is the one conversion of an array argument, whether a decoded
+JSON list or a caller's array: every module takes its arrays through it, so
+numbers given as strings or bools raise TypeError everywhere instead of
+being parsed or cast, and a wrong shape raises ShapeMismatch with one
+message. A float64 ndarray passes through with only its shape checked.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .errors import HandgestError, MalformedConfig, MalformedFrame, ValidationError
+from .errors import (HandgestError, MalformedConfig, MalformedFrame, ShapeMismatch,
+                     ValidationError)
 
 NUM_KEYPOINTS = 21
 
@@ -104,9 +111,10 @@ class HandSkeleton:
     kp3d: np.ndarray | None     # (21, 3) float64, meters, camera frame
 
     def __post_init__(self):
-        self.kp2d = np.asarray(self.kp2d, dtype=np.float64)
+        # the shapes are validate_frame's to check, raising MalformedFrame
+        self.kp2d = float_array(self.kp2d, "kp2d")
         if self.kp3d is not None:
-            self.kp3d = np.asarray(self.kp3d, dtype=np.float64)
+            self.kp3d = float_array(self.kp3d, "kp3d")
 
 
 @dataclass
@@ -357,24 +365,38 @@ def open_output(path) -> Iterator[TextIO]:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def float_array(value, what: str) -> np.ndarray:
-    """A decoded JSON array of numbers as float64.
+_FLOAT64 = np.dtype(np.float64)
+_BOOLS = frozenset((bool, np.bool_))
 
-    One conversion and a dtype-kind check: a string or null anywhere, or
-    bools throughout, leave a dtype that is not int or float, which raises
-    TypeError instead of being parsed or cast. numpy promotes a bool mixed
-    with numbers to a number, so the entries' types are also checked for
-    bool, in one set over the flattened list rather than a Python loop.
+
+def float_array(value, what: str, shape=None) -> np.ndarray:
+    """``value`` as a float64 array, of shape ``shape`` when one is given.
+
+    A float64 ndarray is returned as it is, so the per-frame callers pay for
+    the shape test only. Anything else is converted once and its dtype kind
+    checked: a string or null anywhere, or bools throughout, leave a dtype
+    that is not int or float, which raises TypeError instead of being parsed
+    or cast. numpy promotes a bool mixed with numbers in a list to a number,
+    so a list's entries are also checked for bool, in one set over the
+    flattened list rather than a Python loop. Any other shape than
+    ``shape`` raises ShapeMismatch.
     """
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{what} must hold numbers, got dtype {arr.dtype}")
-    entries = value
-    for _ in range(arr.ndim - 1):
-        entries = chain.from_iterable(entries)
-    if arr.ndim and bool in set(map(type, entries)):
-        raise TypeError(f"{what} must hold numbers, got a bool among them")
-    return arr.astype(np.float64, copy=False)
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        arr = value
+    else:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise TypeError(f"{what} must hold numbers, got dtype {arr.dtype}")
+        if arr.ndim and not isinstance(value, np.ndarray):
+            entries = value
+            for _ in range(arr.ndim - 1):
+                entries = chain.from_iterable(entries)
+            if not _BOOLS.isdisjoint(map(type, entries)):
+                raise TypeError(f"{what} must hold numbers, got a bool among them")
+        arr = np.asarray(arr, dtype=np.float64)
+    if shape is not None and arr.shape != shape:
+        raise ShapeMismatch(f"{what} must have shape {shape}, got {arr.shape}")
+    return arr
 
 
 def is_int(value) -> bool:

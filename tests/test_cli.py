@@ -518,6 +518,10 @@ BAD_INPUTS = {
                                      {"tz_range": [-1, -0.5]}, "tz_range must lie within"),
     "synth-tz-range-at-camera": ("synth --out {out} --config {bad}", {"tz_range": [0, 0]},
                                  "tz_range must lie within (0.05, 3.0) m, got (0, 0)"),
+    # a range wider than a float, which raised OverflowError from numpy
+    "synth-x-range-overflow": ("synth --out {out} --config {bad}",
+                               {"x_range": [-1e308, 1e308]},
+                               "x_range must have a finite high - low, got (-1e+308, 1e+308)"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
                                           {**_MODEL_HEAD, "layers": [1]}, "bad model"),
@@ -995,6 +999,41 @@ def test_row_errors_name_path_and_line(good_files, tmp_path, capsys, cmd, third,
     err = capsys.readouterr().err
     assert err.startswith("error: " if code == 2 else "numerical error: ")
     assert err.count("\n") == 1 and f"{bad}:3: " in err, err
+
+
+def _cli_process(*argv):
+    """The command line run in its own process, so numpy's warnings reach
+    its stderr rather than pytest's warning capture."""
+    return subprocess.run([sys.executable, "-m", "handgest.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("config", [
+    {"x_range": [-1e308, 1e308]}, {"y_range": [-1e308, 1e308]},
+    {"noise_px": 1e308}, {"noise_m": 1e308}, {"noise_px": 1e306},
+    {"x_range": [1e305, 1e305]},
+], ids=["x-range", "y-range", "noise-px", "noise-m", "noise-px-rounds-to-inf", "x-far-off"])
+def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
+    # these exited 1 with an OverflowError, or 0 with rows of Infinity that
+    # features then rejected
+    cfg, out = tmp_path / "synth.json", tmp_path / "data.jsonl"
+    cfg.write_text(json.dumps(config))
+    proc = _cli_process("synth", "--config", cfg, "--out", out, "--per-gesture", 2)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
+def test_train_that_diverges_exits_3_and_writes_no_model(corpus, tmp_path):
+    # this exited 0, printed "final train loss nan" and wrote a model of NaN
+    # weights that classify --model then rejected
+    cfg, out = tmp_path / "train.json", tmp_path / "model.json"
+    cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 3}))
+    proc = _cli_process("train", "--data", corpus, "--config", cfg, "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical error: training diverged in epoch ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alpha", [2.0, [1, 1, 1, 1, 1, 1, 0.5]])

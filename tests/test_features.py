@@ -112,6 +112,31 @@ def test_euler_quarter_yaw():
     np.testing.assert_allclose(rotation_from_euler(e), rz, atol=1e-12)
 
 
+def reference_rotation_from_euler(euler):
+    """rotation_from_euler as written before it composed axis_rotation: it
+    must stay bitwise equal to this."""
+    yaw, pitch, roll = euler
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    cp, sp = np.cos(pitch), np.sin(pitch)
+    cr, sr = np.cos(roll), np.sin(roll)
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    return rz @ ry @ rx
+
+
+def test_rotation_from_euler_is_bitwise_the_reference():
+    rng = np.random.default_rng(29)
+    triples = rng.uniform((-np.pi, -np.pi / 2.0, -np.pi), (np.pi, np.pi / 2.0, np.pi),
+                          (1000, 3))
+    triples[::10, 1] = np.pi / 2.0  # gimbal lock, both ways
+    triples[5::10, 1] = -np.pi / 2.0
+    triples[1] = (0.0, -0.0, np.pi)
+    for euler in triples.tolist():
+        got, want = rotation_from_euler(euler), reference_rotation_from_euler(euler)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), euler
+
+
 def test_euler_gimbal_lock_reconstructs():
     r = rotation_from_euler((0.7, np.pi / 2.0, -0.3))
     e = euler_from_rotation(r)

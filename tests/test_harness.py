@@ -6,6 +6,7 @@ import pytest
 from handgest.errors import EmptyInput, LengthMismatch, UnknownLabel, ValidationError
 from handgest.features import feature_vector
 from handgest.harness import (
+    _JITTER_SCALE,
     _TO_CAMERA,
     FRAME_STEP_US,
     TEMPLATES,
@@ -382,3 +383,8 @@ def test_synth_config_rejects_bad_handedness_and_score(change):
     # frames made with these would fail validate_frame when read back
     with pytest.raises(ValidationError):
         SynthConfig(**change)
+
+
+def test_jitter_scale_halves_the_abductions_and_the_thumb_roll():
+    # the scales as once typed out, in lifting's joint order
+    assert _JITTER_SCALE.tolist() == [1.0, 0.5, 1.0, 1.0, 0.5] + [1.0, 0.5, 1.0, 1.0] * 4

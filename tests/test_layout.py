@@ -48,6 +48,16 @@ def _names_handedness_values(node):
             or (isinstance(node, ast.alias) and node.name == "HANDEDNESS_VALUES"))
 
 
+def _converts_to_float64(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("asarray", "array")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")):
+        return False
+    dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+    return any(ast.unparse(d) in ("np.float64", "numpy.float64", "np.double", "float",
+                                  "'float64'", "'float'", "'f8'") for d in dtypes)
+
+
 def _lists_center_knuckles(node):
     if not isinstance(node, (ast.List, ast.Tuple)) or len(node.elts) != 3:
         return False
@@ -71,6 +81,8 @@ def test_layout_sees_the_package():
     (_uses_np_cross, []),
     # alignment.CENTER_KEYPOINTS is the one crop centre
     (_lists_center_knuckles, ["alignment.py"]),
-], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles"])
+    # skeleton.float_array is the one conversion of an array argument
+    (_converts_to_float64, ["skeleton.py"]),
+], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles", "float64-array"])
 def test_rule_lives_only_in_its_home(predicate, home):
     assert _modules_with(predicate) == home

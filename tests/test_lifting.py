@@ -14,6 +14,7 @@ from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
 from handgest.labels import ALL_GESTURES
 from handgest import lifting
 from handgest.lifting import (
+    FLEXION_JOINTS,
     FRONTAL_ROTATION,
     BOX_WEIGHT_JOINT,
     BOX_WEIGHT_TZ,
@@ -301,6 +302,14 @@ def test_hand_model_json_round_trip():
 def test_hand_model_from_dict_raises_malformed_config(change):
     with pytest.raises(MalformedConfig):
         HandModel.from_dict({**json.loads(PACKAGED_MODEL.read_text()), **change})
+
+
+def test_hand_model_from_dict_names_an_entry_of_the_wrong_length():
+    # numpy's broadcast error was the message
+    fingers = {**_FINGERS, "thumb": {**_FINGERS["thumb"], "direction": [1.0, 0.0]}}
+    with pytest.raises(MalformedConfig, match=r"^bad hand model entry for 'thumb': "
+                       r"direction must have shape \(3,\), got \(2,\)$"):
+        HandModel.from_dict({"fingers": fingers})
 
 
 def test_hand_model_from_dict_takes_a_document_without_schema_or_comment():
@@ -868,3 +877,12 @@ def test_jacobian_penalty_rows_and_thumb_roll_column():
     roll = analytic_jacobian(model, intr, obs, thumb_roll_pose())[:42, 6 + 4]
     moved = np.flatnonzero(np.abs(roll.reshape(21, 2)).max(axis=1) > 0.0)
     np.testing.assert_array_equal(moved, [2, 3, 4])
+
+
+def test_joint_layout_comes_from_the_slot_table():
+    # the indices once typed out in neutral_joints and harness, in the module
+    # docstring's joint order
+    assert FLEXION_JOINTS.tolist() == [[0, 2, 3], [5, 7, 8], [9, 11, 12], [13, 15, 16],
+                                       [17, 19, 20]]
+    assert neutral_joints().tolist() == ([0.30, 0.0, 0.40, 0.30, 0.0]
+                                         + [0.35, 0.0, 0.35, 0.20] * 4)

@@ -8,10 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from handgest import alignment, features, heuristic, lifting, mlp
 from handgest.errors import (
     DegeneratePalm,
     MalformedConfig,
     MalformedFrame,
+    ShapeMismatch,
     UnknownLabel,
     ValidationError,
 )
@@ -299,6 +301,115 @@ def test_float_array_rejects_a_bool_among_numbers(value):
 @pytest.mark.parametrize("value", [2.5, [0.5, 1], [[1, 2.0], [3, 4]]])
 def test_float_array_takes_numbers_of_any_depth(value):
     np.testing.assert_array_equal(float_array(value, "x"), np.asarray(value, dtype=float))
+
+
+def test_float_array_returns_a_float64_array_as_it_is():
+    arr = np.zeros((21, 3))
+    assert float_array(arr, "kp3d", (21, 3)) is arr
+    single = float_array(arr.astype(np.float32), "kp3d", (21, 3))
+    assert single.dtype == np.float64 and single.shape == (21, 3)
+
+
+@pytest.mark.parametrize("value", [[np.True_, 0.5], np.array([1.0, 2.0], dtype=object)])
+def test_float_array_rejects_numpy_bools_and_objects(value):
+    with pytest.raises(TypeError, match="must hold numbers"):
+        float_array(value, "x")
+
+
+def test_float_array_checks_the_shape_of_either_path():
+    message = re.escape("kp2d must have shape (21, 2), got (21, 3)")
+    with pytest.raises(ShapeMismatch, match=message):
+        float_array(np.zeros((21, 3)), "kp2d", (21, 2))
+    with pytest.raises(ShapeMismatch, match=message):
+        float_array([[0, 0, 0]] * 21, "kp2d", (21, 2))
+
+
+# -- every array the package takes goes through float_array ------------------
+
+_LAYERS = list(zip(mlp.LAYER_SIZES[1:], mlp.LAYER_SIZES))  # (fan_out, fan_in)
+
+
+def _model(part=None, value=None):
+    """A zero-weight MlpModel, with one argument replaced: the first layer's
+    weights or bias, feat_mean or feat_std."""
+    args = {"weights": [np.zeros(shape) for shape in _LAYERS],
+            "biases": [np.zeros(shape[0]) for shape in _LAYERS],
+            "feat_mean": np.zeros(12), "feat_std": np.ones(12)}
+    if part in ("weights", "biases"):
+        args[part][0] = value
+    elif part is not None:
+        args[part] = value
+    return mlp.MlpModel(**args)
+
+
+_MODEL = lifting.default_hand_model()
+_INTR = lifting.default_intrinsics(640, 480)
+_POSE = lifting.PoseParams.identity()
+_KP2D = np.random.default_rng(3).uniform(100.0, 400.0, (21, 2))
+_THRESHOLDS = (0.5, 1.5, 0.1, 0.3)
+
+# entry -> (call with one array, an array of the shape it takes); None when
+# the shape is checked elsewhere or not at all
+ARRAY_ENTRIES = {
+    "alignment.compute_alignment": (alignment.compute_alignment, _KP2D),
+    "alignment.rotation_vector": (alignment.rotation_vector, _KP2D),
+    "features.feature_vector": (lambda a: features.feature_vector(a, "Right"), np.ones((21, 3))),
+    "features.euler_from_rotation": (features.euler_from_rotation, np.eye(3)),
+    "lifting.rotvec_from_rotmat": (lifting.rotvec_from_rotmat, np.eye(3)),
+    "lifting.project": (lambda a: lifting.project(a, _INTR), np.ones((21, 3))),
+    "lifting.HandModel-directions": (lambda a: lifting.HandModel(a, _MODEL.lengths),
+                                     _MODEL.directions),
+    "lifting.HandModel-lengths": (lambda a: lifting.HandModel(_MODEL.directions, a),
+                                  _MODEL.lengths),
+    "lifting.PoseParams-rotvec": (lambda a: lifting.PoseParams(a, np.ones(3), np.ones(21)),
+                                  np.ones(3)),
+    "lifting.PoseParams-translation": (
+        lambda a: lifting.PoseParams(np.ones(3), a, np.ones(21)), np.ones(3)),
+    "lifting.PoseParams-joints": (lambda a: lifting.PoseParams(np.ones(3), np.ones(3), a),
+                                  np.ones(21)),
+    "lifting.PoseParams.from_vector": (lifting.PoseParams.from_vector, np.ones(27)),
+    "lifting.normalize_world": (lifting.normalize_world, np.ones((21, 3))),
+    "lifting.fit_pose": (lambda a: lifting.fit_pose(a, _MODEL, _INTR, _POSE), _KP2D),
+    "lifting.lift_keypoints": (lambda a: lifting.lift_keypoints(a, "Right", _MODEL, _INTR),
+                               _KP2D),
+    **{f"mlp.MlpModel-{part}": (lambda a, part=part: _model(part, a), good)
+       for part, good in (("weights", np.ones((50, 12))), ("biases", np.ones(50)),
+                          ("feat_mean", np.ones(12)), ("feat_std", np.ones(12)))},
+    "mlp.forward": (lambda a: mlp.forward(_model(), a), np.ones(12)),
+    "mlp.classify_nn": (lambda a: mlp.classify_nn(_model(), a), np.ones(12)),
+    "mlp.gradient_check": (
+        lambda a: mlp.gradient_check(_model(), mlp.LabeledExample(a, "Victory")), np.ones(12)),
+    "mlp.focal_loss": (lambda a: mlp.focal_loss(a, "Victory"), np.full(7, 1.0 / 7.0)),
+    "mlp.softmax": (mlp.softmax, None),
+    "mlp.TrainConfig-alpha": (lambda a: mlp.TrainConfig(alpha=a), np.ones(7)),
+    "heuristic.StateThresholds": (
+        lambda a: heuristic.StateThresholds(a, *_THRESHOLDS[1:]), np.full(5, 0.5)),
+    "heuristic.classify_heuristic": (
+        lambda a: heuristic.classify_heuristic(a, heuristic.default_config()), np.ones(12)),
+    "skeleton.HandSkeleton": (lambda a: HandSkeleton("Right", 1.0, a, None), None),
+}
+
+
+def _bad_input(kind, good):
+    if good is None:
+        good = np.ones((21, 2))
+    if kind == "strings":  # a decoded JSON list of decimal strings
+        return good.astype(str).tolist()
+    if kind == "bools":
+        return good != 0.0
+    return np.zeros(good.shape[:-1] + (good.shape[-1] + 1,))
+
+
+@pytest.mark.parametrize("entry, kind", [
+    (entry, kind) for entry, (_, good) in ARRAY_ENTRIES.items()
+    for kind in ("strings", "bools", "shape") if kind != "shape" or good is not None])
+def test_every_array_entry_takes_its_array_through_float_array(entry, kind):
+    # numbers given as strings were parsed and bools cast to 0.0 and 1.0
+    call, good = ARRAY_ENTRIES[entry]
+    error, message = ((ShapeMismatch, "must have shape") if kind == "shape"
+                      else (TypeError, "must hold numbers"))
+    with pytest.raises(error, match=message):
+        call(_bad_input(kind, good))
 
 
 def test_frame_from_dict_takes_integer_keypoints():

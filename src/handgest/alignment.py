@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation, DegenerateScale
+from .errors import DegenerateRotation, DegenerateScale, finite_at_least
 from .skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST, float_array
 
 # Knuckles defining the crop center.
@@ -51,29 +51,31 @@ def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
     the scale is its distance to the farthest non-tip knuckle, so a curled
     fist and an open palm yield comparable crops. Raises DegenerateRotation
     when the rotation vector is shorter than EPS_ROTATION_PX (its two
-    components cancelled out), and DegenerateScale below EPS_SCALE_PX.
+    components cancelled out), and DegenerateScale below EPS_SCALE_PX; each
+    also when that measure is not finite.
     """
     kp2d = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
-    center = _center(kp2d)
+    center = palm_center(kp2d)
     return AlignmentFrame(center=center,
                           rotation_rad=_angle(_rotation_vector(kp2d)),
                           scale_px=_scale(kp2d, center))
 
 
+def palm_center(points: np.ndarray) -> np.ndarray:
+    """The mean of the CENTER_KEYPOINTS rows of a float64 (21, 2) or (21, 3)
+    array: the crop center of pixels, the palm center of metric points."""
+    return points[list(CENTER_KEYPOINTS)].mean(axis=0)
+
+
 # The rules themselves, on an already checked (21, 2) array.
-
-def _center(kp2d: np.ndarray) -> np.ndarray:
-    return kp2d[list(CENTER_KEYPOINTS)].mean(axis=0)
-
 
 def _rotation_vector(kp2d: np.ndarray) -> np.ndarray:
     return (kp2d[WRIST] - kp2d[MIDDLE_MCP]) + (kp2d[PINKY_MCP] - kp2d[INDEX_MCP])
 
 
 def _angle(v: np.ndarray) -> float:
-    n = float(np.hypot(v[0], v[1]))
-    if n < EPS_ROTATION_PX:
-        raise DegenerateRotation(f"rotation vector norm {n:.3e} px below {EPS_ROTATION_PX:.0e}")
+    finite_at_least(float(np.hypot(v[0], v[1])), EPS_ROTATION_PX, DegenerateRotation,
+                    "rotation vector norm {:.3e} px")
     angle = float(np.arctan2(v[0], -v[1]))
     if angle <= -np.pi:
         angle += 2.0 * np.pi
@@ -82,7 +84,5 @@ def _angle(v: np.ndarray) -> float:
 
 def _scale(kp2d: np.ndarray, center: np.ndarray) -> float:
     d = np.linalg.norm(kp2d[list(SCALE_KEYPOINTS)] - center, axis=1)
-    scale = float(d.max())
-    if scale < EPS_SCALE_PX:
-        raise DegenerateScale(f"knuckle spread {scale:.3e} px below {EPS_SCALE_PX:.0e}")
-    return scale
+    return finite_at_least(float(d.max()), EPS_SCALE_PX, DegenerateScale,
+                           "knuckle spread {:.3e} px")

@@ -30,7 +30,7 @@ from .errors import (
     UnknownLabel,
     ValidationError,
 )
-from .features import FEATURE_MAX, FEATURE_MIN, feature_vector
+from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
     brief,
@@ -49,8 +49,6 @@ from .skeleton import (
 
 FEATURES_SCHEMA = "features/1"
 PREDICTION_SCHEMA = "prediction/1"
-# the entries of a features/1 row, in feature_vector order
-_FEATURE_PARTS = (("euler", 3), ("fingers", 5), ("pairs", 4))
 
 
 # -- row parsers: each takes one decoded JSONL row -----------------------------
@@ -61,7 +59,8 @@ def _features_from_row(obj):
     if not is_int(t_us):
         raise MalformedFrame(f"t_us must be an integer, got {brief(t_us)}")
     try:
-        fv = np.concatenate([float_array(obj[key], key, (n,)) for key, n in _FEATURE_PARTS])
+        fv = np.concatenate([float_array(obj[key], key, (part.stop - part.start,))
+                             for key, part in FEATURE_PARTS.items()])
     except ShapeMismatch as exc:
         raise MalformedFrame("feature row has wrong arity") from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -135,9 +134,7 @@ def _feature_row(t_us, fv, label):
     row = {"schema": FEATURES_SCHEMA, "t_us": int(t_us)}
     if label is not None:
         row["label"] = label
-    row["euler"] = fv[0:3].tolist()
-    row["fingers"] = fv[3:8].tolist()
-    row["pairs"] = fv[8:].tolist()
+    row.update((key, fv[part].tolist()) for key, part in FEATURE_PARTS.items())
     return row
 
 
@@ -152,11 +149,8 @@ def cmd_synth(args):
     gestures = None
     if args.gestures is not None:
         gestures = [check_gesture(g.strip()) for g in args.gestures.split(",") if g.strip()]
-    # a range or noise past a float's range overflows to inf, which
-    # write_dataset rejects; numpy's warning would be a second stderr line
-    with np.errstate(over="ignore"):
-        frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
-        harness.write_dataset(args.out, frames, labels)
+    frames, labels = harness.make_dataset(cfg, args.per_gesture, gestures)
+    harness.write_dataset(args.out, frames, labels)
     print(f"wrote {len(frames)} samples to {args.out}", file=sys.stderr)
     return 0
 
@@ -185,8 +179,7 @@ def cmd_train(args):
                      else read_json(args.config, mlp.TrainConfig.from_dict), args.seed)
     examples = [mlp.LabeledExample(fv, label)
                 for fv, label in read_jsonl(args.data, _training_example)]
-    with np.errstate(over="ignore", invalid="ignore"):  # train raises NumericalError
-        model = mlp.train(examples, cfg)
+    model = mlp.train(examples, cfg)
     mlp.save_model(model, args.out)
     print(f"trained on {len(examples)} examples, "
           f"final train loss {model.history['train_loss'][-1]:.6f}",
@@ -345,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a kernel that overflows raises its own HandgestError: numpy's
+        # warning would only be a second stderr line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -5,6 +5,17 @@ Two branches matter for the CLI: ValidationError maps to exit code 2
 geometry, diverged solves). Everything derives from HandgestError.
 """
 
+import math
+
+
+def finite_at_least(value: float, floor: float, error: type, what: str) -> float:
+    """``value`` if floor <= value < inf (NaN fails too); else ``error`` says
+    ``what``, which formats the value, is below ``floor`` or not finite."""
+    if not floor <= value < math.inf:
+        raise error(f"{what.format(value)} "
+                    + (f"below {floor:.0e}" if value < floor else "is not finite"))
+    return value
+
 
 class HandgestError(Exception):
     """Base class for all toolkit errors."""
@@ -83,7 +94,7 @@ class DegeneratePalm(NumericalError):
 
 
 class ZeroSegment(NumericalError):
-    """Zero-length bone segment; angle undefined."""
+    """Zero-length bone segment, or one too long to measure; angle undefined."""
 
 
 class BehindCamera(NumericalError):

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePalm, ZeroSegment
+from .errors import DegeneratePalm, ZeroSegment, finite_at_least
 from .skeleton import (
     CHAIN_INDICES,
     Finger,
@@ -48,7 +48,9 @@ EPS_PALM_SCALE_M = 1e-6
 EPS_SEGMENT_M = 1e-9
 EPS_GIMBAL = 1e-7
 
-FEATURE_SIZE = 12  # 3 euler + 5 finger + 4 pair
+# the entries of each part, in order; the names are a features/1 row's keys
+FEATURE_PARTS = {"euler": slice(0, 3), "fingers": slice(3, 8), "pairs": slice(8, 12)}
+FEATURE_SIZE = FEATURE_PARTS["pairs"].stop
 # closed bounds of each entry
 FEATURE_MIN = np.array([-np.pi, -np.pi / 2.0, -np.pi] + [0.0] * 9)
 FEATURE_MAX = np.array([np.pi, np.pi / 2.0] + [np.pi] * 10)
@@ -101,26 +103,24 @@ def _palm_frame(kp3d: np.ndarray, handedness: str) -> tuple[np.ndarray, np.ndarr
 
     Raises MalformedFrame on a handedness other than "Left" or "Right", and
     DegeneratePalm when wrist and the index/pinky base knuckles are nearly
-    collinear or the scale is degenerate.  Norms are sqrt(v.dot(v)), what
-    np.linalg.norm runs on a vector.
+    collinear or the scale is degenerate, or when one of these measures is
+    not finite (keypoints too large to measure).  Norms are sqrt(v.dot(v)),
+    what np.linalg.norm runs on a vector.
     """
     check_handedness(handedness)
     points = kp3d.take(_PALM_POINTS, 0)
     wrist = points[0]
     v1, v2, mid = points[1:] - wrist
     normal = cross(v1, v2) if handedness == "Right" else cross(v2, v1)
-    area = math.sqrt(normal.dot(normal))
-    if area < EPS_PALM_AREA_M2:
-        raise DegeneratePalm(f"palm cross product {area:.3e} m^2 below {EPS_PALM_AREA_M2:.0e}")
-    scale = math.sqrt(mid.dot(mid))
-    if scale < EPS_PALM_SCALE_M:
-        raise DegeneratePalm(f"palm scale {scale:.3e} m below {EPS_PALM_SCALE_M:.0e}")
+    area = finite_at_least(math.sqrt(normal.dot(normal)), EPS_PALM_AREA_M2, DegeneratePalm,
+                           "palm cross product {:.3e} m^2")
+    scale = finite_at_least(math.sqrt(mid.dot(mid)), EPS_PALM_SCALE_M, DegeneratePalm,
+                            "palm scale {:.3e} m")
     n = normal / area
     fwd = v1 + v2
     fwd = fwd - np.dot(fwd, n) * n
-    fn = math.sqrt(fwd.dot(fwd))
-    if fn < EPS_SEGMENT_M:
-        raise DegeneratePalm("forward direction vanished after orthogonalization")
+    fn = finite_at_least(math.sqrt(fwd.dot(fwd)), EPS_SEGMENT_M, DegeneratePalm,
+                         "orthogonalized forward direction {:.3e} m")
     f = fwd / fn
     rotation = np.empty((3, 3))
     rotation[:, 0] = cross(f, n)  # lateral
@@ -176,13 +176,14 @@ def _all_angles(kp3d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and any of its three distal segments: 0 when straight, toward pi for
     a full curl. A pair's spread is the unsigned angle between the two
     proximal phalanges (base joint -> first intermediate joint). Raises
-    ZeroSegment on any segment shorter than EPS_SEGMENT_M.
+    ZeroSegment on any segment shorter than EPS_SEGMENT_M, or whose length
+    is not finite.
     """
     chains = kp3d.take(_CHAINS, 0)                # (5, 5, 3) wrist to tip
     seg = chains[:, 1:] - chains[:, :-1]          # (5, 4, 3) along each chain
     norms = np.sqrt(np.add.reduce(seg * seg, axis=2))  # np.linalg.norm's reduction
-    if (norms < EPS_SEGMENT_M).any():
-        raise ZeroSegment(f"segment norm below {EPS_SEGMENT_M:.0e} m")
+    finite_at_least(float(norms.min()), EPS_SEGMENT_M, ZeroSegment, "segment norm {:.3e} m")
+    finite_at_least(float(norms.max()), EPS_SEGMENT_M, ZeroSegment, "segment norm {:.3e} m")
     ends = (seg / norms[:, :, None]).reshape(20, 3).take(_COS_ENDS, 0)
     cos = np.einsum("ij,ij->i", ends[0], ends[1])
     angles = np.arccos(cos.clip(-1.0, 1.0, out=cos), out=cos)

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .alignment import CENTER_KEYPOINTS
+from .alignment import palm_center
 from .errors import EmptyInput, LengthMismatch, ValidationError
 from .labels import (
     ALL_GESTURES,
@@ -263,9 +263,8 @@ def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
 
     Draw order is fixed so corpora replay exactly: joint jitter, then
     ``draw_rotation(rng)``, then the placement draws tz, x, y.  A left hand
-    is the right hand's FK with hand-frame x negated.  Placement
-    puts the palm center (the mean of alignment.CENTER_KEYPOINTS) at
-    (x, y, tz) in the camera frame.
+    is the right hand's FK with hand-frame x negated.  Placement puts the
+    palm center (alignment.palm_center) at (x, y, tz) in the camera frame.
     """
     joints = _jittered_joints(tpl, rng, cfg)
     rotation = draw_rotation(rng)
@@ -275,7 +274,7 @@ def _sample_pose(tpl: GestureTemplate, draw_rotation, rng: np.random.Generator,
     tz = rng.uniform(*cfg.tz_range)
     x = rng.uniform(*cfg.x_range)
     y = rng.uniform(*cfg.y_range)
-    t = np.array([x, y, tz]) - rotation @ local[list(CENTER_KEYPOINTS)].mean(axis=0)
+    t = np.array([x, y, tz]) - rotation @ palm_center(local)
     return joints, rotation, t, local @ rotation.T + t
 
 

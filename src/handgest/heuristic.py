@@ -30,14 +30,18 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import MalformedConfig, UnknownReference, ValidationError
-from .features import FEATURE_SIZE
+from .features import FEATURE_PARTS, FEATURE_SIZE
 from .labels import NEGATIVE_LABEL
 from .skeleton import Finger, brief, float_array, is_int, is_number
 
 # state-vector index of each name a leaf can reference
-EULER_AXES = {"yaw": 0, "pitch": 1, "roll": 2}
-FINGER_NAMES = {f.name.capitalize(): 3 + f for f in Finger}
-PAIR_NAMES = {"ThumbIndex": 8, "IndexMiddle": 9, "MiddleRing": 10, "RingPinky": 11}
+_ENTRY = range(FEATURE_SIZE)
+EULER_AXES = dict(zip(("yaw", "pitch", "roll"), _ENTRY[FEATURE_PARTS["euler"]]))
+FINGER_NAMES = dict(zip([f.name.capitalize() for f in Finger], _ENTRY[FEATURE_PARTS["fingers"]]))
+PAIR_NAMES = dict(zip(("ThumbIndex", "IndexMiddle", "MiddleRing", "RingPinky"),
+                      _ENTRY[FEATURE_PARTS["pairs"]]))
+# the finger and pair entries, which state_vector codes
+_CODED = slice(FEATURE_PARTS["fingers"].start, FEATURE_PARTS["pairs"].stop)
 # state names in code order
 FINGER_STATES = ("FullyStraight", "Neither", "FullyBent")
 PAIR_STATES = ("Crossed", "Neither", "Apart")
@@ -69,7 +73,7 @@ class StateThresholds:
         if not np.all((0.0 <= self.crossed_max) & (self.crossed_max < self.apart_min)
                       & (self.apart_min <= np.pi)):
             raise ValidationError("need 0 <= crossed_max < apart_min <= pi per pair")
-        # the same bounds over state-vector entries 3-11, for state_vector
+        # the same bounds over the finger and pair entries, for state_vector
         object.__setattr__(self, "lower", np.concatenate((self.straight_max, self.crossed_max)))
         object.__setattr__(self, "upper", np.concatenate((self.bent_min, self.apart_min)))
 
@@ -77,7 +81,7 @@ class StateThresholds:
 def state_vector(fv: np.ndarray, th: StateThresholds) -> np.ndarray:
     """The 12-entry state vector, in a copy of fv: Euler angles, then finger and pair codes."""
     state = fv.copy()
-    codes = state[3:]
+    codes = state[_CODED]
     np.subtract(codes >= th.upper, codes <= th.lower, out=codes, dtype=np.float64)
     codes += 1.0
     return state

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BehindCamera, DivergedFit, MalformedConfig, MalformedFrame, ShapeMismatch
+from .errors import (BehindCamera, DivergedFit, MalformedConfig, MalformedFrame, ShapeMismatch,
+                     finite_at_least)
 from .skeleton import (
     Finger,
     MIDDLE_MCP,
@@ -35,7 +36,7 @@ from .skeleton import (
     read_json,
     reject_unknown_keys,
 )
-from .alignment import CENTER_KEYPOINTS, compute_alignment
+from .alignment import compute_alignment, palm_center
 from .features import axis_rotation, cross
 
 HAND_MODEL_SCHEMA = "hand_model/1"
@@ -107,33 +108,21 @@ def rotmat_from_rotvec(rv):
 def rotvec_from_rotmat(r):
     """Log map for one 3x3 rotation, via quaternion for stability near pi."""
     r = float_array(r, "rotation", (3, 3))
-    # Shepperd's method: pivot on the largest of trace and diagonal entries
+    # Shepperd's method (1978): pivot on the largest of the trace and the
+    # diagonal entries; vee(R - R') is 4 w v for the quaternion (w, v)
     tr = float(np.trace(r))
-    case = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
-    if case == 0:
+    i = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]])) - 1
+    vee = (r - r.T)[(2, 0, 1), (1, 2, 0)]
+    if i < 0:
         s = np.sqrt(max(tr + 1.0, 0.0)) * 2.0
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    elif case == 1:
-        s = np.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0)) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s,
-                      0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s])
-    elif case == 2:
-        s = np.sqrt(max(1.0 + r[1, 1] - r[0, 0] - r[2, 2], 0.0)) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s,
-                      (r[2, 1] + r[1, 2]) / s])
+        q = np.concatenate(([0.25 * s], vee / s))
     else:
-        s = np.sqrt(max(1.0 + r[2, 2] - r[0, 0] - r[1, 1], 0.0)) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s,
-                      (r[0, 2] + r[2, 0]) / s,
-                      (r[2, 1] + r[1, 2]) / s,
-                      0.25 * s])
+        # pivot v_i: the other diagonal entries come off in ascending order,
+        # and R + R' gives 4 v_i v_j in row i
+        j, k = (c for c in range(3) if c != i)
+        s = np.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0)) * 2.0
+        q = np.concatenate(([vee[i]], r[i] + r[:, i])) / s
+        q[1 + i] = 0.25 * s
     w, v = q[0], q[1:]
     n = float(np.linalg.norm(v))
     if n < 1e-12:
@@ -492,8 +481,8 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
       the gradient did not vanish.
 
     ``converged`` is true for the first two.  Raises DivergedFit when the
-    final reprojection error exceeds ``max_rms_px`` and BehindCamera when
-    the initial pose does not project.
+    final reprojection error exceeds ``max_rms_px`` or the initial cost is
+    not finite, and BehindCamera when the initial pose does not project.
     """
     obs = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
     if not np.all(np.isfinite(obs)):
@@ -504,7 +493,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     r, row = r[0], 0
     if not np.all(np.isfinite(r)):
         raise BehindCamera("initial pose places the hand at or behind the camera")
-    cost = float(r @ r)
+    cost = finite_at_least(float(r @ r), 0.0, DivergedFit, "initial cost {:.3e} px^2")
     history = [cost]
     lam = 1e-3
     stop = "tolerance" if cost == 0.0 else None
@@ -632,8 +621,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
                            tz])
     # place the wrist so the palm center projects onto the 2D center
-    local_center = rest_local[list(CENTER_KEYPOINTS)].mean(axis=0)
-    t = center_cam - r_init @ local_center
+    t = center_cam - r_init @ palm_center(rest_local)
     return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
                       joints=neutral_joints())
 

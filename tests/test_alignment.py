@@ -6,10 +6,10 @@ import pytest
 from handgest.alignment import (
     SCALE_KEYPOINTS,
     _angle,
-    _center,
     _rotation_vector,
     _scale,
     compute_alignment,
+    palm_center,
     rotation_vector,
 )
 from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch
@@ -31,10 +31,10 @@ def test_center_is_mean_of_three_mcps():
     kp[5] = (0.0, 0.0)
     kp[9] = (3.0, 0.0)
     kp[17] = (0.0, 3.0)
-    np.testing.assert_allclose(_center(kp), (1.0, 1.0))
+    np.testing.assert_allclose(palm_center(kp), (1.0, 1.0))
 
     kp[5] = kp[9] = kp[17] = (2.0, 2.0)
-    np.testing.assert_allclose(_center(kp), (2.0, 2.0))
+    np.testing.assert_allclose(palm_center(kp), (2.0, 2.0))
 
 
 def test_center_matches_brute_force_summation():
@@ -43,7 +43,7 @@ def test_center_matches_brute_force_summation():
         total = np.zeros(2)
         for i in (5, 9, 17):
             total = total + kp[i]
-        np.testing.assert_allclose(_center(kp), total / 3.0, atol=1e-12)
+        np.testing.assert_allclose(palm_center(kp), total / 3.0, atol=1e-12)
 
 
 def test_rotation_vector_sum_of_components():
@@ -79,7 +79,7 @@ def test_rotation_vector_degenerate_when_components_cancel():
 def test_alignment_scale_farthest_knuckle():
     kp = flat_kp2d(0.0)
     kp[13] = (3.0, 4.0)   # ring MCP, 5 px from the center at the origin
-    assert _scale(kp, _center(kp)) == pytest.approx(5.0)
+    assert _scale(kp, palm_center(kp)) == pytest.approx(5.0)
 
 
 def test_alignment_scale_excludes_tips_and_wrist():
@@ -87,23 +87,35 @@ def test_alignment_scale_excludes_tips_and_wrist():
     kp[8] = (1000.0, 0.0)   # index tip: not a knuckle
     kp[0] = (500.0, 0.0)    # wrist: not a knuckle
     kp[6] = (3.0, 4.0)
-    assert _scale(kp, _center(kp)) == pytest.approx(5.0)
+    assert _scale(kp, palm_center(kp)) == pytest.approx(5.0)
 
 
 def test_alignment_scale_matches_exhaustive_scan():
     for seed in range(8):
         kp = random_kp2d(seed)
-        center = _center(kp)
+        center = palm_center(kp)
         best = 0.0
         for i in SCALE_KEYPOINTS:
             best = max(best, float(np.hypot(*(kp[i] - center))))
-        assert _scale(kp, _center(kp)) == pytest.approx(best, abs=1e-12)
+        assert _scale(kp, palm_center(kp)) == pytest.approx(best, abs=1e-12)
 
 
 def test_alignment_scale_degenerate_when_knuckles_coincide():
     kp = flat_kp2d(7.0)
-    with pytest.raises(DegenerateScale):
-        _scale(kp, _center(kp))
+    with pytest.raises(DegenerateScale) as raised:
+        _scale(kp, palm_center(kp))
+    assert str(raised.value) == "knuckle spread 0.000e+00 px below 1e-06"
+
+
+def test_alignment_of_pixels_too_large_to_measure_raises_degenerate_scale():
+    # the knuckle spread overflows to inf; this seeded a lift whose fit then
+    # reported a hand behind the camera
+    kp = random_kp2d(0) * 1e300
+    with np.errstate(all="ignore"), pytest.raises(DegenerateScale) as raised:
+        compute_alignment(kp)
+    assert str(raised.value) == "knuckle spread inf px is not finite"
+    with pytest.raises(DegenerateRotation, match="^rotation vector norm nan px is not finite$"):
+        _angle(np.array([np.nan, 1.0]))
 
 
 def test_rigid_rotation_shifts_angle_and_preserves_scale():
@@ -133,9 +145,9 @@ def test_compute_alignment_is_bitwise_the_three_helpers():
         frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(3, i))
         kp = frame.hand.kp2d
         got = compute_alignment(kp)
-        assert got.center.tobytes() == _center(kp).tobytes(), i
+        assert got.center.tobytes() == palm_center(kp).tobytes(), i
         assert got.rotation_rad == _angle(_rotation_vector(kp)), i
-        assert got.scale_px == _scale(kp, _center(kp)), i
+        assert got.scale_px == _scale(kp, palm_center(kp)), i
 
 
 def test_compute_alignment_rejects_wrong_shape():

@@ -8,12 +8,14 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from handgest.cli import main
+from handgest.errors import DegenerateScale, DivergedFit
 from handgest.features import feature_vector
 from handgest import lifting, skeleton
 from handgest.harness import SynthConfig, sample_rng, synth_pose
@@ -1034,6 +1036,82 @@ def test_train_that_diverges_exits_3_and_writes_no_model(corpus, tmp_path):
     assert proc.stderr.startswith("numerical error: training diverged in epoch ")
     assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
+
+
+# -- numbers too large to measure: one error line, never a numpy warning ------
+
+def _run_caught(*argv):
+    """(exit code, numpy warnings) of one in-process run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _scaled_row(key, scale):
+    """One dataset row whose hand's ``key`` keypoints are multiplied by ``scale``."""
+    row = _frame_row()
+    row["hand"][key] = [[v * scale for v in p] for p in row["hand"][key]]
+    return row
+
+
+def _far_tip_row():
+    """One dataset row whose index fingertip is 1e300 times farther out."""
+    row = _frame_row()
+    row["hand"]["kp3d"][8] = [v * 1e300 for v in row["hand"]["kp3d"][8]]
+    return row
+
+
+_HUGE_KP3D = {"1e300": _scaled_row("kp3d", 1e300), "1e150": _scaled_row("kp3d", 1e150),
+              "tip-1e300": _far_tip_row()}
+
+
+@pytest.mark.parametrize("cmd", ["features", "classify"])
+@pytest.mark.parametrize("row", list(_HUGE_KP3D.values()), ids=list(_HUGE_KP3D))
+def test_keypoints_too_large_to_measure_exit_3_with_one_line(tmp_path, capsys, cmd, row):
+    # features wrote a row of NaN (x 1e300) or a finite row of zero angles
+    # (x 1e150, or an index curl of pi/2 for the far tip) and exited 0, and
+    # classify said Negative, each after numpy's overflow warning
+    frames = tmp_path / "huge.jsonl"
+    frames.write_text(json.dumps(row) + "\n")
+    code, caught = _run_caught(cmd, "--frames", frames)
+    err = capsys.readouterr().err
+    assert (code, caught) == (3, []), err
+    assert err.startswith(f"numerical error: {frames}:1: ")
+    assert err.endswith(" is not finite\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("row", list(_HUGE_KP3D.values()), ids=list(_HUGE_KP3D))
+def test_stream_leaves_a_frame_too_large_to_measure_unlabeled(tmp_path, capsys, row):
+    frames, pipe, out = tmp_path / "huge.jsonl", tmp_path / "pipe.json", tmp_path / "out.jsonl"
+    frames.write_text(json.dumps(row) + "\n")
+    pipe.write_text(json.dumps(_PIPE))
+    code, caught = _run_caught("stream", "--frames", frames, "--pipeline", pipe, "--out", out)
+    assert (code, caught, capsys.readouterr().err) == (0, [], "")
+    [result] = read_jsonl(out)
+    assert (result["mode"], result["label"], result["actions"]) == ("Tracked", None, ["detect"])
+
+
+@pytest.mark.parametrize("row, error", [
+    (_scaled_row("kp2d", 1e300), DegenerateScale),
+    (_frame_row(w=10 ** 300, h=10 ** 300), DivergedFit),
+], ids=["kp2d-1e300", "image-1e300"])
+def test_lift_names_why_a_row_too_large_to_measure_has_no_fit(tmp_path, capsys, row, error):
+    # the kp2d row was noted "initial pose places the hand at or behind the
+    # camera", the wide image "fit ended (no_descent) at inf px rms", each
+    # after numpy's warnings
+    frames, out = tmp_path / "huge.jsonl", tmp_path / "lifted.jsonl"
+    frames.write_text(json.dumps(row) + "\n")
+    code, caught = _run_caught("lift", "--frames", frames, "--out", out)
+    err = capsys.readouterr().err
+    assert (code, caught) == (0, []), err
+    hand = frame_from_dict(row).hand
+    with np.errstate(all="ignore"), pytest.raises(error) as raised:
+        lifting.lift_keypoints(hand.kp2d, hand.handedness, default_hand_model(),
+                               lifting.default_intrinsics(row["w"], row["h"]))
+    assert str(raised.value).endswith(" is not finite")
+    assert err == f"row 0 (t_us {row['t_us']}): {raised.value}\n"
+    assert read_jsonl(out)[0]["hand"]["kp3d"] is None
 
 
 @pytest.mark.parametrize("alpha", [2.0, [1, 1, 1, 1, 1, 1, 0.5]])

@@ -92,8 +92,45 @@ def test_palm_pose_rejects_collinear_mcps():
 def test_palm_pose_rejects_zero_scale():
     kp = base_kp3d()
     kp[9] = kp[0]
-    with pytest.raises(DegeneratePalm):
+    with pytest.raises(DegeneratePalm) as raised:
         _palm_frame(kp, "Right")
+    assert str(raised.value) == "palm scale 0.000e+00 m below 1e-06"
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e300, "palm cross product nan m^2 is not finite"),
+    (1e150, "palm cross product inf m^2 is not finite"),
+], ids=["1e300", "1e150"])
+def test_keypoints_too_large_to_measure_raise_degenerate_palm(scale, message):
+    # x 1e300 gave a feature row of NaN; x 1e150 a finite row with every
+    # finger and pair angle 0
+    kp = synth_kp3d("OpenPalm").kp3d * scale
+    with np.errstate(all="ignore"), pytest.raises(DegeneratePalm) as raised:
+        feature_vector(kp, "Right")
+    assert str(raised.value) == message
+
+
+def test_a_fingertip_too_far_to_measure_raises_zero_segment():
+    # a palm of ordinary size with the index tip scaled by 1e300: the
+    # segment norm overflowed and the index curl read pi/2 in a finite row
+    hand = synth_kp3d("OpenPalm")
+    kp = hand.kp3d.copy()
+    kp[8] *= 1e300
+    with np.errstate(all="ignore"), pytest.raises(ZeroSegment) as raised:
+        feature_vector(kp, hand.handedness)
+    assert str(raised.value) == "segment norm inf m is not finite"
+
+
+@pytest.mark.parametrize("point, message", [
+    (5, "palm cross product nan m^2 is not finite"),
+    (9, "palm scale nan m is not finite"),
+], ids=["area", "scale"])
+def test_palm_pose_rejects_a_nan_measure(point, message):
+    kp = base_kp3d()
+    kp[point] = np.nan
+    with pytest.raises(DegeneratePalm) as raised:
+        _palm_frame(kp, "Right")
+    assert str(raised.value) == message
 
 
 # --- Euler angles ---
@@ -238,8 +275,9 @@ def test_finger_angle_curled_reaches_pi():
 
 def test_finger_angle_zero_segment():
     kp = chain_kp3d([(0, 1, 0), (0, 0, 0), (1, 0, 0), (0, 1, 0)])
-    with pytest.raises(ZeroSegment):
+    with pytest.raises(ZeroSegment) as raised:
         finger_angle(kp)
+    assert str(raised.value) == "segment norm 0.000e+00 m below 1e-09"
 
 
 def test_finger_angle_monotone_in_deflection():

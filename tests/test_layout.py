@@ -16,11 +16,36 @@ MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(p
            for path in sorted(PACKAGE.glob("*.py"))}
 
 CENTER_KNUCKLES = ({"INDEX_MCP", "MIDDLE_MCP", "PINKY_MCP"}, {5, 9, 17})
+FEATURE_PART_NAMES = {"euler", "fingers", "pairs"}
+# the entries at which the feature parts start and stop
+FEATURE_PART_BOUNDS = {3, 8, 12}
 
 
-def _modules_with(predicate):
-    return sorted(name for name, tree in MODULES.items()
+def _modules_with(predicate, modules=MODULES):
+    return sorted(name for name, tree in modules.items()
                   if any(predicate(node) for node in ast.walk(tree)))
+
+
+def _functions_with(predicate):
+    """(module, top-level function or class) of every node that matches;
+    None for a node at module level."""
+    sites = []
+    for name, tree in MODULES.items():
+        for top in tree.body:
+            function = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            sites += [(name, function) for node in ast.walk(top) if predicate(node)]
+    return sorted(sites, key=repr)
+
+
+def _imports_from_features(tree, names):
+    return any(isinstance(node, ast.ImportFrom) and node.module == "features"
+               and names & {alias.name for alias in node.names} for node in ast.walk(tree))
+
+
+# modules that take a feature vector from the features module
+FEATURE_USERS = {name: tree for name, tree in MODULES.items()
+                 if _imports_from_features(tree, {"FEATURE_PARTS", "FEATURE_SIZE",
+                                                  "feature_vector"})}
 
 
 def _calls_open(node):
@@ -66,8 +91,48 @@ def _lists_center_knuckles(node):
     return keys in CENTER_KNUCKLES
 
 
+def _sets_numpy_error_state(node):
+    return (isinstance(node, ast.Attribute) and node.attr in ("errstate", "seterr")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+
+def _reads_center_keypoints(node):
+    return ((isinstance(node, ast.Name) and node.id == "CENTER_KEYPOINTS"
+             and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == "CENTER_KEYPOINTS")
+            or (isinstance(node, ast.alias) and node.name == "CENTER_KEYPOINTS"))
+
+
+def _lists_feature_parts(node):
+    """A literal that names the three feature parts: dict keys, or entries
+    of a tuple or list, bare or leading a (name, size) pair."""
+    if isinstance(node, ast.Dict):
+        entries = node.keys
+    elif isinstance(node, (ast.Tuple, ast.List)):
+        entries = [e.elts[0] if isinstance(e, (ast.Tuple, ast.List)) and e.elts else e
+                   for e in node.elts]
+    else:
+        return False
+    return FEATURE_PART_NAMES <= {getattr(e, "value", None) for e in entries}
+
+
+def _int(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _numbers_feature_entries(node):
+    """fv[3:8], state[3:], 3 + finger, or an index table of int literals
+    such as {"ThumbIndex": 8, ...}."""
+    if isinstance(node, ast.Slice):
+        return any(_int(b) and b.value in FEATURE_PART_BOUNDS for b in (node.lower, node.upper))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return any(_int(b) and b.value in FEATURE_PART_BOUNDS for b in (node.left, node.right))
+    return isinstance(node, ast.Dict) and bool(node.values) and all(map(_int, node.values))
+
+
 def test_layout_sees_the_package():
     assert {"skeleton.py", "alignment.py", "features.py", "lifting.py"} <= set(MODULES)
+    assert {"cli.py", "heuristic.py", "mlp.py", "pipeline.py"} <= set(FEATURE_USERS)
 
 
 @pytest.mark.parametrize("predicate, home", [
@@ -83,6 +148,25 @@ def test_layout_sees_the_package():
     (_lists_center_knuckles, ["alignment.py"]),
     # skeleton.float_array is the one conversion of an array argument
     (_converts_to_float64, ["skeleton.py"]),
-], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles", "float64-array"])
+    # features.FEATURE_PARTS is the one feature layout
+    (_lists_feature_parts, ["features.py"]),
+], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles", "float64-array",
+        "feature-parts"])
 def test_rule_lives_only_in_its_home(predicate, home):
     assert _modules_with(predicate) == home
+
+
+@pytest.mark.parametrize("predicate, home", [
+    # cli.main sets numpy's error state once, around every command
+    (_sets_numpy_error_state, [("cli.py", "main")]),
+    # alignment.palm_center is the one mean of the center knuckles
+    (_reads_center_keypoints, [("alignment.py", "palm_center")]),
+], ids=["numpy-error-state", "palm-center"])
+def test_rule_lives_in_one_function(predicate, home):
+    assert _functions_with(predicate) == home
+
+
+def test_feature_users_read_the_layout_from_features():
+    # cli and heuristic slice and index a feature vector through
+    # features.FEATURE_PARTS, never by number
+    assert _modules_with(_numbers_feature_entries, FEATURE_USERS) == []

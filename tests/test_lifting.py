@@ -171,6 +171,81 @@ def test_rotvec_zero_and_pi():
     np.testing.assert_allclose(back, r, atol=1e-9)
 
 
+def reference_rotvec_from_rotmat(r):
+    """The log map with Shepperd's pivot unrolled case by case, as written
+    before the pivot became one indexed rule: every result must stay bitwise
+    equal to it."""
+    r = np.asarray(r, dtype=np.float64)
+    tr = float(np.trace(r))
+    case = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]]))
+    if case == 0:
+        s = np.sqrt(max(tr + 1.0, 0.0)) * 2.0
+        q = np.array([0.25 * s,
+                      (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s,
+                      (r[1, 0] - r[0, 1]) / s])
+    elif case == 1:
+        s = np.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0)) * 2.0
+        q = np.array([(r[2, 1] - r[1, 2]) / s,
+                      0.25 * s,
+                      (r[0, 1] + r[1, 0]) / s,
+                      (r[0, 2] + r[2, 0]) / s])
+    elif case == 2:
+        s = np.sqrt(max(1.0 + r[1, 1] - r[0, 0] - r[2, 2], 0.0)) * 2.0
+        q = np.array([(r[0, 2] - r[2, 0]) / s,
+                      (r[0, 1] + r[1, 0]) / s,
+                      0.25 * s,
+                      (r[2, 1] + r[1, 2]) / s])
+    else:
+        s = np.sqrt(max(1.0 + r[2, 2] - r[0, 0] - r[1, 1], 0.0)) * 2.0
+        q = np.array([(r[1, 0] - r[0, 1]) / s,
+                      (r[0, 2] + r[2, 0]) / s,
+                      (r[2, 1] + r[1, 2]) / s,
+                      0.25 * s])
+    w, v = q[0], q[1:]
+    n = float(np.linalg.norm(v))
+    if n < 1e-12:
+        return np.zeros(3)
+    angle = 2.0 * np.arctan2(n, w)
+    if angle > np.pi:
+        angle -= 2.0 * np.pi
+    return v / n * angle
+
+
+def test_rotvec_from_rotmat_is_bitwise_the_reference():
+    rng = np.random.default_rng(11)
+    # uniform draws: unit quaternions from normalized 4D Gaussians
+    quats = rng.normal(size=(20_000, 4))
+    w, x, y, z = (quats / np.linalg.norm(quats, axis=1, keepdims=True)).T
+    uniform = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+                       axis=1).reshape(-1, 3, 3)
+    # half turns about random axes, where the trace pivot gives way
+    axes = rng.normal(size=(5_000, 3))
+    half_turns = rotmat_from_rotvec(np.pi * axes / np.linalg.norm(axes, axis=1, keepdims=True))
+    # the pose seed's rotations: frontal, spun in the image plane
+    seeds = axis_rotation(2, np.linspace(-2.0 * np.pi, 2.0 * np.pi, 5_000)) @ FRONTAL_ROTATION
+    signs = np.array([np.diag(d) for d in [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0),
+                                           (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]])
+    rotations = np.concatenate([uniform, half_turns, seeds, signs])
+    assert len(rotations) >= 30_000
+    pivots = np.argmax(np.concatenate([np.trace(rotations, axis1=1, axis2=2)[:, None],
+                                       np.diagonal(rotations, axis1=1, axis2=2)], axis=1),
+                       axis=1)
+    assert np.bincount(pivots, minlength=4).min() > 1_000  # every case, many times
+    for r in rotations:
+        assert rotvec_from_rotmat(r).tobytes() == reference_rotvec_from_rotmat(r).tobytes(), r
+    # matrices that are not rotations divide as numpy divides, by a zero
+    # pivot too (a diagonal of -inf), and NaN comes out bit for bit
+    others = np.concatenate([rng.integers(-2, 3, size=(1_000, 3, 3)).astype(np.float64),
+                             [np.zeros((3, 3)), np.diag([-np.inf] * 3), np.full((3, 3), np.nan),
+                              np.diag([np.inf, -np.inf, 0.0])]])
+    with np.errstate(all="ignore"):
+        for r in others:
+            assert rotvec_from_rotmat(r).tobytes() == reference_rotvec_from_rotmat(r).tobytes(), r
+
+
 def reference_rotmat_from_rotvec(rv):
     """The exponential map as written before the Taylor branch became
     conditional: every result must stay bitwise equal to it."""
@@ -719,6 +794,23 @@ def test_fit_rejects_garbage_observations():
     obs = np.random.default_rng(0).uniform(0, 640, size=(21, 2))
     with pytest.raises(DivergedFit):
         fit(obs, model, intr, PoseParams.identity(), max_iter=40)
+
+
+def test_fit_whose_initial_cost_overflows_raises_before_iterating(monkeypatch):
+    # pixels of a 10**300-wide image: each residual is finite, their sum of
+    # squares is not; this ran seven warned iterations into "no_descent"
+    model = default_hand_model()
+    intr = default_intrinsics(10 ** 300, 10 ** 300)
+    kp2d = synth_pose("OpenPalm", SynthConfig(), sample_rng(0, 0))[0].hand.kp2d
+    init = initial_pose_from_alignment(kp2d, model, intr)
+
+    def no_iteration(*args):
+        raise AssertionError("fit_pose linearized an initial pose whose cost is inf")
+
+    monkeypatch.setattr(lifting, "_linearize", no_iteration)
+    with np.errstate(all="ignore"), pytest.raises(DivergedFit) as raised:
+        fit_pose(kp2d, model, intr, init)
+    assert str(raised.value) == "initial cost inf px^2 is not finite"
 
 
 def test_fit_rejects_behind_camera_init():

@@ -39,7 +39,6 @@ from .skeleton import (
     frame_from_dict,
     frame_to_dict,
     is_int,
-    is_number,
     open_output,
     read_json,
     read_jsonl,
@@ -120,14 +119,8 @@ def _prediction(obj):
 
 
 def _with_seed(cfg, seed):
-    """cfg with the --seed override, an integer held to the rule of a config
-    seed (is_number: it must convert to a finite float)."""
-    if seed is None:
-        return cfg
-    if not is_number(seed):
-        raise ValidationError(f"--seed must be an integer within a float's range, "
-                              f"got {brief(seed)}")
-    return dataclasses.replace(cfg, seed=seed)
+    """cfg with the --seed override, which the config's own seed rule checks."""
+    return cfg if seed is None else dataclasses.replace(cfg, seed=seed)
 
 
 def _feature_row(t_us, fv, label):

@@ -48,8 +48,8 @@ from .skeleton import (
     HandSkeleton,
     brief,
     check_handedness,
+    check_number,
     frame_to_dict,
-    is_number,
     write_jsonl,
 )
 
@@ -178,11 +178,12 @@ class SynthConfig:
     score: float = 1.0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {brief(self.seed)}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValidationError(f"width and height must be positive, "
-                                  f"got {brief(self.width)}x{brief(self.height)}")
+        check_number(self.seed, "seed", 0, integer=True)
+        for name in ("width", "height"):
+            check_number(getattr(self, name), name, 1, integer=True)
+        check_number(self.score, "score", 0, 1, ends="[]")
+        for name in ("jitter_std_rad", "orientation_jitter_rad", "noise_px", "noise_m"):
+            check_number(getattr(self, name), name, 0)
         for name in ("tz_range", "x_range", "y_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
@@ -195,13 +196,6 @@ class SynthConfig:
             raise ValidationError(
                 f"tz_range must lie within {TZ_BOX} m, got {brief(self.tz_range)}")
         check_handedness(self.handedness)
-        if not (is_number(self.score) and 0.0 <= self.score <= 1.0):  # NaN fails too
-            raise ValidationError(
-                f"score must be a finite number in [0, 1], got {brief(self.score)}")
-        for name in ("jitter_std_rad", "orientation_jitter_rad", "noise_px", "noise_m"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 <= value < math.inf):  # NaN fails too
-                raise ValidationError(f"{name} must be a finite number >= 0, got {brief(value)}")
 
 
 # abductions and the thumb roll get half the flexion jitter: their
@@ -312,8 +306,7 @@ FRAME_STEP_US = 33_333  # ~30 fps spacing for generated corpora
 def make_dataset(cfg: SynthConfig, per_gesture: int, gestures=None):
     """Labeled corpus: ``per_gesture`` samples of each gesture, sample i
     seeded by (cfg.seed, i) regardless of generation order."""
-    if per_gesture < 1:
-        raise ValidationError(f"per_gesture must be at least 1, got {brief(per_gesture)}")
+    check_number(per_gesture, "per_gesture", 1, integer=True)
     gestures = tuple(gestures) if gestures is not None else ALL_GESTURES
     if not gestures:
         raise ValidationError("gestures must name at least one gesture")

@@ -32,6 +32,7 @@ from .skeleton import (
     MIDDLE_MCP,
     NUM_KEYPOINTS,
     check_handedness,
+    check_number,
     float_array,
     read_json,
     reject_unknown_keys,
@@ -70,6 +71,9 @@ FLOOR_FRACTION = 1.0 / (2 * NUM_KEYPOINTS)
 FLOOR_WINDOW = 3
 # an accepted step that cuts the cost by less than REL_TOL of it ends the fit
 REL_TOL = 1e-10
+# the iteration cap, and the rms reprojection error above which a fit fails
+MAX_ITER = 200
+MAX_RMS_PX = 10.0
 
 # Each LM round tries these multiples of the damping factor at once; two
 # decades apart, so one round reaches both near-Gauss-Newton and short
@@ -145,8 +149,8 @@ class CameraIntrinsics:
 
 
 def default_intrinsics(width: int, height: int) -> CameraIntrinsics:
-    if width <= 0 or height <= 0:
-        raise MalformedFrame(f"image dims must be positive, got {width}x{height}")
+    check_number(width, "width", 1, integer=True, error=MalformedFrame)
+    check_number(height, "height", 1, integer=True, error=MalformedFrame)
     return CameraIntrinsics(f=float(max(width, height)), cx=width / 2.0, cy=height / 2.0)
 
 
@@ -173,14 +177,15 @@ class HandModel:
     ``base_frames[i]`` is the rest frame of finger i with columns
     [lateral, along, normal]; flexion rotates about lateral, abduction
     about normal.  ``_rest`` holds what the pose seed derives from the rest
-    pose; it is filled on first use.
+    pose; it is filled on first use.  The three arrays are the model's own
+    and read-only, so that cache cannot go stale.
     """
 
     __slots__ = ("directions", "lengths", "base_frames", "_rest")
 
     def __init__(self, directions, lengths):
         d = float_array(directions, "directions", (5, 3))
-        l = float_array(lengths, "lengths", (5, 4))
+        l = float_array(lengths, "lengths", (5, 4)).copy()
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms < 1e-9):
             raise MalformedConfig("zero-length finger direction in hand model")
@@ -197,6 +202,8 @@ class HandModel:
                 raise MalformedConfig("finger direction parallel to the palm normal")
             lateral = lateral / ln
             frames[i] = np.column_stack([lateral, along, cross(lateral, along)])
+        for a in (d, l, frames):
+            a.flags.writeable = False
         self.directions = d
         self.lengths = l
         self.base_frames = frames
@@ -364,6 +371,8 @@ _N_RESIDUALS = 2 * NUM_KEYPOINTS + NUM_JOINT_ANGLES + 1
 _BOX_LO = np.concatenate([JOINT_BOXES[:, 0], [TZ_BOX[0]]])
 _BOX_HI = np.concatenate([JOINT_BOXES[:, 1], [TZ_BOX[1]]])
 _BOX_W = np.concatenate([np.full(NUM_JOINT_ANGLES, BOX_WEIGHT_JOINT), [BOX_WEIGHT_TZ]])
+# the pose entries the box penalties hold, joints then depth, in _BOX_LO's order
+_BOX_COLS = np.concatenate([np.arange(6, NUM_POSE_PARAMS), [5]])
 
 
 def _residuals_batch(model, intrinsics, obs, pvecs):
@@ -381,7 +390,7 @@ def _residuals_batch(model, intrinsics, obs, pvecs):
     proj = intrinsics.f * pts[:, :, :2] / z + (intrinsics.cx, intrinsics.cy)
     out = np.empty((n, _N_RESIDUALS))
     out[:, : 2 * NUM_KEYPOINTS] = (proj - obs).reshape(n, -1)
-    vals = np.concatenate([pvecs[:, 6:], pvecs[:, 5:6]], axis=1)
+    vals = pvecs[:, _BOX_COLS]
     out[:, 2 * NUM_KEYPOINTS:] = _BOX_W * (np.maximum(vals - _BOX_HI, 0.0)
                                            + np.maximum(_BOX_LO - vals, 0.0))
     if not all_ok:
@@ -414,7 +423,6 @@ _JAC_KP = np.broadcast_to(2 + 4 * np.arange(5)[:, None, None] + np.arange(3), _M
 _JAC_COL = np.where(_MOVES, 6 + _SLOT_JOINT[:, :, None], NUM_POSE_PARAMS)
 _SLOT_AXIS_VEC = np.eye(3)[_SLOT_AXIS] * _SLOT_SIGN[:, None]
 _BOX_ROWS = np.arange(2 * NUM_KEYPOINTS, _N_RESIDUALS)
-_BOX_COLS = np.concatenate([np.arange(6, NUM_POSE_PARAMS), [5]])
 
 
 def _linearize(intrinsics, pvec, kin, row):
@@ -439,13 +447,13 @@ def _linearize(intrinsics, pvec, kin, row):
     jac = np.zeros((_N_RESIDUALS, NUM_POSE_PARAMS))
     jac[:2 * NUM_KEYPOINTS] = duv.reshape(2 * NUM_KEYPOINTS, NUM_POSE_PARAMS)
     # box penalties: +-W outside the box, zero inside
-    vals = np.concatenate([pvec[6:], pvec[5:6]])
+    vals = pvec[_BOX_COLS]
     jac[_BOX_ROWS, _BOX_COLS] = _BOX_W * ((vals > _BOX_HI).astype(np.float64) - (vals < _BOX_LO))
     return jac
 
 
-def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PoseParams,
-             *, max_iter: int = 200, max_rms_px: float = 10.0) -> FitResult:
+def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
+             init: PoseParams) -> FitResult:
     """Fit pose parameters to observed pixels by damped least squares.
 
     Residuals are the 42 reprojection errors plus one-sided penalties that
@@ -470,18 +478,18 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
       it, the cost reached zero, or no step went downhill and the
       gradient vanished;
     - "stalled": the noise floor, found by one of two tests that run only
-      within ``max_rms_px`` and never change a step.  Predicted: the first
+      within MAX_RMS_PX and never change a step.  Predicted: the first
       round's least-damped step d predicts a cut -(2 g.d + d'Hd) below
       FLOOR_FRACTION of the cost; that iteration runs no trial and is not
       counted.  Achieved: after an accepted step, the last FLOOR_WINDOW
       accepted steps together cut less than FLOOR_FRACTION of the cost
       before them; that iteration counts;
-    - "max_iter": ``max_iter`` iterations ran out;
+    - "max_iter": MAX_ITER iterations ran out;
     - "no_descent": no step went downhill even at maximum damping, and
       the gradient did not vanish.
 
     ``converged`` is true for the first two.  Raises DivergedFit when the
-    final reprojection error exceeds ``max_rms_px`` or the initial cost is
+    final reprojection error exceeds MAX_RMS_PX or the initial cost is
     not finite, and BehindCamera when the initial pose does not project.
     """
     obs = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
@@ -499,11 +507,11 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     stop = "tolerance" if cost == 0.0 else None
     iterations = 0
     curvature = np.zeros(NUM_POSE_PARAMS)
-    # max_rms_px as a sum of squared reprojection errors: the stall tests
+    # MAX_RMS_PX as a sum of squared reprojection errors: the stall tests
     # never end a fit that more steps would lift
-    floor_px2 = NUM_KEYPOINTS * max_rms_px ** 2
+    floor_px2 = NUM_KEYPOINTS * MAX_RMS_PX ** 2
 
-    while stop is None and iterations < max_iter:
+    while stop is None and iterations < MAX_ITER:
         iterations += 1
         jac = _linearize(intrinsics, p, kin, row)
         grad = jac.T @ r
@@ -569,9 +577,10 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics, init: PosePar
     # the accepted residual's first 42 entries are the reprojection errors
     px = r[:2 * NUM_KEYPOINTS].reshape(NUM_KEYPOINTS, 2)
     rms = float(np.sqrt(np.mean(np.sum(px ** 2, axis=1))))
-    if rms > max_rms_px:
-        raise DivergedFit(f"fit ended ({stop}) at {rms:.2f} px rms "
-                          f"(limit {max_rms_px:.2f})")
+    if rms > MAX_RMS_PX:
+        # four significant digits: an rms past 1e100 px stays a short note
+        raise DivergedFit(f"fit ended ({stop}) at {rms:#.4g} px rms "
+                          f"(limit {MAX_RMS_PX:.2f})")
     return FitResult(params=PoseParams.from_vector(p), points=points, rms_px=rms,
                      cost_history=history, iterations=iterations, stop=stop)
 

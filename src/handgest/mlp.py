@@ -25,7 +25,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import (brief, decode_config, float_array, is_number, read_json,
+from .skeleton import (brief, check_number, decode_config, float_array, read_json,
                        reject_unknown_keys, write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
@@ -73,9 +73,7 @@ class MlpModel:
             raise MalformedConfig("non-finite standardization stats")
         if np.any(feat_std <= 0.0):
             raise MalformedConfig("feat_std entries must be positive")
-        tau = float(tau)
-        if not 0.0 <= tau <= 1.0:
-            raise MalformedConfig(f"tau must lie in [0, 1], got {brief(tau)}")
+        tau = float(check_number(tau, "tau", 0, 1, ends="[]", error=MalformedConfig))
         self.weights = weights
         self.biases = biases
         self.feat_mean = feat_mean
@@ -106,14 +104,11 @@ class MlpModel:
         layers = obj.get("layers")
         if not isinstance(layers, list):
             raise MalformedConfig("missing layers")
-        tau = obj.get("tau", 0.0)
-        if not is_number(tau):
-            raise MalformedConfig(f"tau must be a number, got {brief(tau)}")
         try:
             for L in layers:
                 reject_unknown_keys(L, ("w", "b"), "model layer")
             return cls([L["w"] for L in layers], [L["b"] for L in layers],
-                       obj["feat_mean"], obj["feat_std"], tau)
+                       obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedConfig(f"bad model: {exc!r}") from exc
 
@@ -145,19 +140,12 @@ class TrainConfig:
         if np.any(alpha <= 0.0) or not np.all(np.isfinite(alpha)):
             raise ValidationError("alpha entries must be positive and finite")
         object.__setattr__(self, "alpha", tuple(alpha.tolist()))
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValidationError(f"gamma must be finite and >= 0, got {brief(self.gamma)}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {brief(self.batch_size)}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {brief(self.epochs)}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {brief(self.seed)}")
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValidationError(
-                f"learning_rate must be finite and positive, got {brief(self.learning_rate)}")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValidationError("val_fraction must lie in [0, 1)")
+        check_number(self.gamma, "gamma", 0)
+        check_number(self.batch_size, "batch_size", 1, integer=True)
+        check_number(self.epochs, "epochs", 1, integer=True)
+        check_number(self.seed, "seed", 0, integer=True)
+        check_number(self.learning_rate, "learning_rate", 0, ends="()")
+        check_number(self.val_fraction, "val_fraction", 0, 1)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -418,8 +406,7 @@ def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
     first of 0 and the sorted scores whose exceedance fraction is within
     target_fpr, so the calibration set's own FPR is <= target_fpr.
     """
-    if not 0.0 < target_fpr < 1.0:
-        raise ValidationError(f"target_fpr must lie in (0, 1), got {target_fpr}")
+    check_number(target_fpr, "target_fpr", 0, 1, ends="()")
     if len(negatives) == 0:
         raise EmptyNegatives("calibration requires at least one negative example")
     for ex in negatives:

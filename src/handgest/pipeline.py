@@ -29,7 +29,7 @@ from .errors import (
 from . import mlp
 from .features import feature_vector
 from .heuristic import classify_heuristic, config_from_dict, default_config
-from .skeleton import HandFrame, HandSkeleton, brief, decode_config, read_json
+from .skeleton import HandFrame, HandSkeleton, brief, check_number, decode_config, read_json
 
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
@@ -57,14 +57,10 @@ class PipelineConfig:
     classifier_ref: str | None = None
 
     def __post_init__(self):
-        if not self.max_detect_hz > 0.0:
-            raise ValidationError(f"max_detect_hz must be > 0, got {brief(self.max_detect_hz)}")
-        if self.track_loss_frames < 1:
-            raise ValidationError(
-                f"track_loss_frames must be >= 1, got {brief(self.track_loss_frames)}")
-        if not 0.0 <= self.min_track_score <= 1.0:
-            raise ValidationError(
-                f"min_track_score must lie in [0, 1], got {brief(self.min_track_score)}")
+        # an infinite rate detects on every untracked frame
+        check_number(self.max_detect_hz, "max_detect_hz", 0, ends="(]")
+        check_number(self.track_loss_frames, "track_loss_frames", 1, integer=True)
+        check_number(self.min_track_score, "min_track_score", 0, 1, ends="[]")
         if self.classifier not in CLASSIFIER_KINDS:
             raise ValidationError(f"classifier must be one of {CLASSIFIER_KINDS}, "
                                   f"got {brief(self.classifier)}")

@@ -40,6 +40,8 @@ JSON list or a caller's array: every module takes its arrays through it, so
 numbers given as strings or bools raise TypeError everywhere instead of
 being parsed or cast, and a wrong shape raises ShapeMismatch with one
 message. A float64 ndarray passes through with only its shape checked.
+check_number is the one test of a numeric setting (a config field, a count,
+a threshold, an image size), raising the caller's ValidationError.
 """
 
 from __future__ import annotations
@@ -414,6 +416,27 @@ def is_number(value) -> bool:
         return is_int(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def check_number(value, what: str, lo, hi=math.inf, *, integer=False, ends="[)",
+                 error=ValidationError):
+    """``value``, unchanged, if it is a number (an integer if ``integer``) in
+    the interval from ``lo`` to ``hi`` whose ``ends`` are "[" or "(" and "]"
+    or ")". Python and numpy ints and floats are numbers; bools (np.bool_
+    too) and strings are not. NaN and an integer no float can hold (10**400)
+    lie outside every interval. Else raises ``error``: "seed must be an
+    integer in [0, inf), got -1", or "tau must be a number, got '0.5'"."""
+    kind = "an integer" if integer else "a number"
+    types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if (lo < x or ends[0] == "[" and lo == x) and (x < hi or ends[1] == "]" and x == hi):
+            return value
+        kind += f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    raise error(f"{what} must be {kind}, got {brief(value)}")
 
 
 def brief(value) -> str:

@@ -170,3 +170,26 @@ def test_feature_users_read_the_layout_from_features():
     # cli and heuristic slice and index a feature vector through
     # features.FEATURE_PARTS, never by number
     assert _modules_with(_numbers_feature_entries, FEATURE_USERS) == []
+
+
+def _names_a_json_type_test(node):
+    return ((isinstance(node, ast.Name) and node.id in ("is_int", "is_number"))
+            or (isinstance(node, ast.Attribute) and node.attr in ("is_int", "is_number"))
+            or (isinstance(node, ast.alias) and node.name in ("is_int", "is_number")))
+
+
+def test_settings_are_checked_by_check_number():
+    # skeleton.check_number is the one test of a numeric setting; is_int and
+    # is_number stay with the JSON decoders and per-row parsers
+    settings = {name: MODULES[name] for name in ("harness.py", "mlp.py", "pipeline.py",
+                                                 "lifting.py")}
+    assert _modules_with(_names_a_json_type_test, settings) == []
+    assert _modules_with(_names_a_json_type_test) == ["cli.py", "heuristic.py", "skeleton.py"]
+
+
+def test_fit_limits_are_module_constants():
+    # lifting.MAX_ITER and lifting.MAX_RMS_PX; no caller passes its own
+    params = {(name, arg.arg) for name, tree in MODULES.items() for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              for arg in node.args.args + node.args.kwonlyargs + node.args.posonlyargs}
+    assert {p for p in params if p[1] in ("max_iter", "max_rms_px")} == set()

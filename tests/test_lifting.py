@@ -293,6 +293,24 @@ def test_default_hand_model_is_sane():
     assert np.all(model.lengths < 0.13)
 
 
+def test_hand_model_owns_read_only_arrays():
+    # the model kept the caller's lengths array: setting it to 0.5 m gave
+    # bones past MAX_BONE_M and left the cached rest pose stale
+    base = default_hand_model()
+    directions, lengths = base.directions.copy(), base.lengths.copy()
+    model = HandModel(directions, lengths)
+    kept = [a.copy() for a in (model.directions, model.lengths, model.base_frames)]
+    directions[:] = 1.0
+    lengths[:] = 0.5
+    for a, b in zip((model.directions, model.lengths, model.base_frames), kept):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(model.lengths, base.lengths)
+    for m in (model, base):
+        for name in ("directions", "lengths", "base_frames"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(m, name)[0] = 0.0
+
+
 def test_rest_alignment_follows_each_model_instance():
     # each model is dropped before the next one is built, so the interpreter
     # may give the next one the same id(); the rest size must still be its own
@@ -539,7 +557,7 @@ def test_noisy_fit_stops_at_its_noise_floor(monkeypatch):
     assert res.cost_history[-1] - full.cost_history[-1] < 1.0
 
 
-def lift_style_fit(j, **kwargs):
+def lift_style_fit(j):
     """Row j of a seed-7 lift-style input (1 px noise, one template per
     row), fitted from the alignment seed."""
     cfg = SynthConfig(seed=7, noise_px=1.0)
@@ -547,7 +565,7 @@ def lift_style_fit(j, **kwargs):
     model = default_hand_model()
     intr = default_intrinsics(cfg.width, cfg.height)
     init = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
-    return lambda: fit(frame.hand.kp2d, model, intr, init, **kwargs)
+    return lambda: fit(frame.hand.kp2d, model, intr, init)
 
 
 def test_achieved_reduction_stops_a_crawling_fit(monkeypatch):
@@ -570,7 +588,8 @@ def test_achieved_reduction_stops_a_crawling_fit(monkeypatch):
 def test_floor_tests_never_fire_above_max_rms_px(monkeypatch):
     # a 1 px frame cannot fit within 0.5 px: the fit runs on past its floor
     # and fails exactly as it does with both floor tests off
-    run = lift_style_fit(9, max_rms_px=0.5)
+    monkeypatch.setattr(lifting, "MAX_RMS_PX", 0.5)
+    run = lift_style_fit(9)
     with pytest.raises(DivergedFit) as stopped:
         run()
     monkeypatch.setattr(lifting, "FLOOR_FRACTION", 0.0)
@@ -678,8 +697,8 @@ def test_a_trial_behind_the_camera_is_skipped(monkeypatch):
     intr = default_intrinsics(640, 480)
     truth = truth_sample(3, "PointingUp")
     obs = project(forward_kinematics(model, truth), intr)
-    res, rounds = fit_rounds(monkeypatch, obs, model, intr, PoseParams.identity(),
-                             max_rms_px=np.inf)
+    monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
+    res, rounds = fit_rounds(monkeypatch, obs, model, intr, PoseParams.identity())
     accepting = replay(res, rounds)
     mixed = [i for i in accepting if np.isnan(rounds[i]).any()]
     assert mixed
@@ -710,7 +729,8 @@ def test_damping_search_ends_for_any_window(monkeypatch, window):
 
     monkeypatch.setattr(lifting, "DAMPING_FACTORS", np.array(window))
     monkeypatch.setattr(lifting, "_residuals_batch", behind_camera)
-    res = fit(frame.hand.kp2d, model, intr, init, max_rms_px=np.inf)
+    monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
+    res = fit(frame.hand.kp2d, model, intr, init)
     assert res.stop == "no_descent" and res.iterations == 1
     # the initial pose, then one round per decade of lambda up to 1e8
     assert len(calls) <= 1 + 12
@@ -763,12 +783,14 @@ def test_damping_never_falls_within_a_fit(monkeypatch, gesture, row, noise_px):
             previous = damp
 
 
-def test_fit_stops_at_max_iter():
+def test_fit_stops_at_max_iter(monkeypatch):
     model = default_hand_model()
     intr = default_intrinsics(640, 480)
     truth = truth_sample(3, "ClosedFist")
     obs = project(forward_kinematics(model, truth), intr)
-    res = fit(obs, model, intr, PoseParams.identity(), max_iter=5, max_rms_px=np.inf)
+    monkeypatch.setattr(lifting, "MAX_ITER", 5)
+    monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
+    res = fit(obs, model, intr, PoseParams.identity())
     assert res.stop == "max_iter" and not res.converged
     assert res.iterations == 5
 
@@ -788,12 +810,13 @@ def test_fit_scale_ambiguity():
     assert ratio == pytest.approx(1.2, rel=0.02)
 
 
-def test_fit_rejects_garbage_observations():
+def test_fit_rejects_garbage_observations(monkeypatch):
     model = default_hand_model()
     intr = default_intrinsics(640, 480)
     obs = np.random.default_rng(0).uniform(0, 640, size=(21, 2))
+    monkeypatch.setattr(lifting, "MAX_ITER", 40)
     with pytest.raises(DivergedFit):
-        fit(obs, model, intr, PoseParams.identity(), max_iter=40)
+        fit(obs, model, intr, PoseParams.identity())
 
 
 def test_fit_whose_initial_cost_overflows_raises_before_iterating(monkeypatch):

@@ -3,12 +3,12 @@
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
-from handgest import alignment, features, heuristic, lifting, mlp
+from handgest import alignment, features, harness, heuristic, lifting, mlp, pipeline
 from handgest.errors import (
     DegeneratePalm,
     MalformedConfig,
@@ -26,6 +26,7 @@ from handgest.skeleton import (
     HandFrame,
     HandSkeleton,
     brief,
+    check_number,
     decode_config,
     float_array,
     frame_from_dict,
@@ -418,6 +419,103 @@ def test_frame_from_dict_takes_integer_keypoints():
     kp2d = frame_from_dict(obj).hand.kp2d
     assert kp2d.dtype == np.float64
     assert kp2d.tolist() == obj["hand"]["kp2d"]
+
+
+# -- every numeric setting goes through check_number ---------------------------
+
+# the fields a config needs beyond the one under test
+_CONFIG_NEEDS = {harness.SynthConfig: {}, mlp.TrainConfig: {},
+                 pipeline.PipelineConfig: {"max_detect_hz": 5.0}}
+_NEGATIVES = [mlp.LabeledExample(np.zeros(12), "Negative")]
+
+
+def _model_with_tau(tau):
+    return mlp.MlpModel([np.zeros(shape) for shape in _LAYERS],
+                        [np.zeros(shape[0]) for shape in _LAYERS],
+                        np.zeros(12), np.ones(12), tau=tau)
+
+
+# setting -> (call with one value, integer?): every scalar field of the
+# three configs, read from the dataclass so that a new field is covered,
+# then the model's threshold and the scalar arguments
+SCALAR_SETTINGS = {
+    **{f"{cls.__name__}.{f.name}": (
+        lambda v, cls=cls, name=f.name: cls(**{**_CONFIG_NEEDS[cls], name: v}),
+        f.type == "int")
+       for cls in _CONFIG_NEEDS for f in fields(cls) if f.type in ("int", "float")},
+    "MlpModel.tau": (_model_with_tau, False),
+    "make_dataset.per_gesture": (
+        lambda v: harness.make_dataset(harness.SynthConfig(), v, ("OpenPalm",)), True),
+    "calibrate_threshold.target_fpr": (
+        lambda v: mlp.calibrate_threshold(_model(), _NEGATIVES, v), False),
+    "default_intrinsics.width": (lambda v: lifting.default_intrinsics(v, 480), True),
+    "default_intrinsics.height": (lambda v: lifting.default_intrinsics(640, v), True),
+}
+
+# every setting's interval starts at 0 or above, so -1 lies outside it
+_NOT_SETTINGS = {"true": True, "numpy-true": np.True_, "string": "1", "nan": float("nan"),
+                 "huge-int": 10 ** 400, "minus-one": -1}
+
+
+def test_the_table_reads_the_config_fields():
+    assert {"SynthConfig.seed", "SynthConfig.noise_m", "TrainConfig.epochs",
+            "TrainConfig.val_fraction", "PipelineConfig.max_detect_hz",
+            "PipelineConfig.min_track_score"} <= set(SCALAR_SETTINGS)
+
+
+@pytest.mark.parametrize("setting, value", [
+    (setting, value) for setting, (_, integer) in SCALAR_SETTINGS.items()
+    for value in [*_NOT_SETTINGS, *(["fraction"] if integer else [])]])
+def test_every_numeric_setting_rejects_what_it_cannot_interpret(setting, value):
+    call, _ = SCALAR_SETTINGS[setting]
+    with pytest.raises(ValidationError, match=f"^{setting.split('.')[-1]} must be "):
+        call(_NOT_SETTINGS.get(value, 2.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: harness.SynthConfig(seed=1.5), lambda: harness.SynthConfig(seed=True),
+    lambda: harness.SynthConfig(width=640.5), lambda: harness.SynthConfig(width=True),
+    lambda: mlp.TrainConfig(epochs=2.5), lambda: mlp.TrainConfig(batch_size=True),
+    lambda: mlp.TrainConfig(seed=float("nan")), lambda: mlp.TrainConfig(learning_rate=True),
+    lambda: mlp.TrainConfig(gamma=True),
+    lambda: pipeline.PipelineConfig(5.0, track_loss_frames=2.5),
+    lambda: pipeline.PipelineConfig(max_detect_hz=True),
+    lambda: pipeline.PipelineConfig(5.0, min_track_score=True),
+    lambda: _model_with_tau("0.5"), lambda: _model_with_tau(True),
+    lambda: harness.make_dataset(harness.SynthConfig(), True),
+    lambda: harness.make_dataset(harness.SynthConfig(), 1.5),
+    lambda: lifting.default_intrinsics(float("nan"), 480),
+    lambda: lifting.default_intrinsics(True, 480),
+    lambda: lifting.default_intrinsics(640.5, 480),
+    lambda: lifting.default_intrinsics(10 ** 400, 480),
+])
+def test_settings_once_taken_or_raised_past_are_rejected(call):
+    # each of these was accepted, or raised TypeError or OverflowError
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_check_number_takes_numpy_numbers_and_returns_them_unchanged():
+    seed = np.int64(3)
+    assert check_number(seed, "seed", 0, integer=True) is seed
+    assert harness.SynthConfig(seed=seed).seed is seed
+    assert lifting.default_intrinsics(np.int64(640), np.int64(480)) == \
+        lifting.default_intrinsics(640, 480)
+    with pytest.raises(ValidationError, match=r"^seed must be an integer, got np\.True_$"):
+        harness.SynthConfig(seed=np.bool_(True))
+
+
+@pytest.mark.parametrize("value, ends, ok", [
+    (0.0, "[]", True), (1.0, "[]", True), (0.0, "(]", False), (1.0, "[)", False),
+    (0.5, "()", True), (float("inf"), "[]", False),
+])
+def test_check_number_reads_its_ends(value, ends, ok):
+    if ok:
+        assert check_number(value, "x", 0, 1, ends=ends) == value
+    else:
+        with pytest.raises(ValidationError, match=re.escape(f"x must be a number in "
+                                                            f"{ends[0]}0, 1{ends[1]}")):
+            check_number(value, "x", 0, 1, ends=ends)
 
 
 @pytest.mark.parametrize("value, number", [

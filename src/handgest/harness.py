@@ -185,13 +185,17 @@ class SynthConfig:
         for name in ("jitter_std_rad", "orientation_jitter_rad", "noise_px", "noise_m"):
             check_number(getattr(self, name), name, 0)
         for name in ("tz_range", "x_range", "y_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(f"{name} must be a pair [low, high], got {brief(pair)}")
+            lo, hi = (check_number(end, name, -math.inf, ends="()") for end in pair)
+            if not lo <= hi:
                 raise ValidationError(f"{name} must be finite [low, high] with "
-                                      f"low <= high, got {brief(getattr(self, name))}")
+                                      f"low <= high, got {brief(pair)}")
             if not math.isfinite(float(hi) - float(lo)):
                 raise ValidationError(f"{name} must have a finite high - low, "
-                                      f"got {brief(getattr(self, name))}")
+                                      f"got {brief(pair)}")
+            object.__setattr__(self, name, (lo, hi))
         if not TZ_BOX[0] <= self.tz_range[0] <= self.tz_range[1] <= TZ_BOX[1]:
             raise ValidationError(
                 f"tz_range must lie within {TZ_BOX} m, got {brief(self.tz_range)}")

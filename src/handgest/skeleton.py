@@ -113,6 +113,7 @@ class HandSkeleton:
     kp3d: np.ndarray | None     # (21, 3) float64, meters, camera frame
 
     def __post_init__(self):
+        check_number(self.score, "score", 0, 1, ends="[]", error=MalformedFrame)
         # the shapes are validate_frame's to check, raising MalformedFrame
         self.kp2d = float_array(self.kp2d, "kp2d")
         if self.kp3d is not None:
@@ -134,8 +135,8 @@ def validate_frame(frame: HandFrame) -> HandFrame:
 
     Raises MalformedFrame on a t_us, w or h that is not an integer (a bool
     is not one), bad keypoint counts, non-finite values, image dimensions
-    that are not positive or that no float can hold, out-of-range scores,
-    or an unknown handedness string.
+    that are not positive or that no float can hold, or an unknown
+    handedness string; HandSkeleton checked the score when it was made.
     Validation is idempotent.
     """
     for name in ("t_us", "w", "h"):
@@ -149,8 +150,6 @@ def validate_frame(frame: HandFrame) -> HandFrame:
     if hand is None:
         return frame
     check_handedness(hand.handedness)
-    if not (0.0 <= hand.score <= 1.0):
-        raise MalformedFrame(f"score must lie in [0, 1], got {brief(hand.score)}")
     # HandSkeleton.__post_init__ made kp2d and kp3d float64 arrays
     if hand.kp2d.shape != (NUM_KEYPOINTS, 2):
         raise MalformedFrame(f"kp2d must have shape (21, 2), got {hand.kp2d.shape}")
@@ -203,12 +202,9 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
         raise MalformedFrame(f"unknown hand keys: {brief(sorted(extra))}")
     try:
         kp3d = obj.get("kp3d")
-        score = obj["score"]
-        if not is_number(score):
-            raise MalformedFrame(f"score must be a number, got {brief(score)}")
         return HandSkeleton(
             handedness=obj["handedness"],
-            score=float(score),
+            score=obj["score"],
             kp2d=float_array(obj["kp2d"], "kp2d"),
             kp3d=None if kp3d is None else float_array(kp3d, "kp3d"),
         )

@@ -7,12 +7,11 @@ through the ``criterion`` fixture.
 
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 
+from conftest import run_handgest
 from handgest.alignment import compute_alignment, rotation_vector
 from handgest.features import euler_from_rotation, feature_vector, rotation_from_euler
 from handgest.harness import (
@@ -354,9 +353,7 @@ def test_criterion_8_throttle_bound_and_replay(criterion):
 
 
 def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "handgest.cli",
-                           *[str(a) for a in argv]],
-                          capture_output=True, text=True)
+    proc = run_handgest(*argv)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -14,6 +14,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from conftest import handgest_command, run_handgest
 from handgest.cli import main
 from handgest.errors import DegenerateScale, DivergedFit
 from handgest.features import feature_vector
@@ -652,7 +653,8 @@ BAD_INPUTS = {
     # JSON integers too large for a float, which raised OverflowError; the
     # message shows the first digits and the digit count
     **{f"{argv.split()[0]}-score-huge": (argv, _hand_row(score=HUGE),
-                                         "score must be a number, got 10000000...(401 digits)")
+                                         "score must be a number in [0, 1], "
+                                         "got 10000000...(401 digits)")
        for argv in ("features --frames {bad}", "classify --frames {bad}",
                     "train --data {bad} --config {train} --out {out}",
                     "calibrate --model {model} --negatives {bad} --fpr 0.1 --out {out}",
@@ -818,8 +820,9 @@ def test_closed_stdout_exits_2_without_traceback(runs, tmp_path, capsys, length,
     written = model.read_bytes()
     model.write_bytes(runs["model"].read_bytes())
     # stdout block-buffered, as it is by default on a pipe
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen([sys.executable, "-m", "handgest.cli", *argv], env=env,
+    command, env = handgest_command()
+    env = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([*command, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     if length == "long":
         # the reader leaves with more than a pipe buffer unread: a write fails
@@ -1003,13 +1006,6 @@ def test_row_errors_name_path_and_line(good_files, tmp_path, capsys, cmd, third,
     assert err.count("\n") == 1 and f"{bad}:3: " in err, err
 
 
-def _cli_process(*argv):
-    """The command line run in its own process, so numpy's warnings reach
-    its stderr rather than pytest's warning capture."""
-    return subprocess.run([sys.executable, "-m", "handgest.cli", *map(str, argv)],
-                          capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("config", [
     {"x_range": [-1e308, 1e308]}, {"y_range": [-1e308, 1e308]},
     {"noise_px": 1e308}, {"noise_m": 1e308}, {"noise_px": 1e306},
@@ -1020,7 +1016,9 @@ def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
     # features then rejected
     cfg, out = tmp_path / "synth.json", tmp_path / "data.jsonl"
     cfg.write_text(json.dumps(config))
-    proc = _cli_process("synth", "--config", cfg, "--out", out, "--per-gesture", 2)
+    # in its own process, so numpy's warnings reach its stderr rather than
+    # pytest's warning capture
+    proc = run_handgest("synth", "--config", cfg, "--out", out, "--per-gesture", 2)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
@@ -1031,7 +1029,7 @@ def test_train_that_diverges_exits_3_and_writes_no_model(corpus, tmp_path):
     # weights that classify --model then rejected
     cfg, out = tmp_path / "train.json", tmp_path / "model.json"
     cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 3}))
-    proc = _cli_process("train", "--data", corpus, "--config", cfg, "--out", out)
+    proc = run_handgest("train", "--data", corpus, "--config", cfg, "--out", out)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("numerical error: training diverged in epoch ")
     assert proc.stderr.count("\n") == 1, proc.stderr

@@ -385,6 +385,23 @@ def test_synth_config_rejects_bad_handedness_and_score(change):
         SynthConfig(**change)
 
 
+@pytest.mark.parametrize("name", ["tz_range", "x_range", "y_range"])
+@pytest.mark.parametrize("value", [
+    (False, True), ("0.4", 0.5), (0.4, 0.5, 0.6), 0.1, (float("nan"), 0.5), (0.4, 10 ** 400),
+], ids=["bools", "string", "three", "scalar", "nan", "huge-int"])
+def test_synth_config_ranges_meet_the_scalar_rule(name, value):
+    # bools were kept as given; the others raised TypeError, ValueError or
+    # OverflowError where they were not already rejected
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        SynthConfig(**{name: value})
+
+
+def test_synth_config_stores_each_range_as_a_tuple():
+    cfg = SynthConfig(tz_range=[0.4, 0.6], x_range=[-0.1, 0.1], y_range=[0, 0])
+    assert [cfg.tz_range, cfg.x_range, cfg.y_range] == [(0.4, 0.6), (-0.1, 0.1), (0, 0)]
+    assert {type(cfg.tz_range), type(cfg.x_range), type(cfg.y_range)} == {tuple}
+
+
 def test_jitter_scale_halves_the_abductions_and_the_thumb_roll():
     # the scales as once typed out, in lifting's joint order
     assert _JITTER_SCALE.tolist() == [1.0, 0.5, 1.0, 1.0, 0.5] + [1.0, 0.5, 1.0, 1.0] * 4

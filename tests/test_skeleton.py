@@ -505,6 +505,19 @@ def test_check_number_takes_numpy_numbers_and_returns_them_unchanged():
         harness.SynthConfig(seed=np.bool_(True))
 
 
+@pytest.mark.parametrize("score", [True, np.True_, "0.5", float("nan"), 10 ** 400, -0.1, 1.5],
+                         ids=["true", "numpy-true", "string", "nan", "huge-int", "negative",
+                              "above-one"])
+def test_hand_score_meets_the_scalar_rule(score):
+    # True and np.True_ were written as score 1.0, and "0.5" raised TypeError
+    with pytest.raises(MalformedFrame, match="^score must be a number"):
+        make_hand(score=score)
+
+
+def test_hand_score_takes_both_ends():
+    assert make_hand(score=0).score == 0 and make_hand(score=1.0).score == 1.0
+
+
 @pytest.mark.parametrize("value, ends, ok", [
     (0.0, "[]", True), (1.0, "[]", True), (0.0, "(]", False), (1.0, "[)", False),
     (0.5, "()", True), (float("inf"), "[]", False),

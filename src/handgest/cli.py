@@ -33,12 +33,11 @@ from .errors import (
 from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
-    brief,
+    check_number,
     decode_config,
     float_array,
     frame_from_dict,
     frame_to_dict,
-    is_int,
     open_output,
     read_json,
     read_jsonl,
@@ -54,9 +53,8 @@ PREDICTION_SCHEMA = "prediction/1"
 
 def _features_from_row(obj):
     """(t_us, (12,) feature array) from one feature row."""
-    t_us = obj.get("t_us", 0)
-    if not is_int(t_us):
-        raise MalformedFrame(f"t_us must be an integer, got {brief(t_us)}")
+    t_us = check_number(obj.get("t_us", 0), "t_us", -np.inf, integer=True, ends="()",
+                        error=MalformedFrame)
     try:
         fv = np.concatenate([float_array(obj[key], key, (part.stop - part.start,))
                              for key, part in FEATURE_PARTS.items()])

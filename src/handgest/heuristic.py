@@ -32,7 +32,7 @@ import numpy as np
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import FEATURE_PARTS, FEATURE_SIZE
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger, brief, float_array, is_int, is_number
+from .skeleton import Finger, brief, check_number, float_array
 
 # state-vector index of each name a leaf can reference
 _ENTRY = range(FEATURE_SIZE)
@@ -188,16 +188,11 @@ def expr_from_json(obj: dict) -> Expr:
             raise UnknownReference(f"unknown {kind} state {brief(state)}")
         code = states.index(state)
         return In(names[name], code, code + 1)
-    axis, lo, hi = obj["euler"], obj["lo_deg"], obj["hi_deg"]
+    axis = obj["euler"]
     if axis not in EULER_AXES:
         raise UnknownReference(f"unknown euler axis {brief(axis)}")
-    if not (is_number(lo) and is_number(hi)):
-        raise MalformedConfig(
-            f"lo_deg and hi_deg must be numbers, got {brief(lo)} and {brief(hi)}")
-    band = np.radians([lo, hi])
-    if not np.isfinite(band).all():
-        raise MalformedConfig(
-            f"lo_deg and hi_deg must be finite, got {brief(lo)} and {brief(hi)}")
+    band = np.radians([check_number(obj[key], key, -np.inf, ends="()", error=MalformedConfig)
+                       for key in ("lo_deg", "hi_deg")])
     return In(EULER_AXES[axis], float(band[0]), float(band[1]))
 
 
@@ -349,8 +344,8 @@ def config_from_dict(obj: dict) -> GestureConfig:
         definitions = []
         for g in obj["gestures"]:
             _exact_keys(g, ("name", "priority", "expr"), "gesture entry")
-            if not is_int(g["priority"]):
-                raise TypeError(f"priority must be an integer, got {brief(g['priority'])}")
+            check_number(g["priority"], "priority", -np.inf, integer=True, ends="()",
+                         error=MalformedConfig)
             if not isinstance(g["name"], str):
                 raise TypeError(f"name must be a string, got {brief(g['name'])}")
             definitions.append(GestureDefinition(g["name"], g["priority"],

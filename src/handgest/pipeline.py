@@ -64,6 +64,10 @@ class PipelineConfig:
         if self.classifier not in CLASSIFIER_KINDS:
             raise ValidationError(f"classifier must be one of {CLASSIFIER_KINDS}, "
                                   f"got {brief(self.classifier)}")
+        # an int would be opened as a file descriptor
+        if not (self.classifier_ref is None or isinstance(self.classifier_ref, str)):
+            raise ValidationError(f"classifier_ref must be a string or null, "
+                                  f"got {brief(self.classifier_ref)}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":

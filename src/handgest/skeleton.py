@@ -32,16 +32,20 @@ exits 2 with one line instead of a traceback. The readers return
 ``parse`` of the decoded document, or of each row; a HandgestError that
 ``parse`` raises comes back as the same class led by ``PATH: `` or
 ``PATH:LINE: ``, so its exit code stays and only this module writes a file
-location. decode_config builds the flat config dataclasses from JSON with
-type checks, raising MalformedConfig.
+location. decode_config builds the flat config dataclasses from JSON: it
+checks the keys, and the dataclass checks the values, raising
+MalformedConfig.
 
 float_array is the one conversion of an array argument, whether a decoded
 JSON list or a caller's array: every module takes its arrays through it, so
 numbers given as strings or bools raise TypeError everywhere instead of
 being parsed or cast, and a wrong shape raises ShapeMismatch with one
 message. A float64 ndarray passes through with only its shape checked.
-check_number is the one test of a numeric setting (a config field, a count,
-a threshold, an image size), raising the caller's ValidationError.
+check_number is the one test of a scalar number, whether a decoded JSON
+value (a frame's t_us, w and h, a config field, a gesture's priority) or a
+caller's argument (a count, a threshold, an image size), raising the
+caller's ValidationError. reject_unknown_keys is the one test of an
+object's keys.
 """
 
 from __future__ import annotations
@@ -133,19 +137,14 @@ class HandFrame:
 def validate_frame(frame: HandFrame) -> HandFrame:
     """Check a frame against the schema; returns the frame unchanged.
 
-    Raises MalformedFrame on a t_us, w or h that is not an integer (a bool
-    is not one), bad keypoint counts, non-finite values, image dimensions
-    that are not positive or that no float can hold, or an unknown
-    handedness string; HandSkeleton checked the score when it was made.
-    Validation is idempotent.
+    Raises MalformedFrame on a t_us, w or h that is not an integer a float
+    can hold (a bool is not one), a w or h below 1, bad keypoint counts,
+    non-finite values, or an unknown handedness string; HandSkeleton
+    checked the score when it was made. Validation is idempotent.
     """
-    for name in ("t_us", "w", "h"):
-        value = getattr(frame, name)
-        if not is_int(value):
-            raise MalformedFrame(f"{name} must be an integer, got {brief(value)}")
-    if not (is_number(frame.w) and is_number(frame.h) and frame.w > 0 and frame.h > 0):
-        raise MalformedFrame(f"image dimensions must be positive and within a float's "
-                             f"range, got {brief(frame.w)}x{brief(frame.h)}")
+    check_number(frame.t_us, "t_us", -math.inf, integer=True, ends="()", error=MalformedFrame)
+    check_number(frame.w, "w", 1, integer=True, error=MalformedFrame)
+    check_number(frame.h, "h", 1, integer=True, error=MalformedFrame)
     hand = frame.hand
     if hand is None:
         return frame
@@ -197,9 +196,7 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
         return None
     if not isinstance(obj, dict):
         raise MalformedFrame(f"hand must be an object or null, got {type(obj).__name__}")
-    extra = obj.keys() - HAND_KEYS
-    if extra:
-        raise MalformedFrame(f"unknown hand keys: {brief(sorted(extra))}")
+    reject_unknown_keys(obj, HAND_KEYS, "hand", error=MalformedFrame)
     try:
         kp3d = obj.get("kp3d")
         return HandSkeleton(
@@ -397,21 +394,8 @@ def float_array(value, what: str, shape=None) -> np.ndarray:
     return arr
 
 
-def is_int(value) -> bool:
-    """True for a JSON integer: an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_number(value) -> bool:
-    """True for a JSON number: an int or float that is not a bool, and an
-    int only if it converts to a finite float (json reads 1e999 as inf but
-    10**400 as an int, which float() cannot take)."""
-    if isinstance(value, float):
-        return True
-    try:
-        return is_int(value) and math.isfinite(value)
-    except OverflowError:
-        return False
+_INTEGERS = (int, np.integer)
+_NUMBERS = (int, float, np.integer, np.floating)
 
 
 def check_number(value, what: str, lo, hi=math.inf, *, integer=False, ends="[)",
@@ -422,17 +406,17 @@ def check_number(value, what: str, lo, hi=math.inf, *, integer=False, ends="[)",
     too) and strings are not. NaN and an integer no float can hold (10**400)
     lie outside every interval. Else raises ``error``: "seed must be an
     integer in [0, inf), got -1", or "tau must be a number, got '0.5'"."""
-    kind = "an integer" if integer else "a number"
-    types = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    if isinstance(value, types) and not isinstance(value, bool):
+    interval = ""
+    if isinstance(value, _INTEGERS if integer else _NUMBERS) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:
             x = math.nan
         if (lo < x or ends[0] == "[" and lo == x) and (x < hi or ends[1] == "]" and x == hi):
             return value
-        kind += f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
-    raise error(f"{what} must be {kind}, got {brief(value)}")
+        interval = f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    kind = "an integer" if integer else "a number"
+    raise error(f"{what} must be {kind}{interval}, got {brief(value)}")
 
 
 def brief(value) -> str:
@@ -443,58 +427,36 @@ def brief(value) -> str:
     """
     text = repr(value)
     digits = text.lstrip("-")
-    if is_int(value) and len(digits) > 20:
+    if isinstance(value, int) and len(digits) > 20:
         return f"{'-' if value < 0 else ''}{digits[:8]}...({len(digits)} digits)"
     return text if len(text) <= 80 else f"{text[:60]}...({len(text)} characters)"
 
 
-def reject_unknown_keys(obj: dict, keys, what: str) -> None:
-    """Raise MalformedConfig if ``obj`` carries a key outside ``keys``, so a
+def reject_unknown_keys(obj, keys, what: str, *, error=MalformedConfig) -> None:
+    """Raise ``error`` if ``obj`` carries a key outside ``keys``, so a
     misspelt key is rejected, not read as one left out."""
-    extra = set(obj) - set(keys)
+    extra = set(obj).difference(keys)
     if extra:
-        raise MalformedConfig(f"unknown {what} keys: {brief(sorted(extra))}")
-
-
-# annotation -> test of a decoded JSON value; "X | Y" takes either
-_JSON_KINDS = {
-    "int": lambda v: is_int(v) and is_number(v),
-    "float": is_number,
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-}
+        raise error(f"unknown {what} keys: {brief(sorted(extra))}")
 
 
 def decode_config(cls, obj, what: str):
     """Build the flat config dataclass ``cls`` from a decoded JSON object.
 
     The keys are the dataclass fields, plus an ignored "schema" tag; a
-    field without a default is required. Each value must match its field's
-    annotation, read as a string: "int" takes an integer, "float" any
-    number (never a bool), "str" a string, "tuple" a list of numbers as
-    long as the default, and "X | Y" either; an integer must convert to a
-    finite float (see is_number). Lists become tuples.
+    field without a default is required. The values go to ``cls`` as they
+    are, so its __post_init__ is their one check; a TypeError, ValueError
+    or ValidationError it raises comes back as MalformedConfig with the
+    same text.
     """
     if not isinstance(obj, dict):
         raise MalformedConfig(f"{what} must be a JSON object")
-    known = {f.name: f for f in fields(cls)}
-    reject_unknown_keys(obj, [*known, "schema"], what)
-    kwargs = {}
-    for name, f in known.items():
-        if name not in obj:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise MalformedConfig(f"{what} needs {name!r}")
-            continue
-        value = obj[name]
-        if not any(_matches(value, kind.strip(), f.default)
-                   for kind in f.type.split("|")):
-            raise MalformedConfig(f"{what}: {name} must be {f.type}, got {brief(value)}")
-        kwargs[name] = tuple(value) if isinstance(value, list) else value
-    return cls(**kwargs)
-
-
-def _matches(value, kind: str, default) -> bool:
-    if kind == "tuple":
-        return (isinstance(value, list) and len(value) == len(default)
-                and all(map(is_number, value)))
-    return _JSON_KINDS[kind](value)
+    known = fields(cls)
+    reject_unknown_keys(obj, [f.name for f in known] + ["schema"], what)
+    for f in known:
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise MalformedConfig(f"{what} needs {f.name!r}")
+    try:
+        return cls(**{name: value for name, value in obj.items() if name != "schema"})
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise MalformedConfig(str(exc)) from exc

@@ -472,22 +472,22 @@ BAD_INPUTS = {
                              "--gestures OpenPalm", None, "cannot write"),
     # flat configs with a value of the wrong type or a missing key
     "train-epochs-string": ("train --data {frames} --out {out} --config {bad}",
-                            {"epochs": "5"}, "epochs must be int"),
+                            {"epochs": "5"}, "epochs must be an integer, got '5'"),
     "train-gamma-bool": ("train --data {frames} --out {out} --config {bad}",
-                         {"gamma": True}, "gamma must be float"),
+                         {"gamma": True}, "gamma must be a number, got True"),
     "stream-max-detect-hz-string": ("stream --frames {frames} --pipeline {bad}",
                                     {**_PIPE, "max_detect_hz": "5"},
-                                    "max_detect_hz must be float"),
+                                    "max_detect_hz must be a number, got '5'"),
     "stream-track-loss-frames-string": ("stream --frames {frames} --pipeline {bad}",
                                         {**_PIPE, "track_loss_frames": "3"},
-                                        "track_loss_frames must be int"),
+                                        "track_loss_frames must be an integer, got '3'"),
     "stream-max-detect-hz-missing": ("stream --frames {frames} --pipeline {bad}",
                                      {"schema": "pipeline/1"},
                                      "needs 'max_detect_hz'"),
     "synth-width-string": ("synth --out {out} --config {bad}", {"width": "640"},
-                           "width must be int"),
+                           "width must be an integer, got '640'"),
     "synth-tz-range-number": ("synth --out {out} --config {bad}", {"tz_range": 5},
-                              "tz_range must be tuple"),
+                              "tz_range must be a pair [low, high], got 5"),
     "synth-tz-range-reversed": ("synth --out {out} --config {bad}",
                                 {"tz_range": [1, 0.6]}, "low <= high"),
     "synth-handedness-lowercase": ("synth --out {out} --config {bad}",
@@ -524,13 +524,13 @@ BAD_INPUTS = {
     # a range wider than a float, which raised OverflowError from numpy
     "synth-x-range-overflow": ("synth --out {out} --config {bad}",
                                {"x_range": [-1e308, 1e308]},
-                               "x_range must have a finite high - low, got (-1e+308, 1e+308)"),
+                               "x_range must have a finite high - low, got [-1e+308, 1e+308]"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
                                           {**_MODEL_HEAD, "layers": [1]}, "bad model"),
     "classify-gestures-priority-string": ("classify --frames {frames} --gestures {bad}",
                                           _gestures_with(priority="x"),
-                                          "bad gesture config"),
+                                          "priority must be an integer, got 'x'"),
     # model and config files: numbers given as strings are not parsed
     "classify-model-tau-string": ("classify --frames {frames} --model {bad}",
                                   {**_MODEL, "tau": "0.5"},
@@ -558,7 +558,7 @@ BAD_INPUTS = {
                                       "name must be a string, got 5"),
     "classify-gestures-lo-deg-bool": ("classify --frames {frames} --gestures {bad}",
                                       _term_with(3, 5, lo_deg=True),
-                                      "lo_deg and hi_deg must be numbers, got True"),
+                                      "lo_deg must be a number, got True"),
     "classify-gestures-not-node-with-all": (
         "classify --frames {frames} --gestures {bad}", _term_with(0, 5, all=[]),
         "'all' node takes exactly the keys ['all'], got ['all', 'not']"),
@@ -649,7 +649,7 @@ BAD_INPUTS = {
         "non-finite weights or biases"),
     "classify-gestures-lo-deg-nan": ("classify --frames {frames} --gestures {bad}",
                                      _term_with(3, 5, lo_deg=NAN),
-                                     "lo_deg and hi_deg must be finite, got nan"),
+                                     "lo_deg must be a number in (-inf, inf), got nan"),
     # JSON integers too large for a float, which raised OverflowError; the
     # message shows the first digits and the digit count
     **{f"{argv.split()[0]}-score-huge": (argv, _hand_row(score=HUGE),
@@ -666,22 +666,30 @@ BAD_INPUTS = {
        for argv in ("features --frames {bad}", "stream --frames {bad} --pipeline {pipe}",
                     "lift --frames {bad}")},
     "lift-w-huge": ("lift --frames {bad}", _frame_row(w=HUGE),
-                    "image dimensions must be positive and within a float's range"),
+                    "w must be an integer in [1, inf), got 10000000...(401 digits)"),
     "lift-h-huge": ("lift --frames {bad}", _frame_row(h=HUGE),
-                    "image dimensions must be positive and within a float's range"),
+                    "h must be an integer in [1, inf), got 10000000...(401 digits)"),
+    **{f"{argv.split()[0]}-t-us-huge": (argv, _frame_row(t_us=HUGE),
+                                        "t_us must be an integer in (-inf, inf), "
+                                        "got 10000000...(401 digits)")
+       for argv in ("features --frames {bad}", "stream --frames {bad} --pipeline {pipe}")},
     **{f"synth-{key.replace('_', '-')}-huge": ("synth --out {out} --config {bad}",
-                                               {key: value}, f"{key} must be {kind}")
-       for key, value, kind in (("width", HUGE, "int"), ("height", HUGE, "int"),
-                                ("noise_px", HUGE, "float"),
-                                ("tz_range", [0.4, HUGE], "tuple"))},
+                                               {key: value}, f"{key} must be {kind}, got "
+                                               "10000000...(401 digits)")
+       for key, value, kind in (("width", HUGE, "an integer in [1, inf)"),
+                                ("height", HUGE, "an integer in [1, inf)"),
+                                ("noise_px", HUGE, "a number in [0, inf)"),
+                                ("tz_range", [0.4, HUGE], "a number in (-inf, inf)"))},
     **{f"train-{key.replace('_', '-')}-huge": (
         "train --data {frames} --out {out} --config {bad}", {key: HUGE},
-        f"{key} must be {kind}")
-       for key, kind in (("learning_rate", "float"), ("gamma", "float"),
-                         ("alpha", "float | tuple"))},
+        f"{key} must {kind}")
+       for key, kind in (("learning_rate", "be a number in (0, inf), got 10000000...(401 digits)"),
+                         ("gamma", "be a number in [0, inf), got 10000000...(401 digits)"),
+                         ("alpha", "hold numbers, got dtype object"))},
     "stream-max-detect-hz-huge": ("stream --frames {frames} --pipeline {bad}",
                                   {**_PIPE, "max_detect_hz": HUGE},
-                                  "max_detect_hz must be float"),
+                                  "max_detect_hz must be a number in (0, inf], "
+                                  "got 10000000...(401 digits)"),
 }
 
 
@@ -693,7 +701,7 @@ def test_an_oversized_integer_is_quoted_short(tmp_path, capsys, monkeypatch):
     assert run("lift", "--frames", "f.jsonl") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: f.jsonl:1: ") and err.count("\n") == 1, err
-    assert "got 10000000...(401 digits)x480" in err
+    assert "got 10000000...(401 digits)\n" in err
     assert len(err) < 200
 
 
@@ -1006,11 +1014,12 @@ def test_row_errors_name_path_and_line(good_files, tmp_path, capsys, cmd, third,
     assert err.count("\n") == 1 and f"{bad}:3: " in err, err
 
 
+# tests/test_installed.py's synth-range-wider-than-a-float row holds x_range
 @pytest.mark.parametrize("config", [
-    {"x_range": [-1e308, 1e308]}, {"y_range": [-1e308, 1e308]},
+    {"y_range": [-1e308, 1e308]},
     {"noise_px": 1e308}, {"noise_m": 1e308}, {"noise_px": 1e306},
     {"x_range": [1e305, 1e305]},
-], ids=["x-range", "y-range", "noise-px", "noise-m", "noise-px-rounds-to-inf", "x-far-off"])
+], ids=["y-range", "noise-px", "noise-m", "noise-px-rounds-to-inf", "x-far-off"])
 def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
     # these exited 1 with an OverflowError, or 0 with rows of Infinity that
     # features then rejected
@@ -1021,18 +1030,6 @@ def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
     proc = run_handgest("synth", "--config", cfg, "--out", out, "--per-gesture", 2)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert not out.exists()
-
-
-def test_train_that_diverges_exits_3_and_writes_no_model(corpus, tmp_path):
-    # this exited 0, printed "final train loss nan" and wrote a model of NaN
-    # weights that classify --model then rejected
-    cfg, out = tmp_path / "train.json", tmp_path / "model.json"
-    cfg.write_text(json.dumps({"learning_rate": 1e300, "epochs": 3}))
-    proc = run_handgest("train", "--data", corpus, "--config", cfg, "--out", out)
-    assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("numerical error: training diverged in epoch ")
-    assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
 

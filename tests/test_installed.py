@@ -141,7 +141,7 @@ CASES = {
     "train-diverges": Case(
         "train --data data.jsonl --config diverge.json --out diverged.json",
         files={"diverge.json": {"learning_rate": 1e300, "epochs": 3}}, code=3,
-        err="^numerical error: training diverged", err_lines=1, absent=("diverged.json",)),
+        err="^numerical error: training diverged in epoch ", err_lines=1, absent=("diverged.json",)),
     "stream": Case(
         "stream --frames data.jsonl --pipeline pipe.json --out stream.jsonl --stats stats.json",
         files={"pipe.json": PIPE}, lines={"stream.jsonl": ROWS},

@@ -103,6 +103,25 @@ def _reads_center_keypoints(node):
             or (isinstance(node, ast.alias) and node.name == "CENTER_KEYPOINTS"))
 
 
+def _subtracts_keys(node):
+    """obj.keys() - keys, set(obj) - keys or set(obj).difference(keys)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        left = node.left
+        return isinstance(left, ast.Call) and (
+            (isinstance(left.func, ast.Attribute) and left.func.attr == "keys")
+            or (isinstance(left.func, ast.Name) and left.func.id == "set"))
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "difference")
+
+
+def _says_unknown_keys(node):
+    """An f-string such as f"unknown {what} keys: {extra}"."""
+    if not isinstance(node, ast.JoinedStr):
+        return False
+    text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+    return text.startswith("unknown ") and " keys: " in text
+
+
 def _lists_feature_parts(node):
     """A literal that names the three feature parts: dict keys, or entries
     of a tuple or list, bare or leading a (name, size) pair."""
@@ -161,7 +180,11 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_sets_numpy_error_state, [("cli.py", "main")]),
     # alignment.palm_center is the one mean of the center knuckles
     (_reads_center_keypoints, [("alignment.py", "palm_center")]),
-], ids=["numpy-error-state", "palm-center"])
+    # skeleton.reject_unknown_keys is the one unknown-key rule, for frames
+    # and config files alike
+    (_subtracts_keys, [("skeleton.py", "reject_unknown_keys")]),
+    (_says_unknown_keys, [("skeleton.py", "reject_unknown_keys")]),
+], ids=["numpy-error-state", "palm-center", "unknown-keys", "unknown-keys-message"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -172,19 +195,29 @@ def test_feature_users_read_the_layout_from_features():
     assert _modules_with(_numbers_feature_entries, FEATURE_USERS) == []
 
 
-def _names_a_json_type_test(node):
-    return ((isinstance(node, ast.Name) and node.id in ("is_int", "is_number"))
-            or (isinstance(node, ast.Attribute) and node.attr in ("is_int", "is_number"))
-            or (isinstance(node, ast.alias) and node.name in ("is_int", "is_number")))
+# the second type system that decoded JSON once met before check_number
+RETIRED_TYPE_TESTS = {"is_int", "is_number", "_JSON_KINDS", "_matches"}
 
 
-def test_settings_are_checked_by_check_number():
-    # skeleton.check_number is the one test of a numeric setting; is_int and
-    # is_number stay with the JSON decoders and per-row parsers
-    settings = {name: MODULES[name] for name in ("harness.py", "mlp.py", "pipeline.py",
-                                                 "lifting.py")}
-    assert _modules_with(_names_a_json_type_test, settings) == []
-    assert _modules_with(_names_a_json_type_test) == ["cli.py", "heuristic.py", "skeleton.py"]
+def _names_a_retired_type_test(node):
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+    return name in RETIRED_TYPE_TESTS
+
+
+def _reads_a_type_annotation(node):
+    # a dataclass field's .type is its annotation, a string under
+    # "from __future__ import annotations"
+    return isinstance(node, ast.Attribute) and node.attr == "type"
+
+
+@pytest.mark.parametrize("predicate", [_names_a_retired_type_test, _reads_a_type_annotation],
+                         ids=["is-int-is-number", "annotation-strings"])
+def test_scalars_are_checked_by_check_number_alone(predicate):
+    # skeleton.check_number tests every scalar, decoded JSON too; a config
+    # dataclass checks its own values, so no module reads annotations
+    assert _modules_with(predicate) == []
 
 
 def test_fit_limits_are_module_constants():

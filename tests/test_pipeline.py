@@ -251,6 +251,14 @@ def test_pipeline_config_from_dict_rejects_wrong_types(extra):
         PipelineConfig.from_dict(obj)
 
 
+@pytest.mark.parametrize("ref", [0, 5, True, b"model.json", ["model.json"]])
+def test_classifier_ref_is_a_string_or_none(ref):
+    # an int was taken, and make_classifier then read and closed that file
+    # descriptor
+    with pytest.raises(ValidationError, match="^classifier_ref must be a string or null, got "):
+        PipelineConfig(max_detect_hz=5.0, classifier_ref=ref)
+
+
 def test_pipeline_config_from_dict_needs_max_detect_hz():
     with pytest.raises(MalformedConfig, match="max_detect_hz"):
         PipelineConfig.from_dict({"schema": "pipeline/1"})

@@ -3,7 +3,7 @@
 import json
 import os
 import re
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from handgest.skeleton import (
     float_array,
     frame_from_dict,
     frame_to_dict,
-    is_number,
     open_output,
     read_json,
     read_jsonl,
@@ -531,28 +530,29 @@ def test_check_number_reads_its_ends(value, ends, ok):
             check_number(value, "x", 0, 1, ends=ends)
 
 
-@pytest.mark.parametrize("value, number", [
-    (1, True), (-2.5, True), (float("nan"), True), (float("inf"), True),
-    (int(np.finfo(np.float64).max), True), (2 ** 1024, False), (-(10 ** 400), False),
-    (True, False), ("1", False), (None, False),
-])
-def test_is_number_takes_what_converts_to_a_float(value, number):
-    # non-finite floats are numbers whose ranges the callers check; an
-    # integer past the largest float is not one
-    assert is_number(value) is number
-
-
-@dataclass
-class _Knobs:
-    rate: "float"
-    name: "str" = "x"
-
-
-@pytest.mark.parametrize("obj", [[], {}, {"rate": "1"}, {"rate": 1.0, "extra": 1},
-                                 {"rate": 10 ** 400}])
-def test_decode_config_raises_malformed_config(obj):
+# (config, decoded JSON): keys decode_config rejects, then values that each
+# config's own check rejects, raising ValidationError, TypeError or ValueError
+@pytest.mark.parametrize("cls, obj", [
+    (harness.SynthConfig, []), (pipeline.PipelineConfig, {}),
+    (harness.SynthConfig, {"seed": 1, "extra": 1}), (mlp.TrainConfig, {"epochs": "5"}),
+    (pipeline.PipelineConfig, {"max_detect_hz": 10 ** 400}),
+    (pipeline.PipelineConfig, {"max_detect_hz": 5.0, "classifier_ref": 3}),
+    (harness.SynthConfig, {"tz_range": 5}), (harness.SynthConfig, {"handedness": "right"}),
+    (mlp.TrainConfig, {"alpha": "1"}), (mlp.TrainConfig, {"alpha": [[1.0], [1.0, 2.0]]}),
+], ids=["list", "required-missing", "unknown-key", "string-integer", "huge-integer",
+        "integer-ref", "range-number", "handedness-lowercase", "alpha-string",
+        "alpha-ragged"])
+def test_decode_config_raises_malformed_config(cls, obj):
     with pytest.raises(MalformedConfig):
-        decode_config(_Knobs, obj, "knobs")
+        decode_config(cls, obj, "config")
+
+
+def test_decode_config_keeps_the_text_of_the_config_check():
+    with pytest.raises(ValidationError) as direct:
+        mlp.TrainConfig(epochs="5")
+    with pytest.raises(MalformedConfig) as decoded:
+        decode_config(mlp.TrainConfig, {"schema": "x", "epochs": "5"}, "training config")
+    assert str(decoded.value) == str(direct.value) == "epochs must be an integer, got '5'"
 
 
 def test_open_output_keeps_the_target_when_the_body_raises(tmp_path):

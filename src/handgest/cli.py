@@ -26,13 +26,13 @@ from .errors import (
     MalformedFrame,
     Missing3D,
     NumericalError,
-    ShapeMismatch,
     UnknownLabel,
     ValidationError,
 )
 from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
+    check_keys,
     check_number,
     decode_config,
     float_array,
@@ -47,21 +47,20 @@ from .skeleton import (
 
 FEATURES_SCHEMA = "features/1"
 PREDICTION_SCHEMA = "prediction/1"
+# a feature row's other keys (schema, t_us, label) pass
+FEATURE_ROW_KEYS = frozenset(FEATURE_PARTS)
 
 
 # -- row parsers: each takes one decoded JSONL row -----------------------------
 
 def _features_from_row(obj):
     """(t_us, (12,) feature array) from one feature row."""
+    check_keys(obj, FEATURE_ROW_KEYS, "feature row", None, error=MalformedFrame)
     t_us = check_number(obj.get("t_us", 0), "t_us", -np.inf, integer=True, ends="()",
                         error=MalformedFrame)
-    try:
-        fv = np.concatenate([float_array(obj[key], key, (part.stop - part.start,))
-                             for key, part in FEATURE_PARTS.items()])
-    except ShapeMismatch as exc:
-        raise MalformedFrame("feature row has wrong arity") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFrame(f"feature row needs numeric euler/fingers/pairs: {exc!r}") from exc
+    fv = np.concatenate([float_array(obj[key], key, (part.stop - part.start,),
+                                     error=MalformedFrame)
+                         for key, part in FEATURE_PARTS.items()])
     if not ((FEATURE_MIN <= fv) & (fv <= FEATURE_MAX)).all():  # NaN fails too
         raise MalformedFrame("feature row must be finite and in the ranges features writes: "
                              "yaw, roll [-pi, pi]; pitch [-pi/2, pi/2]; the rest [0, pi]")
@@ -103,10 +102,8 @@ def _negative_example(obj):
 
 
 def _label_only(obj):
-    label = obj.get("label")
-    if label is None:
-        raise MalformedFrame("missing label")
-    return check_label(label)
+    return check_label(check_keys(obj, frozenset({"label"}), "row", None,
+                                  error=MalformedFrame)["label"])
 
 
 def _prediction(obj):

@@ -24,6 +24,7 @@ from .labels import (
     NEGATIVE_LABEL,
     POSITIVE_GESTURES,
     check_gesture,
+    check_label,
     to_class,
 )
 from .features import axis_rotation
@@ -218,7 +219,8 @@ def _jittered_joints(tpl: GestureTemplate, rng: np.random.Generator,
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """The per-sample generator; sample i is independent of all others."""
-    return np.random.default_rng([int(seed), int(index)])
+    return np.random.default_rng([check_number(seed, "seed", 0, integer=True),
+                                  check_number(index, "index", 0, integer=True)])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -286,7 +288,7 @@ def _observe(kp3d: np.ndarray, rng: np.random.Generator, cfg: SynthConfig,
         kp3d = kp3d + rng.standard_normal((NUM_KEYPOINTS, 3)) * cfg.noise_m
     hand = HandSkeleton(handedness=cfg.handedness, score=cfg.score,
                         kp2d=kp2d, kp3d=kp3d)
-    return HandFrame(t_us=int(t_us), w=cfg.width, h=cfg.height, hand=hand)
+    return HandFrame(t_us=t_us, w=cfg.width, h=cfg.height, hand=hand)
 
 
 def synth_pose(label: str, cfg: SynthConfig | None = None,
@@ -297,6 +299,7 @@ def synth_pose(label: str, cfg: SynthConfig | None = None,
     then optional pixel/metric noise) so corpora replay exactly.
     """
     check_gesture(label)
+    check_number(t_us, "t_us", -math.inf, integer=True, ends="()")
     cfg = cfg if cfg is not None else SynthConfig()
     rng = rng if rng is not None else sample_rng(cfg.seed, 0)
     tpl = TEMPLATES[label]
@@ -418,8 +421,8 @@ class EvalReport:
 def eval_classifier(predictions, truths) -> EvalReport:
     """Confusion/recall/FPR over aligned prediction and truth sequences.
 
-    Truth labels outside the six targets collapse onto Negative; a None
-    prediction (no hand) counts as Negative.
+    Truth labels outside the six targets collapse onto Negative, a None
+    prediction (no hand) counts as Negative, and check_label checks the rest.
     """
     predictions = list(predictions)
     truths = list(truths)
@@ -431,8 +434,8 @@ def eval_classifier(predictions, truths) -> EvalReport:
     index = {c: i for i, c in enumerate(CLASSES)}
     confusion = np.zeros((len(CLASSES), len(CLASSES)), dtype=np.int64)
     for pred, truth in zip(predictions, truths):
-        t = index[to_class(str(truth))]
-        p = index[to_class(str(pred))] if pred is not None else index[NEGATIVE_LABEL]
+        t = index[to_class(check_label(truth))]
+        p = index[NEGATIVE_LABEL if pred is None else to_class(check_label(pred))]
         confusion[t, p] += 1
     recalls = {}
     for gesture in POSITIVE_GESTURES:

@@ -25,6 +25,7 @@ palm geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import FEATURE_PARTS, FEATURE_SIZE
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger, brief, check_number, float_array
+from .skeleton import Finger, brief, check_keys, check_number, float_array
 
 # state-vector index of each name a leaf can reference
 _ENTRY = range(FEATURE_SIZE)
@@ -145,55 +146,63 @@ class In(Expr):
 
 # node kind (its first key) -> the exact keys a node of that kind carries
 NODE_KEYS = {
-    "all": ("all",),
-    "any": ("any",),
-    "not": ("not",),
-    "finger": ("finger", "state"),
-    "pair": ("pair", "state"),
-    "euler": ("euler", "lo_deg", "hi_deg"),
+    "all": frozenset({"all"}),
+    "any": frozenset({"any"}),
+    "not": frozenset({"not"}),
+    "finger": frozenset({"finger", "state"}),
+    "pair": frozenset({"pair", "state"}),
+    "euler": frozenset({"euler", "lo_deg", "hi_deg"}),
 }
 
 
-def _exact_keys(obj: dict, keys, what: str) -> None:
-    """Raise MalformedConfig unless ``obj`` carries exactly ``keys``."""
-    if set(obj) != set(keys):
-        raise MalformedConfig(f"{what} takes exactly the keys {list(keys)}, "
-                              f"got {brief(sorted(obj))}")
+def _list(value, what: str) -> list:
+    """value, which must be a list."""
+    if not isinstance(value, list):
+        raise MalformedConfig(f"{what} must be a list, got {brief(value)}")
+    return value
+
+
+def _entry(names: dict, name, what: str) -> int:
+    """The state-vector index of a finger, pair or axis name; a list
+    cannot even be looked up."""
+    if not isinstance(name, str):
+        raise MalformedConfig(f"{what} must be a string, got {brief(name)}")
+    if name not in names:
+        raise UnknownReference(f"unknown {what} {brief(name)}")
+    return names[name]
 
 
 def expr_from_json(obj: dict) -> Expr:
     """Parse one expression node.
 
     Raises MalformedConfig on a node that is not an object, carries keys
-    other than exactly its kind's NODE_KEYS, or has a band edge that is not
-    a finite number; UnknownReference on bad names.
+    other than exactly its kind's NODE_KEYS, holds no list under "all" or
+    "any", or has a band edge that is not a finite number; UnknownReference
+    on bad names.
     """
     kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
     if kind is None:
         raise MalformedConfig(f"bad expression node: {brief(obj)}")
-    _exact_keys(obj, NODE_KEYS[kind], f"{kind!r} node")
-    if kind == "all":
-        return All(tuple(expr_from_json(a) for a in obj["all"]))
-    if kind == "any":
-        return Any_(tuple(expr_from_json(a) for a in obj["any"]))
+    check_keys(obj, NODE_KEYS[kind], f"{kind!r} node")
+    if kind in ("all", "any"):
+        args = tuple(expr_from_json(a) for a in _list(obj[kind], kind))
+        return All(args) if kind == "all" else Any_(args)
     if kind == "not":
         return Not(expr_from_json(obj["not"]))
     if kind in ("finger", "pair"):
         names, states = ((FINGER_NAMES, FINGER_STATES) if kind == "finger"
                          else (PAIR_NAMES, PAIR_STATES))
-        name, state = obj[kind], obj["state"]
-        if name not in names:
-            raise UnknownReference(f"unknown {kind} {brief(name)}")
+        index, state = _entry(names, obj[kind], kind), obj["state"]
         if state not in states:
             raise UnknownReference(f"unknown {kind} state {brief(state)}")
         code = states.index(state)
-        return In(names[name], code, code + 1)
-    axis = obj["euler"]
-    if axis not in EULER_AXES:
-        raise UnknownReference(f"unknown euler axis {brief(axis)}")
-    band = np.radians([check_number(obj[key], key, -np.inf, ends="()", error=MalformedConfig)
-                       for key in ("lo_deg", "hi_deg")])
-    return In(EULER_AXES[axis], float(band[0]), float(band[1]))
+        return In(index, code, code + 1)
+    index = _entry(EULER_AXES, obj["euler"], "euler axis")
+    # math.radians takes an integer past int64, which np.radians does not
+    lo, hi = (math.radians(check_number(obj[key], key, -math.inf, ends="()",
+                                        error=MalformedConfig))
+              for key in ("lo_deg", "hi_deg"))
+    return In(index, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -334,23 +343,21 @@ def config_from_dict(obj: dict) -> GestureConfig:
     """
     if not isinstance(obj, dict) or obj.get("schema") != GESTURES_SCHEMA:
         raise MalformedConfig(f"expected schema {GESTURES_SCHEMA!r}")
-    try:
-        _exact_keys(obj, ("schema", "thresholds", "gestures"), "gesture config")
-        th, rad = obj["thresholds"], np.pi / 180.0
-        names = [f.name for f in fields(StateThresholds)]
-        _exact_keys(th, [f"{name}_deg" for name in names], "thresholds object")
-        thresholds = StateThresholds(**{
-            name: float_array(th[f"{name}_deg"], f"{name}_deg") * rad for name in names})
-        definitions = []
-        for g in obj["gestures"]:
-            _exact_keys(g, ("name", "priority", "expr"), "gesture entry")
-            check_number(g["priority"], "priority", -np.inf, integer=True, ends="()",
-                         error=MalformedConfig)
-            if not isinstance(g["name"], str):
-                raise TypeError(f"name must be a string, got {brief(g['name'])}")
-            definitions.append(GestureDefinition(g["name"], g["priority"],
-                                                 expr_from_json(g["expr"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedConfig(f"bad gesture config: {exc!r}") from exc
+    check_keys(obj, frozenset({"schema", "thresholds", "gestures"}), "gesture config")
+    th, rad = obj["thresholds"], np.pi / 180.0
+    names = [f.name for f in fields(StateThresholds)]
+    check_keys(th, frozenset(f"{name}_deg" for name in names), "thresholds object")
+    thresholds = StateThresholds(**{
+        name: float_array(th[f"{name}_deg"], f"{name}_deg", error=MalformedConfig) * rad
+        for name in names})
+    definitions = []
+    for g in _list(obj["gestures"], "gestures"):
+        check_keys(g, frozenset({"name", "priority", "expr"}), "gesture entry")
+        check_number(g["priority"], "priority", -np.inf, integer=True, ends="()",
+                     error=MalformedConfig)
+        if not isinstance(g["name"], str):
+            raise MalformedConfig(f"name must be a string, got {brief(g['name'])}")
+        definitions.append(GestureDefinition(g["name"], g["priority"],
+                                             expr_from_json(g["expr"])))
     return GestureConfig(thresholds=thresholds, definitions=tuple(definitions))
 

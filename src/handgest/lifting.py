@@ -32,10 +32,10 @@ from .skeleton import (
     MIDDLE_MCP,
     NUM_KEYPOINTS,
     check_handedness,
+    check_keys,
     check_number,
     float_array,
     read_json,
-    reject_unknown_keys,
 )
 from .alignment import compute_alignment, palm_center
 from .features import axis_rotation, cross
@@ -212,26 +212,21 @@ class HandModel:
     @classmethod
     def from_dict(cls, data: dict) -> "HandModel":
         """A hand_model/1 document; the schema tag may be left out."""
-        if not isinstance(data, dict) or not isinstance(data.get("fingers"), dict):
-            raise MalformedConfig("hand model JSON must contain a 'fingers' mapping")
-        reject_unknown_keys(data, ("schema", "comment", "fingers"), "hand model")
+        check_keys(data, frozenset({"fingers"}), "hand model", frozenset({"schema", "comment"}))
         if data.get("schema", HAND_MODEL_SCHEMA) != HAND_MODEL_SCHEMA:
             raise MalformedConfig(f"expected schema {HAND_MODEL_SCHEMA!r}")
-        fingers = data["fingers"]
-        reject_unknown_keys(fingers, [f.name.lower() for f in Finger], "hand model finger")
+        fingers = check_keys(data["fingers"], frozenset(f.name.lower() for f in Finger),
+                             "hand model 'fingers'")
         directions = np.empty((5, 3))
         lengths = np.empty((5, 4))
         for f in Finger:
             name = f.name.lower()
-            if name not in fingers:
-                raise MalformedConfig(f"hand model missing finger {name!r}")
-            entry = fingers[name]
-            try:
-                reject_unknown_keys(entry, ("direction", "lengths"), f"hand model {name!r}")
-                directions[f] = float_array(entry["direction"], "direction", (3,))
-                lengths[f] = float_array(entry["lengths"], "lengths", (4,))
-            except (KeyError, TypeError, ValueError, ShapeMismatch) as exc:
-                raise MalformedConfig(f"bad hand model entry for {name!r}: {exc}") from exc
+            what = f"hand model {name!r}"
+            entry = check_keys(fingers[name], frozenset({"direction", "lengths"}), what)
+            directions[f] = float_array(entry["direction"], f"{what} direction", (3,),
+                                        error=MalformedConfig)
+            lengths[f] = float_array(entry["lengths"], f"{what} lengths", (4,),
+                                     error=MalformedConfig)
         return cls(directions, lengths)
 
 

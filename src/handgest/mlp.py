@@ -10,6 +10,7 @@ Adam, single-threaded and bitwise reproducible for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import (brief, check_number, decode_config, float_array, read_json,
-                       reject_unknown_keys, write_json)
+from .skeleton import (brief, check_keys, check_number, decode_config, float_array, read_json,
+                       write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -97,20 +98,19 @@ class MlpModel:
         if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
             raise MalformedConfig(f"expected schema {MODEL_SCHEMA!r}")
         # a misspelt "Tau" would otherwise load as tau 0, plain argmax
-        reject_unknown_keys(obj, ("schema", "layer_sizes", "layers", "feat_mean",
-                                  "feat_std", "tau"), "model")
-        if obj.get("layer_sizes") != list(LAYER_SIZES):
+        check_keys(obj, frozenset({"schema", "layer_sizes", "layers", "feat_mean", "feat_std"}),
+                   "model", frozenset({"tau"}))
+        if obj["layer_sizes"] != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
-        layers = obj.get("layers")
+        layers = obj["layers"]
         if not isinstance(layers, list):
-            raise MalformedConfig("missing layers")
-        try:
-            for L in layers:
-                reject_unknown_keys(L, ("w", "b"), "model layer")
-            return cls([L["w"] for L in layers], [L["b"] for L in layers],
-                       obj["feat_mean"], obj["feat_std"], obj.get("tau", 0.0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedConfig(f"bad model: {exc!r}") from exc
+            raise MalformedConfig(f"layers must be a list, got {brief(layers)}")
+        layers = [check_keys(L, frozenset({"w", "b"}), "model layer") for L in layers]
+        array = partial(float_array, error=MalformedConfig)
+        return cls([array(L["w"], f"layer {k} weights") for k, L in enumerate(layers)],
+                   [array(L["b"], f"layer {k} bias") for k, L in enumerate(layers)],
+                   array(obj["feat_mean"], "feat_mean"), array(obj["feat_std"], "feat_std"),
+                   obj.get("tau", 0.0))
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -213,11 +213,9 @@ def classify_nn(model: MlpModel, features) -> str:
 # -- focal loss ---------------------------------------------------------------
 
 def _label_index(label) -> int:
-    if isinstance(label, str):
-        if label not in CLASSES:
-            raise UnknownLabel(f"label {brief(label)} not in {CLASSES}")
-        return CLASSES.index(label)
-    return int(label)
+    if label not in CLASSES:
+        raise UnknownLabel(f"label {brief(label)} not in {CLASSES}")
+    return CLASSES.index(label)
 
 
 def focal_loss(probs, label, gamma: float = 2.0, alpha=1.0) -> float:

@@ -39,13 +39,14 @@ MalformedConfig.
 float_array is the one conversion of an array argument, whether a decoded
 JSON list or a caller's array: every module takes its arrays through it, so
 numbers given as strings or bools raise TypeError everywhere instead of
-being parsed or cast, and a wrong shape raises ShapeMismatch with one
-message. A float64 ndarray passes through with only its shape checked.
+being parsed or cast, and a wrong shape or a ragged list raises
+ShapeMismatch with one message; a decoder's ``error=`` replaces both. A
+float64 ndarray passes through with only its shape checked.
 check_number is the one test of a scalar number, whether a decoded JSON
 value (a frame's t_us, w and h, a config field, a gesture's priority) or a
 caller's argument (a count, a threshold, an image size), raising the
-caller's ValidationError. reject_unknown_keys is the one test of an
-object's keys.
+caller's ValidationError. check_keys is the one test of a decoded object
+and its keys.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ BONE_PARENTS = tuple(
 BONES = tuple((p, i) for i, p in zip(range(1, NUM_KEYPOINTS), BONE_PARENTS))
 
 HANDEDNESS_VALUES = ("Left", "Right")
-# what a hand object may hold; a misspelt "kp3D" must not read as a 2D-only hand
-HAND_KEYS = frozenset(("handedness", "score", "kp2d", "kp3d"))
+# a frame's other keys pass; a misspelt "kp3D" must not read as a 2D-only hand
+FRAME_KEYS = frozenset(("t_us", "w", "h", "hand"))
+HAND_KEYS = frozenset(("handedness", "score", "kp2d"))
+HAND_OPTIONAL_KEYS = frozenset(("kp3d",))
 
 
 @dataclass
@@ -194,32 +197,17 @@ def frame_to_dict(frame: HandFrame) -> dict:
 def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise MalformedFrame(f"hand must be an object or null, got {type(obj).__name__}")
-    reject_unknown_keys(obj, HAND_KEYS, "hand", error=MalformedFrame)
-    try:
-        kp3d = obj.get("kp3d")
-        return HandSkeleton(
-            handedness=obj["handedness"],
-            score=obj["score"],
-            kp2d=float_array(obj["kp2d"], "kp2d"),
-            kp3d=None if kp3d is None else float_array(kp3d, "kp3d"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFrame(f"bad hand object: {exc}") from exc
+    check_keys(obj, HAND_KEYS, "hand", HAND_OPTIONAL_KEYS, error=MalformedFrame)
+    kp3d = obj.get("kp3d")
+    return HandSkeleton(obj["handedness"], obj["score"],
+                        float_array(obj["kp2d"], "kp2d", error=MalformedFrame),
+                        None if kp3d is None else float_array(kp3d, "kp3d", error=MalformedFrame))
 
 
 def frame_from_dict(obj: dict) -> HandFrame:
-    try:
-        frame = HandFrame(
-            t_us=obj["t_us"],
-            w=obj["w"],
-            h=obj["h"],
-            hand=skeleton_from_dict(obj["hand"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise MalformedFrame(f"bad frame object: {exc}") from exc
-    return validate_frame(frame)
+    check_keys(obj, FRAME_KEYS, "frame", None, error=MalformedFrame)
+    return validate_frame(HandFrame(t_us=obj["t_us"], w=obj["w"], h=obj["h"],
+                                    hand=skeleton_from_dict(obj["hand"])))
 
 
 def read_json(path, parse):
@@ -364,7 +352,7 @@ _FLOAT64 = np.dtype(np.float64)
 _BOOLS = frozenset((bool, np.bool_))
 
 
-def float_array(value, what: str, shape=None) -> np.ndarray:
+def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
     """``value`` as a float64 array, of shape ``shape`` when one is given.
 
     A float64 ndarray is returned as it is, so the per-frame callers pay for
@@ -373,24 +361,28 @@ def float_array(value, what: str, shape=None) -> np.ndarray:
     that is not int or float, which raises TypeError instead of being parsed
     or cast. numpy promotes a bool mixed with numbers in a list to a number,
     so a list's entries are also checked for bool, in one set over the
-    flattened list rather than a Python loop. Any other shape than
-    ``shape`` raises ShapeMismatch.
+    flattened list rather than a Python loop. A ragged list, or any other
+    shape than ``shape``, raises ShapeMismatch. ``error`` replaces both.
     """
     if type(value) is np.ndarray and value.dtype is _FLOAT64:
         arr = value
     else:
-        arr = np.asarray(value)
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # numpy's words for a ragged list
+            raise (error or ShapeMismatch)(f"{what} must be a rectangular array, "
+                                           f"got a ragged list") from None
         if arr.dtype.kind not in "iuf":
-            raise TypeError(f"{what} must hold numbers, got dtype {arr.dtype}")
+            raise (error or TypeError)(f"{what} must hold numbers, got dtype {arr.dtype}")
         if arr.ndim and not isinstance(value, np.ndarray):
             entries = value
             for _ in range(arr.ndim - 1):
                 entries = chain.from_iterable(entries)
             if not _BOOLS.isdisjoint(map(type, entries)):
-                raise TypeError(f"{what} must hold numbers, got a bool among them")
+                raise (error or TypeError)(f"{what} must hold numbers, got a bool among them")
         arr = np.asarray(arr, dtype=np.float64)
     if shape is not None and arr.shape != shape:
-        raise ShapeMismatch(f"{what} must have shape {shape}, got {arr.shape}")
+        raise (error or ShapeMismatch)(f"{what} must have shape {shape}, got {arr.shape}")
     return arr
 
 
@@ -432,12 +424,20 @@ def brief(value) -> str:
     return text if len(text) <= 80 else f"{text[:60]}...({len(text)} characters)"
 
 
-def reject_unknown_keys(obj, keys, what: str, *, error=MalformedConfig) -> None:
-    """Raise ``error`` if ``obj`` carries a key outside ``keys``, so a
-    misspelt key is rejected, not read as one left out."""
-    extra = set(obj).difference(keys)
+def check_keys(obj, required, what: str, optional=frozenset(), *, error=MalformedConfig):
+    """``obj`` if it is a dict with every key of the frozenset ``required``
+    and none outside ``required`` and ``optional`` (None: any). Else raises
+    ``error``: "hand must be an object, got 5", "unknown hand keys: ['kp3D']"
+    or "hand needs 'kp2d'"; unknown keys come first, so a misspelt key names
+    itself."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be an object, got {brief(obj)}")
+    if obj.keys() >= required and (optional is None or obj.keys() <= required | optional):
+        return obj
+    extra = () if optional is None else obj.keys() - required - optional
     if extra:
         raise error(f"unknown {what} keys: {brief(sorted(extra))}")
+    raise error(f"{what} needs {min(required - obj.keys())!r}")
 
 
 def decode_config(cls, obj, what: str):
@@ -445,18 +445,15 @@ def decode_config(cls, obj, what: str):
 
     The keys are the dataclass fields, plus an ignored "schema" tag; a
     field without a default is required. The values go to ``cls`` as they
-    are, so its __post_init__ is their one check; a TypeError, ValueError
-    or ValidationError it raises comes back as MalformedConfig with the
-    same text.
+    are, so its __post_init__ is their one check; a TypeError or
+    ValidationError it raises comes back as MalformedConfig with the same
+    text.
     """
-    if not isinstance(obj, dict):
-        raise MalformedConfig(f"{what} must be a JSON object")
     known = fields(cls)
-    reject_unknown_keys(obj, [f.name for f in known] + ["schema"], what)
-    for f in known:
-        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
-            raise MalformedConfig(f"{what} needs {f.name!r}")
+    check_keys(obj, frozenset(f.name for f in known
+                              if f.default is MISSING and f.default_factory is MISSING),
+               what, frozenset(f.name for f in known) | {"schema"})
     try:
         return cls(**{name: value for name, value in obj.items() if name != "schema"})
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValidationError) as exc:
         raise MalformedConfig(str(exc)) from exc

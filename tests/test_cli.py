@@ -423,7 +423,6 @@ _FEATURE_ROW = {"t_us": 0, "euler": [0.0, 0.0, 0.0],
 _PIPE = {"schema": "pipeline/1", "max_detect_hz": 5.0}
 # a valid row, then a line that is not UTF-8
 _BAD_UTF8 = json.dumps(_frame_row()).encode() + b'\n{"t_us": 1\xff}\n'
-_MODEL_HEAD = {"schema": "mlp/1", "layer_sizes": [12, 50, 50, 50, 7]}
 _MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:])],
                   [np.zeros(o) for o in LAYER_SIZES[1:]],
                   np.zeros(12), np.ones(12)).to_dict()
@@ -527,7 +526,8 @@ BAD_INPUTS = {
                                "x_range must have a finite high - low, got [-1e+308, 1e+308]"),
     # nested decoders
     "classify-model-layers-not-objects": ("classify --frames {frames} --model {bad}",
-                                          {**_MODEL_HEAD, "layers": [1]}, "bad model"),
+                                          {**_MODEL, "layers": [1]},
+                                          "model layer must be an object, got 1"),
     "classify-gestures-priority-string": ("classify --frames {frames} --gestures {bad}",
                                           _gestures_with(priority="x"),
                                           "priority must be an integer, got 'x'"),
@@ -551,7 +551,7 @@ BAD_INPUTS = {
         "lift --frames {frames} --model {bad}",
         {"fingers": {**_FINGERS, "thumb": {**_FINGERS["thumb"], "lengths": [
             str(a) for a in _FINGERS["thumb"]["lengths"]]}}},
-        "bad hand model entry for 'thumb': lengths must hold numbers"),
+        "hand model 'thumb' lengths must hold numbers"),
     # gesture values that were reinterpreted, and nodes with another kind's key
     "classify-gestures-name-number": ("classify --frames {frames} --gestures {bad}",
                                       _gestures_with(name=5),
@@ -561,18 +561,18 @@ BAD_INPUTS = {
                                       "lo_deg must be a number, got True"),
     "classify-gestures-not-node-with-all": (
         "classify --frames {frames} --gestures {bad}", _term_with(0, 5, all=[]),
-        "'all' node takes exactly the keys ['all'], got ['all', 'not']"),
+        "unknown 'all' node keys: ['not']"),
     "classify-gestures-finger-node-with-lo-deg": (
         "classify --frames {frames} --gestures {bad}", _term_with(1, 0, lo_deg=3),
-        "'finger' node takes exactly the keys ['finger', 'state']"),
+        "unknown 'finger' node keys: ['lo_deg']"),
     # unknown keys and schema tags that were ignored
     "classify-gestures-misspelt-priority": (
         "classify --frames {frames} --gestures {bad}", _gestures_with(priorty=9),
-        "gesture entry takes exactly the keys ['name', 'priority', 'expr']"),
+        "unknown gesture entry keys: ['priorty']"),
     "classify-gestures-thresholds-extra-key": (
         "classify --frames {frames} --gestures {bad}",
         {**DEFAULT_CONFIG_JSON, "thresholds": {**_THRESHOLDS, "straight_max": [30.0] * 5}},
-        "thresholds object takes exactly the keys"),
+        "unknown thresholds object keys: ['straight_max']"),
     "classify-model-misspelt-tau": ("classify --frames {frames} --model {bad}",
                                     {**_MODEL, "Tau": 0.5}, "unknown model keys: ['Tau']"),
     "lift-hand-model-misspelt-lengths": (
@@ -591,10 +591,11 @@ BAD_INPUTS = {
                                      if k != "schema"},
                                     "expected schema 'gestures/1'"),
     "classify-euler-number": ("classify --features {bad}",
-                              {**_FEATURE_ROW, "euler": 5}, "wrong arity"),
+                              {**_FEATURE_ROW, "euler": 5},
+                              "euler must have shape (3,), got ()"),
     "classify-euler-not-numeric": ("classify --features {bad}",
                                    {**_FEATURE_ROW, "euler": [1, "a", 3]},
-                                   "needs numeric euler"),
+                                   "euler must hold numbers"),
     # numbers given as strings or bools are not parsed or cast
     "features-kp3d-strings": ("features --frames {bad}",
                               _hand_row(kp3d=[["0.1", "0.2", "0.5"]] * 21),
@@ -608,8 +609,7 @@ BAD_INPUTS = {
                             "kp2d must hold numbers"),
     "classify-euler-strings": ("classify --features {bad}",
                                {**_FEATURE_ROW, "euler": ["0.1", "0.2", "0.3"]},
-                               "needs numeric euler/fingers/pairs: TypeError('euler must "
-                               "hold numbers"),
+                               "euler must hold numbers, got dtype <U3"),
     # integers that would be silently truncated or taken from a bool
     "features-t-us-fraction": ("features --frames {bad}", _frame_row(t_us=1.5),
                                "t_us must be an integer, got 1.5"),

@@ -368,6 +368,19 @@ def test_eval_input_validation():
         eval_classifier([], [])
 
 
+@pytest.mark.parametrize("predictions, truths", [
+    (["OpenPalm", "Negative"], ["OpenPlam", "Negative"]),
+    (["OpenPalm", "Negative"], ["OpenPalm", None]),
+    (["OpenPlam", "Negative"], ["OpenPalm", "Negative"]),
+    (["OpenPalm", 3], ["OpenPalm", "Negative"]),
+])
+def test_eval_rejects_a_label_it_cannot_read(predictions, truths):
+    # a misspelt or None truth was scored as a Negative row, and the right
+    # OpenPalm prediction beside it as a false positive
+    with pytest.raises(UnknownLabel):
+        eval_classifier(predictions, truths)
+
+
 def test_eval_report_dict_shape():
     d = eval_classifier(["Negative"], ["CallMe"]).to_dict()
     assert d["schema"] == "eval_report/1"
@@ -405,3 +418,18 @@ def test_synth_config_stores_each_range_as_a_tuple():
 def test_jitter_scale_halves_the_abductions_and_the_thumb_roll():
     # the scales as once typed out, in lifting's joint order
     assert _JITTER_SCALE.tolist() == [1.0, 0.5, 1.0, 1.0, 0.5] + [1.0, 0.5, 1.0, 1.0] * 4
+
+
+@pytest.mark.parametrize("seed, index", [(1.7, 0), (0, 2.5), (True, 0), (-1, 0), (0, "3")])
+def test_sample_rng_takes_integers_only(seed, index):
+    # sample_rng(1.7, 0) was seed 1's generator
+    with pytest.raises(ValidationError, match="must be an integer"):
+        sample_rng(seed, index)
+
+
+@pytest.mark.parametrize("t_us", [1.5, True, "0", 10 ** 400],
+                         ids=["fraction", "bool", "string", "huge"])
+def test_synth_pose_takes_an_integer_t_us(t_us):
+    # t_us=1.5 was written as 1
+    with pytest.raises(ValidationError, match="^t_us must be an integer"):
+        synth_pose("OpenPalm", t_us=t_us)

@@ -310,6 +310,48 @@ def test_config_from_dict_maps_bad_values(path, value):
         config_from_dict(obj)
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("gestures",), 5, "gestures must be a list, got 5"),
+    (("gestures",), "x", "gestures must be a list, got 'x'"),
+    (("gestures", 0, "expr", "all"), None, "all must be a list, got None"),
+    (("gestures", 0, "expr"), {"any": {"finger": "Index", "state": "FullyBent"}},
+     "any must be a list, got {'finger'"),
+    (("gestures", 1, "expr", "all", 0, "finger"), ["Index"],
+     "finger must be a string, got ['Index']"),
+    (("gestures", 1, "expr", "all", 2, "pair"), {"k": 0}, "pair must be a string, got {'k': 0}"),
+    (("gestures", 3, "expr", "all", 5, "euler"), ["yaw"],
+     "euler axis must be a string, got ['yaw']"),
+    (("gestures", 0, "expr", "all", 0), {"finger": "Thumb"}, "'finger' node needs 'state'"),
+    (("gestures", 0, "expr", "all", 5), {"not": 1, "nto": 2}, "unknown 'not' node keys: ['nto']"),
+    (("thresholds",), [1], "thresholds object must be an object, got [1]"),
+    (("thresholds", "bent_min_deg"), [[70.0], [90.0, 1.0]],
+     "bent_min_deg must be a rectangular array, got a ragged list"),
+])
+def test_config_from_dict_names_a_value_of_the_wrong_type(path, value, message):
+    # each raised a TypeError, or iterated a string, under a catch-all that
+    # printed the exception's repr
+    obj = copy.deepcopy(DEFAULT_CONFIG_JSON)
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(MalformedConfig) as info:
+        config_from_dict(obj)
+    assert str(info.value).startswith(message)
+
+
+def test_band_edges_past_int64_read_as_their_float():
+    # 10**300 in digits raised numpy's "loop of ufunc does not support
+    # argument 0 of type int", while 1e300 was taken
+    def band(lo, hi):
+        return expr_from_json({"euler": "yaw", "lo_deg": lo, "hi_deg": hi})
+
+    assert band(10 ** 300, -(10 ** 300)) == band(1e300, -1e300)
+    assert band(2 ** 64, 3) == band(float(2 ** 64), 3.0)
+    with pytest.raises(MalformedConfig, match="lo_deg must be a number in"):
+        band(10 ** 400, 0)
+
+
 # --- the enum/discretizer classifier this module replaced, kept as an oracle ---
 
 _FINGERS = ("Thumb", "Index", "Middle", "Ring", "Pinky")

@@ -292,10 +292,15 @@ def test_the_table_is_the_only_home_of_command_line_cases():
     lines = WORKFLOW.read_text().splitlines()
     code = [line.split("#", 1)[0] for line in lines]
     assert not [line for line in code if re.search(r"\bhandgest(\.cli)?\s", line)]
-    start = lines.index("      - name: Installed command line")
-    step = lines[start:]
-    step = step[:next((i for i, line in enumerate(step[1:], 1)
-                       if line.startswith("      - ")), len(step))]
-    assert len(step) < 15
-    assert "python -m pip install ." in "\n".join(step)
-    assert "python -m pytest -q tests/test_installed.py" in "\n".join(step)
+
+    def step(name):
+        start = lines.index(f"      - name: {name}")
+        rest = lines[start:]
+        return "\n".join(rest[:next((i for i, line in enumerate(rest[1:], 1)
+                                     if line.startswith("      - ")), len(rest))])
+
+    # the package is installed, with its test extra, before the table runs
+    assert "python -m pip install '.[test]'" in step("Install")
+    table = step("Installed command line")
+    assert len(table.splitlines()) < 15
+    assert "python -m pytest -q tests/test_installed.py" in table

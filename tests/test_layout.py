@@ -103,23 +103,50 @@ def _reads_center_keypoints(node):
             or (isinstance(node, ast.alias) and node.name == "CENTER_KEYPOINTS"))
 
 
+def _is_key_set(node):
+    """obj.keys() or set(obj)."""
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Attribute) and node.func.attr == "keys")
+        or (isinstance(node.func, ast.Name) and node.func.id == "set"))
+
+
 def _subtracts_keys(node):
-    """obj.keys() - keys, set(obj) - keys or set(obj).difference(keys)."""
+    """obj.keys() - keys, keys - set(obj) or set(obj).difference(keys)."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
-        left = node.left
-        return isinstance(left, ast.Call) and (
-            (isinstance(left.func, ast.Attribute) and left.func.attr == "keys")
-            or (isinstance(left.func, ast.Name) and left.func.id == "set"))
+        return _is_key_set(node.left) or _is_key_set(node.right)
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "difference")
+
+
+def _compares_keys(node):
+    """obj.keys() >= keys, or set(obj) != set(keys)."""
+    return isinstance(node, ast.Compare) and any(
+        _is_key_set(side) for side in [node.left, *node.comparators])
+
+
+def _message_text(node):
+    return "".join(v.value for v in node.values if isinstance(v, ast.Constant))
 
 
 def _says_unknown_keys(node):
     """An f-string such as f"unknown {what} keys: {extra}"."""
     if not isinstance(node, ast.JoinedStr):
         return False
-    text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+    text = _message_text(node)
     return text.startswith("unknown ") and " keys: " in text
+
+
+def _says_needs_key(node):
+    """An f-string such as f"{what} needs {key!r}"."""
+    return isinstance(node, ast.JoinedStr) and " needs " in _message_text(node)
+
+
+def _catches_key_error(node):
+    """An except clause that names KeyError, alone or in a tuple."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(isinstance(n, ast.Name) and n.id == "KeyError" for n in names)
 
 
 def _lists_feature_parts(node):
@@ -180,11 +207,14 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_sets_numpy_error_state, [("cli.py", "main")]),
     # alignment.palm_center is the one mean of the center knuckles
     (_reads_center_keypoints, [("alignment.py", "palm_center")]),
-    # skeleton.reject_unknown_keys is the one unknown-key rule, for frames
-    # and config files alike
-    (_subtracts_keys, [("skeleton.py", "reject_unknown_keys")]),
-    (_says_unknown_keys, [("skeleton.py", "reject_unknown_keys")]),
-], ids=["numpy-error-state", "palm-center", "unknown-keys", "unknown-keys-message"])
+    # skeleton.check_keys is the one key rule, for frames and config files
+    # alike: it subtracts and compares key sets, and words both messages
+    (_subtracts_keys, [("skeleton.py", "check_keys")] * 2),
+    (_compares_keys, [("skeleton.py", "check_keys")] * 2),
+    (_says_unknown_keys, [("skeleton.py", "check_keys")]),
+    (_says_needs_key, [("skeleton.py", "check_keys")]),
+], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
+        "needs-key-message"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -199,11 +229,15 @@ def test_feature_users_read_the_layout_from_features():
 RETIRED_TYPE_TESTS = {"is_int", "is_number", "_JSON_KINDS", "_matches"}
 
 
-def _names_a_retired_type_test(node):
-    name = (node.id if isinstance(node, ast.Name)
+def _name_of(node):
+    """The name a node reads, imports or defines, or None."""
+    return (node.id if isinstance(node, ast.Name)
             else node.attr if isinstance(node, ast.Attribute)
             else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
-    return name in RETIRED_TYPE_TESTS
+
+
+def _names_a_retired_type_test(node):
+    return _name_of(node) in RETIRED_TYPE_TESTS
 
 
 def _reads_a_type_annotation(node):
@@ -217,6 +251,22 @@ def _reads_a_type_annotation(node):
 def test_scalars_are_checked_by_check_number_alone(predicate):
     # skeleton.check_number tests every scalar, decoded JSON too; a config
     # dataclass checks its own values, so no module reads annotations
+    assert _modules_with(predicate) == []
+
+
+# the key tests and the catch-alls that the key rule replaced
+RETIRED_KEY_TESTS = {"reject_unknown_keys", "_exact_keys"}
+
+
+def _names_a_retired_key_test(node):
+    return _name_of(node) in RETIRED_KEY_TESTS
+
+
+@pytest.mark.parametrize("predicate", [_names_a_retired_key_test, _catches_key_error],
+                         ids=["retired-key-tests", "key-error-catch-alls"])
+def test_objects_are_checked_by_check_keys_alone(predicate):
+    # a decoder tests an object's keys with skeleton.check_keys, and no
+    # handler turns a KeyError, or whatever else it catches, into a message
     assert _modules_with(predicate) == []
 
 

@@ -400,8 +400,8 @@ def test_hand_model_from_dict_raises_malformed_config(change):
 def test_hand_model_from_dict_names_an_entry_of_the_wrong_length():
     # numpy's broadcast error was the message
     fingers = {**_FINGERS, "thumb": {**_FINGERS["thumb"], "direction": [1.0, 0.0]}}
-    with pytest.raises(MalformedConfig, match=r"^bad hand model entry for 'thumb': "
-                       r"direction must have shape \(3,\), got \(2,\)$"):
+    with pytest.raises(MalformedConfig, match=r"^hand model 'thumb' direction "
+                       r"must have shape \(3,\), got \(2,\)$"):
         HandModel.from_dict({"fingers": fingers})
 
 

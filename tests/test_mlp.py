@@ -10,6 +10,7 @@ from handgest.errors import (
     MalformedConfig,
     ShapeMismatch,
     SingleClassDataset,
+    UnknownLabel,
     ValidationError,
 )
 from handgest.labels import CLASSES
@@ -151,6 +152,14 @@ def test_focal_alpha_checked_as_train_config_checks_it(alpha):
     ex = LabeledExample(np.zeros(12), "Victory")
     with pytest.raises(ValidationError):
         gradient_check(he_model(np.random.default_rng(0)), ex, alpha=alpha)
+
+
+@pytest.mark.parametrize("label", [-1, True, 9, 0, "Victroy"])
+def test_focal_loss_takes_a_class_name_only(label):
+    # an int was an index into CLASSES: -1 read as Negative, True as
+    # Victory, and 9 raised IndexError
+    with pytest.raises(UnknownLabel):
+        focal_loss(uniformish(0.7, 1), label)
 
 
 def test_focal_monotone_decreasing_in_p():

@@ -26,6 +26,7 @@ from handgest.skeleton import (
     HandFrame,
     HandSkeleton,
     brief,
+    check_keys,
     check_number,
     decode_config,
     float_array,
@@ -322,6 +323,54 @@ def test_float_array_checks_the_shape_of_either_path():
         float_array(np.zeros((21, 3)), "kp2d", (21, 2))
     with pytest.raises(ShapeMismatch, match=message):
         float_array([[0, 0, 0]] * 21, "kp2d", (21, 2))
+
+
+@pytest.mark.parametrize("value, message", [
+    (["0.5", "1"], "x must hold numbers, got dtype <U3"),
+    ([0.5, True], "x must hold numbers, got a bool among them"),
+    ([[1.0], [1.0, 2.0]], "x must be a rectangular array, got a ragged list"),
+    ([1.0, 2.0, 3.0], "x must have shape (2,), got (3,)"),
+])
+def test_float_array_raises_a_decoders_error(value, message):
+    # a ragged list raised numpy's ValueError, "inhomogeneous shape after 1
+    # dimensions", which decoders caught and printed
+    with pytest.raises(MalformedConfig, match=f"^{re.escape(message)}$"):
+        float_array(value, "x", (2,), error=MalformedConfig)
+
+
+def test_float_array_raises_shape_mismatch_for_a_ragged_list():
+    with pytest.raises(ShapeMismatch, match="ragged"):
+        float_array([[1.0], [1.0, 2.0]], "x")
+
+
+_AB = frozenset({"a", "b"})
+
+
+@pytest.mark.parametrize("obj, optional, message", [
+    ({"a": 1, "b": 2}, frozenset(), None),
+    ({"a": 1, "b": 2, "c": 3}, frozenset({"c"}), None),
+    ({"a": 1, "b": 2, "label": 3}, None, None),
+    ([1], frozenset(), "hand must be an object, got [1]"),
+    (None, None, "hand must be an object, got None"),
+    ({"a": 1, "b": 2, "x": 3, "c": 4}, frozenset({"c"}), "unknown hand keys: ['x']"),
+    # the misspelt key is named, not the one it was meant to be
+    ({"a": 1, "bb": 2}, frozenset(), "unknown hand keys: ['bb']"),
+    ({"a": 1}, frozenset({"c"}), "hand needs 'b'"),
+    ({"c": 1}, frozenset({"c"}), "hand needs 'a'"),
+    ({"b": 2, "label": 3}, None, "hand needs 'a'"),
+], ids=["exact", "optional", "open", "list", "null", "unknown", "unknown-before-missing",
+        "missing", "first-missing", "open-missing"])
+def test_check_keys_words_three_messages(obj, optional, message):
+    if message is None:
+        assert check_keys(obj, _AB, "hand", optional, error=MalformedFrame) is obj
+    else:
+        with pytest.raises(MalformedFrame, match=f"^{re.escape(message)}$"):
+            check_keys(obj, _AB, "hand", optional, error=MalformedFrame)
+
+
+def test_check_keys_raises_malformed_config_by_default():
+    with pytest.raises(MalformedConfig, match="^model needs 'b'$"):
+        check_keys({"a": 1}, _AB, "model")
 
 
 # -- every array the package takes goes through float_array ------------------

@@ -33,6 +33,7 @@ from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, feature_vector
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
     check_keys,
+    check_name,
     check_number,
     decode_config,
     float_array,
@@ -107,10 +108,8 @@ def _label_only(obj):
 
 
 def _prediction(obj):
-    label = _label_only(obj)
-    if label not in CLASSES:
-        raise UnknownLabel(f"prediction {label!r} outside the classifier vocabulary")
-    return label
+    label = check_keys(obj, frozenset({"label"}), "row", None, error=MalformedFrame)["label"]
+    return check_name(label, CLASSES, "prediction", error=UnknownLabel)
 
 
 def _with_seed(cfg, seed):

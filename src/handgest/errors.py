@@ -67,8 +67,8 @@ class NonMonotonicTimestamp(ValidationError):
     """Stream timestamps must strictly increase."""
 
 
-class UnknownReference(ValidationError):
-    """Gesture expression references an unknown finger, pair, or axis."""
+class UnknownReference(MalformedConfig):
+    """A gesture config names no known finger, pair, axis or state; a MalformedConfig."""
 
 
 class UnknownLabel(ValidationError):

@@ -298,11 +298,10 @@ def synth_pose(label: str, cfg: SynthConfig | None = None,
     Draw order per sample is fixed (joint noise, spin, wobble, placement,
     then optional pixel/metric noise) so corpora replay exactly.
     """
-    check_gesture(label)
+    tpl = TEMPLATES[check_gesture(label)]
     check_number(t_us, "t_us", -math.inf, integer=True, ends="()")
     cfg = cfg if cfg is not None else SynthConfig()
     rng = rng if rng is not None else sample_rng(cfg.seed, 0)
-    tpl = TEMPLATES[label]
     *_, kp3d = _sample_pose(tpl, partial(_template_rotation, tpl, cfg), rng, cfg)
     return _observe(kp3d, rng, cfg, t_us), label
 
@@ -348,11 +347,10 @@ def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator) -> Pose
     """The PoseParams behind a sample, for fitting round-trips: the same
     rng state yields the pose that synth_pose places.  Right hands only;
     no pose of the hand model reaches a mirrored hand."""
-    check_gesture(label)
+    tpl = TEMPLATES[check_gesture(label)]
     if cfg.handedness != "Right":
         raise ValidationError(f"synth_params models right hands only, "
                               f"got handedness {cfg.handedness!r}")
-    tpl = TEMPLATES[label]
     joints, rotation, t, _ = _sample_pose(
         tpl, partial(_template_rotation, tpl, cfg), rng, cfg)
     return PoseParams(rotvec=rotvec_from_rotmat(rotation), translation=t,

@@ -33,7 +33,8 @@ import numpy as np
 from .errors import MalformedConfig, UnknownReference, ValidationError
 from .features import FEATURE_PARTS, FEATURE_SIZE
 from .labels import NEGATIVE_LABEL
-from .skeleton import Finger, brief, check_keys, check_number, float_array
+from .skeleton import (Finger, brief, check_keys, check_list, check_name, check_number,
+                       float_array)
 
 # state-vector index of each name a leaf can reference
 _ENTRY = range(FEATURE_SIZE)
@@ -155,49 +156,31 @@ NODE_KEYS = {
 }
 
 
-def _list(value, what: str) -> list:
-    """value, which must be a list."""
-    if not isinstance(value, list):
-        raise MalformedConfig(f"{what} must be a list, got {brief(value)}")
-    return value
-
-
-def _entry(names: dict, name, what: str) -> int:
-    """The state-vector index of a finger, pair or axis name; a list
-    cannot even be looked up."""
-    if not isinstance(name, str):
-        raise MalformedConfig(f"{what} must be a string, got {brief(name)}")
-    if name not in names:
-        raise UnknownReference(f"unknown {what} {brief(name)}")
-    return names[name]
-
-
 def expr_from_json(obj: dict) -> Expr:
     """Parse one expression node.
 
     Raises MalformedConfig on a node that is not an object, carries keys
     other than exactly its kind's NODE_KEYS, holds no list under "all" or
-    "any", or has a band edge that is not a finite number; UnknownReference
-    on bad names.
+    "any", or has a band edge that is not a finite number, and its
+    subclass UnknownReference on an unknown finger, pair, axis or state.
     """
     kind = next((k for k in NODE_KEYS if k in obj), None) if isinstance(obj, dict) else None
     if kind is None:
         raise MalformedConfig(f"bad expression node: {brief(obj)}")
     check_keys(obj, NODE_KEYS[kind], f"{kind!r} node")
     if kind in ("all", "any"):
-        args = tuple(expr_from_json(a) for a in _list(obj[kind], kind))
+        args = tuple(expr_from_json(a) for a in check_list(obj[kind], kind))
         return All(args) if kind == "all" else Any_(args)
     if kind == "not":
         return Not(expr_from_json(obj["not"]))
     if kind in ("finger", "pair"):
         names, states = ((FINGER_NAMES, FINGER_STATES) if kind == "finger"
                          else (PAIR_NAMES, PAIR_STATES))
-        index, state = _entry(names, obj[kind], kind), obj["state"]
-        if state not in states:
-            raise UnknownReference(f"unknown {kind} state {brief(state)}")
-        code = states.index(state)
+        index = names[check_name(obj[kind], names, kind, error=UnknownReference)]
+        code = states.index(check_name(obj["state"], states, f"{kind} state",
+                                       error=UnknownReference))
         return In(index, code, code + 1)
-    index = _entry(EULER_AXES, obj["euler"], "euler axis")
+    index = EULER_AXES[check_name(obj["euler"], EULER_AXES, "euler axis", error=UnknownReference)]
     # math.radians takes an integer past int64, which np.radians does not
     lo, hi = (math.radians(check_number(obj[key], key, -math.inf, ends="()",
                                         error=MalformedConfig))
@@ -351,7 +334,7 @@ def config_from_dict(obj: dict) -> GestureConfig:
         name: float_array(th[f"{name}_deg"], f"{name}_deg", error=MalformedConfig) * rad
         for name in names})
     definitions = []
-    for g in _list(obj["gestures"], "gestures"):
+    for g in check_list(obj["gestures"], "gestures"):
         check_keys(g, frozenset({"name", "priority", "expr"}), "gesture entry")
         check_number(g["priority"], "priority", -np.inf, integer=True, ends="()",
                      error=MalformedConfig)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import UnknownLabel
-from .skeleton import brief
+from .skeleton import check_name
 
 # The six gestures the classifiers target.
 POSITIVE_GESTURES = (
@@ -51,20 +51,17 @@ ALL_GESTURES = (
 
 NEGATIVE_GESTURES = tuple(g for g in ALL_GESTURES if g not in POSITIVE_GESTURES)
 
+ALL_LABELS = ALL_GESTURES + (NEGATIVE_LABEL,)
 
-def check_gesture(name: str) -> str:
-    """Validate a generator label; raises UnknownLabel otherwise."""
-    if name not in ALL_GESTURES:
-        raise UnknownLabel(f"unknown gesture {brief(name)}")
-    return name
+
+def check_gesture(name) -> str:
+    """``name`` if it is a generator gesture; else raises UnknownLabel."""
+    return check_name(name, ALL_GESTURES, "gesture", error=UnknownLabel)
 
 
 def check_label(label) -> str:
-    """Validate a dataset or prediction label: a generator gesture or
-    Negative. Raises UnknownLabel otherwise."""
-    if label != NEGATIVE_LABEL and label not in ALL_GESTURES:
-        raise UnknownLabel(f"unknown label {brief(label)}")
-    return label
+    """``label`` if it is a generator gesture or Negative; else raises UnknownLabel."""
+    return check_name(label, ALL_LABELS, "label", error=UnknownLabel)
 
 
 def to_class(label: str) -> str:

@@ -26,8 +26,8 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import (brief, check_keys, check_number, decode_config, float_array, read_json,
-                       write_json)
+from .skeleton import (brief, check_keys, check_list, check_name, check_number, decode_config,
+                       float_array, read_json, write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
 MODEL_SCHEMA = "mlp/1"
@@ -102,10 +102,8 @@ class MlpModel:
                    "model", frozenset({"tau"}))
         if obj["layer_sizes"] != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
-        layers = obj["layers"]
-        if not isinstance(layers, list):
-            raise MalformedConfig(f"layers must be a list, got {brief(layers)}")
-        layers = [check_keys(L, frozenset({"w", "b"}), "model layer") for L in layers]
+        layers = [check_keys(L, frozenset({"w", "b"}), "model layer")
+                  for L in check_list(obj["layers"], "layers")]
         array = partial(float_array, error=MalformedConfig)
         return cls([array(L["w"], f"layer {k} weights") for k, L in enumerate(layers)],
                    [array(L["b"], f"layer {k} bias") for k, L in enumerate(layers)],
@@ -160,8 +158,7 @@ class LabeledExample:
     label: str
 
     def __post_init__(self):
-        if self.label not in CLASSES:
-            raise UnknownLabel(f"label {brief(self.label)} not in {CLASSES}")
+        check_name(self.label, CLASSES, "label", error=UnknownLabel)
 
 
 # -- inference ----------------------------------------------------------------
@@ -213,9 +210,7 @@ def classify_nn(model: MlpModel, features) -> str:
 # -- focal loss ---------------------------------------------------------------
 
 def _label_index(label) -> int:
-    if label not in CLASSES:
-        raise UnknownLabel(f"label {brief(label)} not in {CLASSES}")
-    return CLASSES.index(label)
+    return CLASSES.index(check_name(label, CLASSES, "label", error=UnknownLabel))
 
 
 def focal_loss(probs, label, gamma: float = 2.0, alpha=1.0) -> float:

@@ -29,7 +29,8 @@ from .errors import (
 from . import mlp
 from .features import feature_vector
 from .heuristic import classify_heuristic, config_from_dict, default_config
-from .skeleton import HandFrame, HandSkeleton, brief, check_number, decode_config, read_json
+from .skeleton import (HandFrame, HandSkeleton, brief, check_name, check_number, decode_config,
+                       read_json)
 
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
@@ -61,9 +62,7 @@ class PipelineConfig:
         check_number(self.max_detect_hz, "max_detect_hz", 0, ends="(]")
         check_number(self.track_loss_frames, "track_loss_frames", 1, integer=True)
         check_number(self.min_track_score, "min_track_score", 0, 1, ends="[]")
-        if self.classifier not in CLASSIFIER_KINDS:
-            raise ValidationError(f"classifier must be one of {CLASSIFIER_KINDS}, "
-                                  f"got {brief(self.classifier)}")
+        check_name(self.classifier, CLASSIFIER_KINDS, "classifier")
         # an int would be opened as a file descriptor
         if not (self.classifier_ref is None or isinstance(self.classifier_ref, str)):
             raise ValidationError(f"classifier_ref must be a string or null, "

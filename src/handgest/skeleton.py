@@ -27,7 +27,8 @@ Every file the package opens, frames or config or model, goes through
 read_json, read_jsonl or open_output, and every JSON file it writes through
 write_json or write_jsonl, which use open_output. They map an OSError to
 ValidationError and undecodable bytes (invalid UTF-8 or JSON, a JSONL line
-that is not an object) to MalformedFrame naming PATH:LINE, so the CLI
+that is not an object, JSON nested too deep to parse) to MalformedFrame
+naming PATH:LINE (PATH alone for a JSON file nested too deep), so the CLI
 exits 2 with one line instead of a traceback. The readers return
 ``parse`` of the decoded document, or of each row; a HandgestError that
 ``parse`` raises comes back as the same class led by ``PATH: `` or
@@ -46,7 +47,9 @@ check_number is the one test of a scalar number, whether a decoded JSON
 value (a frame's t_us, w and h, a config field, a gesture's priority) or a
 caller's argument (a count, a threshold, an image size), raising the
 caller's ValidationError. check_keys is the one test of a decoded object
-and its keys.
+and its keys, check_list of a decoded list, and check_name of a name from
+a fixed set (a handedness, a classifier, a gesture config's finger, pair,
+axis or state, a gesture, a label): "what must be one of (...), got ...".
 """
 
 from __future__ import annotations
@@ -165,11 +168,9 @@ def validate_frame(frame: HandFrame) -> HandFrame:
     return frame
 
 
-def check_handedness(value) -> None:
-    """Raises MalformedFrame unless value is "Left" or "Right"."""
-    if value not in HANDEDNESS_VALUES:
-        raise MalformedFrame(f"handedness must be one of {HANDEDNESS_VALUES}, "
-                             f"got {brief(value)}")
+def check_handedness(value) -> str:
+    """``value`` if it is "Left" or "Right"; else raises MalformedFrame."""
+    return check_name(value, HANDEDNESS_VALUES, "handedness", error=MalformedFrame)
 
 
 # --- JSON and JSONL I/O ---
@@ -225,6 +226,8 @@ def read_json(path, parse):
         else:
             lineno = getattr(exc, "lineno", 1)
         raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the interpreter's stack
+        raise MalformedFrame(f"{path}: {exc}") from exc
     try:
         return parse(obj)
     except HandgestError as exc:
@@ -241,7 +244,7 @@ def read_jsonl(path, parse) -> Iterator:
                     if not line:
                         continue
                     obj = json.loads(line)
-                except ValueError as exc:  # invalid UTF-8 or invalid JSON
+                except (ValueError, RecursionError) as exc:  # invalid UTF-8 or JSON, or too deep
                     raise MalformedFrame(f"{path}:{lineno}: {exc}") from exc
                 try:
                     if not isinstance(obj, dict):
@@ -361,8 +364,10 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
     that is not int or float, which raises TypeError instead of being parsed
     or cast. numpy promotes a bool mixed with numbers in a list to a number,
     so a list's entries are also checked for bool, in one set over the
-    flattened list rather than a Python loop. A ragged list, or any other
-    shape than ``shape``, raises ShapeMismatch. ``error`` replaces both.
+    flattened list rather than a Python loop. An integer past uint64 in a
+    list leaves an object array, read as float64 when it holds numbers alone
+    and none too large for a float. A ragged list, or any other shape than
+    ``shape``, raises ShapeMismatch. ``error`` replaces both.
     """
     if type(value) is np.ndarray and value.dtype is _FLOAT64:
         arr = value
@@ -372,6 +377,12 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
         except ValueError:  # numpy's words for a ragged list
             raise (error or ShapeMismatch)(f"{what} must be a rectangular array, "
                                            f"got a ragged list") from None
+        # a list's integer past uint64 is read as check_number reads a scalar;
+        # 10**400 leaves the array object, as does a caller's object array
+        if arr.dtype.kind == "O" and not isinstance(value, np.ndarray) and all(
+                isinstance(x, _NUMBERS) and not isinstance(x, bool) for x in arr.flat):
+            with suppress(OverflowError):
+                arr = arr.astype(np.float64)
         if arr.dtype.kind not in "iuf":
             raise (error or TypeError)(f"{what} must hold numbers, got dtype {arr.dtype}")
         if arr.ndim and not isinstance(value, np.ndarray):
@@ -422,6 +433,22 @@ def brief(value) -> str:
     if isinstance(value, int) and len(digits) > 20:
         return f"{'-' if value < 0 else ''}{digits[:8]}...({len(digits)} digits)"
     return text if len(text) <= 80 else f"{text[:60]}...({len(text)} characters)"
+
+
+def check_name(value, names, what: str, *, error=ValidationError) -> str:
+    """``value``, unchanged, if it is a string in ``names``; else raises
+    ``error``: "handedness must be one of ('Left', 'Right'), got 'right'".
+    The string test comes first, so a list or dict is never hashed."""
+    if isinstance(value, str) and value in names:
+        return value
+    raise error(f"{what} must be one of {tuple(names)}, got {brief(value)}")
+
+
+def check_list(value, what: str) -> list:
+    """``value`` if it is a list; else MalformedConfig "all must be a list, got 5"."""
+    if isinstance(value, list):
+        return value
+    raise MalformedConfig(f"{what} must be a list, got {brief(value)}")
 
 
 def check_keys(obj, required, what: str, optional=frozenset(), *, error=MalformedConfig):

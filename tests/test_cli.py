@@ -461,6 +461,14 @@ BAD_INPUTS = {
                            "can't decode"),
     "synth-config-not-utf8": ("synth --out {out} --config {bad}", b'{"seed": "\xff"}',
                               "can't decode"),
+    # JSON nested past the parser's recursion limit, which escaped as a traceback
+    "classify-gestures-too-deep": ("classify --frames {frames} --gestures {bad}",
+                                   b'{"schema": "gestures/1", "x": ' + b"[" * 5000
+                                   + b"]" * 5000 + b"}",
+                                   "bad.json: maximum recursion depth exceeded"),
+    "features-row-too-deep": ("features --frames {bad}",
+                              b'{"t_us": 0, "x": ' + b"[" * 5000 + b"]" * 5000 + b"}\n",
+                              "bad.json:1: maximum recursion depth exceeded"),
     "features-line-not-object": ("features --frames {bad}", b"[1]\n",
                                  "bad.json:1: expected a JSON object, got list"),
     "stream-stats-unwritable": ("stream --frames {frames} --pipeline {pipe} "
@@ -1120,6 +1128,20 @@ def test_lift_note_of_a_fit_far_off_stays_short(tmp_path, capsys):
     assert err.startswith("row 0 (t_us 0): fit ended (") and err.count("\n") == 1, err
     assert err.endswith("e+144 px rms (limit 10.00)\n") and len(err) < 120, err
     assert read_jsonl(out)[0]["hand"]["kp3d"] is None
+
+
+def test_lift_reads_an_integer_past_uint64_as_its_float(tmp_path, capsys):
+    # kp2d[0][0] = 10**20 in digits exited 2 with "kp2d must hold numbers,
+    # got dtype object", while 1e20 in the same place was read
+    frames, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    runs = []
+    for x in (10 ** 20, 1e20):
+        kp2d = _frame_row()["hand"]["kp2d"]
+        kp2d[0][0] = x
+        frames.write_text(json.dumps(_hand_row(kp2d=kp2d)) + "\n")
+        runs.append((run("lift", "--frames", frames, "--out", out), capsys.readouterr().err,
+                     out.read_text()))
+    assert runs[0] == runs[1] and runs[0][0] == 0, runs
 
 
 @pytest.mark.parametrize("alpha", [2.0, [1, 1, 1, 1, 1, 1, 0.5]])

@@ -317,10 +317,11 @@ def test_config_from_dict_maps_bad_values(path, value):
     (("gestures", 0, "expr"), {"any": {"finger": "Index", "state": "FullyBent"}},
      "any must be a list, got {'finger'"),
     (("gestures", 1, "expr", "all", 0, "finger"), ["Index"],
-     "finger must be a string, got ['Index']"),
-    (("gestures", 1, "expr", "all", 2, "pair"), {"k": 0}, "pair must be a string, got {'k': 0}"),
+     "finger must be one of ('Thumb', 'Index', 'Middle', 'Ring', 'Pinky'), got ['Index']"),
+    (("gestures", 1, "expr", "all", 2, "pair"), {"k": 0},
+     "pair must be one of ('ThumbIndex', 'IndexMiddle', 'MiddleRing', 'RingPinky'), got {'k': 0}"),
     (("gestures", 3, "expr", "all", 5, "euler"), ["yaw"],
-     "euler axis must be a string, got ['yaw']"),
+     "euler axis must be one of ('yaw', 'pitch', 'roll'), got ['yaw']"),
     (("gestures", 0, "expr", "all", 0), {"finger": "Thumb"}, "'finger' node needs 'state'"),
     (("gestures", 0, "expr", "all", 5), {"not": 1, "nto": 2}, "unknown 'not' node keys: ['nto']"),
     (("thresholds",), [1], "thresholds object must be an object, got [1]"),

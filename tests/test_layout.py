@@ -141,6 +141,32 @@ def _says_needs_key(node):
     return isinstance(node, ast.JoinedStr) and " needs " in _message_text(node)
 
 
+def _says_must_be_one_of(node):
+    """An f-string such as f"{what} must be one of {names}, got {value}"."""
+    return isinstance(node, ast.JoinedStr) and " must be one of " in _message_text(node)
+
+
+def _says_must_be_a_list(node):
+    """An f-string such as f"{what} must be a list, got {value}"."""
+    return isinstance(node, ast.JoinedStr) and " must be a list" in _message_text(node)
+
+
+def _says(words):
+    """A predicate: a string, or an f-string as written, that holds ``words``."""
+    def predicate(node):
+        if isinstance(node, ast.JoinedStr):
+            return words in ast.unparse(node)
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and words in node.value)
+    return predicate
+
+
+def _raises_a_name_error(node):
+    """UnknownLabel(...) or UnknownReference(...) called, not passed to check_name."""
+    return isinstance(node, ast.Call) and _name_of(node.func) in ("UnknownLabel",
+                                                                  "UnknownReference")
+
+
 def _catches_key_error(node):
     """An except clause that names KeyError, alone or in a tuple."""
     if not isinstance(node, ast.ExceptHandler) or node.type is None:
@@ -196,8 +222,13 @@ def test_layout_sees_the_package():
     (_converts_to_float64, ["skeleton.py"]),
     # features.FEATURE_PARTS is the one feature layout
     (_lists_feature_parts, ["features.py"]),
+    # skeleton.check_name is the one name rule, and check_list the one list
+    # rule; UnknownLabel and UnknownReference only go to check_name as error=
+    (_says("must be one of"), ["skeleton.py"]),
+    (_says("must be a list"), ["skeleton.py"]),
+    (_raises_a_name_error, []),
 ], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles", "float64-array",
-        "feature-parts"])
+        "feature-parts", "one-of", "a-list", "name-errors"])
 def test_rule_lives_only_in_its_home(predicate, home):
     assert _modules_with(predicate) == home
 
@@ -213,8 +244,11 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_compares_keys, [("skeleton.py", "check_keys")] * 2),
     (_says_unknown_keys, [("skeleton.py", "check_keys")]),
     (_says_needs_key, [("skeleton.py", "check_keys")]),
+    # skeleton.check_name is the one name rule, and check_list the one list rule
+    (_says_must_be_one_of, [("skeleton.py", "check_name")]),
+    (_says_must_be_a_list, [("skeleton.py", "check_list")]),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
-        "needs-key-message"])
+        "needs-key-message", "one-of-message", "list-message"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 

@@ -317,6 +317,25 @@ def test_float_array_rejects_numpy_bools_and_objects(value):
         float_array(value, "x")
 
 
+@pytest.mark.parametrize("value, same", [
+    ([10 ** 20, 0.5], [1e20, 0.5]),
+    ([[1, -10 ** 30], [2, 3]], [[1, -1e30], [2, 3]]),
+    (10 ** 20, 1e20),
+])
+def test_float_array_reads_an_integer_past_uint64_as_its_float(value, same):
+    # numpy makes an object array of such an integer, which was rejected as
+    # "x must hold numbers, got dtype object"
+    arr = float_array(value, "x")
+    assert arr.dtype == np.float64 and arr.tobytes() == float_array(same, "x").tobytes()
+
+
+@pytest.mark.parametrize("value", [[10 ** 20, "1"], [10 ** 20, True], [10 ** 20, None],
+                                   [10 ** 400], [[10 ** 20], [np.True_]]])
+def test_float_array_rejects_an_object_array_of_other_than_numbers(value):
+    with pytest.raises(TypeError, match="^x must hold numbers, got dtype object$"):
+        float_array(value, "x")
+
+
 def test_float_array_checks_the_shape_of_either_path():
     message = re.escape("kp2d must have shape (21, 2), got (21, 3)")
     with pytest.raises(ShapeMismatch, match=message):

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .alignment import palm_center
-from .errors import EmptyInput, LengthMismatch, ValidationError
+from .errors import EmptyInput, LengthMismatch, MalformedFrame, ValidationError
 from .labels import (
     ALL_GESTURES,
     CLASSES,
@@ -286,9 +286,18 @@ def _observe(kp3d: np.ndarray, rng: np.random.Generator, cfg: SynthConfig,
         kp2d = kp2d + rng.standard_normal((NUM_KEYPOINTS, 2)) * cfg.noise_px
     if cfg.noise_m > 0.0:
         kp3d = kp3d + rng.standard_normal((NUM_KEYPOINTS, 3)) * cfg.noise_m
-    hand = HandSkeleton(handedness=cfg.handedness, score=cfg.score,
-                        kp2d=kp2d, kp3d=kp3d)
-    return HandFrame(t_us=t_us, w=cfg.width, h=cfg.height, hand=hand)
+    return HandFrame(t_us=t_us, w=cfg.width, h=cfg.height,
+                     hand=_generated_hand(t_us, cfg.handedness, cfg.score, kp2d, kp3d))
+
+
+def _generated_hand(t_us, handedness, score, kp2d, kp3d) -> HandSkeleton:
+    # the handedness and score were checked before, so a MalformedFrame
+    # here is a keypoint past a float's range
+    try:
+        return HandSkeleton(handedness, score, kp2d, kp3d)
+    except MalformedFrame as exc:
+        raise ValidationError(f"the frame at t_us {t_us} has keypoints beyond a "
+                              f"float's range; lower x_range, y_range, noise_px or noise_m") from exc
 
 
 def synth_pose(label: str, cfg: SynthConfig | None = None,
@@ -368,12 +377,9 @@ def _stored(frame: HandFrame) -> HandFrame:
     hand = frame.hand
     if hand is None:
         return frame
-    kp2d = np.round(hand.kp2d, KP2D_DECIMALS)
     kp3d = None if hand.kp3d is None else np.round(hand.kp3d, KP3D_DECIMALS)
-    if not (np.isfinite(kp2d).all() and (kp3d is None or np.isfinite(kp3d).all())):
-        raise ValidationError(f"the frame at t_us {frame.t_us} has keypoints beyond a "
-                              f"float's range; lower x_range, y_range, noise_px or noise_m")
-    return replace(frame, hand=replace(hand, kp2d=kp2d, kp3d=kp3d))
+    return replace(frame, hand=_generated_hand(frame.t_us, hand.handedness, hand.score,
+                                               np.round(hand.kp2d, KP2D_DECIMALS), kp3d))
 
 
 def write_dataset(path, frames, labels) -> None:

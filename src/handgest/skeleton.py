@@ -21,7 +21,9 @@ Frames stream as JSONL, one object per line:
      "hand": null | {"handedness": "Left"|"Right", "score": float,
                      "kp2d": [[x, y] * 21], "kp3d": [[x, y, z] * 21] | null}}
 
-A hand object holds no other keys; kp3d may be left out.
+A hand object holds no other keys; kp3d may be left out. A frame checks
+itself when it is made, whether read, generated or lifted: HandFrame and
+HandSkeleton raise MalformedFrame on any field outside this schema.
 
 Every file the package opens, frames or config or model, goes through
 read_json, read_jsonl or open_output, and every JSON file it writes through
@@ -124,10 +126,20 @@ class HandSkeleton:
 
     def __post_init__(self):
         check_number(self.score, "score", 0, 1, ends="[]", error=MalformedFrame)
-        # the shapes are validate_frame's to check, raising MalformedFrame
-        self.kp2d = float_array(self.kp2d, "kp2d")
+        check_handedness(self.handedness)
+        self.kp2d = self._keypoints(self.kp2d, "kp2d", 2)
         if self.kp3d is not None:
-            self.kp3d = float_array(self.kp3d, "kp3d")
+            self.kp3d = self._keypoints(self.kp3d, "kp3d", 3)
+
+    @staticmethod
+    def _keypoints(value, what: str, dims: int) -> np.ndarray:
+        arr = float_array(value, what)
+        if arr.shape != (NUM_KEYPOINTS, dims):
+            raise MalformedFrame(f"{what} must have shape {(NUM_KEYPOINTS, dims)}, "
+                                 f"got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise MalformedFrame(f"{what} contains non-finite values")
+        return arr
 
 
 @dataclass
@@ -139,33 +151,10 @@ class HandFrame:
     h: int
     hand: HandSkeleton | None
 
-
-def validate_frame(frame: HandFrame) -> HandFrame:
-    """Check a frame against the schema; returns the frame unchanged.
-
-    Raises MalformedFrame on a t_us, w or h that is not an integer a float
-    can hold (a bool is not one), a w or h below 1, bad keypoint counts,
-    non-finite values, or an unknown handedness string; HandSkeleton
-    checked the score when it was made. Validation is idempotent.
-    """
-    check_number(frame.t_us, "t_us", -math.inf, integer=True, ends="()", error=MalformedFrame)
-    check_number(frame.w, "w", 1, integer=True, error=MalformedFrame)
-    check_number(frame.h, "h", 1, integer=True, error=MalformedFrame)
-    hand = frame.hand
-    if hand is None:
-        return frame
-    check_handedness(hand.handedness)
-    # HandSkeleton.__post_init__ made kp2d and kp3d float64 arrays
-    if hand.kp2d.shape != (NUM_KEYPOINTS, 2):
-        raise MalformedFrame(f"kp2d must have shape (21, 2), got {hand.kp2d.shape}")
-    if not np.isfinite(hand.kp2d).all():
-        raise MalformedFrame("kp2d contains non-finite values")
-    if hand.kp3d is not None:
-        if hand.kp3d.shape != (NUM_KEYPOINTS, 3):
-            raise MalformedFrame(f"kp3d must have shape (21, 3), got {hand.kp3d.shape}")
-        if not np.isfinite(hand.kp3d).all():
-            raise MalformedFrame("kp3d contains non-finite values")
-    return frame
+    def __post_init__(self):
+        check_number(self.t_us, "t_us", -math.inf, integer=True, ends="()", error=MalformedFrame)
+        check_number(self.w, "w", 1, integer=True, error=MalformedFrame)
+        check_number(self.h, "h", 1, integer=True, error=MalformedFrame)
 
 
 def check_handedness(value) -> str:
@@ -207,8 +196,8 @@ def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
 
 def frame_from_dict(obj: dict) -> HandFrame:
     check_keys(obj, FRAME_KEYS, "frame", None, error=MalformedFrame)
-    return validate_frame(HandFrame(t_us=obj["t_us"], w=obj["w"], h=obj["h"],
-                                    hand=skeleton_from_dict(obj["hand"])))
+    return HandFrame(t_us=obj["t_us"], w=obj["w"], h=obj["h"],
+                     hand=skeleton_from_dict(obj["hand"]))
 
 
 def read_json(path, parse):
@@ -366,8 +355,8 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
     so a list's entries are also checked for bool, in one set over the
     flattened list rather than a Python loop. An integer past uint64 in a
     list leaves an object array, read as float64 when it holds numbers alone
-    and none too large for a float. A ragged list, or any other shape than
-    ``shape``, raises ShapeMismatch. ``error`` replaces both.
+    (one past a float raises check_number's ValidationError). A ragged list,
+    or another shape than ``shape``, raises ShapeMismatch; ``error`` replaces all.
     """
     if type(value) is np.ndarray and value.dtype is _FLOAT64:
         arr = value
@@ -377,12 +366,16 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
         except ValueError:  # numpy's words for a ragged list
             raise (error or ShapeMismatch)(f"{what} must be a rectangular array, "
                                            f"got a ragged list") from None
-        # a list's integer past uint64 is read as check_number reads a scalar;
-        # 10**400 leaves the array object, as does a caller's object array
+        # a list's integer past uint64 is read as check_number reads a scalar,
+        # and one past a float (10**400) gets its message; a caller's object
+        # array stays object
         if arr.dtype.kind == "O" and not isinstance(value, np.ndarray) and all(
                 isinstance(x, _NUMBERS) and not isinstance(x, bool) for x in arr.flat):
-            with suppress(OverflowError):
+            try:
                 arr = arr.astype(np.float64)
+            except OverflowError:
+                for x in arr.flat:
+                    check_number(x, what, -math.inf, ends="()", error=error or ValidationError)
         if arr.dtype.kind not in "iuf":
             raise (error or TypeError)(f"{what} must hold numbers, got dtype {arr.dtype}")
         if arr.ndim and not isinstance(value, np.ndarray):

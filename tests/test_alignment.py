@@ -66,6 +66,16 @@ def test_rotation_angle_zero_when_pointing_up():
     assert _angle(_rotation_vector(kp)) == 0.0
 
 
+def test_rotation_angle_pi_when_pointing_down_with_a_negative_zero():
+    # atan2(-0.0, -1.0) is -pi, outside (-pi, pi]; it wraps to pi
+    kp = flat_kp2d(0.0)
+    kp[0] = (-0.0, 1.0)
+    kp[17] = (-0.0, 0.0)   # v = (-0.0 - 0.0) + (-0.0 - 0.0) = -0.0 across
+    v = _rotation_vector(kp)
+    assert v[0] == 0.0 and np.signbit(v[0]) and v[1] == 1.0
+    assert _angle(v) == np.pi
+
+
 def test_rotation_vector_degenerate_when_components_cancel():
     kp = flat_kp2d(0.0)
     kp[0] = (1.0, 1.0)

@@ -693,7 +693,7 @@ BAD_INPUTS = {
         f"{key} must {kind}")
        for key, kind in (("learning_rate", "be a number in (0, inf), got 10000000...(401 digits)"),
                          ("gamma", "be a number in [0, inf), got 10000000...(401 digits)"),
-                         ("alpha", "hold numbers, got dtype object"))},
+                         ("alpha", "be a number in (-inf, inf), got 10000000...(401 digits)"))},
     "stream-max-detect-hz-huge": ("stream --frames {frames} --pipeline {bad}",
                                   {**_PIPE, "max_detect_hz": HUGE},
                                   "max_detect_hz must be a number in (0, inf], "
@@ -1023,12 +1023,14 @@ def test_row_errors_name_path_and_line(good_files, tmp_path, capsys, cmd, third,
 
 
 # tests/test_installed.py's synth-range-wider-than-a-float row holds x_range
-@pytest.mark.parametrize("config", [
-    {"y_range": [-1e308, 1e308]},
-    {"noise_px": 1e308}, {"noise_m": 1e308}, {"noise_px": 1e306},
-    {"x_range": [1e305, 1e305]},
+@pytest.mark.parametrize("config, words", [
+    ({"y_range": [-1e308, 1e308]}, "y_range must have a finite high - low"),
+    ({"noise_px": 1e308}, "beyond a float's range"),
+    ({"noise_m": 1e308}, "beyond a float's range"),
+    ({"noise_px": 1e306}, "beyond a float's range"),
+    ({"x_range": [1e305, 1e305]}, "beyond a float's range"),
 ], ids=["y-range", "noise-px", "noise-m", "noise-px-rounds-to-inf", "x-far-off"])
-def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
+def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config, words):
     # these exited 1 with an OverflowError, or 0 with rows of Infinity that
     # features then rejected
     cfg, out = tmp_path / "synth.json", tmp_path / "data.jsonl"
@@ -1038,6 +1040,7 @@ def test_synth_past_a_float_exits_2_and_writes_nothing(tmp_path, config):
     proc = run_handgest("synth", "--config", cfg, "--out", out, "--per-gesture", 2)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert words in proc.stderr, proc.stderr
     assert not out.exists()
 
 

@@ -173,6 +173,14 @@ def test_duplicate_priorities_rejected():
             GestureDefinition("A", 1, e), GestureDefinition("B", 1, e)))
 
 
+def test_duplicate_names_rejected():
+    th = default_config().thresholds
+    e = expr_from_json({"finger": "Thumb", "state": "FullyStraight"})
+    with pytest.raises(ValidationError, match=r"^gesture names must be unique, got \['A', 'A'\]$"):
+        GestureConfig(thresholds=th, definitions=(
+            GestureDefinition("A", 1, e), GestureDefinition("A", 2, e)))
+
+
 def test_synthetic_positives_classify_correctly():
     cfg = default_config()
     for label in ("OpenPalm", "Victory", "ClosedFist",

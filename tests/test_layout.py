@@ -161,6 +161,21 @@ def _says(words):
     return predicate
 
 
+def _raises_a_frame_error(words):
+    """A predicate: MalformedFrame(...) called with a message that holds ``words``."""
+    def predicate(node):
+        return (isinstance(node, ast.Call) and _name_of(node.func) == "MalformedFrame"
+                and any(words in ast.unparse(arg) for arg in node.args))
+    return predicate
+
+
+def _checks_an_image_size(node):
+    """check_number(..., "w", ...) or check_number(..., "h", ...)."""
+    return (isinstance(node, ast.Call) and _name_of(node.func) == "check_number"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in ("w", "h"))
+
+
 def _raises_a_name_error(node):
     """UnknownLabel(...) or UnknownReference(...) called, not passed to check_name."""
     return isinstance(node, ast.Call) and _name_of(node.func) in ("UnknownLabel",
@@ -247,8 +262,14 @@ def test_rule_lives_only_in_its_home(predicate, home):
     # skeleton.check_name is the one name rule, and check_list the one list rule
     (_says_must_be_one_of, [("skeleton.py", "check_name")]),
     (_says_must_be_a_list, [("skeleton.py", "check_list")]),
+    # a frame checks itself when it is made: HandSkeleton words the keypoint
+    # shape and finiteness messages, and HandFrame tests the image size
+    (_raises_a_frame_error("must have shape"), [("skeleton.py", "HandSkeleton")]),
+    (_raises_a_frame_error("contains non-finite values"), [("skeleton.py", "HandSkeleton")]),
+    (_checks_an_image_size, [("skeleton.py", "HandFrame")] * 2),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
-        "needs-key-message", "one-of-message", "list-message"])
+        "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
+        "frame-finite-message", "frame-size"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -302,6 +323,12 @@ def test_objects_are_checked_by_check_keys_alone(predicate):
     # a decoder tests an object's keys with skeleton.check_keys, and no
     # handler turns a KeyError, or whatever else it catches, into a message
     assert _modules_with(predicate) == []
+
+
+def test_no_function_checks_a_frame_after_it_is_made():
+    # HandSkeleton and HandFrame check themselves, so a frame that synth or
+    # lift builds meets the same rule as one read from a file
+    assert _modules_with(lambda node: _name_of(node) == "validate_frame") == []
 
 
 def test_fit_limits_are_module_constants():

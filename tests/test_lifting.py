@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -309,6 +310,18 @@ def test_hand_model_owns_read_only_arrays():
         for name in ("directions", "lengths", "base_frames"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, name)[0] = 0.0
+
+
+@pytest.mark.parametrize("direction, message", [
+    ((0.0, 0.0, 0.0), "zero-length finger direction in hand model"),
+    ((0.0, 0.0, -2.0), "finger direction parallel to the palm normal"),
+], ids=["zero", "along-the-normal"])
+def test_hand_model_rejects_a_direction_without_a_finger_frame(direction, message):
+    base = default_hand_model()
+    directions = base.directions.copy()
+    directions[2] = direction
+    with pytest.raises(MalformedConfig, match=f"^{message}$"):
+        HandModel(directions, base.lengths)
 
 
 def test_rest_alignment_follows_each_model_instance():
@@ -793,6 +806,57 @@ def test_fit_stops_at_max_iter(monkeypatch):
     res = fit(obs, model, intr, PoseParams.identity())
     assert res.stop == "max_iter" and not res.converged
     assert res.iterations == 5
+
+
+def _offset_truth():
+    """(pixels 0.5 px off a true pose, model, intrinsics, that pose)."""
+    model, intr = default_hand_model(), default_intrinsics(640, 480)
+    truth = truth_sample(3, "ClosedFist")
+    return project(forward_kinematics(model, truth), intr) + 0.5, model, intr, truth
+
+
+def test_fit_rejects_non_finite_pixels():
+    # before the residuals, which would call the pose behind the camera
+    obs, model, intr, truth = _offset_truth()
+    obs[4, 1] = np.nan
+    with pytest.raises(MalformedFrame, match="^non-finite pixel coordinates$"):
+        fit_pose(obs, model, intr, truth)
+
+
+def test_fit_without_a_solvable_system_ends_no_descent(monkeypatch):
+    # a singular damped stack leaves the round without trial steps; the
+    # damping climbs to its maximum and the fit stops where it started
+    obs, model, intr, truth = _offset_truth()
+
+    def singular(systems, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = fit(obs, model, intr, truth)
+    assert (res.stop, res.iterations) == ("no_descent", 1)
+    assert res.params.as_vector().tobytes() == truth.as_vector().tobytes()
+
+
+def test_fit_keeps_an_overflowing_step_in_place(monkeypatch):
+    # a damped step past a float's range is a trial at the current pose, so
+    # no inf reaches the kinematics and the fit goes on as with a zero step
+    obs, model, intr, truth = _offset_truth()
+    solve = np.linalg.solve
+
+    def fit_with(edit):
+        def edited(systems, rhs):
+            steps = solve(systems, rhs)
+            steps[1:] = edit(steps[1:])
+            return steps
+        monkeypatch.setattr(np.linalg, "solve", edited)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fit(obs, model, intr, truth)
+
+    past = fit_with(lambda s: np.where(np.arange(s.shape[1]) == 6, np.inf, s))
+    still = fit_with(np.zeros_like)
+    assert past.params.as_vector().tobytes() == still.params.as_vector().tobytes()
+    assert (past.cost_history, past.stop) == (still.cost_history, still.stop)
 
 
 def test_fit_scale_ambiguity():

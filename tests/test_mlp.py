@@ -105,6 +105,17 @@ def test_model_shape_validation():
         MlpModel(weights[:-1], biases[:-1], np.zeros(12), np.ones(12))
 
 
+@pytest.mark.parametrize("which", ["feat_mean", "feat_std"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_rejects_non_finite_standardization_stats(which, value):
+    weights = [np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:])]
+    biases = [np.zeros(o) for o in LAYER_SIZES[1:]]
+    stats = {"feat_mean": np.zeros(12), "feat_std": np.ones(12)}
+    stats[which][3] = value
+    with pytest.raises(MalformedConfig, match="^non-finite standardization stats$"):
+        MlpModel(weights, biases, **stats)
+
+
 # -- focal loss ---------------------------------------------------------------
 
 def uniformish(p_label, label_index):

@@ -281,3 +281,8 @@ def test_predictors_leave_the_feature_array_unchanged(tmp_path, kind):
     before = fv.copy()
     predict(fv)
     assert np.array_equal(fv, before)
+
+
+def test_nn_predictor_needs_a_model_file():
+    with pytest.raises(ValidationError, match="^nn classifier needs a model file reference$"):
+        make_predictor("nn", None)

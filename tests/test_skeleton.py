@@ -1,9 +1,9 @@
-"""Topology, frame validation, and JSONL round trips."""
+"""Topology, the frame rule, and JSONL round trips."""
 
 import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -35,7 +35,6 @@ from handgest.skeleton import (
     open_output,
     read_json,
     read_jsonl,
-    validate_frame,
     write_json,
     write_jsonl,
 )
@@ -72,42 +71,33 @@ def test_bones_form_a_tree():
         assert parent < child
 
 
-def test_validate_frame_accepts_good_frame():
+def test_frame_accepts_good_frame():
     frame = make_frame(make_hand())
-    assert validate_frame(frame) is frame
+    assert frame.hand.kp2d.shape == (21, 2) and frame.hand.kp3d.shape == (21, 3)
 
 
-def test_validate_frame_accepts_empty_hand():
-    frame = make_frame(None)
-    assert validate_frame(frame) is frame
+def test_frame_accepts_empty_hand():
+    assert make_frame(None).hand is None
 
 
-def test_validate_frame_is_idempotent():
-    frame = make_frame(make_hand())
-    once = validate_frame(frame)
-    assert validate_frame(once) is once
+def test_hand_rejects_wrong_count():
+    with pytest.raises(MalformedFrame, match=re.escape("kp2d must have shape (21, 2), got (20, 2)")):
+        make_hand(n2d=20)
+    with pytest.raises(MalformedFrame, match=re.escape("kp3d must have shape (21, 3), got (22, 3)")):
+        make_hand(n3d=22)
 
 
-def test_validate_frame_rejects_wrong_count():
-    with pytest.raises(MalformedFrame):
-        validate_frame(make_frame(make_hand(n2d=20)))
-    with pytest.raises(MalformedFrame):
-        validate_frame(make_frame(make_hand(n3d=22)))
-
-
-def test_validate_frame_rejects_bad_values():
-    hand = make_hand()
-    hand.kp2d[3, 0] = np.nan
-    with pytest.raises(MalformedFrame):
-        validate_frame(make_frame(hand))
-    with pytest.raises(MalformedFrame):
-        validate_frame(make_frame(make_hand(score=1.5)))
-    with pytest.raises(MalformedFrame):
-        validate_frame(HandFrame(t_us=0, w=0, h=480, hand=None))
-    bad = make_hand()
-    bad.handedness = "Ambidextrous"
-    with pytest.raises(MalformedFrame):
-        validate_frame(make_frame(bad))
+def test_frame_rejects_bad_values():
+    kp2d = make_hand().kp2d.copy()
+    kp2d[3, 0] = np.nan
+    with pytest.raises(MalformedFrame, match="^kp2d contains non-finite values$"):
+        HandSkeleton("Right", 0.9, kp2d, None)
+    with pytest.raises(MalformedFrame, match=re.escape("score must be a number in [0, 1], got 1.5")):
+        make_hand(score=1.5)
+    with pytest.raises(MalformedFrame, match=re.escape("w must be an integer in [1, inf), got 0")):
+        HandFrame(t_us=0, w=0, h=480, hand=None)
+    with pytest.raises(MalformedFrame, match="handedness must be one of .*, got 'Ambidextrous'"):
+        HandSkeleton("Ambidextrous", 0.9, kp2d=[[1.0, 2.0]] * 21, kp3d=None)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -116,12 +106,38 @@ def test_validate_frame_rejects_bad_values():
     ("kp3d", [[0.1, 0.2, 0.3]] * 22),
     ("kp3d", [[0.1, 0.2, 0.3]] * 20 + [[0.1, float("nan"), 0.3]]),
 ], ids=["kp2d-shape", "kp2d-inf", "kp3d-shape", "kp3d-nan"])
-def test_validate_frame_rejects_bad_keypoint_lists(field, value):
-    # HandSkeleton converts the lists once; validate_frame checks the arrays
+def test_hand_rejects_bad_keypoint_lists(field, value):
+    # HandSkeleton converts the lists once and checks the arrays
     keypoints = {"kp2d": [[1.0, 2.0]] * 21, "kp3d": [[0.1, 0.2, 0.3]] * 21, field: value}
-    hand = HandSkeleton("Right", 0.9, **keypoints)
     with pytest.raises(MalformedFrame, match=field):
-        validate_frame(make_frame(hand))
+        HandSkeleton("Right", 0.9, **keypoints)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t_us", 1.5, "t_us must be an integer, got 1.5"),
+    ("t_us", 10 ** 400, "t_us must be an integer in (-inf, inf), got 10000000...(401 digits)"),
+    ("w", True, "w must be an integer, got True"),
+    ("h", -1, "h must be an integer in [1, inf), got -1"),
+], ids=["t-us", "t-us-huge", "w-bool", "h-negative"])
+def test_frame_rejects_bad_times_and_sizes(field, value, message):
+    with pytest.raises(MalformedFrame, match=f"^{re.escape(message)}$"):
+        HandFrame(**{"t_us": 0, "w": 640, "h": 480, "hand": None, field: value})
+
+
+def test_replace_checks_the_frame_it_makes():
+    # dataclasses.replace builds through __init__, so the frames lift and
+    # the dataset writer replace meet the rule too
+    frame = make_frame(make_hand())
+    with pytest.raises(MalformedFrame, match="^kp3d contains non-finite values$"):
+        replace(frame.hand, kp3d=np.full((21, 3), np.nan))
+    with pytest.raises(MalformedFrame, match=re.escape("h must be an integer in [1, inf), got 0")):
+        replace(frame, h=0)
+
+
+@pytest.mark.parametrize("value", [[["1", "2"]] * 21, [[True, False]] * 21])
+def test_hand_keeps_the_array_rule_for_strings_and_bools(value):
+    with pytest.raises(TypeError, match="kp2d must hold numbers"):
+        HandSkeleton("Right", 0.9, value, None)
 
 
 @pytest.mark.parametrize("value, shown", [
@@ -330,10 +346,24 @@ def test_float_array_reads_an_integer_past_uint64_as_its_float(value, same):
 
 
 @pytest.mark.parametrize("value", [[10 ** 20, "1"], [10 ** 20, True], [10 ** 20, None],
-                                   [10 ** 400], [[10 ** 20], [np.True_]]])
+                                   [[10 ** 20], [np.True_]]])
 def test_float_array_rejects_an_object_array_of_other_than_numbers(value):
     with pytest.raises(TypeError, match="^x must hold numbers, got dtype object$"):
         float_array(value, "x")
+
+
+@pytest.mark.parametrize("value, shown, error", [
+    ([10 ** 400], "10000000...(401 digits)", ValidationError),
+    ([[1, -10 ** 20], [0.5, -10 ** 400]], "-10000000...(401 digits)", ValidationError),
+    (10 ** 400, "10000000...(401 digits)", ValidationError),
+    ([10 ** 20, 10 ** 400], "10000000...(401 digits)", MalformedFrame),
+], ids=["list", "nested-negative", "scalar", "decoder-error"])
+def test_float_array_names_an_integer_past_a_float_as_check_number_does(value, shown, error):
+    # it was named a wrong type: "x must hold numbers, got dtype object"
+    message = f"x must be a number in (-inf, inf), got {shown}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as caught:
+        float_array(value, "x", error=None if error is ValidationError else error)
+    assert type(caught.value) is error
 
 
 def test_float_array_checks_the_shape_of_either_path():

@@ -32,8 +32,11 @@ from .lifting import (
     FLEXION_JOINTS,
     FRONTAL_ROTATION,
     JOINT_BOXES,
+    JOINTS,
     NUM_JOINT_ANGLES,
-    PoseParams,
+    NUM_POSE_PARAMS,
+    ROTVEC,
+    TRANSLATION,
     TZ_BOX,
     default_hand_model,
     default_intrinsics,
@@ -352,18 +355,19 @@ def make_alignment_corpus(cfg: SynthConfig, n: int):
     return frames
 
 
-def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator) -> PoseParams:
-    """The PoseParams behind a sample, for fitting round-trips: the same
+def synth_params(label: str, cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (27,) pose behind a sample, for fitting round-trips: the same
     rng state yields the pose that synth_pose places.  Right hands only;
     no pose of the hand model reaches a mirrored hand."""
     tpl = TEMPLATES[check_gesture(label)]
     if cfg.handedness != "Right":
         raise ValidationError(f"synth_params models right hands only, "
                               f"got handedness {cfg.handedness!r}")
-    joints, rotation, t, _ = _sample_pose(
+    pose = np.empty(NUM_POSE_PARAMS)
+    pose[JOINTS], rotation, pose[TRANSLATION], _ = _sample_pose(
         tpl, partial(_template_rotation, tpl, cfg), rng, cfg)
-    return PoseParams(rotvec=rotvec_from_rotmat(rotation), translation=t,
-                      joints=joints)
+    pose[ROTVEC] = rotvec_from_rotmat(rotation)
+    return pose
 
 
 # -- dataset files -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Monocular 3D lifting: a kinematic hand model fitted to 2D keypoints.
 
 The hand frame has x pointing laterally toward the thumb, y along the
-fingers, and z out of the palm.  A pose is a global rigid transform
-(rotation vector + translation, camera frame) plus 21 joint angles in
-radians.  Joint order:
+fingers, and z out of the palm.  A pose is one (27,) float64 array: a
+global rigid transform, rotation vector then translation (camera frame,
+meters), then 21 joint angles in radians, read through ROTVEC,
+TRANSLATION and JOINTS.  Joint order:
 
     thumb:   cmc_flex, cmc_abd, mcp_flex, ip_flex, roll
     per finger (index, middle, ring, pinky):
@@ -43,6 +44,9 @@ from .features import axis_rotation, cross
 HAND_MODEL_SCHEMA = "hand_model/1"
 NUM_JOINT_ANGLES = 21
 NUM_POSE_PARAMS = 6 + NUM_JOINT_ANGLES
+ROTVEC, TRANSLATION, JOINTS = slice(0, 3), slice(3, 6), slice(6, NUM_POSE_PARAMS)
+# the pose entry that holds the depth of the wrist
+_DEPTH = TRANSLATION.start + 2
 
 FLEXION_BOX = (-0.3, 2.0)
 ABDUCTION_BOX = (-0.6, 0.6)
@@ -240,35 +244,6 @@ def default_hand_model() -> HandModel:
     return load_hand_model(files("handgest") / "data" / "hand_model.json")
 
 
-# -- pose parameters -------------------------------------------------------
-
-@dataclass
-class PoseParams:
-    """Global rotation vector and translation (camera frame, meters) plus
-    21 joint angles in radians."""
-
-    rotvec: np.ndarray
-    translation: np.ndarray
-    joints: np.ndarray
-
-    def __post_init__(self):
-        self.rotvec = float_array(self.rotvec, "rotvec", (3,))
-        self.translation = float_array(self.translation, "translation", (3,))
-        self.joints = float_array(self.joints, "joints", (NUM_JOINT_ANGLES,))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rotvec, self.translation, self.joints])
-
-    @classmethod
-    def from_vector(cls, vec) -> "PoseParams":
-        v = float_array(vec, "pose vector", (NUM_POSE_PARAMS,))
-        return cls(rotvec=v[0:3].copy(), translation=v[3:6].copy(), joints=v[6:].copy())
-
-    @classmethod
-    def identity(cls) -> "PoseParams":
-        return cls(np.zeros(3), np.array([0.0, 0.0, 0.5]), np.zeros(NUM_JOINT_ANGLES))
-
-
 # -- forward kinematics ----------------------------------------------------
 
 # Every finger is the same chain of five turns after its base frame: roll
@@ -328,16 +303,16 @@ def hand_chain(model: HandModel, joints: np.ndarray):
 
 
 def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
-    """Pose vectors (n, 27) -> keypoints and the frames that place them."""
-    r_glob = rotmat_from_rotvec(pvec[:, 0:3])
-    local, frames = hand_chain(model, pvec[:, 6:])
-    points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, 3:6]
+    """Poses (n, 27) -> keypoints and the frames that place them."""
+    r_glob = rotmat_from_rotvec(pvec[:, ROTVEC])
+    local, frames = hand_chain(model, pvec[:, JOINTS])
+    points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, TRANSLATION]
     return _Kinematics(points, r_glob, frames)
 
 
-def forward_kinematics(model: HandModel, params: PoseParams) -> np.ndarray:
-    """Evaluate the model at one pose, returning (21, 3) camera-frame points."""
-    return _fk_batch(model, params.as_vector()[None]).points[0]
+def forward_kinematics(model: HandModel, pose) -> np.ndarray:
+    """Evaluate the model at one (27,) pose, returning (21, 3) camera-frame points."""
+    return _fk_batch(model, float_array(pose, "pose", (NUM_POSE_PARAMS,))[None]).points[0]
 
 
 def normalize_world(kp3d) -> np.ndarray:
@@ -350,7 +325,7 @@ def normalize_world(kp3d) -> np.ndarray:
 
 @dataclass
 class FitResult:
-    params: PoseParams
+    pose: np.ndarray  # (27,) at the optimum, the fit's own copy
     points: np.ndarray  # (21, 3) camera frame at the optimum
     rms_px: float
     cost_history: list  # accepted costs, starting with the initial one
@@ -367,7 +342,7 @@ _BOX_LO = np.concatenate([JOINT_BOXES[:, 0], [TZ_BOX[0]]])
 _BOX_HI = np.concatenate([JOINT_BOXES[:, 1], [TZ_BOX[1]]])
 _BOX_W = np.concatenate([np.full(NUM_JOINT_ANGLES, BOX_WEIGHT_JOINT), [BOX_WEIGHT_TZ]])
 # the pose entries the box penalties hold, joints then depth, in _BOX_LO's order
-_BOX_COLS = np.concatenate([np.arange(6, NUM_POSE_PARAMS), [5]])
+_BOX_COLS = np.r_[JOINTS, _DEPTH]
 
 
 def _residuals_batch(model, intrinsics, obs, pvecs):
@@ -409,26 +384,26 @@ def _rotvec_left_jac(rv):
 
 
 # Where the derivative of finger point m (1-3) by slot s lands in the point
-# Jacobian: at (keypoint, 6 + joint) when the slot's turn moves the point,
-# otherwise, and for the four fingers' missing roll, in a scratch column
-# past the 27 parameters.
+# Jacobian: at (keypoint, the joint's pose entry) when the slot's turn moves
+# the point, otherwise, and for the four fingers' missing roll, in a scratch
+# column past the 27 parameters.
 _MOVES = (np.arange(1, 4)[None, :] > _SLOT_PIVOT[:, None]) & (
     _SLOT_JOINT < NUM_JOINT_ANGLES)[:, :, None]
 _JAC_KP = np.broadcast_to(2 + 4 * np.arange(5)[:, None, None] + np.arange(3), _MOVES.shape)
-_JAC_COL = np.where(_MOVES, 6 + _SLOT_JOINT[:, :, None], NUM_POSE_PARAMS)
+_JAC_COL = np.where(_MOVES, JOINTS.start + _SLOT_JOINT[:, :, None], NUM_POSE_PARAMS)
 _SLOT_AXIS_VEC = np.eye(3)[_SLOT_AXIS] * _SLOT_SIGN[:, None]
 _BOX_ROWS = np.arange(2 * NUM_KEYPOINTS, _N_RESIDUALS)
 
 
 def _linearize(intrinsics, pvec, kin, row):
-    """Analytic Jacobian (64, 27) of the residuals at one pose vector, from
+    """Analytic Jacobian (64, 27) of the residuals at one pose, from
     row ``row`` of the batched FK pass that evaluated them there."""
     p = kin.points[row]
     dp = np.zeros((NUM_KEYPOINTS, 3, NUM_POSE_PARAMS + 1))
     # global rotation: d(R x) = -[R x]x J_l(w) dw; translation: identity
-    jl = _rotvec_left_jac(pvec[0:3])
-    dp[:, :, 0:3] = cross(jl.T[None], (p - pvec[3:6])[:, None]).transpose(0, 2, 1)
-    dp[:, :, 3:6] = _EYE3
+    jl = _rotvec_left_jac(pvec[ROTVEC])
+    dp[:, :, ROTVEC] = cross(jl.T[None], (p - pvec[TRANSLATION])[:, None]).transpose(0, 2, 1)
+    dp[:, :, TRANSLATION] = _EYE3
     # joint angle: the turn axis in the camera frame crossed with the lever
     # arm from its pivot, for every point downstream of the joint
     axes = np.einsum("fsij,sj->fsi", kin.frames[row], _SLOT_AXIS_VEC) @ kin.r_glob[row].T
@@ -448,8 +423,8 @@ def _linearize(intrinsics, pvec, kin, row):
 
 
 def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
-             init: PoseParams) -> FitResult:
-    """Fit pose parameters to observed pixels by damped least squares.
+             init) -> FitResult:
+    """Fit a (27,) pose to observed pixels by damped least squares, from ``init``.
 
     Residuals are the 42 reprojection errors plus one-sided penalties that
     hold joints and depth inside their boxes.  Each iteration linearizes
@@ -491,7 +466,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
     if not np.all(np.isfinite(obs)):
         raise MalformedFrame("non-finite pixel coordinates")
 
-    p = init.as_vector()
+    p = float_array(init, "pose", (NUM_POSE_PARAMS,))
     r, kin = _residuals_batch(model, intrinsics, obs, p[None])
     r, row = r[0], 0
     if not np.all(np.isfinite(r)):
@@ -576,7 +551,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
         # four significant digits: an rms past 1e100 px stays a short note
         raise DivergedFit(f"fit ended ({stop}) at {rms:#.4g} px rms "
                           f"(limit {MAX_RMS_PX:.2f})")
-    return FitResult(params=PoseParams.from_vector(p), points=points, rms_px=rms,
+    return FitResult(pose=p.copy(), points=points, rms_px=rms,
                      cost_history=history, iterations=iterations, stop=stop)
 
 
@@ -605,7 +580,7 @@ def _rest_alignment(model: HandModel):
     its keypoints in the hand frame.  Computed once per model instance."""
     if model._rest is None:
         pose = np.zeros(NUM_POSE_PARAMS)
-        pose[6:] = neutral_joints()
+        pose[JOINTS] = neutral_joints()
         rest_local = _fk_batch(model, pose[None]).points[0]
         rest = compute_alignment((rest_local @ FRONTAL_ROTATION.T)[:, :2])
         model._rest = (rest.rotation_rad, rest.scale_px, rest_local)
@@ -613,7 +588,7 @@ def _rest_alignment(model: HandModel):
 
 
 def initial_pose_from_alignment(kp2d, model: HandModel,
-                                intrinsics: CameraIntrinsics) -> PoseParams:
+                                intrinsics: CameraIntrinsics) -> np.ndarray:
     """Rough pose seed: frontal orientation spun to match the 2D roll angle,
     depth from the palm's apparent size, neutral half-bent joints."""
     align = compute_alignment(kp2d)
@@ -624,10 +599,12 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     center_cam = np.array([(align.center[0] - intrinsics.cx) * tz / intrinsics.f,
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
                            tz])
+    pose = np.empty(NUM_POSE_PARAMS)
+    pose[ROTVEC] = rotvec_from_rotmat(r_init)
     # place the wrist so the palm center projects onto the 2D center
-    t = center_cam - r_init @ palm_center(rest_local)
-    return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
-                      joints=neutral_joints())
+    pose[TRANSLATION] = center_cam - r_init @ palm_center(rest_local)
+    pose[JOINTS] = neutral_joints()
+    return pose
 
 
 def lift_keypoints(kp2d, handedness: str, model: HandModel,

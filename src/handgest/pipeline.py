@@ -29,8 +29,7 @@ from .errors import (
 from . import mlp
 from .features import feature_vector
 from .heuristic import classify_heuristic, config_from_dict, default_config
-from .skeleton import (HandFrame, HandSkeleton, brief, check_name, check_number, decode_config,
-                       read_json)
+from .skeleton import HandFrame, brief, check_name, check_number, decode_config, read_json
 
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
@@ -100,14 +99,16 @@ def make_predictor(kind: str, ref: str | None) -> Callable[[np.ndarray], str]:
     return lambda fv: classify_heuristic(fv, gestures)
 
 
-def make_classifier(config: PipelineConfig) -> Callable[[HandSkeleton], str]:
-    """Resolve the config's classifier choice into skeleton -> label."""
+def make_classifier(config: PipelineConfig) -> Callable[[HandFrame], str]:
+    """Resolve the config's classifier choice into frame -> label, for a
+    frame whose hand is present; the label is read from the hand's kp3d."""
     predict = make_predictor(config.classifier, config.classifier_ref)
 
-    def run(skeleton: HandSkeleton) -> str:
-        if skeleton.kp3d is None:
+    def run(frame: HandFrame) -> str:
+        hand = frame.hand
+        if hand.kp3d is None:
             raise Missing3D("classification needs metric 3D keypoints")
-        return predict(feature_vector(skeleton.kp3d, skeleton.handedness))
+        return predict(feature_vector(hand.kp3d, hand.handedness))
     return run
 
 
@@ -164,13 +165,13 @@ class FrameOutput:
 
 
 def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
-         classifier: Callable[[HandSkeleton], str]):
+         classifier: Callable[[HandFrame], str]):
     """One frame through the state machine; returns (state', FrameOutput).
 
-    ``classifier`` labels tracked skeletons; build it once per stream with
-    make_classifier(config). A skeleton it cannot label (Missing3D or a
-    NumericalError) leaves the label None and is neither a classification
-    nor a miss.
+    ``classifier`` labels tracked frames with a usable hand; build it once
+    per stream with make_classifier(config). A frame it cannot label
+    (Missing3D or a NumericalError) leaves the label None and is neither a
+    classification nor a miss.
     """
     t = frame.t_us
     if state.last_t_us is not None and t <= state.last_t_us:
@@ -203,7 +204,7 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
             misses = 0
     if mode == TRACKED and usable:
         try:
-            label = classifier(hand)
+            label = classifier(frame)
         except (Missing3D, NumericalError):
             pass  # an unclassifiable frame keeps label None; it is not a miss
         else:
@@ -224,7 +225,7 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
 
 
 def run_stream(frames, config: PipelineConfig,
-               classifier: Callable[[HandSkeleton], str]):
+               classifier: Callable[[HandFrame], str]):
     """Left fold of step over the stream; returns (outputs, stats)."""
     state = initial_state()
     outputs = []

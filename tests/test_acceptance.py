@@ -27,7 +27,9 @@ from handgest.heuristic import classify_heuristic, default_config
 from handgest.labels import ALL_GESTURES, CLASSES, NEGATIVE_GESTURES, to_class
 from handgest.lifting import (
     JOINT_BOXES,
-    PoseParams,
+    JOINTS,
+    ROTVEC,
+    TRANSLATION,
     default_hand_model,
     default_intrinsics,
     fit_pose,
@@ -235,11 +237,12 @@ def test_criterion_5c_trained_classifier(criterion):
 
 
 def perturbed_init(truth, rng):
-    return PoseParams(
-        truth.rotvec + rng.normal(0.0, 0.005, 3),
-        truth.translation + rng.normal(0.0, 0.00125, 3),
-        np.clip(truth.joints + rng.normal(0.0, 0.005, len(truth.joints)),
-                JOINT_BOXES[:, 0], JOINT_BOXES[:, 1]))
+    init = truth.copy()
+    init[ROTVEC] += rng.normal(0.0, 0.005, 3)
+    init[TRANSLATION] += rng.normal(0.0, 0.00125, 3)
+    init[JOINTS] = np.clip(init[JOINTS] + rng.normal(0.0, 0.005, len(JOINT_BOXES)),
+                           JOINT_BOXES[:, 0], JOINT_BOXES[:, 1])
+    return init
 
 
 def test_criterion_6_lifting_round_trip(criterion):

@@ -25,7 +25,10 @@ from handgest.harness import (
 )
 from handgest.labels import ALL_GESTURES, CLASSES, POSITIVE_GESTURES
 from handgest.lifting import (
-    PoseParams,
+    JOINTS,
+    NUM_POSE_PARAMS,
+    ROTVEC,
+    TRANSLATION,
     default_hand_model,
     default_intrinsics,
     forward_kinematics,
@@ -169,7 +172,9 @@ def _ref_place(local, rotation, rng, cfg):
 
 
 def _ref_local(model, joints):
-    return forward_kinematics(model, PoseParams(np.zeros(3), np.zeros(3), joints))
+    pose = np.zeros(NUM_POSE_PARAMS)
+    pose[JOINTS] = joints
+    return forward_kinematics(model, pose)
 
 
 def reference_synth_pose(label, cfg, rng):
@@ -214,7 +219,7 @@ def reference_alignment_corpus(cfg, n):
 
 
 def reference_synth_params(label, cfg, rng):
-    """The right-hand PoseParams vector as synth_params drew it inline."""
+    """The right-hand (27,) pose as synth_params drew it inline."""
     tpl = TEMPLATES[label]
     joints = _jittered_joints(tpl, rng, cfg)
     spin = rng.uniform(-np.pi, np.pi)
@@ -228,7 +233,9 @@ def reference_synth_params(label, cfg, rng):
     y = rng.uniform(*cfg.y_range)
     center_local = local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
     t = np.array([x, y, tz]) - rotation @ center_local
-    return PoseParams(rotvec_from_rotmat(rotation), t, joints).as_vector()
+    pose = np.empty(NUM_POSE_PARAMS)
+    pose[ROTVEC], pose[TRANSLATION], pose[JOINTS] = rotvec_from_rotmat(rotation), t, joints
+    return pose
 
 
 def same_bits(a, b):
@@ -265,7 +272,7 @@ def test_synth_params_bitwise_equal_to_reference():
     cfg = SynthConfig(seed=5)
     for i in range(100):
         label = ALL_GESTURES[i % len(ALL_GESTURES)]
-        got = synth_params(label, cfg, sample_rng(cfg.seed, i)).as_vector()
+        got = synth_params(label, cfg, sample_rng(cfg.seed, i))
         assert same_bits(got, reference_synth_params(label, cfg,
                                                      sample_rng(cfg.seed, i))), i
 
@@ -278,9 +285,9 @@ def test_synth_params_draw_the_pose_synth_pose_places():
     worst = 0.0
     for i in range(200):
         label = ALL_GESTURES[i % len(ALL_GESTURES)]
-        params = synth_params(label, cfg, sample_rng(cfg.seed, i))
+        pose = synth_params(label, cfg, sample_rng(cfg.seed, i))
         frame, _ = synth_pose(label, cfg, sample_rng(cfg.seed, i))
-        worst = max(worst, np.abs(forward_kinematics(model, params)
+        worst = max(worst, np.abs(forward_kinematics(model, pose)
                                   - frame.hand.kp3d).max())
     assert worst <= 1e-12
 

@@ -176,6 +176,19 @@ def _checks_an_image_size(node):
             and node.args[1].value in ("w", "h"))
 
 
+# the slices through which every module reads a (27,) pose
+POSE_LAYOUT = {"ROTVEC", "TRANSLATION", "JOINTS"}
+
+
+def _binds_the_pose_layout(node):
+    """An assignment that binds ROTVEC, TRANSLATION or JOINTS, alone or in a tuple."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return False
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id in POSE_LAYOUT
+               for target in targets for n in ast.walk(target))
+
+
 def _raises_a_name_error(node):
     """UnknownLabel(...) or UnknownReference(...) called, not passed to check_name."""
     return isinstance(node, ast.Call) and _name_of(node.func) in ("UnknownLabel",
@@ -267,9 +280,11 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_raises_a_frame_error("must have shape"), [("skeleton.py", "HandSkeleton")]),
     (_raises_a_frame_error("contains non-finite values"), [("skeleton.py", "HandSkeleton")]),
     (_checks_an_image_size, [("skeleton.py", "HandFrame")] * 2),
+    # one statement at lifting's top level states the pose layout
+    (_binds_the_pose_layout, [("lifting.py", None)]),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
         "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
-        "frame-finite-message", "frame-size"])
+        "frame-finite-message", "frame-size", "pose-layout"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -288,7 +303,8 @@ def _name_of(node):
     """The name a node reads, imports or defines, or None."""
     return (node.id if isinstance(node, ast.Name)
             else node.attr if isinstance(node, ast.Attribute)
-            else node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            else node.name if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef))
+            else None)
 
 
 def _names_a_retired_type_test(node):
@@ -329,6 +345,16 @@ def test_no_function_checks_a_frame_after_it_is_made():
     # HandSkeleton and HandFrame check themselves, so a frame that synth or
     # lift builds meets the same rule as one read from a file
     assert _modules_with(lambda node: _name_of(node) == "validate_frame") == []
+
+
+# the record a pose once was, beside the (27,) array every kernel reads
+RETIRED_POSE_NAMES = {"PoseParams", "as_vector", "from_vector"}
+
+
+def test_a_pose_is_one_array():
+    # a pose is built and read through lifting's ROTVEC, TRANSLATION and
+    # JOINTS, with no converter to a second form
+    assert _modules_with(lambda node: _name_of(node) in RETIRED_POSE_NAMES) == []
 
 
 def test_fit_limits_are_module_constants():

@@ -8,7 +8,8 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from handgest.errors import BehindCamera, DivergedFit, MalformedConfig, MalformedFrame
+from handgest.errors import (BehindCamera, DivergedFit, MalformedConfig, MalformedFrame,
+                             ShapeMismatch)
 from handgest.features import feature_vector
 from handgest.alignment import SCALE_KEYPOINTS, compute_alignment
 from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
@@ -20,11 +21,13 @@ from handgest.lifting import (
     BOX_WEIGHT_JOINT,
     BOX_WEIGHT_TZ,
     JOINT_BOXES,
+    JOINTS,
     NUM_POSE_PARAMS,
+    ROTVEC,
+    TRANSLATION,
     TZ_BOX,
     CameraIntrinsics,
     HandModel,
-    PoseParams,
     axis_rotation,
     default_hand_model,
     default_intrinsics,
@@ -46,6 +49,17 @@ from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, PINKY_MCP, WRIST
 def truth_sample(i=0, label="OpenPalm", seed=5):
     cfg = SynthConfig(seed=seed)
     return synth_params(label, cfg, sample_rng(seed, i))
+
+
+def pose(rotvec, translation, joints):
+    """A (27,) pose put together through the layout constants."""
+    p = np.empty(NUM_POSE_PARAMS)
+    p[ROTVEC], p[TRANSLATION], p[JOINTS] = rotvec, translation, joints
+    return p
+
+
+def identity_pose():
+    return pose(np.zeros(3), [0.0, 0.0, 0.5], np.zeros(21))
 
 
 # -- intrinsics and projection ----------------------------------------------
@@ -338,9 +352,8 @@ def test_rest_alignment_follows_each_model_instance():
 def reference_rest_alignment(model):
     """The pose seed's rest quantities, spelled out as they were before the
     seed called compute_alignment: roll, palm size and hand-frame keypoints."""
-    pose = np.zeros(NUM_POSE_PARAMS)
-    pose[6:] = neutral_joints()
-    rest_local = _fk_batch(model, pose[None]).points[0]
+    rest = pose(np.zeros(3), np.zeros(3), neutral_joints())
+    rest_local = _fk_batch(model, rest[None]).points[0]
     plane = (rest_local @ FRONTAL_ROTATION.T)[:, :2]
     center = plane[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
     v = (plane[WRIST] - plane[MIDDLE_MCP]) + (plane[PINKY_MCP] - plane[INDEX_MCP])
@@ -359,8 +372,7 @@ def reference_seed(kp2d, model, intrinsics):
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
                            tz])
     t = center_cam - r_init @ rest_local[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
-    return PoseParams(rotvec=rotvec_from_rotmat(r_init), translation=t,
-                      joints=neutral_joints())
+    return pose(rotvec_from_rotmat(r_init), t, neutral_joints())
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.13])
@@ -379,8 +391,8 @@ def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
     intr = default_intrinsics(cfg.width, cfg.height)
     for i in range(100):
         frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(7, i))
-        got = initial_pose_from_alignment(frame.hand.kp2d, model, intr).as_vector()
-        want = reference_seed(frame.hand.kp2d, model, intr).as_vector()
+        got = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
+        want = reference_seed(frame.hand.kp2d, model, intr)
         assert got.tobytes() == want.tobytes(), i
 
 
@@ -428,7 +440,7 @@ def test_hand_model_from_dict_takes_a_document_without_schema_or_comment():
 def test_fk_identity_pose_rest_geometry():
     model = default_hand_model()
     t = np.array([0.01, -0.02, 0.5])
-    pts = forward_kinematics(model, PoseParams(np.zeros(3), t, np.zeros(21)))
+    pts = forward_kinematics(model, pose(np.zeros(3), t, np.zeros(21)))
     np.testing.assert_allclose(pts[0], t, atol=1e-12)
     # wrist-to-base distances reproduce the first segment lengths
     for f in range(5):
@@ -445,10 +457,10 @@ def bone_lengths(pts):
 def test_fk_pip_flexion_moves_only_distal_points():
     model = default_hand_model()
     t = np.array([0.0, 0.0, 0.4])
-    rest = forward_kinematics(model, PoseParams(np.zeros(3), t, np.zeros(21)))
+    rest = forward_kinematics(model, pose(np.zeros(3), t, np.zeros(21)))
     joints = np.zeros(21)
     joints[7] = np.pi / 2.0   # index PIP flexion
-    bent = forward_kinematics(model, PoseParams(np.zeros(3), t, joints))
+    bent = forward_kinematics(model, pose(np.zeros(3), t, joints))
     moved = np.where(np.linalg.norm(bent - rest, axis=1) > 1e-12)[0]
     np.testing.assert_array_equal(moved, [7, 8])   # index DIP and tip
     np.testing.assert_allclose(bone_lengths(bent), bone_lengths(rest), atol=1e-12)
@@ -458,9 +470,9 @@ def test_fk_global_rotation_is_rigid_about_wrist():
     model = default_hand_model()
     t = np.array([0.02, 0.01, 0.6])
     joints = neutral_joints()
-    rest = forward_kinematics(model, PoseParams(np.zeros(3), t, joints))
+    rest = forward_kinematics(model, pose(np.zeros(3), t, joints))
     rv = np.array([0.4, -0.2, 0.9])
-    rotated = forward_kinematics(model, PoseParams(rv, t, joints))
+    rotated = forward_kinematics(model, pose(rv, t, joints))
     r = rotmat_from_rotvec(rv)
     np.testing.assert_allclose(rotated, (rest - t) @ r.T + t, atol=1e-12)
 
@@ -469,12 +481,12 @@ def test_fk_preserves_bone_lengths_at_random_poses():
     model = default_hand_model()
     rng = np.random.default_rng(2)
     ref = bone_lengths(forward_kinematics(
-        model, PoseParams(np.zeros(3), [0, 0, 0.5], np.zeros(21))))
+        model, pose(np.zeros(3), [0, 0, 0.5], np.zeros(21))))
     for _ in range(20):
         joints = rng.uniform(JOINT_BOXES[:, 0], JOINT_BOXES[:, 1])
-        params = PoseParams(rng.normal(size=3), [0, 0, 0.5], joints)
+        moved = pose(rng.normal(size=3), [0, 0, 0.5], joints)
         np.testing.assert_allclose(
-            bone_lengths(forward_kinematics(model, params)), ref, atol=1e-12)
+            bone_lengths(forward_kinematics(model, moved)), ref, atol=1e-12)
 
 
 # -- world normalization ------------------------------------------------------
@@ -491,8 +503,7 @@ def test_normalize_world_centers_middle_mcp():
 
 
 def test_normalize_world_keeps_features():
-    params = truth_sample(3, "Victory")
-    kp = forward_kinematics(default_hand_model(), params)
+    kp = forward_kinematics(default_hand_model(), truth_sample(3, "Victory"))
     a = feature_vector(kp, "Right")
     b = feature_vector(normalize_world(kp), "Right")
     np.testing.assert_allclose(b, a, atol=1e-9)
@@ -525,10 +536,10 @@ def test_fit_recovers_from_near_init():
     truth = truth_sample(1, "Victory")
     gt = forward_kinematics(model, truth)
     obs = project(gt, intr)
-    init = PoseParams(
-        truth.rotvec + rng.normal(0.0, 0.005, 3),
-        truth.translation + rng.normal(0.0, 0.00125, 3),
-        np.clip(truth.joints + rng.normal(0.0, 0.005, 21),
+    init = pose(
+        truth[ROTVEC] + rng.normal(0.0, 0.005, 3),
+        truth[TRANSLATION] + rng.normal(0.0, 0.00125, 3),
+        np.clip(truth[JOINTS] + rng.normal(0.0, 0.005, 21),
                 JOINT_BOXES[:, 0], JOINT_BOXES[:, 1]))
     res = fit(obs, model, intr, init)
     assert res.rms_px <= 1e-3
@@ -711,7 +722,7 @@ def test_a_trial_behind_the_camera_is_skipped(monkeypatch):
     truth = truth_sample(3, "PointingUp")
     obs = project(forward_kinematics(model, truth), intr)
     monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
-    res, rounds = fit_rounds(monkeypatch, obs, model, intr, PoseParams.identity())
+    res, rounds = fit_rounds(monkeypatch, obs, model, intr, identity_pose())
     accepting = replay(res, rounds)
     mixed = [i for i in accepting if np.isnan(rounds[i]).any()]
     assert mixed
@@ -803,7 +814,7 @@ def test_fit_stops_at_max_iter(monkeypatch):
     obs = project(forward_kinematics(model, truth), intr)
     monkeypatch.setattr(lifting, "MAX_ITER", 5)
     monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
-    res = fit(obs, model, intr, PoseParams.identity())
+    res = fit(obs, model, intr, identity_pose())
     assert res.stop == "max_iter" and not res.converged
     assert res.iterations == 5
 
@@ -834,7 +845,7 @@ def test_fit_without_a_solvable_system_ends_no_descent(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     res = fit(obs, model, intr, truth)
     assert (res.stop, res.iterations) == ("no_descent", 1)
-    assert res.params.as_vector().tobytes() == truth.as_vector().tobytes()
+    assert res.pose.tobytes() == truth.tobytes()
 
 
 def test_fit_keeps_an_overflowing_step_in_place(monkeypatch):
@@ -855,8 +866,50 @@ def test_fit_keeps_an_overflowing_step_in_place(monkeypatch):
 
     past = fit_with(lambda s: np.where(np.arange(s.shape[1]) == 6, np.inf, s))
     still = fit_with(np.zeros_like)
-    assert past.params.as_vector().tobytes() == still.params.as_vector().tobytes()
+    assert past.pose.tobytes() == still.pose.tobytes()
     assert (past.cost_history, past.stop) == (still.cost_history, still.stop)
+
+
+@pytest.mark.parametrize("solvable", [True, False], ids=["stepped", "stayed-at-init"])
+def test_fit_result_pose_is_the_fits_own_copy(monkeypatch, solvable):
+    # a fit that takes no step ends at its init, one that steps at a row of
+    # its trial buffer; either way the result shares no memory with them
+    obs, model, intr, truth = _offset_truth()
+    if not solvable:
+        def singular(systems, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    init = truth.copy()
+    res = fit(obs, model, intr, init)
+    assert (res.stop == "no_descent") != solvable
+    assert res.pose.base is None
+    fitted = res.pose.copy()
+    res.pose[:] = 0.0
+    assert init.tobytes() == truth.tobytes()
+    res = fit(obs, model, intr, init)
+    init[:] = 0.0
+    assert res.pose.tobytes() == fitted.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda kp2d, model, intr: initial_pose_from_alignment(kp2d, model, intr),
+    lambda kp2d, model, intr: synth_params("Victory", SynthConfig(seed=5), sample_rng(5, 0)),
+], ids=["seed", "synth-params"])
+def test_a_made_pose_is_a_new_array(make):
+    # the seed reads the model's cached rest pose; an edit to one seed
+    # must not reach the next
+    obs, model, intr, _ = _offset_truth()
+    first = make(obs, model, intr)
+    assert first.shape == (NUM_POSE_PARAMS,) and first.dtype == np.float64
+    want = first.copy()
+    first[:] = np.nan
+    assert make(obs, model, intr).tobytes() == want.tobytes()
+
+
+def test_fit_rejects_a_pose_of_the_wrong_length():
+    obs, model, intr, truth = _offset_truth()
+    with pytest.raises(ShapeMismatch, match=r"^pose must have shape \(27,\), got \(26,\)$"):
+        fit_pose(obs, model, intr, truth[:26])
 
 
 def test_fit_scale_ambiguity():
@@ -866,11 +919,11 @@ def test_fit_scale_ambiguity():
     truth = truth_sample(4)
     obs = project(forward_kinematics(model, truth), intr)
     res = fit(obs, model, intr, truth)
-    init_big = PoseParams(truth.rotvec.copy(), truth.translation * 1.2,
-                          truth.joints.copy())
+    init_big = truth.copy()
+    init_big[TRANSLATION] *= 1.2
     res_big = fit(obs, big, intr, init_big)
     assert res_big.rms_px < 0.1
-    ratio = res_big.params.translation[2] / res.params.translation[2]
+    ratio = res_big.pose[TRANSLATION][2] / res.pose[TRANSLATION][2]
     assert ratio == pytest.approx(1.2, rel=0.02)
 
 
@@ -880,7 +933,7 @@ def test_fit_rejects_garbage_observations(monkeypatch):
     obs = np.random.default_rng(0).uniform(0, 640, size=(21, 2))
     monkeypatch.setattr(lifting, "MAX_ITER", 40)
     with pytest.raises(DivergedFit):
-        fit(obs, model, intr, PoseParams.identity())
+        fit(obs, model, intr, identity_pose())
 
 
 def test_fit_whose_initial_cost_overflows_raises_before_iterating(monkeypatch):
@@ -905,7 +958,7 @@ def test_fit_rejects_behind_camera_init():
     intr = default_intrinsics(640, 480)
     truth = truth_sample(5)
     obs = project(forward_kinematics(model, truth), intr)
-    bad = PoseParams(np.zeros(3), [0.0, 0.0, -0.5], np.zeros(21))
+    bad = pose(np.zeros(3), [0.0, 0.0, -0.5], np.zeros(21))
     with pytest.raises(BehindCamera):
         fit(obs, model, intr, bad)
 
@@ -916,9 +969,10 @@ def test_initial_pose_from_alignment_is_usable():
     truth = truth_sample(6, "Victory")
     obs = project(forward_kinematics(model, truth), intr)
     init = initial_pose_from_alignment(obs, model, intr)
-    assert np.all((JOINT_BOXES[:, 0] <= init.joints) & (init.joints <= JOINT_BOXES[:, 1]))
-    assert init.translation[2] > 0.0
-    np.testing.assert_array_equal(init.joints, neutral_joints())
+    joints = init[JOINTS]
+    assert np.all((JOINT_BOXES[:, 0] <= joints) & (joints <= JOINT_BOXES[:, 1]))
+    assert init[TRANSLATION][2] > 0.0
+    np.testing.assert_array_equal(joints, neutral_joints())
     # close enough for the optimizer to land at machine precision
     res = fit(obs, model, intr, init)
     assert res.rms_px < 0.1
@@ -1007,7 +1061,7 @@ def test_jacobian_matches_central_differences_on_criterion_6_poses():
         truth = synth_params(ALL_GESTURES[i % len(ALL_GESTURES)], cfg,
                              sample_rng(cfg.seed, i))
         obs = project(forward_kinematics(model, truth), intr)
-        worst = max(worst, jacobian_error(model, intr, obs, truth.as_vector()))
+        worst = max(worst, jacobian_error(model, intr, obs, truth))
     assert worst <= 1e-6
 
 
@@ -1015,21 +1069,21 @@ def off_box_pose():
     joints = neutral_joints()
     joints[[0, 5, 7]] = JOINT_BOXES[[0, 5, 7], 1] + 0.05
     joints[[6, 9, 19]] = JOINT_BOXES[[6, 9, 19], 0] - 0.05
-    return np.concatenate([[0.2, -0.1, 0.3], [0.0, 0.0, TZ_BOX[1] + 0.2], joints])
+    return pose([0.2, -0.1, 0.3], [0.0, 0.0, TZ_BOX[1] + 0.2], joints)
 
 
 def thumb_roll_pose():
     joints = neutral_joints()
     joints[4] = 0.7   # thumb roll
-    return np.concatenate([[2.0, 0.5, -1.0], [0.02, -0.01, 0.45], joints])
+    return pose([2.0, 0.5, -1.0], [0.02, -0.01, 0.45], joints)
 
 
 def tiny_rotation_pose():
-    return np.concatenate([[3e-7, -2e-7, 1e-7], [0.01, 0.02, 0.5], neutral_joints()])
+    return pose([3e-7, -2e-7, 1e-7], [0.01, 0.02, 0.5], neutral_joints())
 
 
 def zero_rotation_pose():
-    return np.concatenate([[0.0, 0.0, 0.0], [0.01, 0.02, 0.5], neutral_joints()])
+    return pose([0.0, 0.0, 0.0], [0.01, 0.02, 0.5], neutral_joints())
 
 
 @pytest.mark.parametrize("make_pose", [off_box_pose, thumb_roll_pose, tiny_rotation_pose,

@@ -38,7 +38,7 @@ def frame(t_us, hand=None, score=None):
 
 
 def stub(label="Victory"):
-    return lambda hand: label
+    return lambda frame: label
 
 
 def stream_of(spec, fps=30.0):
@@ -153,7 +153,7 @@ def test_unclassifiable_tracked_frame_gets_a_null_label(kp3d):
     frames = stream_of("hhhhh")
     frames[2] = replace(frames[2], hand=replace(VICTORY_HAND, kp3d=kp3d))
     outputs, stats = run_stream(frames, cfg, classifier)
-    label = classifier(VICTORY_HAND)
+    label = classifier(frames[0])
     assert [o.label for o in outputs] == [label, label, None, label, label]
     assert (outputs[2].mode, outputs[2].actions) == (TRACKED, ())
     assert all(o.mode == TRACKED for o in outputs)

@@ -442,7 +442,8 @@ def _model(part=None, value=None):
 
 _MODEL = lifting.default_hand_model()
 _INTR = lifting.default_intrinsics(640, 480)
-_POSE = lifting.PoseParams.identity()
+_POSE = np.zeros(lifting.NUM_POSE_PARAMS)
+_POSE[lifting.TRANSLATION] = (0.0, 0.0, 0.5)
 _KP2D = np.random.default_rng(3).uniform(100.0, 400.0, (21, 2))
 _THRESHOLDS = (0.5, 1.5, 0.1, 0.3)
 
@@ -459,15 +460,10 @@ ARRAY_ENTRIES = {
                                      _MODEL.directions),
     "lifting.HandModel-lengths": (lambda a: lifting.HandModel(_MODEL.directions, a),
                                   _MODEL.lengths),
-    "lifting.PoseParams-rotvec": (lambda a: lifting.PoseParams(a, np.ones(3), np.ones(21)),
-                                  np.ones(3)),
-    "lifting.PoseParams-translation": (
-        lambda a: lifting.PoseParams(np.ones(3), a, np.ones(21)), np.ones(3)),
-    "lifting.PoseParams-joints": (lambda a: lifting.PoseParams(np.ones(3), np.ones(3), a),
-                                  np.ones(21)),
-    "lifting.PoseParams.from_vector": (lifting.PoseParams.from_vector, np.ones(27)),
+    "lifting.forward_kinematics": (lambda a: lifting.forward_kinematics(_MODEL, a), _POSE),
     "lifting.normalize_world": (lifting.normalize_world, np.ones((21, 3))),
     "lifting.fit_pose": (lambda a: lifting.fit_pose(a, _MODEL, _INTR, _POSE), _KP2D),
+    "lifting.fit_pose-init": (lambda a: lifting.fit_pose(_KP2D, _MODEL, _INTR, a), _POSE),
     "lifting.lift_keypoints": (lambda a: lifting.lift_keypoints(a, "Right", _MODEL, _INTR),
                                _KP2D),
     **{f"mlp.MlpModel-{part}": (lambda a, part=part: _model(part, a), good)

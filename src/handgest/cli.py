@@ -24,12 +24,11 @@ import numpy as np
 from .errors import (
     HandgestError,
     MalformedFrame,
-    Missing3D,
     NumericalError,
     UnknownLabel,
     ValidationError,
 )
-from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, feature_vector
+from .features import FEATURE_MAX, FEATURE_MIN, FEATURE_PARTS, frame_features
 from .labels import CLASSES, NEGATIVE_LABEL, check_gesture, check_label, to_class
 from .skeleton import (
     check_keys,
@@ -76,11 +75,7 @@ def _labeled_features(obj):
         check_label(label)
     if "hand" in obj:
         frame = frame_from_dict(obj)
-        if frame.hand is None:
-            raise MalformedFrame("frame has no hand")
-        if frame.hand.kp3d is None:
-            raise Missing3D("frame has no 3D keypoints; run lift")
-        return frame.t_us, feature_vector(frame.hand.kp3d, frame.hand.handedness), label
+        return frame.t_us, frame_features(frame), label
     if "euler" in obj:
         return (*_features_from_row(obj), label)
     raise MalformedFrame("neither a frame nor a feature row")

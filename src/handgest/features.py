@@ -22,6 +22,9 @@ Palm frame construction, from wrist and the index/pinky base knuckles:
 
 Euler angles are intrinsic Z-Y-X (yaw about camera z first, then pitch,
 then roll), so in-plane image rotation lands entirely in yaw.
+
+frame_features is the one step from a frame to that array, for the CLI and
+the stream alike.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePalm, ZeroSegment, finite_at_least
+from .errors import DegeneratePalm, MalformedFrame, Missing3D, ZeroSegment, finite_at_least
 from .skeleton import (
     CHAIN_INDICES,
     Finger,
+    HandFrame,
     INDEX_MCP,
     MIDDLE_MCP,
     NUM_KEYPOINTS,
@@ -210,3 +214,14 @@ def feature_vector(kp3d: np.ndarray, handedness: str) -> np.ndarray:
     rotation, wrist, scale = _palm_frame(kp3d, handedness)
     fingers, pairs = _all_angles(_intrinsic(kp3d, rotation, wrist, scale))
     return np.concatenate((_euler(rotation), fingers, pairs))
+
+
+def frame_features(frame: HandFrame) -> np.ndarray:
+    """feature_vector of a frame's hand; raises MalformedFrame for a frame
+    without a hand and Missing3D for a hand without kp3d."""
+    hand = frame.hand
+    if hand is None:
+        raise MalformedFrame("frame has no hand")
+    if hand.kp3d is None:
+        raise Missing3D("frame has no 3D keypoints; run lift")
+    return feature_vector(hand.kp3d, hand.handedness)

@@ -324,9 +324,8 @@ def config_from_dict(obj: dict) -> GestureConfig:
     The document, its thresholds and each gesture entry must carry exactly
     their own keys, so a misspelt key is rejected, not ignored.
     """
-    if not isinstance(obj, dict) or obj.get("schema") != GESTURES_SCHEMA:
-        raise MalformedConfig(f"expected schema {GESTURES_SCHEMA!r}")
     check_keys(obj, frozenset({"schema", "thresholds", "gestures"}), "gesture config")
+    check_name(obj["schema"], (GESTURES_SCHEMA,), "schema", error=MalformedConfig)
     th, rad = obj["thresholds"], np.pi / 180.0
     names = [f.name for f in fields(StateThresholds)]
     check_keys(th, frozenset(f"{name}_deg" for name in names), "thresholds object")

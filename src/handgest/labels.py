@@ -20,18 +20,12 @@ NEGATIVE_LABEL = "Negative"
 # Classifier output vocabulary: the six targets plus the reject class.
 CLASSES = POSITIVE_GESTURES + (NEGATIVE_LABEL,)
 
-# Everything the synthetic generator can pose. Gestures outside the positive
-# six act as realistic negatives, several by design near-misses of a target
-# (IndexMiddlePointingUp* = Victory without the spread, Loser = PointingUp
-# with an open thumb, CallMe = ThumbUp with an extended pinky, Four =
-# OpenPalm with a folded thumb, VulcanSalute = OpenPalm with paired fingers).
-ALL_GESTURES = (
-    "OpenPalm",
-    "Victory",
-    "ClosedFist",
-    "PointingUp",
-    "ThumbUp",
-    "ThumbDown",
+# The generator's other gestures, which act as realistic negatives, several
+# by design near-misses of a target (IndexMiddlePointingUp* = Victory without
+# the spread, Loser = PointingUp with an open thumb, CallMe = ThumbUp with an
+# extended pinky, Four = OpenPalm with a folded thumb, VulcanSalute = OpenPalm
+# with paired fingers).
+NEGATIVE_GESTURES = (
     "OK",
     "CallMe",
     "IndexMiddlePointingUp",
@@ -49,7 +43,8 @@ ALL_GESTURES = (
     "SignOfTheHorns",
 )
 
-NEGATIVE_GESTURES = tuple(g for g in ALL_GESTURES if g not in POSITIVE_GESTURES)
+# Everything the synthetic generator can pose.
+ALL_GESTURES = POSITIVE_GESTURES + NEGATIVE_GESTURES
 
 ALL_LABELS = ALL_GESTURES + (NEGATIVE_LABEL,)
 

@@ -34,6 +34,7 @@ from .skeleton import (
     NUM_KEYPOINTS,
     check_handedness,
     check_keys,
+    check_name,
     check_number,
     float_array,
     read_json,
@@ -217,8 +218,8 @@ class HandModel:
     def from_dict(cls, data: dict) -> "HandModel":
         """A hand_model/1 document; the schema tag may be left out."""
         check_keys(data, frozenset({"fingers"}), "hand model", frozenset({"schema", "comment"}))
-        if data.get("schema", HAND_MODEL_SCHEMA) != HAND_MODEL_SCHEMA:
-            raise MalformedConfig(f"expected schema {HAND_MODEL_SCHEMA!r}")
+        check_name(data.get("schema", HAND_MODEL_SCHEMA), (HAND_MODEL_SCHEMA,), "schema",
+                   error=MalformedConfig)
         fingers = check_keys(data["fingers"], frozenset(f.name.lower() for f in Finger),
                              "hand model 'fingers'")
         directions = np.empty((5, 3))

@@ -95,11 +95,10 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MlpModel":
-        if not isinstance(obj, dict) or obj.get("schema") != MODEL_SCHEMA:
-            raise MalformedConfig(f"expected schema {MODEL_SCHEMA!r}")
         # a misspelt "Tau" would otherwise load as tau 0, plain argmax
         check_keys(obj, frozenset({"schema", "layer_sizes", "layers", "feat_mean", "feat_std"}),
                    "model", frozenset({"tau"}))
+        check_name(obj["schema"], (MODEL_SCHEMA,), "schema", error=MalformedConfig)
         if obj["layer_sizes"] != list(LAYER_SIZES):
             raise ShapeMismatch(f"layer_sizes must be {list(LAYER_SIZES)}")
         layers = [check_keys(L, frozenset({"w", "b"}), "model layer")
@@ -402,12 +401,11 @@ def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
     check_number(target_fpr, "target_fpr", 0, 1, ends="()")
     if len(negatives) == 0:
         raise EmptyNegatives("calibration requires at least one negative example")
-    for ex in negatives:
+    scores = np.empty(len(negatives))
+    for i, ex in enumerate(negatives):
         if ex.label != NEGATIVE_LABEL:
             raise ValidationError(f"calibration example labeled {brief(ex.label)}, "
                                   f"expected {NEGATIVE_LABEL!r}")
-    scores = np.empty(len(negatives))
-    for i, ex in enumerate(negatives):
         probs = forward(model, ex.features)
         scores[i] = np.max(np.delete(probs, NEGATIVE_INDEX))
     ranked = np.sort(scores)

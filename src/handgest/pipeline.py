@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from . import mlp
-from .features import feature_vector
+from .features import frame_features
 from .heuristic import classify_heuristic, config_from_dict, default_config
 from .skeleton import HandFrame, brief, check_name, check_number, decode_config, read_json
 
@@ -69,9 +69,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        if not isinstance(obj, dict) or obj.get("schema") != CONFIG_SCHEMA:
-            raise MalformedConfig(f"expected schema {CONFIG_SCHEMA!r}")
-        return decode_config(cls, obj, "pipeline config")
+        config = decode_config(cls, obj, "pipeline config")
+        check_name(obj.get("schema"), (CONFIG_SCHEMA,), "schema", error=MalformedConfig)
+        return config
 
 
 def load_pipeline_config(fp: TextIO) -> PipelineConfig:
@@ -100,16 +100,10 @@ def make_predictor(kind: str, ref: str | None) -> Callable[[np.ndarray], str]:
 
 
 def make_classifier(config: PipelineConfig) -> Callable[[HandFrame], str]:
-    """Resolve the config's classifier choice into frame -> label, for a
-    frame whose hand is present; the label is read from the hand's kp3d."""
+    """Resolve the config's classifier choice into frame -> label, read from
+    features.frame_features of the frame."""
     predict = make_predictor(config.classifier, config.classifier_ref)
-
-    def run(frame: HandFrame) -> str:
-        hand = frame.hand
-        if hand.kp3d is None:
-            raise Missing3D("classification needs metric 3D keypoints")
-        return predict(feature_vector(hand.kp3d, hand.handedness))
-    return run
+    return lambda frame: predict(frame_features(frame))
 
 
 # -- state machine ------------------------------------------------------------

@@ -21,7 +21,8 @@ Frames stream as JSONL, one object per line:
      "hand": null | {"handedness": "Left"|"Right", "score": float,
                      "kp2d": [[x, y] * 21], "kp3d": [[x, y, z] * 21] | null}}
 
-A hand object holds no other keys; kp3d may be left out. A frame checks
+A hand object holds no other keys; kp3d may be left out. frame_to_dict and
+frame_from_dict are the whole codec, the hand included. A frame checks
 itself when it is made, whether read, generated or lifted: HandFrame and
 HandSkeleton raise MalformedFrame on any field outside this schema.
 
@@ -51,7 +52,8 @@ caller's argument (a count, a threshold, an image size), raising the
 caller's ValidationError. check_keys is the one test of a decoded object
 and its keys, check_list of a decoded list, and check_name of a name from
 a fixed set (a handedness, a classifier, a gesture config's finger, pair,
-axis or state, a gesture, a label): "what must be one of (...), got ...".
+axis or state, a gesture, a label, a document's schema tag): "what must be
+one of (...), got ...".
 """
 
 from __future__ import annotations
@@ -164,40 +166,32 @@ def check_handedness(value) -> str:
 
 # --- JSON and JSONL I/O ---
 
-def skeleton_to_dict(hand: HandSkeleton | None) -> dict | None:
-    if hand is None:
-        return None
-    return {
-        "handedness": hand.handedness,
-        "score": float(hand.score),
-        "kp2d": hand.kp2d.tolist(),
-        "kp3d": None if hand.kp3d is None else hand.kp3d.tolist(),
-    }
-
-
 def frame_to_dict(frame: HandFrame) -> dict:
+    hand = frame.hand
     return {
         "t_us": int(frame.t_us),
         "w": int(frame.w),
         "h": int(frame.h),
-        "hand": skeleton_to_dict(frame.hand),
+        "hand": None if hand is None else {
+            "handedness": hand.handedness,
+            "score": float(hand.score),
+            "kp2d": hand.kp2d.tolist(),
+            "kp3d": None if hand.kp3d is None else hand.kp3d.tolist(),
+        },
     }
-
-
-def skeleton_from_dict(obj: dict | None) -> HandSkeleton | None:
-    if obj is None:
-        return None
-    check_keys(obj, HAND_KEYS, "hand", HAND_OPTIONAL_KEYS, error=MalformedFrame)
-    kp3d = obj.get("kp3d")
-    return HandSkeleton(obj["handedness"], obj["score"],
-                        float_array(obj["kp2d"], "kp2d", error=MalformedFrame),
-                        None if kp3d is None else float_array(kp3d, "kp3d", error=MalformedFrame))
 
 
 def frame_from_dict(obj: dict) -> HandFrame:
     check_keys(obj, FRAME_KEYS, "frame", None, error=MalformedFrame)
-    return HandFrame(t_us=obj["t_us"], w=obj["w"], h=obj["h"],
-                     hand=skeleton_from_dict(obj["hand"]))
+    hand = obj["hand"]
+    if hand is not None:
+        check_keys(hand, HAND_KEYS, "hand", HAND_OPTIONAL_KEYS, error=MalformedFrame)
+        kp3d = hand.get("kp3d")
+        hand = HandSkeleton(hand["handedness"], hand["score"],
+                            float_array(hand["kp2d"], "kp2d", error=MalformedFrame),
+                            None if kp3d is None else
+                            float_array(kp3d, "kp3d", error=MalformedFrame))
+    return HandFrame(t_us=obj["t_us"], w=obj["w"], h=obj["h"], hand=hand)
 
 
 def read_json(path, parse):

@@ -358,7 +358,7 @@ def test_malformed_line_exits_2(tmp_path):
     assert run("features", "--frames", bad) == 2
 
 
-def test_frames_without_3d_exit_2(tmp_path):
+def test_frames_without_3d_exit_2(tmp_path, capsys):
     frames = tmp_path / "no3d.jsonl"
     kp2d = [[float(i), float(i)] for i in range(21)]
     frames.write_text(json.dumps(
@@ -366,6 +366,7 @@ def test_frames_without_3d_exit_2(tmp_path):
          "hand": {"handedness": "Right", "score": 1.0,
                   "kp2d": kp2d, "kp3d": None}}) + "\n")
     assert run("features", "--frames", frames) == 2
+    assert capsys.readouterr().err == f"error: {frames}:1: frame has no 3D keypoints; run lift\n"
 
 
 def test_degenerate_geometry_exits_3(tmp_path):
@@ -590,14 +591,14 @@ BAD_INPUTS = {
         "unknown hand model 'ring' keys: ['lenghts']"),
     "lift-hand-model-schema-2": ("lift --frames {frames} --model {bad}",
                                  {"schema": "hand_model/2", "fingers": _FINGERS},
-                                 "expected schema 'hand_model/1'"),
+                                 "schema must be one of ('hand_model/1',), got 'hand_model/2'"),
     "classify-gestures-schema-9": ("classify --frames {frames} --gestures {bad}",
                                    {**DEFAULT_CONFIG_JSON, "schema": "gestures/9"},
-                                   "expected schema 'gestures/1'"),
+                                   "schema must be one of ('gestures/1',), got 'gestures/9'"),
     "classify-gestures-no-schema": ("classify --frames {frames} --gestures {bad}",
                                     {k: v for k, v in DEFAULT_CONFIG_JSON.items()
                                      if k != "schema"},
-                                    "expected schema 'gestures/1'"),
+                                    "gesture config needs 'schema'"),
     "classify-euler-number": ("classify --features {bad}",
                               {**_FEATURE_ROW, "euler": 5},
                               "euler must have shape (3,), got ()"),
@@ -625,6 +626,8 @@ BAD_INPUTS = {
                            "t_us must be an integer, got True"),
     "features-w-fraction": ("features --frames {bad}", _frame_row(w=640.7),
                             "w must be an integer, got 640.7"),
+    "features-no-hand": ("features --frames {bad}", _frame_row(hand=None),
+                         "frame has no hand"),
     "classify-feature-t-us-fraction": ("classify --features {bad}",
                                        {**_FEATURE_ROW, "t_us": 1.5},
                                        "t_us must be an integer, got 1.5"),

@@ -1,11 +1,13 @@
 """Palm pose, Euler decomposition, and the 12-dim feature vector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handgest.errors import DegeneratePalm, MalformedFrame, ShapeMismatch, ZeroSegment
+from handgest.errors import DegeneratePalm, MalformedFrame, Missing3D, ShapeMismatch, ZeroSegment
 from handgest.features import (
     EPS_GIMBAL,
     EPS_PALM_AREA_M2,
@@ -17,6 +19,7 @@ from handgest.features import (
     cross,
     euler_from_rotation,
     feature_vector,
+    frame_features,
     rotation_from_euler,
 )
 from handgest.harness import SynthConfig, sample_rng, synth_pose
@@ -479,3 +482,26 @@ def test_cross_of_two_vectors_bitwise_equal_to_np_cross():
 def test_euler_from_rotation_rejects_other_shapes(shape):
     with pytest.raises(ShapeMismatch):
         euler_from_rotation(np.zeros(shape))
+
+
+# --- frame features ---
+
+@pytest.mark.parametrize("label", ["OpenPalm", "ThumbDown", "Loser"])
+@pytest.mark.parametrize("handedness", ["Right", "Left"])
+def test_frame_features_is_the_hands_feature_vector(label, handedness):
+    frame, _ = synth_pose(label, SynthConfig(handedness=handedness), sample_rng(3, 0))
+    expected = feature_vector(frame.hand.kp3d, frame.hand.handedness)
+    assert frame_features(frame).tobytes() == expected.tobytes()
+
+
+def test_frame_features_needs_a_hand():
+    frame, _ = synth_pose("OpenPalm", SynthConfig(), sample_rng(3, 0))
+    with pytest.raises(MalformedFrame, match="^frame has no hand$"):
+        frame_features(dataclasses.replace(frame, hand=None))
+
+
+def test_frame_features_needs_3d_keypoints():
+    frame, _ = synth_pose("OpenPalm", SynthConfig(), sample_rng(3, 0))
+    frame = dataclasses.replace(frame, hand=dataclasses.replace(frame.hand, kp3d=None))
+    with pytest.raises(Missing3D, match="^frame has no 3D keypoints; run lift$"):
+        frame_features(frame)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import handgest
+from handgest.labels import POSITIVE_GESTURES
 
 PACKAGE = Path(handgest.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -45,7 +46,7 @@ def _imports_from_features(tree, names):
 # modules that take a feature vector from the features module
 FEATURE_USERS = {name: tree for name, tree in MODULES.items()
                  if _imports_from_features(tree, {"FEATURE_PARTS", "FEATURE_SIZE",
-                                                  "feature_vector"})}
+                                                  "feature_vector", "frame_features"})}
 
 
 def _calls_open(node):
@@ -189,6 +190,29 @@ def _binds_the_pose_layout(node):
                for target in targets for n in ast.walk(target))
 
 
+def _raises(error):
+    """A predicate: a raise statement that calls ``error``."""
+    def predicate(node):
+        return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and _name_of(node.exc.func) == error)
+    return predicate
+
+
+def _reads_the_schema_tag(node):
+    """obj["schema"] or obj.get("schema", ...)."""
+    key = (node.slice if isinstance(node, ast.Subscript)
+           else node.args[0] if isinstance(node, ast.Call) and node.args
+           and _name_of(node.func) == "get" else None)
+    return isinstance(key, ast.Constant) and key.value == "schema"
+
+
+def _compares_a_schema_tag(node):
+    """A comparison with a document's schema tag on either side."""
+    return isinstance(node, ast.Compare) and any(
+        _reads_the_schema_tag(n) for side in [node.left, *node.comparators]
+        for n in ast.walk(side))
+
+
 def _raises_a_name_error(node):
     """UnknownLabel(...) or UnknownReference(...) called, not passed to check_name."""
     return isinstance(node, ast.Call) and _name_of(node.func) in ("UnknownLabel",
@@ -255,8 +279,10 @@ def test_layout_sees_the_package():
     (_says("must be one of"), ["skeleton.py"]),
     (_says("must be a list"), ["skeleton.py"]),
     (_raises_a_name_error, []),
+    # a schema tag goes to check_name like every other name
+    (_compares_a_schema_tag, []),
 ], ids=["open", "json-dump", "handedness", "np-cross", "center-knuckles", "float64-array",
-        "feature-parts", "one-of", "a-list", "name-errors"])
+        "feature-parts", "one-of", "a-list", "name-errors", "schema-tag"])
 def test_rule_lives_only_in_its_home(predicate, home):
     assert _modules_with(predicate) == home
 
@@ -282,9 +308,11 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_checks_an_image_size, [("skeleton.py", "HandFrame")] * 2),
     # one statement at lifting's top level states the pose layout
     (_binds_the_pose_layout, [("lifting.py", None)]),
+    # features.frame_features is the one step from a frame to its features
+    (_raises("Missing3D"), [("features.py", "frame_features")]),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
         "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
-        "frame-finite-message", "frame-size", "pose-layout"])
+        "frame-finite-message", "frame-size", "pose-layout", "missing-3d"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -363,3 +391,17 @@ def test_fit_limits_are_module_constants():
               if isinstance(node, (ast.FunctionDef, ast.Lambda))
               for arg in node.args.args + node.args.kwonlyargs + node.args.posonlyargs}
     assert {p for p in params if p[1] in ("max_iter", "max_rms_px")} == set()
+
+
+def test_the_six_targets_are_listed_once():
+    # labels.ALL_GESTURES is POSITIVE_GESTURES + NEGATIVE_GESTURES
+    strings = [node.value for node in ast.walk(MODULES["labels.py"])
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert {name: strings.count(name) for name in POSITIVE_GESTURES} == dict.fromkeys(
+        POSITIVE_GESTURES, 1)
+
+
+def test_the_frame_codec_is_two_functions():
+    # frame_to_dict and frame_from_dict hold the hand's half of the format
+    retired = {"skeleton_to_dict", "skeleton_from_dict"}
+    assert _modules_with(lambda node: _name_of(node) in retired) == []

@@ -509,9 +509,13 @@ def test_calibrate_validates_inputs():
         calibrate_threshold(model, [], 0.1)
     with pytest.raises(ValidationError):
         calibrate_threshold(model, [negative_example(np.zeros(12))], 1.5)
-    with pytest.raises(ValidationError):
-        calibrate_threshold(
-            model, [LabeledExample(np.zeros(12), "Victory")], 0.1)
+    positive = LabeledExample(np.zeros(12), "Victory")
+    negative = negative_example(np.zeros(12))
+    # the first bad row raises, at the head of the list or after scored rows
+    for examples in ([positive], [negative, negative, positive]):
+        with pytest.raises(ValidationError, match=r"^calibration example labeled 'Victory', "
+                                                  r"expected 'Negative'$"):
+            calibrate_threshold(model, examples, 0.1)
 
 
 # -- serialization ------------------------------------------------------------

@@ -8,6 +8,7 @@ line exit 2 with one line that names the file.
 
 import copy
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from handgest.features import feature_vector
 from handgest.harness import SynthConfig, eval_classifier, sample_rng, synth_pose
 from handgest.heuristic import DEFAULT_CONFIG_JSON, config_from_dict
 from handgest.labels import check_gesture
-from handgest.lifting import default_hand_model, default_intrinsics, lift_keypoints
-from handgest.mlp import LabeledExample, focal_loss
+from handgest.lifting import HandModel, default_hand_model, default_intrinsics, lift_keypoints
+from handgest.mlp import LAYER_SIZES, LabeledExample, MlpModel, focal_loss
 from handgest.pipeline import PipelineConfig
 from handgest.skeleton import frame_from_dict, frame_to_dict
 
@@ -27,6 +28,9 @@ _FRAME, _ = synth_pose("OpenPalm", SynthConfig(), sample_rng(0, 0))
 _ROW = frame_to_dict(_FRAME)
 _PIPE = {"schema": "pipeline/1", "max_detect_hz": 5.0}
 _FEATURE_ROW = {"euler": [0.0] * 3, "fingers": [0.0] * 5, "pairs": [0.5] * 4}
+_MODEL = MlpModel([np.zeros((o, i)) for i, o in zip(LAYER_SIZES, LAYER_SIZES[1:])],
+                  [np.zeros(o) for o in LAYER_SIZES[1:]], np.zeros(12), np.ones(12)).to_dict()
+_HAND_MODEL = json.loads((files("handgest") / "data" / "hand_model.json").read_text())
 
 
 def _with(doc, path, value):
@@ -70,6 +74,15 @@ _FINGER, _PAIR, _AXIS = _term(1, 0, "finger"), _term(1, 2, "pair"), _term(3, 5, 
 _FINGER_STATE, _PAIR_STATE = _term(1, 0, "state"), _term(1, 2, "state")
 
 
+def _schema(doc):
+    """``doc`` with its schema tag replaced."""
+    return lambda value: {**doc, "schema": value}
+
+
+_GESTURES_SCHEMA, _PIPE_SCHEMA = _schema(DEFAULT_CONFIG_JSON), _schema(_PIPE)
+_MODEL_SCHEMA, _HAND_MODEL_SCHEMA = _schema(_MODEL), _schema(_HAND_MODEL)
+
+
 # site: (a good name, the error the library raises, the library call that
 # takes the name, and (argv, the file {bad} that carries it) or None)
 SITES = {
@@ -92,6 +105,17 @@ SITES = {
                                ("axis", "yaw", _AXIS),
                                ("finger-state", "FullyBent", _FINGER_STATE),
                                ("pair-state", "Apart", _PAIR_STATE))},
+    "gestures-schema": ("gestures/1", MalformedConfig,
+                        lambda v: config_from_dict(_GESTURES_SCHEMA(v)),
+                        ("classify --features {features} --gestures {bad}", _GESTURES_SCHEMA)),
+    "model-schema": ("mlp/1", MalformedConfig, lambda v: MlpModel.from_dict(_MODEL_SCHEMA(v)),
+                     ("classify --features {features} --model {bad}", _MODEL_SCHEMA)),
+    "pipeline-schema": ("pipeline/1", MalformedConfig,
+                        lambda v: PipelineConfig.from_dict(_PIPE_SCHEMA(v)),
+                        ("stream --frames {frames} --pipeline {bad}", _PIPE_SCHEMA)),
+    "hand-model-schema": ("hand_model/1", MalformedConfig,
+                          lambda v: HandModel.from_dict(_HAND_MODEL_SCHEMA(v)),
+                          ("lift --frames {frames} --model {bad}", _HAND_MODEL_SCHEMA)),
     "synth-gestures": ("OpenPalm", UnknownLabel, check_gesture, None),
     "dataset-label": ("OpenPalm", UnknownLabel, lambda v: _labeled_features(_labeled(v)),
                       ("features --frames {bad}", _labeled)),

@@ -262,7 +262,7 @@ def test_classifier_ref_is_a_string_or_none(ref):
 def test_pipeline_config_from_dict_needs_max_detect_hz():
     with pytest.raises(MalformedConfig, match="max_detect_hz"):
         PipelineConfig.from_dict({"schema": "pipeline/1"})
-    with pytest.raises(MalformedConfig, match="expected schema"):
+    with pytest.raises(MalformedConfig, match="schema must be one of"):
         PipelineConfig.from_dict({"schema": "pipeline/2", "max_detect_hz": 5.0})
 
 

@@ -64,7 +64,9 @@ def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
 def palm_center(points: np.ndarray) -> np.ndarray:
     """The mean of the CENTER_KEYPOINTS rows of a float64 (21, 2) or (21, 3)
     array: the crop center of pixels, the palm center of metric points."""
-    return points[list(CENTER_KEYPOINTS)].mean(axis=0)
+    # np.mean's own operations: the sum, then division by the count
+    center = points.take(CENTER_KEYPOINTS, axis=0)
+    return center.sum(axis=0) / len(center)
 
 
 # The rules themselves, on an already checked (21, 2) array.

@@ -217,7 +217,7 @@ def _jittered_joints(tpl: GestureTemplate, rng: np.random.Generator,
     for lead, *others in tpl.coupled:
         noise[FLEXION_JOINTS[others]] = noise[FLEXION_JOINTS[lead]]
     joints = tpl.joints + noise * cfg.jitter_std_rad * _JITTER_SCALE
-    return np.clip(joints, JOINT_BOXES[:, 0], JOINT_BOXES[:, 1])
+    return np.minimum(np.maximum(joints, JOINT_BOXES[:, 0]), JOINT_BOXES[:, 1])
 
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:

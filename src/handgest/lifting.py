@@ -96,8 +96,16 @@ _EYE3 = np.eye(3)
 
 
 def rotmat_from_rotvec(rv):
-    """Exponential map, batched over leading axes.  Safe at theta = 0."""
+    """Exponential map, batched over leading axes.  Safe at theta = 0.
+    Raises ShapeMismatch unless the last axis holds the 3 entries."""
     rv = float_array(rv, "rotvec")
+    if rv.shape[-1:] != (3,):
+        raise ShapeMismatch(f"rotvec must have shape (..., 3), got {rv.shape}")
+    return _rotmat(rv)
+
+
+def _rotmat(rv):
+    """rotmat_from_rotvec on a float64 (..., 3) array it does not check."""
     theta = np.sqrt((rv * rv).sum(-1))
     k = np.zeros(rv.shape[:-1] + (9,))
     k[..., _SKEW_AT] = rv[..., _SKEW_OF] * _SKEW_SIGN
@@ -164,13 +172,10 @@ def project(points, intrinsics: CameraIntrinsics):
     p = float_array(points, "points")
     if p.shape[-1:] != (3,):
         raise ShapeMismatch(f"points must have shape (..., 3), got {p.shape}")
-    z = p[..., 2]
+    z = p[..., 2:]
     if not np.all(np.isfinite(p)) or np.any(z <= 0.0):
         raise BehindCamera("points at or behind the camera plane cannot be projected")
-    out = np.empty(p.shape[:-1] + (2,))
-    out[..., 0] = intrinsics.f * p[..., 0] / z + intrinsics.cx
-    out[..., 1] = intrinsics.f * p[..., 1] / z + intrinsics.cy
-    return out
+    return intrinsics.f * p[..., :2] / z + (intrinsics.cx, intrinsics.cy)
 
 
 # -- hand model ------------------------------------------------------------
@@ -181,12 +186,13 @@ class HandModel:
 
     ``base_frames[i]`` is the rest frame of finger i with columns
     [lateral, along, normal]; flexion rotates about lateral, abduction
-    about normal.  ``_rest`` holds what the pose seed derives from the rest
-    pose; it is filled on first use.  The three arrays are the model's own
-    and read-only, so that cache cannot go stale.
+    about normal.  ``palm_segments[i]`` is finger i's wrist-to-base segment,
+    its first length along its direction.  ``_rest`` holds what the pose
+    seed derives from the rest pose; it is filled on first use.  The four
+    arrays are the model's own and read-only, so that cache cannot go stale.
     """
 
-    __slots__ = ("directions", "lengths", "base_frames", "_rest")
+    __slots__ = ("directions", "lengths", "base_frames", "palm_segments", "_rest")
 
     def __init__(self, directions, lengths):
         d = float_array(directions, "directions", (5, 3))
@@ -207,11 +213,13 @@ class HandModel:
                 raise MalformedConfig("finger direction parallel to the palm normal")
             lateral = lateral / ln
             frames[i] = np.column_stack([lateral, along, cross(lateral, along)])
-        for a in (d, l, frames):
+        palm = l[:, :1] * d
+        for a in (d, l, frames, palm):
             a.flags.writeable = False
         self.directions = d
         self.lengths = l
         self.base_frames = frames
+        self.palm_segments = palm
         self._rest = None
 
     @classmethod
@@ -262,12 +270,19 @@ _SLOT_AXIS = np.array([1, 2, 0, 0, 0])
 _SLOT_PIVOT = np.array([0, 0, 0, 1, 2])
 _SLOTS = np.arange(5)
 
-# entries of the elementary rotations, all slots at once: row i, column j
-# of slot s holds cos, cos, -sin, sin (see axis_rotation)
-_ROT_I, _ROT_J = (_SLOT_AXIS + 1) % 3, (_SLOT_AXIS + 2) % 3
-_ROT_S = np.tile(_SLOTS, 4)
+# The 25 slot rotations with every turn by 0, the four fingers' missing roll
+# included (cos 1.0, -sin -0.0, sin 0.0; see axis_rotation).  hand_chain
+# copies it and writes the 21 real slots' cos, cos, -sin, sin at the flat
+# positions _ROT_AT: row i, column j of each real slot.
+_REST_ROTS = np.broadcast_to([axis_rotation(a, 0.0) for a in _SLOT_AXIS], (5, 5, 3, 3))
+_REAL = _SLOT_JOINT < NUM_JOINT_ANGLES
+_REAL_JOINT = _SLOT_JOINT[_REAL]
+_REAL_SLOT = np.broadcast_to(_SLOTS, _REAL.shape)[_REAL]
+_REAL_SIGN = _SLOT_SIGN[_REAL_SLOT]
+_ROT_I, _ROT_J = (_SLOT_AXIS[_REAL_SLOT] + 1) % 3, (_SLOT_AXIS[_REAL_SLOT] + 2) % 3
 _ROT_ROW = np.concatenate([_ROT_I, _ROT_J, _ROT_I, _ROT_J])
 _ROT_COL = np.concatenate([_ROT_I, _ROT_J, _ROT_J, _ROT_I])
+_ROT_AT = np.tile(9 * np.flatnonzero(_REAL), 4) + 3 * _ROT_ROW + _ROT_COL
 
 
 class _Kinematics(NamedTuple):
@@ -281,31 +296,29 @@ def hand_chain(model: HandModel, joints: np.ndarray):
     finger's frame after each slot (n, 5, 5, 3, 3): the model before its
     rigid placement."""
     n = joints.shape[0]
-    padded = np.concatenate([joints, np.zeros((n, 1))], axis=1)
-    angles = padded[:, _SLOT_JOINT] * _SLOT_SIGN
+    angles = joints[:, _REAL_JOINT] * _REAL_SIGN
     c, s = np.cos(angles), np.sin(angles)
-    rots = np.zeros((n, 5, 5, 3, 3))
-    rots[..., _SLOTS, _SLOT_AXIS, _SLOT_AXIS] = 1.0
-    rots[..., _ROT_S, _ROT_ROW, _ROT_COL] = np.concatenate([c, c, -s, s], axis=-1)
+    rots = np.empty((n, 5, 5, 3, 3))
+    rots[:] = _REST_ROTS
+    rots.reshape(n, -1)[:, _ROT_AT] = np.concatenate([c, c, -s, s], axis=1)
 
     frames = np.empty((n, 5, 5, 3, 3))
     frame = model.base_frames
     for slot in range(5):
-        frame = frame @ rots[:, :, slot]
-        frames[:, :, slot] = frame
+        frame = np.matmul(frame, rots[:, :, slot], out=frames[:, :, slot])
 
     # the three flexion frames carry the phalanges along their y columns
     chain = np.empty((n, 5, 4, 3))
-    chain[:, :, 0] = model.lengths[:, 0:1] * model.directions
-    chain[:, :, 1:] = model.lengths[:, 1:, None] * frames[:, :, 2:, :, 1]
+    chain[:, :, 0] = model.palm_segments
+    np.multiply(model.lengths[:, 1:, None], frames[:, :, 2:, :, 1], out=chain[:, :, 1:])
     local = np.zeros((n, NUM_KEYPOINTS, 3))
-    local[:, 1:] = np.cumsum(chain, axis=2).reshape(n, NUM_KEYPOINTS - 1, 3)
+    np.cumsum(chain, axis=2, out=local[:, 1:].reshape(n, 5, 4, 3))
     return local, frames
 
 
 def _fk_batch(model: HandModel, pvec: np.ndarray) -> _Kinematics:
     """Poses (n, 27) -> keypoints and the frames that place them."""
-    r_glob = rotmat_from_rotvec(pvec[:, ROTVEC])
+    r_glob = _rotmat(pvec[:, ROTVEC])
     local, frames = hand_chain(model, pvec[:, JOINTS])
     points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, TRANSLATION]
     return _Kinematics(points, r_glob, frames)
@@ -352,10 +365,11 @@ def _residuals_batch(model, intrinsics, obs, pvecs):
     kin = _fk_batch(model, pvecs)
     pts = kin.points
     n = pvecs.shape[0]
-    ok = (pts[:, :, 2] > 1e-9).all(axis=1) & np.isfinite(pts.reshape(n, -1)).all(axis=1)
-    all_ok = ok.all()
     z = pts[:, :, 2:3]
-    if not all_ok:
+    # one test over every row; the per-row test only when some row fails it
+    ok = None
+    if not ((z > 1e-9).all() and np.isfinite(pts).all()):
+        ok = (pts[:, :, 2] > 1e-9).all(axis=1) & np.isfinite(pts.reshape(n, -1)).all(axis=1)
         # rows that do not project get a harmless depth, then nan below
         z = np.where(ok[:, None, None], z, 1.0)
     proj = intrinsics.f * pts[:, :, :2] / z + (intrinsics.cx, intrinsics.cy)
@@ -364,14 +378,14 @@ def _residuals_batch(model, intrinsics, obs, pvecs):
     vals = pvecs[:, _BOX_COLS]
     out[:, 2 * NUM_KEYPOINTS:] = _BOX_W * (np.maximum(vals - _BOX_HI, 0.0)
                                            + np.maximum(_BOX_LO - vals, 0.0))
-    if not all_ok:
+    if ok is not None:
         out[~ok] = np.nan
     return out, kin
 
 
 def _rotvec_left_jac(rv):
     """J_l(w), with exp([w + d]x) = exp([J_l(w) d]x) exp([w]x) to first order."""
-    theta = float(np.linalg.norm(rv))
+    theta = math.sqrt(rv.dot(rv))
     k = np.array([[0.0, -rv[2], rv[1]],
                   [rv[2], 0.0, -rv[0]],
                   [-rv[1], rv[0], 0.0]])
@@ -412,11 +426,14 @@ def _linearize(intrinsics, pvec, kin, row):
     arms = fingers[:, None, 1:] - fingers[:, _SLOT_PIVOT, None]
     dp[_JAC_KP, :, _JAC_COL] = cross(axes[:, :, None], arms)
     dp = dp[:, :, :NUM_POSE_PARAMS]
-    # pinhole: d(u, v)/dP = f/z [[1, 0, -x/z], [0, 1, -y/z]]
+    # pinhole: d(u, v)/dP = f/z [[1, 0, -x/z], [0, 1, -y/z]], written into
+    # the pixel rows of the Jacobian
     z = p[:, 2:3]
-    duv = (intrinsics.f / z)[:, :, None] * (dp[:, :2] - (p[:, :2] / z)[:, :, None] * dp[:, 2:3])
     jac = np.zeros((_N_RESIDUALS, NUM_POSE_PARAMS))
-    jac[:2 * NUM_KEYPOINTS] = duv.reshape(2 * NUM_KEYPOINTS, NUM_POSE_PARAMS)
+    duv = jac[:2 * NUM_KEYPOINTS].reshape(NUM_KEYPOINTS, 2, NUM_POSE_PARAMS)
+    np.multiply((p[:, :2] / z)[:, :, None], dp[:, 2:3], out=duv)
+    np.subtract(dp[:, :2], duv, out=duv)
+    np.multiply((intrinsics.f / z)[:, :, None], duv, out=duv)
     # box penalties: +-W outside the box, zero inside
     vals = pvec[_BOX_COLS]
     jac[_BOX_ROWS, _BOX_COLS] = _BOX_W * ((vals > _BOX_HI).astype(np.float64) - (vals < _BOX_LO))

@@ -15,6 +15,7 @@ from handgest.alignment import (
 from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch
 from handgest.harness import SynthConfig, sample_rng, synth_pose
 from handgest.labels import ALL_GESTURES
+from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, PINKY_MCP
 
 
 def flat_kp2d(value=100.0):
@@ -44,6 +45,21 @@ def test_center_matches_brute_force_summation():
         for i in (5, 9, 17):
             total = total + kp[i]
         np.testing.assert_allclose(palm_center(kp), total / 3.0, atol=1e-12)
+
+
+def reference_palm_center(points):
+    """palm_center as written with np.mean, before it became one take, a sum
+    and a division: every result must stay bitwise equal to it."""
+    return points[[INDEX_MCP, MIDDLE_MCP, PINKY_MCP]].mean(axis=0)
+
+
+@pytest.mark.parametrize("handedness", ["Right", "Left"])
+def test_palm_center_is_bitwise_the_reference(handedness):
+    cfg = SynthConfig(seed=4, noise_px=1.0, noise_m=0.002, handedness=handedness)
+    for i in range(64):
+        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(4, i))
+        for points in (frame.hand.kp2d, frame.hand.kp3d, random_kp2d(i) * 1e-3):
+            assert palm_center(points).tobytes() == reference_palm_center(points).tobytes(), i
 
 
 def test_rotation_vector_sum_of_components():

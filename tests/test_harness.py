@@ -25,6 +25,8 @@ from handgest.harness import (
 )
 from handgest.labels import ALL_GESTURES, CLASSES, POSITIVE_GESTURES
 from handgest.lifting import (
+    FLEXION_JOINTS,
+    JOINT_BOXES,
     JOINTS,
     NUM_POSE_PARAMS,
     ROTVEC,
@@ -175,6 +177,31 @@ def _ref_local(model, joints):
     pose = np.zeros(NUM_POSE_PARAMS)
     pose[JOINTS] = joints
     return forward_kinematics(model, pose)
+
+
+def reference_jittered_joints(tpl, rng, cfg):
+    """_jittered_joints as written with np.clip, before it became
+    minimum(maximum(...)): every draw must stay bitwise equal to it."""
+    noise = rng.standard_normal(21)
+    for lead, *others in tpl.coupled:
+        noise[FLEXION_JOINTS[others]] = noise[FLEXION_JOINTS[lead]]
+    joints = tpl.joints + noise * cfg.jitter_std_rad * _JITTER_SCALE
+    return np.clip(joints, JOINT_BOXES[:, 0], JOINT_BOXES[:, 1])
+
+
+@pytest.mark.parametrize("jitter_rad", [0.0, np.radians(5.0), 1.0])
+def test_jittered_joints_is_bitwise_the_reference(jitter_rad):
+    # at 1 rad most draws leave a box, so both bounds clip many joints
+    cfg = SynthConfig(seed=6, jitter_std_rad=jitter_rad)
+    clipped = 0
+    for i, label in enumerate(ALL_GESTURES * 3):
+        tpl = TEMPLATES[label]
+        got = _jittered_joints(tpl, sample_rng(6, i), cfg)
+        want = reference_jittered_joints(tpl, sample_rng(6, i), cfg)
+        assert got.tobytes() == want.tobytes(), (label, i)
+        clipped += np.count_nonzero((got == JOINT_BOXES[:, 0]) | (got == JOINT_BOXES[:, 1]))
+    if jitter_rad == 1.0:
+        assert clipped > 100
 
 
 def reference_synth_pose(label, cfg, rng):

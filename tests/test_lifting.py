@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 import warnings
 from importlib.resources import files
 
@@ -10,7 +11,7 @@ import pytest
 
 from handgest.errors import (BehindCamera, DivergedFit, MalformedConfig, MalformedFrame,
                              ShapeMismatch)
-from handgest.features import feature_vector
+from handgest.features import cross, feature_vector
 from handgest.alignment import SCALE_KEYPOINTS, compute_alignment
 from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
 from handgest.labels import ALL_GESTURES
@@ -33,6 +34,7 @@ from handgest.lifting import (
     default_intrinsics,
     fit_pose,
     forward_kinematics,
+    hand_chain,
     initial_pose_from_alignment,
     lift_keypoints,
     load_hand_model,
@@ -314,16 +316,19 @@ def test_hand_model_owns_read_only_arrays():
     base = default_hand_model()
     directions, lengths = base.directions.copy(), base.lengths.copy()
     model = HandModel(directions, lengths)
-    kept = [a.copy() for a in (model.directions, model.lengths, model.base_frames)]
+    names = ("directions", "lengths", "base_frames", "palm_segments")
+    kept = [getattr(model, name).copy() for name in names]
     directions[:] = 1.0
     lengths[:] = 0.5
-    for a, b in zip((model.directions, model.lengths, model.base_frames), kept):
-        np.testing.assert_array_equal(a, b)
+    for name, b in zip(names, kept):
+        np.testing.assert_array_equal(getattr(model, name), b)
     np.testing.assert_array_equal(model.lengths, base.lengths)
     for m in (model, base):
-        for name in ("directions", "lengths", "base_frames"):
+        for name in names:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(m, name)[0] = 0.0
+        # each finger's wrist-to-base segment, as the chain wrote it per call
+        assert m.palm_segments.tobytes() == (m.lengths[:, 0:1] * m.directions).tobytes()
 
 
 @pytest.mark.parametrize("direction, message", [
@@ -1119,3 +1124,250 @@ def test_joint_layout_comes_from_the_slot_table():
                                        [17, 19, 20]]
     assert neutral_joints().tolist() == ([0.30, 0.0, 0.40, 0.30, 0.0]
                                          + [0.35, 0.0, 0.35, 0.20] * 4)
+
+
+# -- the FK chain and the LM step, bit for bit ---------------------------------
+#
+# The kernels as written before the chain was built from a rest template and
+# the LM step wrote its blocks in place.  Every change kept the same
+# floating-point operations in the same order, so each result must stay
+# bitwise equal to its reference.  rotmat_from_rotvec is pinned to
+# reference_rotmat_from_rotvec above.
+
+def reference_slot_rotations(joints):
+    """The 25 slot rotations (n, 5, 5, 3, 3): zeros, 1.0 on each slot's axis,
+    then every slot's cos, cos, -sin, sin, the four fingers' missing roll as
+    the turn by 0."""
+    n = joints.shape[0]
+    padded = np.concatenate([joints, np.zeros((n, 1))], axis=1)
+    angles = padded[:, lifting._SLOT_JOINT] * lifting._SLOT_SIGN
+    c, s = np.cos(angles), np.sin(angles)
+    axis, slots = lifting._SLOT_AXIS, np.arange(5)
+    i, j = (axis + 1) % 3, (axis + 2) % 3
+    rots = np.zeros((n, 5, 5, 3, 3))
+    rots[..., slots, axis, axis] = 1.0
+    rows, cols = np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i])
+    rots[..., np.tile(slots, 4), rows, cols] = np.concatenate([c, c, -s, s], axis=-1)
+    return rots
+
+
+def reference_hand_chain(model, joints):
+    n = joints.shape[0]
+    rots = reference_slot_rotations(joints)
+    frames = np.empty((n, 5, 5, 3, 3))
+    frame = model.base_frames
+    for slot in range(5):
+        frame = frame @ rots[:, :, slot]
+        frames[:, :, slot] = frame
+    chain = np.empty((n, 5, 4, 3))
+    chain[:, :, 0] = model.lengths[:, 0:1] * model.directions
+    chain[:, :, 1:] = model.lengths[:, 1:, None] * frames[:, :, 2:, :, 1]
+    local = np.zeros((n, 21, 3))
+    local[:, 1:] = np.cumsum(chain, axis=2).reshape(n, 20, 3)
+    return local, frames
+
+
+def reference_fk_batch(model, pvec):
+    r_glob = reference_rotmat_from_rotvec(pvec[:, ROTVEC])
+    local, frames = reference_hand_chain(model, pvec[:, JOINTS])
+    points = np.einsum("nij,nkj->nki", r_glob, local) + pvec[:, None, TRANSLATION]
+    return points, r_glob, frames
+
+
+def reference_residuals_batch(model, intrinsics, obs, pvecs):
+    points, r_glob, frames = reference_fk_batch(model, pvecs)
+    pts = points
+    n = pvecs.shape[0]
+    ok = (pts[:, :, 2] > 1e-9).all(axis=1) & np.isfinite(pts.reshape(n, -1)).all(axis=1)
+    all_ok = ok.all()
+    z = pts[:, :, 2:3]
+    if not all_ok:
+        z = np.where(ok[:, None, None], z, 1.0)
+    proj = intrinsics.f * pts[:, :, :2] / z + (intrinsics.cx, intrinsics.cy)
+    out = np.empty((n, 64))
+    out[:, :42] = (proj - obs).reshape(n, -1)
+    vals = pvecs[:, lifting._BOX_COLS]
+    out[:, 42:] = lifting._BOX_W * (np.maximum(vals - lifting._BOX_HI, 0.0)
+                                    + np.maximum(lifting._BOX_LO - vals, 0.0))
+    if not all_ok:
+        out[~ok] = np.nan
+    return out, lifting._Kinematics(points, r_glob, frames)
+
+
+def reference_rotvec_left_jac(rv):
+    theta = float(np.linalg.norm(rv))
+    k = np.array([[0.0, -rv[2], rv[1]],
+                  [rv[2], 0.0, -rv[0]],
+                  [-rv[1], rv[0], 0.0]])
+    t2 = theta * theta
+    if theta < 1e-6:
+        a, b = 0.5 - t2 / 24.0, 1.0 / 6.0 - t2 / 120.0
+    else:
+        a = (1.0 - np.cos(theta)) / t2
+        b = (theta - np.sin(theta)) / (t2 * theta)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def reference_linearize(intrinsics, pvec, kin, row):
+    p = kin.points[row]
+    dp = np.zeros((21, 3, NUM_POSE_PARAMS + 1))
+    jl = reference_rotvec_left_jac(pvec[ROTVEC])
+    dp[:, :, ROTVEC] = cross(jl.T[None], (p - pvec[TRANSLATION])[:, None]).transpose(0, 2, 1)
+    dp[:, :, TRANSLATION] = np.eye(3)
+    axes = np.einsum("fsij,sj->fsi", kin.frames[row], lifting._SLOT_AXIS_VEC) @ kin.r_glob[row].T
+    fingers = p[1:].reshape(5, 4, 3)
+    arms = fingers[:, None, 1:] - fingers[:, lifting._SLOT_PIVOT, None]
+    dp[lifting._JAC_KP, :, lifting._JAC_COL] = cross(axes[:, :, None], arms)
+    dp = dp[:, :, :NUM_POSE_PARAMS]
+    z = p[:, 2:3]
+    duv = (intrinsics.f / z)[:, :, None] * (dp[:, :2] - (p[:, :2] / z)[:, :, None] * dp[:, 2:3])
+    jac = np.zeros((64, NUM_POSE_PARAMS))
+    jac[:42] = duv.reshape(42, NUM_POSE_PARAMS)
+    vals = pvec[lifting._BOX_COLS]
+    jac[lifting._BOX_ROWS, lifting._BOX_COLS] = lifting._BOX_W * (
+        (vals > lifting._BOX_HI).astype(np.float64) - (vals < lifting._BOX_LO))
+    return jac
+
+
+def reference_project(points, intrinsics):
+    p = np.asarray(points, dtype=np.float64)
+    z = p[..., 2]
+    out = np.empty(p.shape[:-1] + (2,))
+    out[..., 0] = intrinsics.f * p[..., 0] / z + intrinsics.cx
+    out[..., 1] = intrinsics.f * p[..., 1] / z + intrinsics.cy
+    return out
+
+
+TINY_ANGLES = (0.0, 1e-9, 3e-7, 9e-7)
+
+
+def kernel_poses(n, spoiled):
+    """n poses near the synthesized truths, joints pushed off the templates
+    and out of their boxes; every third row turns by less than 1e-6 rad.
+    A spoiled batch has a row behind the camera and, from n = 4 on, a row
+    with a NaN joint."""
+    cfg = SynthConfig(seed=9)
+    poses = np.array([synth_params(ALL_GESTURES[i % 21], cfg, sample_rng(9, i))
+                      for i in range(n)])
+    poses[:, JOINTS] += np.random.default_rng(n).normal(scale=0.4, size=(n, 21))
+    for k, row in enumerate(range(0, n, 3)):
+        rv = poses[row, ROTVEC]
+        poses[row, ROTVEC] = rv / np.linalg.norm(rv) * TINY_ANGLES[k % 4]
+    if spoiled:
+        poses[n // 2, TRANSLATION.start + 2] = -0.3
+        if n >= 4:
+            poses[n // 2 + 1, JOINTS.start + 7] = np.nan
+    return poses
+
+
+def observed(handedness, intr, i=0):
+    """2D keypoints of one synthesized hand; a left hand in the mirror, as
+    lift_keypoints fits it."""
+    cfg = SynthConfig(seed=9, noise_px=1.0, handedness=handedness)
+    kp2d = synth_pose(ALL_GESTURES[i % 21], cfg, sample_rng(9, i))[0].hand.kp2d
+    if handedness == "Left":
+        kp2d = np.column_stack((2.0 * intr.cx - kp2d[:, 0], kp2d[:, 1]))
+    return kp2d
+
+
+def scaled_model(scale):
+    base = default_hand_model()
+    return base if scale == 1.0 else HandModel(base.directions, base.lengths * scale)
+
+
+KERNEL_CASES = pytest.mark.parametrize("n, scale", [(1, 1.0), (4, 1.0), (64, 1.0),
+                                                    (1, 1.13), (4, 1.13), (64, 1.13)])
+
+
+def test_the_rest_template_is_every_slot_turned_by_zero():
+    # every entry hand_chain does not overwrite is the reference's at rest
+    want = reference_slot_rotations(np.zeros((1, 21))).reshape(-1)
+    kept = np.setdiff1d(np.arange(want.size), lifting._ROT_AT)
+    assert len(kept) == want.size - 4 * 21
+    assert lifting._REST_ROTS.reshape(-1)[kept].tobytes() == want[kept].tobytes()
+    # the four fingers' missing roll keeps its -sin 0 = -0.0
+    assert np.signbit(lifting._REST_ROTS[1:, 0, 2, 0]).all()
+
+
+@KERNEL_CASES
+def test_hand_chain_and_rotations_are_bitwise_the_reference(n, scale):
+    model = scaled_model(scale)
+    for spoiled in (False, True):
+        poses = kernel_poses(n, spoiled)
+        local, frames = hand_chain(model, poses[:, JOINTS])
+        want_local, want_frames = reference_hand_chain(model, poses[:, JOINTS])
+        assert local.tobytes() == want_local.tobytes()
+        assert frames.tobytes() == want_frames.tobytes()
+        rotvecs = poses[:, ROTVEC]
+        assert (rotmat_from_rotvec(rotvecs).tobytes()
+                == reference_rotmat_from_rotvec(rotvecs).tobytes())
+
+
+@KERNEL_CASES
+def test_residuals_and_jacobian_are_bitwise_the_reference(n, scale):
+    model = scaled_model(scale)
+    intr = default_intrinsics(640, 480)
+    for handedness in ("Right", "Left"):
+        obs = observed(handedness, intr, n)
+        for spoiled in (False, True):
+            poses = kernel_poses(n, spoiled)
+            r, kin = _residuals_batch(model, intr, obs, poses)
+            want, want_kin = reference_residuals_batch(model, intr, obs, poses)
+            assert r.tobytes() == want.tobytes()
+            for got_part, want_part in zip(kin, want_kin):
+                assert got_part.tobytes() == want_part.tobytes()
+            finite = np.isfinite(r).all(axis=1)
+            assert finite.all() != spoiled
+            if spoiled:
+                assert np.isnan(r[~finite]).all() and finite.sum() == n - (2 if n >= 4 else 1)
+            for row in np.flatnonzero(finite):
+                rv = poses[row, ROTVEC]
+                assert (lifting._rotvec_left_jac(rv).tobytes()
+                        == reference_rotvec_left_jac(rv).tobytes()), row
+                assert (_linearize(intr, poses[row], kin, row).tobytes()
+                        == reference_linearize(intr, poses[row], kin, row).tobytes()), row
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_project_is_bitwise_the_reference(n):
+    intr = default_intrinsics(640, 480)
+    for handedness in ("Right", "Left"):
+        cfg = SynthConfig(seed=8, noise_m=0.002, handedness=handedness)
+        kp3d = np.array([synth_pose(ALL_GESTURES[i % 21], cfg, sample_rng(8, i))[0].hand.kp3d
+                         for i in range(n)])
+        for points in (kp3d, kp3d[0], kp3d[:, 0]):
+            assert project(points, intr).tobytes() == reference_project(points, intr).tobytes()
+
+
+@pytest.mark.parametrize("handedness", ["Right", "Left"])
+def test_a_fit_on_the_reference_kernels_is_bitwise_the_fit(monkeypatch, handedness):
+    # whole LM runs from the alignment seed, and one from the identity pose
+    # whose early trials land behind the camera: the fits on today's kernels
+    # and on the references take the same steps to the same bytes
+    model = default_hand_model()
+    intr = default_intrinsics(640, 480)
+    cases = [(kp2d, initial_pose_from_alignment(kp2d, model, intr))
+             for kp2d in (observed(handedness, intr, i) for i in range(0, 42, 3))]
+    cases.append((project(forward_kinematics(model, truth_sample(3, "PointingUp")), intr),
+                  identity_pose()))
+    monkeypatch.setattr(lifting, "MAX_RMS_PX", np.inf)
+
+    def fits():
+        return [(res.pose.tobytes(), res.points.tobytes(), res.rms_px, res.cost_history,
+                 res.iterations, res.stop)
+                for res in (fit_pose(kp2d, model, intr, init) for kp2d, init in cases)]
+
+    got = fits()
+    monkeypatch.setattr(lifting, "_residuals_batch", reference_residuals_batch)
+    monkeypatch.setattr(lifting, "_linearize", reference_linearize)
+    assert fits() == got
+
+
+def test_rotmat_from_rotvec_needs_a_last_axis_of_three():
+    # four entries gave a 3x3 matrix, theta from all four and the axis from
+    # the first three; (1, 2) and a scalar raised a bare IndexError
+    for rv, shape in [([0.1, 0.2, 0.3, 0.4], "(4,)"), ([[0.1, 0.2]], "(1, 2)"), (0.5, "()"),
+                      (np.zeros((2, 3, 4)), "(2, 3, 4)")]:
+        with pytest.raises(ShapeMismatch, match=rf"^rotvec must have shape \(\.\.\., 3\), "
+                                                rf"got {re.escape(shape)}$"):
+            rotmat_from_rotvec(rv)

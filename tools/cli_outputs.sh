@@ -40,6 +40,7 @@ PY
 }
 
 echo '{"seed": 2, "handedness": "Left", "noise_px": 1.0}' >left-1px.json
+echo '{"seed": 7, "noise_px": 1.0}' >right-1px.json
 echo '{"epochs": 5}' >train.json
 echo '{"schema": "pipeline/1", "max_detect_hz": 5.0}' >pipeline.json
 echo '{"schema": "pipeline/1", "max_detect_hz": 5.0, "classifier": "nn",
@@ -49,6 +50,7 @@ echo '{"t_us": 0, "w": 640, "h": 480, "hand": null}' >no-hand.jsonl
 
 hg synth-right synth --seed 1 --per-gesture 5 --out right.jsonl
 hg synth-left-1px synth --config left-1px.json --per-gesture 3 --out left-1px.jsonl
+hg synth-right-1px synth --config right-1px.json --per-gesture 5 --out right-1px.jsonl
 hg synth-test synth --seed 3 --per-gesture 4 --out test.jsonl
 hg synth-negatives synth --seed 4 --per-gesture 4 --gestures OK,Three,Loser,CallMe \
     --out negatives.jsonl
@@ -63,7 +65,9 @@ hg eval-rules eval --pred pred-rules.jsonl --truth test.jsonl
 hg eval-nn eval --pred pred-nn.jsonl --truth test.jsonl
 drop_kp3d left-1px.jsonl left-2d.jsonl 60
 drop_kp3d test.jsonl test-2d.jsonl
+drop_kp3d right-1px.jsonl right-2d.jsonl
 hg lift lift --frames left-2d.jsonl --out lifted.jsonl
+hg lift-right lift --frames right-2d.jsonl --out lifted-right.jsonl
 hg stream-3d stream --frames test.jsonl --pipeline pipeline.json --stats stats-3d.json
 hg stream-2d stream --frames test-2d.jsonl --pipeline pipeline.json --stats stats-2d.json
 hg stream-nn stream --frames test.jsonl --pipeline pipeline-nn.json

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRotation, DegenerateScale, finite_at_least
+from .errors import DegenerateRotation, DegenerateScale, MalformedFrame, finite_at_least
 from .skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST, float_array
 
 # Knuckles defining the crop center.
@@ -25,6 +25,7 @@ CENTER_KEYPOINTS = (INDEX_MCP, MIDDLE_MCP, PINKY_MCP)
 
 # Knuckles eligible for the scale estimate: every joint except wrist and tips.
 SCALE_KEYPOINTS = (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19)
+_SCALE_AT = np.array(SCALE_KEYPOINTS)
 
 EPS_ROTATION_PX = 1e-6
 EPS_SCALE_PX = 1e-6
@@ -44,17 +45,27 @@ def rotation_vector(kp2d: np.ndarray) -> np.ndarray:
     return _rotation_vector(float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2)))
 
 
+def finite_pixels(kp2d) -> np.ndarray:
+    """kp2d as a float64 (21, 2) array; MalformedFrame unless every
+    coordinate is finite."""
+    kp2d = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
+    if not np.isfinite(kp2d).all():
+        raise MalformedFrame("non-finite pixel coordinates")
+    return kp2d
+
+
 def compute_alignment(kp2d: np.ndarray) -> AlignmentFrame:
     """Center, rotation, and scale for one skeleton, checked once.
 
     The center is the mean of the index, middle, and pinky base knuckles;
     the scale is its distance to the farthest non-tip knuckle, so a curled
-    fist and an open palm yield comparable crops. Raises DegenerateRotation
-    when the rotation vector is shorter than EPS_ROTATION_PX (its two
-    components cancelled out), and DegenerateScale below EPS_SCALE_PX; each
-    also when that measure is not finite.
+    fist and an open palm yield comparable crops. Raises MalformedFrame on
+    a non-finite pixel, DegenerateRotation when the rotation vector is
+    shorter than EPS_ROTATION_PX (its two components cancelled out), and
+    DegenerateScale below EPS_SCALE_PX; each also when that measure
+    overflows.
     """
-    kp2d = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
+    kp2d = finite_pixels(kp2d)
     center = palm_center(kp2d)
     return AlignmentFrame(center=center,
                           rotation_rad=_angle(_rotation_vector(kp2d)),
@@ -85,6 +96,8 @@ def _angle(v: np.ndarray) -> float:
 
 
 def _scale(kp2d: np.ndarray, center: np.ndarray) -> float:
-    d = np.linalg.norm(kp2d[list(SCALE_KEYPOINTS)] - center, axis=1)
+    # np.linalg.norm's own operations along axis 1
+    v = kp2d.take(_SCALE_AT, axis=0) - center
+    d = np.sqrt(np.add.reduce(v * v, axis=1))
     return finite_at_least(float(d.max()), EPS_SCALE_PX, DegenerateScale,
                            "knuckle spread {:.3e} px")

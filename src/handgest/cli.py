@@ -17,6 +17,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -245,7 +246,11 @@ def cmd_eval(args):
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process:
+    argparse leaves a parser as it was when it parses, so every main call
+    shares it."""
     parser = argparse.ArgumentParser(
         prog="handgest",
         description="Hand gesture recognition over 21-keypoint skeletons.")

@@ -39,7 +39,7 @@ from .skeleton import (
     float_array,
     read_json,
 )
-from .alignment import compute_alignment, palm_center
+from .alignment import compute_alignment, finite_pixels, palm_center
 from .features import axis_rotation, cross
 
 HAND_MODEL_SCHEMA = "hand_model/1"
@@ -93,6 +93,8 @@ _SKEW_AT = np.array([1, 2, 3, 5, 6, 7])
 _SKEW_OF = np.array([2, 1, 2, 0, 1, 0])
 _SKEW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 _EYE3 = np.eye(3)
+# flat (3, 3) positions of the pairs whose differences make vee(R - R')
+_VEE_PLUS, _VEE_MINUS = np.array([7, 2, 3]), np.array([5, 6, 1])
 
 
 def rotmat_from_rotvec(rv):
@@ -129,19 +131,19 @@ def rotvec_from_rotmat(r):
     # diagonal entries; vee(R - R') is 4 w v for the quaternion (w, v)
     tr = float(np.trace(r))
     i = int(np.argmax([tr, r[0, 0], r[1, 1], r[2, 2]])) - 1
-    vee = (r - r.T)[(2, 0, 1), (1, 2, 0)]
+    vee = r.take(_VEE_PLUS) - r.take(_VEE_MINUS)
     if i < 0:
-        s = np.sqrt(max(tr + 1.0, 0.0)) * 2.0
+        s = math.sqrt(max(tr + 1.0, 0.0)) * 2.0
         q = np.concatenate(([0.25 * s], vee / s))
     else:
         # pivot v_i: the other diagonal entries come off in ascending order,
         # and R + R' gives 4 v_i v_j in row i
         j, k = (c for c in range(3) if c != i)
-        s = np.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0)) * 2.0
+        s = math.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0)) * 2.0
         q = np.concatenate(([vee[i]], r[i] + r[:, i])) / s
         q[1 + i] = 0.25 * s
     w, v = q[0], q[1:]
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm's own formula
     if n < 1e-12:
         return np.zeros(3)
     angle = 2.0 * np.arctan2(n, w)
@@ -480,10 +482,7 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
     final reprojection error exceeds MAX_RMS_PX or the initial cost is
     not finite, and BehindCamera when the initial pose does not project.
     """
-    obs = float_array(kp2d, "kp2d", (NUM_KEYPOINTS, 2))
-    if not np.all(np.isfinite(obs)):
-        raise MalformedFrame("non-finite pixel coordinates")
-
+    obs = finite_pixels(kp2d)
     p = float_array(init, "pose", (NUM_POSE_PARAMS,))
     r, kin = _residuals_batch(model, intrinsics, obs, p[None])
     r, row = r[0], 0
@@ -564,7 +563,8 @@ def fit_pose(kp2d, model: HandModel, intrinsics: CameraIntrinsics,
     points = kin.points[row]
     # the accepted residual's first 42 entries are the reprojection errors
     px = r[:2 * NUM_KEYPOINTS].reshape(NUM_KEYPOINTS, 2)
-    rms = float(np.sqrt(np.mean(np.sum(px ** 2, axis=1))))
+    # np.mean's own operations: the sum, then division by the count
+    rms = math.sqrt((px * px).sum(axis=1).sum() / NUM_KEYPOINTS)
     if rms > MAX_RMS_PX:
         # four significant digits: an rms past 1e100 px stays a short note
         raise DivergedFit(f"fit ended ({stop}) at {rms:#.4g} px rms "
@@ -581,6 +581,12 @@ FRONTAL_ROTATION = np.array([[1.0, 0.0, 0.0],
                              [0.0, 0.0, -1.0]])
 
 
+# the seed's joint angles, read-only; neutral_joints hands out copies
+_NEUTRAL_JOINTS = np.zeros(NUM_JOINT_ANGLES)
+_NEUTRAL_JOINTS[FLEXION_JOINTS] = [(0.30, 0.40, 0.30)] + [(0.35, 0.35, 0.20)] * 4
+_NEUTRAL_JOINTS.flags.writeable = False
+
+
 def neutral_joints() -> np.ndarray:
     """Mid-range flexions, zero abductions: a single max-entropy seed.
 
@@ -588,9 +594,7 @@ def neutral_joints() -> np.ndarray:
     compared to a flat hand and keeps every angle off its box boundary;
     multi-hypothesis initialization is deliberately out of scope.
     """
-    joints = np.zeros(NUM_JOINT_ANGLES)
-    joints[FLEXION_JOINTS] = [(0.30, 0.40, 0.30)] + [(0.35, 0.35, 0.20)] * 4
-    return joints
+    return _NEUTRAL_JOINTS.copy()
 
 
 def _rest_alignment(model: HandModel):
@@ -598,7 +602,7 @@ def _rest_alignment(model: HandModel):
     its keypoints in the hand frame.  Computed once per model instance."""
     if model._rest is None:
         pose = np.zeros(NUM_POSE_PARAMS)
-        pose[JOINTS] = neutral_joints()
+        pose[JOINTS] = _NEUTRAL_JOINTS
         rest_local = _fk_batch(model, pose[None]).points[0]
         rest = compute_alignment((rest_local @ FRONTAL_ROTATION.T)[:, :2])
         model._rest = (rest.rotation_rad, rest.scale_px, rest_local)
@@ -612,8 +616,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     align = compute_alignment(kp2d)
     theta0, rest_size_m, rest_local = _rest_alignment(model)
     r_init = axis_rotation(2, align.rotation_rad - theta0) @ FRONTAL_ROTATION
-    tz = float(np.clip(intrinsics.f * rest_size_m / align.scale_px,
-                       TZ_BOX[0], TZ_BOX[1]))
+    tz = min(max(intrinsics.f * rest_size_m / align.scale_px, TZ_BOX[0]), TZ_BOX[1])
     center_cam = np.array([(align.center[0] - intrinsics.cx) * tz / intrinsics.f,
                            (align.center[1] - intrinsics.cy) * tz / intrinsics.f,
                            tz])
@@ -621,7 +624,7 @@ def initial_pose_from_alignment(kp2d, model: HandModel,
     pose[ROTVEC] = rotvec_from_rotmat(r_init)
     # place the wrist so the palm center projects onto the 2D center
     pose[TRANSLATION] = center_cam - r_init @ palm_center(rest_local)
-    pose[JOINTS] = neutral_joints()
+    pose[JOINTS] = _NEUTRAL_JOINTS
     return pose
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from handgest.alignment import (
+    EPS_SCALE_PX,
     SCALE_KEYPOINTS,
     _angle,
     _rotation_vector,
@@ -12,7 +13,7 @@ from handgest.alignment import (
     palm_center,
     rotation_vector,
 )
-from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch
+from handgest.errors import DegenerateRotation, DegenerateScale, ShapeMismatch, finite_at_least
 from handgest.harness import SynthConfig, sample_rng, synth_pose
 from handgest.labels import ALL_GESTURES
 from handgest.skeleton import INDEX_MCP, MIDDLE_MCP, PINKY_MCP
@@ -131,6 +132,40 @@ def test_alignment_scale_degenerate_when_knuckles_coincide():
     with pytest.raises(DegenerateScale) as raised:
         _scale(kp, palm_center(kp))
     assert str(raised.value) == "knuckle spread 0.000e+00 px below 1e-06"
+
+
+def reference_scale(kp2d, center):
+    """_scale as written with np.linalg.norm, before it became one take and
+    norm's own operations: every result must stay bitwise equal to it."""
+    d = np.linalg.norm(kp2d[list(SCALE_KEYPOINTS)] - center, axis=1)
+    return finite_at_least(float(d.max()), EPS_SCALE_PX, DegenerateScale,
+                           "knuckle spread {:.3e} px")
+
+
+def _scale_or_error(scale, kp2d):
+    try:
+        return np.float64(scale(kp2d, palm_center(kp2d))).tobytes()
+    except DegenerateScale as exc:
+        return str(exc)
+
+
+def test_scale_is_bitwise_the_reference():
+    cfg = SynthConfig(seed=6, noise_px=1.0)
+    rows = [synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(6, i))[0].hand.kp2d
+            for i in range(64)]
+    rows += [random_kp2d(i) * 1e-3 for i in range(8)]
+    # degenerate: knuckles that coincide, or lie within a micro-pixel
+    rows += [flat_kp2d(7.0), flat_kp2d(7.0) + np.arange(42).reshape(21, 2) * 1e-9]
+    # overflowing: finite pixels whose squared distances pass a float's range
+    rows += [random_kp2d(0) * 1e155, random_kp2d(1) * 1e300, rows[0] * 1e154]
+    messages = set()
+    with np.errstate(all="ignore"):
+        for i, kp2d in enumerate(rows):
+            got = _scale_or_error(_scale, kp2d)
+            assert got == _scale_or_error(reference_scale, kp2d), i
+            if isinstance(got, str):
+                messages.add(got.split(" px ")[-1])
+    assert messages == {"below 1e-06", "is not finite"}
 
 
 def test_alignment_of_pixels_too_large_to_measure_raises_degenerate_scale():

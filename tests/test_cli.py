@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import handgest_command, run_handgest
-from handgest.cli import main
+from handgest.cli import build_parser, main
 from handgest.errors import DegenerateScale, DivergedFit
 from handgest.features import feature_vector
 from handgest import lifting, skeleton
@@ -927,6 +927,58 @@ def test_classify_features_and_frames_exclude_each_other(capsys):
         run("classify", "--model", "m.json")
     assert exc.value.code == 2
     assert "one of the arguments --features --frames is required" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once():
+    # main rebuilt the parser on every call, 1.6 ms each
+    assert build_parser() is build_parser()
+
+
+# runs main on each argv in turn and prints [exit code, stdout, stderr] of
+# each, then whether the parser was built only at the first call
+_IN_ONE_PROCESS = """\
+import contextlib, io, json, sys
+from handgest import cli
+built = [cli.build_parser.cache_info().currsize]
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+built.append(cli.build_parser.cache_info().misses)
+print(json.dumps([results, built]))
+"""
+
+
+def test_commands_in_one_process_run_as_they_do_alone(tmp_path):
+    # a usage error, then lift (a row it fits, one it notes) and classify:
+    # each on the parser the one before it used
+    rows = [_frame_row(t_us=t) for t in (0, 33_333)]
+    (tmp_path / "frames.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    for row in rows:
+        del row["hand"]["kp3d"]
+    rows[1]["hand"]["kp2d"] = [[320.0, 240.0]] * 21
+    (tmp_path / "frames-2d.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    argvs = [["lift", "--frames", "frames-2d.jsonl", "--seed", "3"],
+             ["lift", "--frames", "frames-2d.jsonl"],
+             ["classify", "--frames", "frames.jsonl"]]
+    alone = [run_handgest(*argv, cwd=tmp_path) for argv in argvs]
+    alone = [[proc.returncode, proc.stdout, proc.stderr] for proc in alone]
+    proc = subprocess.run([sys.executable, "-c", _IN_ONE_PROCESS, json.dumps(argvs)],
+                          cwd=tmp_path, env=handgest_command()[1], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    together, built = json.loads(proc.stdout)
+    assert built == [0, 1]
+    assert together == alone
+    assert [code for code, _, _ in alone] == [2, 0, 0]
+    assert alone[0][2].startswith("usage: handgest ")
+    assert alone[1][2].startswith("row 1 (t_us 33333): ") and alone[1][1].count("\n") == 2
+    assert alone[2][1].count("\n") == 2
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -305,6 +305,8 @@ def test_rule_lives_only_in_its_home(predicate, home):
     # shape and finiteness messages, and HandFrame tests the image size
     (_raises_a_frame_error("must have shape"), [("skeleton.py", "HandSkeleton")]),
     (_raises_a_frame_error("contains non-finite values"), [("skeleton.py", "HandSkeleton")]),
+    # alignment.finite_pixels is the one pixel check of the alignment and the fit
+    (_raises_a_frame_error("non-finite pixel"), [("alignment.py", "finite_pixels")]),
     (_checks_an_image_size, [("skeleton.py", "HandFrame")] * 2),
     # one statement at lifting's top level states the pose layout
     (_binds_the_pose_layout, [("lifting.py", None)]),
@@ -312,7 +314,7 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_raises("Missing3D"), [("features.py", "frame_features")]),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
         "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
-        "frame-finite-message", "frame-size", "pose-layout", "missing-3d"])
+        "frame-finite-message", "pixel-finite-message", "frame-size", "pose-layout", "missing-3d"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 

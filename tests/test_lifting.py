@@ -392,13 +392,37 @@ def test_rest_alignment_is_bitwise_the_reference(scale):
 
 def test_initial_pose_is_bitwise_the_reference_on_noisy_frames():
     model = default_hand_model()
-    cfg = SynthConfig(seed=7, noise_px=1.0)
-    intr = default_intrinsics(cfg.width, cfg.height)
-    for i in range(100):
-        frame, _ = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg, sample_rng(7, i))
-        got = initial_pose_from_alignment(frame.hand.kp2d, model, intr)
-        want = reference_seed(frame.hand.kp2d, model, intr)
-        assert got.tobytes() == want.tobytes(), i
+    rest_size_m = _rest_alignment(model)[1]
+    cases = {"right": [], "left-mirrored": [], "far-clip": [], "near-clip": []}
+    for hand, seed in (("Right", 7), ("Left", 8)):
+        cfg = SynthConfig(seed=seed, noise_px=1.0, handedness=hand)
+        intr = default_intrinsics(cfg.width, cfg.height)
+        for i in range(100):
+            kp2d = synth_pose(ALL_GESTURES[i % len(ALL_GESTURES)], cfg,
+                              sample_rng(seed, i))[0].hand.kp2d
+            if hand == "Left":
+                # the pixels lift_keypoints seeds a left hand from
+                cases["left-mirrored"].append((np.column_stack(
+                    (2.0 * intr.cx - kp2d[:, 0], kp2d[:, 1])), intr))
+                continue
+            cases["right"].append((kp2d, intr))
+            if i % 4 == 0:
+                # the same pixels in a 10**150 px image, and blown up about
+                # the image centre: the depth clips at each end of TZ_BOX
+                cases["far-clip"].append((kp2d, default_intrinsics(10 ** 150, 10 ** 150)))
+                centre = np.array([intr.cx, intr.cy])
+                cases["near-clip"].append((centre + (kp2d - centre) * (20.0 + i), intr))
+    for name, frames in cases.items():
+        for i, (kp2d, intr) in enumerate(frames):
+            tz = intr.f * rest_size_m / compute_alignment(kp2d).scale_px
+            if name == "far-clip":
+                assert tz > TZ_BOX[1], (i, tz)
+            elif name == "near-clip":
+                assert tz < TZ_BOX[0], (i, tz)
+            got = initial_pose_from_alignment(kp2d, model, intr)
+            want = reference_seed(kp2d, model, intr)
+            assert got.tobytes() == want.tobytes(), (name, i)
+    assert [len(frames) for frames in cases.values()] == [100, 100, 25, 25]
 
 
 PACKAGED_MODEL = files("handgest") / "data" / "hand_model.json"
@@ -837,6 +861,26 @@ def test_fit_rejects_non_finite_pixels():
     obs[4, 1] = np.nan
     with pytest.raises(MalformedFrame, match="^non-finite pixel coordinates$"):
         fit_pose(obs, model, intr, truth)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_every_entry_point_rejects_a_non_finite_pixel_alike(value):
+    # the alignment measured a NaN pixel and raised DegenerateScale ("knuckle
+    # spread nan px is not finite") or DegenerateRotation, through the seed
+    # and lift_keypoints too, while fit_pose called the frame malformed
+    model = default_hand_model()
+    cfg = SynthConfig(seed=4, noise_px=1.0)
+    intr = default_intrinsics(cfg.width, cfg.height)
+    kp2d = synth_pose("OpenPalm", cfg, sample_rng(4, 0))[0].hand.kp2d
+    init = initial_pose_from_alignment(kp2d, model, intr)
+    kp2d[3, 0] = value
+    for call in (lambda: compute_alignment(kp2d),
+                 lambda: initial_pose_from_alignment(kp2d, model, intr),
+                 lambda: fit_pose(kp2d, model, intr, init),
+                 lambda: lift_keypoints(kp2d, "Right", model, intr),
+                 lambda: lift_keypoints(kp2d, "Left", model, intr)):
+        with pytest.raises(MalformedFrame, match="^non-finite pixel coordinates$"):
+            call()
 
 
 def test_fit_without_a_solvable_system_ends_no_descent(monkeypatch):

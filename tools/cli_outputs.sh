@@ -68,6 +68,14 @@ drop_kp3d test.jsonl test-2d.jsonl
 drop_kp3d right-1px.jsonl right-2d.jsonl
 hg lift lift --frames left-2d.jsonl --out lifted.jsonl
 hg lift-right lift --frames right-2d.jsonl --out lifted-right.jsonl
+# one row in a 10**150 px image: the seed's depth clips at TZ_BOX's far end
+python3 - <<'PY'
+import json
+row = json.loads(open("right-2d.jsonl").readline())
+row["w"] = row["h"] = 10 ** 150
+open("huge-2d.jsonl", "w").write(json.dumps(row) + "\n")
+PY
+hg lift-huge lift --frames huge-2d.jsonl --out lifted-huge.jsonl
 hg stream-3d stream --frames test.jsonl --pipeline pipeline.json --stats stats-3d.json
 hg stream-2d stream --frames test-2d.jsonl --pipeline pipeline.json --stats stats-2d.json
 hg stream-nn stream --frames test.jsonl --pipeline pipeline-nn.json

@@ -160,8 +160,7 @@ def cmd_train(args):
     from . import mlp
     cfg = _with_seed(mlp.TrainConfig() if args.config is None
                      else read_json(args.config, mlp.TrainConfig.from_dict), args.seed)
-    examples = [mlp.LabeledExample(fv, label)
-                for fv, label in read_jsonl(args.data, _training_example)]
+    examples = list(read_jsonl(args.data, _training_example))
     model = mlp.train(examples, cfg)
     mlp.save_model(model, args.out)
     print(f"trained on {len(examples)} examples, "
@@ -173,8 +172,7 @@ def cmd_train(args):
 def cmd_calibrate(args):
     from . import mlp
     model = mlp.load_model(args.model)
-    negatives = [mlp.LabeledExample(fv, NEGATIVE_LABEL)
-                 for fv in read_jsonl(args.negatives, _negative_example)]
+    negatives = list(read_jsonl(args.negatives, _negative_example))
     tau = mlp.calibrate_threshold(model, negatives, args.fpr)
     model.tau = tau
     mlp.save_model(model, args.model if args.out is None else args.out)

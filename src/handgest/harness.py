@@ -168,6 +168,8 @@ class SynthConfig:
     """Knobs of the synthetic generator; angles in radians, lengths in
     meters, pixel noise in px."""
 
+    SCHEMA = "synth/1"  # the config file's tag, not a field
+
     seed: int = 0
     jitter_std_rad: float = math.radians(5.0)
     orientation_jitter_rad: float = 0.20

@@ -199,6 +199,8 @@ class HandModel:
     def __init__(self, directions, lengths):
         d = float_array(directions, "directions", (5, 3))
         l = float_array(lengths, "lengths", (5, 4)).copy()
+        if not np.all(np.isfinite(d)):
+            raise MalformedConfig("non-finite finger direction in hand model")
         norms = np.linalg.norm(d, axis=1)
         if np.any(norms < 1e-9):
             raise MalformedConfig("zero-length finger direction in hand model")

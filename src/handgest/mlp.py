@@ -26,7 +26,7 @@ from .errors import (
 )
 from .features import FEATURE_SIZE
 from .labels import CLASSES, NEGATIVE_LABEL
-from .skeleton import (brief, check_keys, check_list, check_name, check_number, decode_config,
+from .skeleton import (check_keys, check_list, check_name, check_number, decode_config,
                        float_array, read_json, write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
@@ -122,6 +122,8 @@ def load_model(path) -> MlpModel:
 class TrainConfig:
     """Focal-loss and optimizer settings; alpha is the per-class weight."""
 
+    SCHEMA = "train/1"  # the config file's tag, not a field
+
     gamma: float = 2.0
     alpha: float | tuple = (1.0,) * len(CLASSES)
     learning_rate: float = 1e-3
@@ -147,17 +149,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
         return decode_config(cls, obj, "training config")
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """A feature vector with its class label (six gestures or Negative)."""
-
-    features: object  # any 12-element array-like, feature_vector order
-    label: str
-
-    def __post_init__(self):
-        check_name(self.label, CLASSES, "label", error=UnknownLabel)
 
 
 # -- inference ----------------------------------------------------------------
@@ -232,7 +223,7 @@ def _focal_coeff(pt: np.ndarray, gamma: float, alpha_t: np.ndarray) -> np.ndarra
     if gamma == 0.0:
         return alpha_t.copy()
     one_m = 1.0 - pt
-    log_pt = np.log(np.clip(pt, P_FLOOR, 1.0))
+    log_pt = np.log(pt)
     safe = np.maximum(one_m, P_FLOOR)
     c = alpha_t * (safe ** gamma - gamma * pt * safe ** (gamma - 1.0) * log_pt)
     # at the exact minimum the loss is flat
@@ -260,18 +251,22 @@ def _backward_batch(model: MlpModel, probs, acts, pres, targets: np.ndarray,
 
 # -- training -----------------------------------------------------------------
 
-def _dataset_arrays(dataset):
-    if len(dataset) == 0:
+def _dataset_arrays(examples):
+    if len(examples) == 0:
         raise EmptyDataset("training dataset is empty")
-    x = np.stack([float_array(ex.features, "features", (FEATURE_SIZE,)) for ex in dataset])
-    y = np.array([_label_index(ex.label) for ex in dataset], dtype=np.int64)
+    features, labels = zip(*examples)
+    x = float_array(features, "features", (len(examples), FEATURE_SIZE))
+    y = np.array([_label_index(label) for label in labels], dtype=np.int64)
     if len(np.unique(y)) < 2:
         raise SingleClassDataset("training requires at least two distinct labels")
     return x, y
 
 
-def train(dataset, config: TrainConfig | None = None) -> MlpModel:
+def train(examples, config: TrainConfig | None = None) -> MlpModel:
     """Mini-batch Adam on focal loss; returns the model with loss history.
+
+    ``examples`` is a list of (features, label) pairs: a 12-element
+    feature vector in feature_vector order and a class of CLASSES.
 
     Weight initialization is He-uniform seeded by config.seed, so two runs
     with the same seed and data produce identical weights. Standardization
@@ -281,7 +276,7 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
     own loader rejects comes out.
     """
     config = config or TrainConfig()
-    x_all, y_all = _dataset_arrays(dataset)
+    x_all, y_all = _dataset_arrays(examples)
     n = len(x_all)
     rng = np.random.default_rng(config.seed)
 
@@ -349,7 +344,7 @@ def train(dataset, config: TrainConfig | None = None) -> MlpModel:
 
 # -- verification and calibration ---------------------------------------------
 
-def gradient_check(model: MlpModel, example: LabeledExample,
+def gradient_check(model: MlpModel, features, label: str,
                    gamma: float = 2.0, alpha=1.0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -363,9 +358,9 @@ def gradient_check(model: MlpModel, example: LabeledExample,
     the layers above, so the model is never copied or written to, and the
     numeric side never calls the backward pass it checks.
     """
-    x = float_array(example.features, "features", (FEATURE_SIZE,))
+    x = float_array(features, "features", (FEATURE_SIZE,))
     x_std = ((x - model.feat_mean) / model.feat_std)[None]
-    target = np.array([_label_index(example.label)])
+    target = np.array([_label_index(label)])
     a_vec = np.asarray(TrainConfig(gamma=gamma, alpha=alpha).alpha)
 
     probs, acts, pres = _forward_batch(model, x_std)
@@ -393,21 +388,18 @@ def gradient_check(model: MlpModel, example: LabeledExample,
 def calibrate_threshold(model: MlpModel, negatives, target_fpr: float) -> float:
     """Smallest tau keeping the negatives' false-positive fraction in budget.
 
-    The score of a negative is its max gesture (non-Negative) probability,
-    from the per-row forward pass classify_nn compares with tau; tau is the
-    first of 0 and the sorted scores whose exceedance fraction is within
-    target_fpr, so the calibration set's own FPR is <= target_fpr.
+    ``negatives`` is a list of feature vectors. The score of a negative is
+    its max gesture (non-Negative) probability, from the per-row forward
+    pass classify_nn compares with tau; tau is the first of 0 and the
+    sorted scores whose exceedance fraction is within target_fpr, so the
+    calibration set's own FPR is <= target_fpr.
     """
     check_number(target_fpr, "target_fpr", 0, 1, ends="()")
     if len(negatives) == 0:
         raise EmptyNegatives("calibration requires at least one negative example")
     scores = np.empty(len(negatives))
-    for i, ex in enumerate(negatives):
-        if ex.label != NEGATIVE_LABEL:
-            raise ValidationError(f"calibration example labeled {brief(ex.label)}, "
-                                  f"expected {NEGATIVE_LABEL!r}")
-        probs = forward(model, ex.features)
-        scores[i] = np.max(np.delete(probs, NEGATIVE_INDEX))
+    for i, features in enumerate(negatives):
+        scores[i] = np.max(np.delete(forward(model, features), NEGATIVE_INDEX))
     ranked = np.sort(scores)
     candidates = np.concatenate(([0.0], ranked))
     above = len(ranked) - np.searchsorted(ranked, candidates, side="right")

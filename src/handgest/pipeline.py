@@ -34,7 +34,6 @@ from .skeleton import HandFrame, brief, check_name, check_number, decode_config,
 UNTRACKED = "Untracked"
 TRACKED = "Tracked"
 
-CONFIG_SCHEMA = "pipeline/1"
 STATS_SCHEMA = "pipeline_stats/1"
 OUTPUT_SCHEMA = "frame_output/1"
 
@@ -49,6 +48,8 @@ class PipelineConfig:
     None selects the built-in heuristic default (invalid for "nn", which
     always needs trained weights).
     """
+
+    SCHEMA = "pipeline/1"  # the config file's tag, required; not a field
 
     max_detect_hz: float
     track_loss_frames: int = 3
@@ -69,9 +70,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineConfig":
-        config = decode_config(cls, obj, "pipeline config")
-        check_name(obj.get("schema"), (CONFIG_SCHEMA,), "schema", error=MalformedConfig)
-        return config
+        return decode_config(cls, obj, "pipeline config", tag_required=True)
 
 
 def load_pipeline_config(fp: TextIO) -> PipelineConfig:

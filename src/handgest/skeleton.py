@@ -37,8 +37,8 @@ exits 2 with one line instead of a traceback. The readers return
 ``parse`` raises comes back as the same class led by ``PATH: `` or
 ``PATH:LINE: ``, so its exit code stays and only this module writes a file
 location. decode_config builds the flat config dataclasses from JSON: it
-checks the keys, and the dataclass checks the values, raising
-MalformedConfig.
+checks the keys and the schema tag, and the dataclass checks the values,
+raising MalformedConfig.
 
 float_array is the one conversion of an array argument, whether a decoded
 JSON list or a caller's array: every module takes its arrays through it, so
@@ -454,10 +454,11 @@ def check_keys(obj, required, what: str, optional=frozenset(), *, error=Malforme
     raise error(f"{what} needs {min(required - obj.keys())!r}")
 
 
-def decode_config(cls, obj, what: str):
+def decode_config(cls, obj, what: str, *, tag_required=False):
     """Build the flat config dataclass ``cls`` from a decoded JSON object.
 
-    The keys are the dataclass fields, plus an ignored "schema" tag; a
+    The keys are the dataclass fields, plus a "schema" tag that must be
+    ``cls.SCHEMA``; the tag may be left out unless ``tag_required``, and a
     field without a default is required. The values go to ``cls`` as they
     are, so its __post_init__ is their one check; a TypeError or
     ValidationError it raises comes back as MalformedConfig with the same
@@ -467,6 +468,8 @@ def decode_config(cls, obj, what: str):
     check_keys(obj, frozenset(f.name for f in known
                               if f.default is MISSING and f.default_factory is MISSING),
                what, frozenset(f.name for f in known) | {"schema"})
+    check_name(obj.get("schema", None if tag_required else cls.SCHEMA), (cls.SCHEMA,),
+               "schema", error=MalformedConfig)
     try:
         return cls(**{name: value for name, value in obj.items() if name != "schema"})
     except (TypeError, ValidationError) as exc:

@@ -38,7 +38,6 @@ from handgest.lifting import (
     project,
 )
 from handgest.mlp import (
-    LabeledExample,
     TrainConfig,
     calibrate_threshold,
     classify_nn,
@@ -171,10 +170,9 @@ def test_criterion_5a_gradient_check(criterion):
     worst = 0.0
     for _ in range(100):
         model = he_scale_model(rng)
-        ex = LabeledExample(rng.normal(size=12),
-                            CLASSES[int(rng.integers(len(CLASSES)))])
+        features, label = rng.normal(size=12), CLASSES[int(rng.integers(len(CLASSES)))]
         gamma = float(rng.uniform(0.0, 4.0))
-        worst = max(worst, gradient_check(model, ex, gamma=gamma))
+        worst = max(worst, gradient_check(model, features, label, gamma=gamma))
     ok = worst <= 1e-4
     criterion("5a", ok, f"gradient check over 100 draws: worst relative "
                         f"error {worst:.2e} (<=1e-4)")
@@ -201,7 +199,7 @@ def feature_examples(cfg, per_gesture):
     out = []
     for frame, label in zip(frames, labels):
         fv = feature_vector(frame.hand.kp3d, frame.hand.handedness)
-        out.append(LabeledExample(fv, to_class(label)))
+        out.append((fv, to_class(label)))
     return out
 
 
@@ -213,18 +211,17 @@ def test_criterion_5c_trained_classifier(criterion):
     model = train(train_data, TrainConfig(seed=7, epochs=150))
     train_dt = time.perf_counter() - t0
 
-    calibration = [ex for ex in feature_examples(
-        SynthConfig(seed=303, noise_m=0.003), 100) if ex.label == "Negative"]
+    calibration = [fv for fv, label in feature_examples(
+        SynthConfig(seed=303, noise_m=0.003), 100) if label == "Negative"]
     tau = calibrate_threshold(model, calibration, 0.01)
     model.tau = tau
-    cal_scores = np.array([
-        float(np.max(np.delete(forward(model, ex.features), NEGATIVE_INDEX)))
-        for ex in calibration])
+    cal_scores = np.array([float(np.max(np.delete(forward(model, fv), NEGATIVE_INDEX)))
+                           for fv in calibration])
     cal_fpr = float(np.mean(cal_scores > tau))
 
     held_out = feature_examples(SynthConfig(seed=202, noise_m=0.003), 100)
-    preds = [classify_nn(model, ex.features) for ex in held_out]
-    report = eval_classifier(preds, [ex.label for ex in held_out])
+    preds = [classify_nn(model, fv) for fv, _ in held_out]
+    report = eval_classifier(preds, [label for _, label in held_out])
 
     ok = (report.avg_recall >= 0.90 and cal_fpr <= 0.01 and train_dt < 300.0)
     criterion("5c", ok, f"10k-sample training: held-out avg recall "

@@ -584,6 +584,14 @@ BAD_INPUTS = {
         "unknown thresholds object keys: ['straight_max']"),
     "classify-model-misspelt-tau": ("classify --frames {frames} --model {bad}",
                                     {**_MODEL, "Tau": 0.5}, "unknown model keys: ['Tau']"),
+    # Python's JSON reader takes NaN and Infinity; such a model loaded, and
+    # lift then blamed the frames file for the non-finite pixels it projected
+    **{f"lift-hand-model-direction-{name}": (
+        "lift --frames {frames} --model {bad}",
+        {"fingers": {**_FINGERS, "index": {**_FINGERS["index"], "direction": [
+            value, *_FINGERS["index"]["direction"][1:]]}}},
+        "non-finite finger direction in hand model")
+       for name, value in (("nan", NAN), ("inf", INF))},
     "lift-hand-model-misspelt-lengths": (
         "lift --frames {frames} --model {bad}",
         {"schema": "hand_model/1", "fingers": {**_FINGERS, "ring": {
@@ -592,6 +600,13 @@ BAD_INPUTS = {
     "lift-hand-model-schema-2": ("lift --frames {frames} --model {bad}",
                                  {"schema": "hand_model/2", "fingers": _FINGERS},
                                  "schema must be one of ('hand_model/1',), got 'hand_model/2'"),
+    # a tag of another document, which a synth or train config once took
+    "synth-config-schema-train": ("synth --out {out} --config {bad}",
+                                  {"schema": "train/1", "seed": 1},
+                                  "schema must be one of ('synth/1',), got 'train/1'"),
+    "train-config-schema-mlp": ("train --data {frames} --out {out} --config {bad}",
+                                {"schema": "mlp/1", "epochs": 2},
+                                "schema must be one of ('train/1',), got 'mlp/1'"),
     "classify-gestures-schema-9": ("classify --frames {frames} --gestures {bad}",
                                    {**DEFAULT_CONFIG_JSON, "schema": "gestures/9"},
                                    "schema must be one of ('gestures/1',), got 'gestures/9'"),

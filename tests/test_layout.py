@@ -387,6 +387,12 @@ def test_a_pose_is_one_array():
     assert _modules_with(lambda node: _name_of(node) in RETIRED_POSE_NAMES) == []
 
 
+def test_a_training_example_is_a_pair():
+    # train takes (features, label) pairs and calibrate_threshold feature
+    # vectors, as the command line reads them, with no record type around them
+    assert _modules_with(lambda node: _name_of(node) == "LabeledExample") == []
+
+
 def test_fit_limits_are_module_constants():
     # lifting.MAX_ITER and lifting.MAX_RMS_PX; no caller passes its own
     params = {(name, arg.arg) for name, tree in MODULES.items() for node in ast.walk(tree)

@@ -17,7 +17,6 @@ from handgest.labels import CLASSES
 from handgest.mlp import (
     LAYER_SIZES,
     NEGATIVE_INDEX,
-    LabeledExample,
     MlpModel,
     TrainConfig,
     calibrate_threshold,
@@ -160,9 +159,8 @@ def test_focal_alpha_checked_as_train_config_checks_it(alpha):
         TrainConfig(alpha=alpha)
     with pytest.raises(ValidationError):
         focal_loss(uniformish(0.7, 1), "Victory", alpha=alpha)
-    ex = LabeledExample(np.zeros(12), "Victory")
     with pytest.raises(ValidationError):
-        gradient_check(he_model(np.random.default_rng(0)), ex, alpha=alpha)
+        gradient_check(he_model(np.random.default_rng(0)), np.zeros(12), "Victory", alpha=alpha)
 
 
 @pytest.mark.parametrize("label", [-1, True, 9, 0, "Victroy"])
@@ -186,16 +184,15 @@ def test_gradient_check_random_models():
     rng = np.random.default_rng(7)
     for i in range(10):
         model = he_model(rng)
-        ex = LabeledExample(rng.normal(size=12), CLASSES[i % 7])
+        features, label = rng.normal(size=12), CLASSES[i % 7]
         gamma = float(rng.uniform(0.0, 4.0))
-        assert gradient_check(model, ex, gamma=gamma) <= 1e-4
+        assert gradient_check(model, features, label, gamma=gamma) <= 1e-4
 
 
 def test_gradient_check_at_zero_gradient_point():
     # analytic and numeric both about zero when p_label is exactly 1
     model = probs_model([1 - 6e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16])
-    ex = LabeledExample(np.zeros(12), "OpenPalm")
-    assert gradient_check(model, ex, gamma=2.0) <= 1e-4
+    assert gradient_check(model, np.zeros(12), "OpenPalm", gamma=2.0) <= 1e-4
 
 
 @pytest.mark.parametrize("layer", range(len(LAYER_SIZES) - 1))
@@ -214,8 +211,8 @@ def test_gradient_check_catches_corrupted_gradient(monkeypatch, kind, layer):
 
     monkeypatch.setattr(mlp, "_backward_batch", corrupted)
     model = he_model(np.random.default_rng(3))
-    ex = LabeledExample(np.random.default_rng(4).normal(size=12), "Victory")
-    assert gradient_check(model, ex, gamma=2.0) > 1e-2
+    features = np.random.default_rng(4).normal(size=12)
+    assert gradient_check(model, features, "Victory", gamma=2.0) > 1e-2
 
 
 # -- training -----------------------------------------------------------------
@@ -226,12 +223,12 @@ def separable_dataset(n=80, rng=None):
     for i in range(n):
         label = "OpenPalm" if i % 2 == 0 else "Negative"
         mean = 1.0 if label == "OpenPalm" else -1.0
-        data.append(LabeledExample(rng.normal(mean, 0.3, size=12), label))
+        data.append((rng.normal(mean, 0.3, size=12), label))
     return data
 
 
 def train_accuracy(model, data):
-    hits = sum(classify_nn(model, ex.features) == ex.label for ex in data)
+    hits = sum(classify_nn(model, features) == label for features, label in data)
     return hits / len(data)
 
 
@@ -312,8 +309,7 @@ def reference_train(dataset, config):
 
 def seven_class_dataset(n=90):
     rng = np.random.default_rng(12)
-    return [LabeledExample(rng.normal(0.3 * (i % 7), 1.0, size=12), CLASSES[i % 7])
-            for i in range(n)]
+    return [(rng.normal(0.3 * (i % 7), 1.0, size=12), CLASSES[i % 7]) for i in range(n)]
 
 
 @pytest.mark.parametrize("config", [
@@ -341,11 +337,11 @@ def test_focal_helps_minority_recall():
         minority = i % 20 == 0   # 5 percent Victory, 95 percent OpenPalm
         mean = -0.4 if minority else 0.4
         label = "Victory" if minority else "OpenPalm"
-        data.append(LabeledExample(rng.normal(mean, 0.6, size=12), label))
+        data.append((rng.normal(mean, 0.6, size=12), label))
     minority_recall = {}
     for gamma in (0.0, 2.0):
         model = train(data, TrainConfig(epochs=60, batch_size=32, seed=1, gamma=gamma))
-        got = [classify_nn(model, ex.features) for ex in data if ex.label == "Victory"]
+        got = [classify_nn(model, features) for features, label in data if label == "Victory"]
         minority_recall[gamma] = got.count("Victory") / len(got)
     assert minority_recall[2.0] >= minority_recall[0.0]
 
@@ -354,7 +350,7 @@ def test_train_rejects_degenerate_datasets():
     with pytest.raises(EmptyDataset):
         train([])
     with pytest.raises(SingleClassDataset):
-        train([LabeledExample(np.zeros(12), "OpenPalm")] * 10)
+        train([(np.zeros(12), "OpenPalm")] * 10)
 
 
 def test_train_config_validation():
@@ -383,22 +379,20 @@ def test_train_config_from_dict_rejects_wrong_types(obj):
 
 
 def test_train_config_from_dict_takes_numbers():
-    cfg = TrainConfig.from_dict({"schema": "x", "gamma": 1, "alpha": 2,
+    cfg = TrainConfig.from_dict({"schema": "train/1", "gamma": 1, "alpha": 2,
                                  "epochs": 3, "learning_rate": 0.01})
     assert (cfg.gamma, cfg.alpha, cfg.epochs) == (1, (2.0,) * len(CLASSES), 3)
     assert TrainConfig.from_dict({"alpha": [1, 2, 3, 4, 5, 6, 7]}).alpha[-1] == 7.0
 
 
-def test_labeled_example_rejects_unknown_label():
-    with pytest.raises(ValidationError):
-        LabeledExample(np.zeros(12), "Wave")
+def test_train_takes_classes_not_gestures():
+    # "Wave" is a negative gesture, not a class; the command line maps it
+    # to Negative with to_class before it trains
+    with pytest.raises(UnknownLabel):
+        train([(np.zeros(12), "OpenPalm"), (np.ones(12), "Wave")])
 
 
 # -- acceptance threshold -----------------------------------------------------
-
-def negative_example(features):
-    return LabeledExample(features, "Negative")
-
 
 def test_classify_nn_threshold_logic():
     fv = np.zeros(12)
@@ -448,8 +442,7 @@ def test_calibrate_sweep_example():
     feats = features_for_scores([0.1, 0.2, 0.9])
     scores = [score_of(model, x) for x in feats]
     np.testing.assert_allclose(scores, [0.1, 0.2, 0.9], atol=1e-9)
-    negatives = [negative_example(x) for x in feats]
-    tau = calibrate_threshold(model, negatives, 1.0 / 3.0)
+    tau = calibrate_threshold(model, feats, 1.0 / 3.0)
     assert tau == pytest.approx(0.2, abs=1e-9)
     achieved = np.mean([s > tau for s in scores])
     assert achieved <= 1.0 / 3.0
@@ -458,16 +451,15 @@ def test_calibrate_sweep_example():
 def test_calibrate_loose_target_returns_min_score():
     model = single_feature_model()
     feats = features_for_scores([0.15, 0.5, 0.8])
-    negatives = [negative_example(x) for x in feats]
-    tau = calibrate_threshold(model, negatives, 0.99)
+    tau = calibrate_threshold(model, feats, 0.99)
     assert tau == pytest.approx(0.15, abs=1e-9)
 
 
 def test_calibrate_is_minimal_sweep_point():
     rng = np.random.default_rng(2)
     model = he_model(rng)
-    negatives = [negative_example(rng.normal(size=12)) for _ in range(40)]
-    scores = np.array([score_of(model, ex.features) for ex in negatives])
+    negatives = [rng.normal(size=12) for _ in range(40)]
+    scores = np.array([score_of(model, x) for x in negatives])
     for target in (0.05, 0.1, 0.3, 0.7):
         tau = calibrate_threshold(model, negatives, target)
         assert np.mean(scores > tau) <= target
@@ -497,7 +489,7 @@ def test_calibrate_equals_the_brute_force_sweep(monkeypatch):
         n = int(rng.integers(1, 40))
         # few distinct levels, so ties and zeros are common
         scores = rng.choice(np.r_[0.0, rng.uniform(0.0, 1.0, 5)], size=n)
-        negatives = [negative_example(np.r_[s, np.zeros(11)]) for s in scores]
+        negatives = [np.r_[s, np.zeros(11)] for s in scores]
         for target in (0.01, 0.1, 1.0 / 3.0, 0.5, 0.9, rng.uniform(0.0, 1.0)):
             assert (calibrate_threshold(None, negatives, target)
                     == brute_force_tau(scores, target)), (trial, target)
@@ -508,14 +500,11 @@ def test_calibrate_validates_inputs():
     with pytest.raises(EmptyNegatives):
         calibrate_threshold(model, [], 0.1)
     with pytest.raises(ValidationError):
-        calibrate_threshold(model, [negative_example(np.zeros(12))], 1.5)
-    positive = LabeledExample(np.zeros(12), "Victory")
-    negative = negative_example(np.zeros(12))
+        calibrate_threshold(model, [np.zeros(12)], 1.5)
     # the first bad row raises, at the head of the list or after scored rows
-    for examples in ([positive], [negative, negative, positive]):
-        with pytest.raises(ValidationError, match=r"^calibration example labeled 'Victory', "
-                                                  r"expected 'Negative'$"):
-            calibrate_threshold(model, examples, 0.1)
+    for negatives in ([np.zeros(11)], [np.zeros(12), np.zeros(12), np.zeros(11)]):
+        with pytest.raises(ShapeMismatch, match=r"^features must have shape \(12,\)"):
+            calibrate_threshold(model, negatives, 0.1)
 
 
 # -- serialization ------------------------------------------------------------

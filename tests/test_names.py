@@ -20,9 +20,9 @@ from handgest.harness import SynthConfig, eval_classifier, sample_rng, synth_pos
 from handgest.heuristic import DEFAULT_CONFIG_JSON, config_from_dict
 from handgest.labels import check_gesture
 from handgest.lifting import HandModel, default_hand_model, default_intrinsics, lift_keypoints
-from handgest.mlp import LAYER_SIZES, LabeledExample, MlpModel, focal_loss
+from handgest.mlp import LAYER_SIZES, MlpModel, TrainConfig, focal_loss, gradient_check, train
 from handgest.pipeline import PipelineConfig
-from handgest.skeleton import frame_from_dict, frame_to_dict
+from handgest.skeleton import decode_config, frame_from_dict, frame_to_dict
 
 _FRAME, _ = synth_pose("OpenPalm", SynthConfig(), sample_rng(0, 0))
 _ROW = frame_to_dict(_FRAME)
@@ -81,6 +81,7 @@ def _schema(doc):
 
 _GESTURES_SCHEMA, _PIPE_SCHEMA = _schema(DEFAULT_CONFIG_JSON), _schema(_PIPE)
 _MODEL_SCHEMA, _HAND_MODEL_SCHEMA = _schema(_MODEL), _schema(_HAND_MODEL)
+_SYNTH_SCHEMA, _TRAIN_SCHEMA = _schema({"seed": 1}), _schema({"epochs": 1})
 
 
 # site: (a good name, the error the library raises, the library call that
@@ -116,6 +117,12 @@ SITES = {
     "hand-model-schema": ("hand_model/1", MalformedConfig,
                           lambda v: HandModel.from_dict(_HAND_MODEL_SCHEMA(v)),
                           ("lift --frames {frames} --model {bad}", _HAND_MODEL_SCHEMA)),
+    "synth-config-schema": ("synth/1", MalformedConfig,
+                            lambda v: decode_config(SynthConfig, _SYNTH_SCHEMA(v), "synth config"),
+                            ("synth --out {out} --config {bad}", _SYNTH_SCHEMA)),
+    "train-config-schema": ("train/1", MalformedConfig,
+                            lambda v: TrainConfig.from_dict(_TRAIN_SCHEMA(v)),
+                            ("train --data {frames} --out {out} --config {bad}", _TRAIN_SCHEMA)),
     "synth-gestures": ("OpenPalm", UnknownLabel, check_gesture, None),
     "dataset-label": ("OpenPalm", UnknownLabel, lambda v: _labeled_features(_labeled(v)),
                       ("features --frames {bad}", _labeled)),
@@ -126,7 +133,11 @@ SITES = {
     "eval-truth": ("OpenPalm", UnknownLabel, lambda v: eval_classifier(["OpenPalm"], [v]), None),
     "eval-prediction": ("OpenPalm", UnknownLabel, lambda v: eval_classifier([v], ["OpenPalm"]),
                         None),
-    "labeled-example": ("OpenPalm", UnknownLabel, lambda v: LabeledExample(np.zeros(12), v), None),
+    "train-label": ("OpenPalm", UnknownLabel,
+                    lambda v: train([(np.zeros(12), "Negative"), (np.zeros(12), v)]), None),
+    "gradient-check-label": ("OpenPalm", UnknownLabel,
+                             lambda v: gradient_check(MlpModel.from_dict(_MODEL), np.zeros(12), v),
+                             None),
     "focal-loss": ("OpenPalm", UnknownLabel, lambda v: focal_loss(np.full(7, 1 / 7), v), None),
 }
 

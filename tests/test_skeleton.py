@@ -471,8 +471,10 @@ ARRAY_ENTRIES = {
                           ("feat_mean", np.ones(12)), ("feat_std", np.ones(12)))},
     "mlp.forward": (lambda a: mlp.forward(_model(), a), np.ones(12)),
     "mlp.classify_nn": (lambda a: mlp.classify_nn(_model(), a), np.ones(12)),
-    "mlp.gradient_check": (
-        lambda a: mlp.gradient_check(_model(), mlp.LabeledExample(a, "Victory")), np.ones(12)),
+    "mlp.gradient_check": (lambda a: mlp.gradient_check(_model(), a, "Victory"), np.ones(12)),
+    "mlp.train": (lambda a: mlp.train(list(zip(a, ("OpenPalm", "Negative")))), np.ones((2, 12))),
+    "mlp.calibrate_threshold": (lambda a: mlp.calibrate_threshold(_model(), [a], 0.1),
+                                np.ones(12)),
     "mlp.focal_loss": (lambda a: mlp.focal_loss(a, "Victory"), np.full(7, 1.0 / 7.0)),
     "mlp.softmax": (mlp.softmax, None),
     "mlp.TrainConfig-alpha": (lambda a: mlp.TrainConfig(alpha=a), np.ones(7)),
@@ -519,7 +521,7 @@ def test_frame_from_dict_takes_integer_keypoints():
 # the fields a config needs beyond the one under test
 _CONFIG_NEEDS = {harness.SynthConfig: {}, mlp.TrainConfig: {},
                  pipeline.PipelineConfig: {"max_detect_hz": 5.0}}
-_NEGATIVES = [mlp.LabeledExample(np.zeros(12), "Negative")]
+_NEGATIVES = [np.zeros(12)]
 
 
 def _model_with_tau(tau):
@@ -645,7 +647,7 @@ def test_decode_config_keeps_the_text_of_the_config_check():
     with pytest.raises(ValidationError) as direct:
         mlp.TrainConfig(epochs="5")
     with pytest.raises(MalformedConfig) as decoded:
-        decode_config(mlp.TrainConfig, {"schema": "x", "epochs": "5"}, "training config")
+        decode_config(mlp.TrainConfig, {"schema": "train/1", "epochs": "5"}, "training config")
     assert str(decoded.value) == str(direct.value) == "epochs must be an integer, got '5'"
 
 

@@ -42,6 +42,7 @@ PY
 echo '{"seed": 2, "handedness": "Left", "noise_px": 1.0}' >left-1px.json
 echo '{"seed": 7, "noise_px": 1.0}' >right-1px.json
 echo '{"epochs": 5}' >train.json
+echo '{"schema": "mlp/1", "epochs": 2}' >train-mlp-tag.json
 echo '{"schema": "pipeline/1", "max_detect_hz": 5.0}' >pipeline.json
 echo '{"schema": "pipeline/1", "max_detect_hz": 5.0, "classifier": "nn",
       "classifier_ref": "calibrated.json"}' >pipeline-nn.json
@@ -60,6 +61,11 @@ hg classify-rules-features classify --features features.jsonl
 hg train train --data right.jsonl --config train.json --out model.json
 hg calibrate calibrate --model model.json --negatives negatives.jsonl --fpr 0.05 \
     --out calibrated.json
+# the same training and calibration from feature rows instead of frames
+hg features-negatives features --frames negatives.jsonl --out features-negatives.jsonl
+hg train-features train --data features.jsonl --config train.json --out model-features.json
+hg calibrate-features calibrate --model model-features.json \
+    --negatives features-negatives.jsonl --fpr 0.05 --out calibrated-features.json
 hg classify-model classify --frames test.jsonl --model calibrated.json --out pred-nn.jsonl
 hg eval-rules eval --pred pred-rules.jsonl --truth test.jsonl
 hg eval-nn eval --pred pred-nn.jsonl --truth test.jsonl
@@ -84,4 +90,5 @@ hg stream-lifted stream --frames lifted.jsonl --pipeline pipeline.json
 hg features-2d features --frames test-2d.jsonl
 hg features-no-hand features --frames no-hand.jsonl
 hg classify-gestures-schema-9 classify --features features.jsonl --gestures gestures-9.json
+hg train-mlp-tag train --data right.jsonl --config train-mlp-tag.json --out model-mlp-tag.json
 exit 0

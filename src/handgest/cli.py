@@ -98,14 +98,9 @@ def _negative_example(obj):
     return fv
 
 
-def _label_only(obj):
-    return check_label(check_keys(obj, frozenset({"label"}), "row", None,
-                                  error=MalformedFrame)["label"])
-
-
-def _prediction(obj):
-    label = check_keys(obj, frozenset({"label"}), "row", None, error=MalformedFrame)["label"]
-    return check_name(label, CLASSES, "prediction", error=UnknownLabel)
+def _label_row(obj):
+    """The label of a one-key {"label": ...} row, for its caller to check."""
+    return check_keys(obj, frozenset({"label"}), "row", None, error=MalformedFrame)["label"]
 
 
 def _with_seed(cfg, seed):
@@ -235,8 +230,9 @@ def cmd_stream(args):
 
 def cmd_eval(args):
     from . import harness
-    predictions = list(read_jsonl(args.pred, _prediction))
-    truths = list(read_jsonl(args.truth, _label_only))
+    predictions = list(read_jsonl(args.pred, lambda obj: check_name(
+        _label_row(obj), CLASSES, "prediction", error=UnknownLabel)))
+    truths = list(read_jsonl(args.truth, lambda obj: check_label(_label_row(obj))))
     report = harness.eval_classifier(predictions, truths)
     write_json(args.out, report.to_dict(), indent=2)
     return 0

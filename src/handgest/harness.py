@@ -313,7 +313,6 @@ def synth_pose(label: str, cfg: SynthConfig | None = None,
     then optional pixel/metric noise) so corpora replay exactly.
     """
     tpl = TEMPLATES[check_gesture(label)]
-    check_number(t_us, "t_us", -math.inf, integer=True, ends="()")
     cfg = cfg if cfg is not None else SynthConfig()
     rng = rng if rng is not None else sample_rng(cfg.seed, 0)
     *_, kp3d = _sample_pose(tpl, partial(_template_rotation, tpl, cfg), rng, cfg)

@@ -201,12 +201,10 @@ class GestureConfig:
     definitions: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        priorities = [d.priority for d in self.definitions]
-        if len(set(priorities)) != len(priorities):
-            raise ValidationError(f"gesture priorities must be unique, got {brief(priorities)}")
-        names = [d.name for d in self.definitions]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"gesture names must be unique, got {brief(names)}")
+        for what, values in (("priorities", [d.priority for d in self.definitions]),
+                             ("names", [d.name for d in self.definitions])):
+            if len(set(values)) != len(values):
+                raise ValidationError(f"gesture {what} must be unique, got {brief(values)}")
         ordered = tuple(sorted(self.definitions, key=lambda d: d.priority))
         object.__setattr__(self, "definitions", ordered)
 

@@ -117,11 +117,7 @@ class PipelineStats:
     untracked_frames: int = 0
 
     def to_dict(self) -> dict:
-        return {"schema": STATS_SCHEMA,
-                "detect_invocations": self.detect_invocations,
-                "classify_invocations": self.classify_invocations,
-                "tracked_frames": self.tracked_frames,
-                "untracked_frames": self.untracked_frames}
+        return {"schema": STATS_SCHEMA, **vars(self)}
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def initial_state() -> PipelineState:
 class FrameOutput:
     """Per-frame result: post-step mode, the label when classification ran
     (None means no skeleton reached the classifier, or the classifier could
-    not label it), and which stages ran."""
+    not label it), and which stages ran (a tuple, written as a list)."""
 
     timestamp_us: int
     mode: str
@@ -152,9 +148,9 @@ class FrameOutput:
     actions: tuple
 
     def to_dict(self) -> dict:
-        return {"schema": OUTPUT_SCHEMA, "timestamp_us": self.timestamp_us,
-                "mode": self.mode, "label": self.label,
-                "actions": list(self.actions)}
+        return {"schema": OUTPUT_SCHEMA,
+                **{name: list(value) if type(value) is tuple else value
+                   for name, value in vars(self).items()}}
 
 
 def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
@@ -177,13 +173,11 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
     last_detect = state.last_detect_us
     actions = []
     label = None
-    detects = classifies = 0
 
     if mode == UNTRACKED:
         period_us = 1e6 / config.max_detect_hz
         if last_detect is None or t - last_detect >= period_us:
             actions.append("detect")
-            detects = 1
             last_detect = t
             if usable:
                 mode = TRACKED
@@ -202,12 +196,11 @@ def step(state: PipelineState, frame: HandFrame, config: PipelineConfig,
             pass  # an unclassifiable frame keeps label None; it is not a miss
         else:
             actions.append("classify")
-            classifies = 1
 
     old = state.stats
     stats = PipelineStats(
-        detect_invocations=old.detect_invocations + detects,
-        classify_invocations=old.classify_invocations + classifies,
+        detect_invocations=old.detect_invocations + ("detect" in actions),
+        classify_invocations=old.classify_invocations + ("classify" in actions),
         tracked_frames=old.tracked_frames + (mode == TRACKED),
         untracked_frames=old.untracked_frames + (mode == UNTRACKED),
     )

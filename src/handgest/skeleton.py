@@ -335,7 +335,7 @@ def open_output(path) -> Iterator[TextIO]:
 
 
 _FLOAT64 = np.dtype(np.float64)
-_BOOLS = frozenset((bool, np.bool_))
+_BOOLS = frozenset((bool, np.bool_, np.dtype(bool)))  # a bool entry's type or dtype
 
 
 def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
@@ -346,11 +346,11 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
     checked: a string or null anywhere, or bools throughout, leave a dtype
     that is not int or float, which raises TypeError instead of being parsed
     or cast. numpy promotes a bool mixed with numbers in a list to a number,
-    so a list's entries are also checked for bool, in one set over the
-    flattened list rather than a Python loop. An integer past uint64 in a
-    list leaves an object array, read as float64 when it holds numbers alone
-    (one past a float raises check_number's ValidationError). A ragged list,
-    or another shape than ``shape``, raises ShapeMismatch; ``error`` replaces all.
+    so a list's entries are also checked for bool, level by level, where an
+    ndarray entry gives its dtype rather than its elements. An integer past
+    uint64 in a list leaves an object array, read as float64 when it holds
+    numbers alone (one past a float raises check_number's ValidationError).
+    A ragged list or a wrong shape raises ShapeMismatch; ``error`` replaces all.
     """
     if type(value) is np.ndarray and value.dtype is _FLOAT64:
         arr = value
@@ -373,10 +373,14 @@ def float_array(value, what: str, shape=None, *, error=None) -> np.ndarray:
         if arr.dtype.kind not in "iuf":
             raise (error or TypeError)(f"{what} must hold numbers, got dtype {arr.dtype}")
         if arr.ndim and not isinstance(value, np.ndarray):
-            entries = value
-            for _ in range(arr.ndim - 1):
-                entries = chain.from_iterable(entries)
-            if not _BOOLS.isdisjoint(map(type, entries)):
+            entries, kinds = value, set()
+            for level in range(arr.ndim):
+                entries = list(chain.from_iterable(entries)) if level else entries
+                kinds.update(map(type, entries))
+                if np.ndarray in kinds:  # its dtype stands for its elements
+                    kinds.update(x.dtype for x in entries if type(x) is np.ndarray)
+                    entries = [x for x in entries if type(x) is not np.ndarray]
+            if not _BOOLS.isdisjoint(kinds):
                 raise (error or TypeError)(f"{what} must hold numbers, got a bool among them")
         arr = np.asarray(arr, dtype=np.float64)
     if shape is not None and arr.shape != shape:

@@ -170,11 +170,22 @@ def _raises_a_frame_error(words):
     return predicate
 
 
-def _checks_an_image_size(node):
-    """check_number(..., "w", ...) or check_number(..., "h", ...)."""
-    return (isinstance(node, ast.Call) and _name_of(node.func) == "check_number"
-            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in ("w", "h"))
+def _checks_a_number_named(*names):
+    """A predicate: check_number(..., NAME, ...) for one of ``names``."""
+    def predicate(node):
+        return (isinstance(node, ast.Call) and _name_of(node.func) == "check_number"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in names)
+    return predicate
+
+
+def _words_in_a_statement(words):
+    """A predicate: a statement that holds no other, such as a raise, whose
+    text holds ``words``."""
+    def predicate(node):
+        return (isinstance(node, ast.stmt) and not hasattr(node, "body")
+                and words in ast.unparse(node))
+    return predicate
 
 
 # the slices through which every module reads a (27,) pose
@@ -307,14 +318,21 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_raises_a_frame_error("contains non-finite values"), [("skeleton.py", "HandSkeleton")]),
     # alignment.finite_pixels is the one pixel check of the alignment and the fit
     (_raises_a_frame_error("non-finite pixel"), [("alignment.py", "finite_pixels")]),
-    (_checks_an_image_size, [("skeleton.py", "HandFrame")] * 2),
+    (_checks_a_number_named("w", "h"), [("skeleton.py", "HandFrame")] * 2),
+    # a timestamp is checked where a frame is made, and where a feature row,
+    # which is no frame, is read
+    (_checks_a_number_named("t_us"), [("cli.py", "_features_from_row"),
+                                      ("skeleton.py", "HandFrame")]),
+    # GestureConfig tests its priorities and names for repeats in one loop
+    (_words_in_a_statement("must be unique"), [("heuristic.py", "GestureConfig")]),
     # one statement at lifting's top level states the pose layout
     (_binds_the_pose_layout, [("lifting.py", None)]),
     # features.frame_features is the one step from a frame to its features
     (_raises("Missing3D"), [("features.py", "frame_features")]),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
         "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
-        "frame-finite-message", "pixel-finite-message", "frame-size", "pose-layout", "missing-3d"])
+        "frame-finite-message", "pixel-finite-message", "frame-size", "timestamp",
+        "unique-message", "pose-layout", "missing-3d"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 

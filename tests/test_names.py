@@ -13,16 +13,16 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from handgest.cli import _label_only, _labeled_features, _prediction, main
+from handgest.cli import _label_row, _labeled_features, main
 from handgest.errors import MalformedConfig, MalformedFrame, UnknownLabel, UnknownReference
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, eval_classifier, sample_rng, synth_pose
 from handgest.heuristic import DEFAULT_CONFIG_JSON, config_from_dict
-from handgest.labels import check_gesture
+from handgest.labels import CLASSES, check_gesture, check_label
 from handgest.lifting import HandModel, default_hand_model, default_intrinsics, lift_keypoints
 from handgest.mlp import LAYER_SIZES, MlpModel, TrainConfig, focal_loss, gradient_check, train
 from handgest.pipeline import PipelineConfig
-from handgest.skeleton import decode_config, frame_from_dict, frame_to_dict
+from handgest.skeleton import check_name, decode_config, frame_from_dict, frame_to_dict
 
 _FRAME, _ = synth_pose("OpenPalm", SynthConfig(), sample_rng(0, 0))
 _ROW = frame_to_dict(_FRAME)
@@ -126,9 +126,12 @@ SITES = {
     "synth-gestures": ("OpenPalm", UnknownLabel, check_gesture, None),
     "dataset-label": ("OpenPalm", UnknownLabel, lambda v: _labeled_features(_labeled(v)),
                       ("features --frames {bad}", _labeled)),
-    "truth-label": ("OpenPalm", UnknownLabel, lambda v: _label_only(_label(v)),
+    # eval's two label files share one row reader; each checks its own vocabulary
+    "truth-label": ("OpenPalm", UnknownLabel, lambda v: check_label(_label_row(_label(v))),
                     ("eval --pred {labels} --truth {bad}", _label)),
-    "prediction-label": ("OpenPalm", UnknownLabel, lambda v: _prediction(_label(v)),
+    "prediction-label": ("OpenPalm", UnknownLabel,
+                         lambda v: check_name(_label_row(_label(v)), CLASSES, "prediction",
+                                              error=UnknownLabel),
                          ("eval --pred {bad} --truth {labels}", _label)),
     "eval-truth": ("OpenPalm", UnknownLabel, lambda v: eval_classifier(["OpenPalm"], [v]), None),
     "eval-prediction": ("OpenPalm", UnknownLabel, lambda v: eval_classifier([v], ["OpenPalm"]),

@@ -3,12 +3,12 @@
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from handgest.errors import MalformedConfig, NonMonotonicTimestamp, ValidationError
+from handgest.errors import MalformedConfig, Missing3D, NonMonotonicTimestamp, ValidationError
 from handgest.features import feature_vector
 from handgest.harness import SynthConfig, synth_pose
 from handgest.mlp import LAYER_SIZES, MlpModel, save_model
@@ -18,6 +18,7 @@ from handgest.pipeline import (
     UNTRACKED,
     FrameOutput,
     PipelineConfig,
+    PipelineStats,
     initial_state,
     load_pipeline_config,
     make_classifier,
@@ -215,6 +216,41 @@ def test_output_dict_shape():
     assert d["timestamp_us"] == 5
     assert d["mode"] == "Tracked"
     assert d["label"] == "Victory"
+
+
+def test_records_write_the_schema_then_their_fields_in_order():
+    records = (FrameOutput(timestamp_us=5, mode=TRACKED, label=None, actions=("detect",)),
+               PipelineStats(1, 2, 3, 4))
+    for record in records:
+        names = [f.name for f in fields(record)]
+        assert list(record.to_dict()) == ["schema", *names]
+    assert records[0].to_dict()["actions"] == ["detect"]
+
+
+def _labels_unless_3d_missing(frame):
+    if frame.hand.kp3d is None:
+        raise Missing3D("no kp3d")
+    return "Victory"
+
+
+def test_randomized_stats_count_the_actions_the_outputs_log():
+    # h: a usable hand, l: a hand below min_track_score, x: a usable hand the
+    # classifier cannot label, .: no hand
+    rng = np.random.default_rng(36)
+    kinds = {"h": VICTORY_HAND, "l": replace(VICTORY_HAND, score=0.1),
+             "x": replace(VICTORY_HAND, kp3d=None), ".": None}
+    for _ in range(25):
+        spec = rng.choice(list(kinds), size=int(rng.integers(1, 300)))
+        frames = [frame(33_333 * i, kinds[ch]) for i, ch in enumerate(spec)]
+        cfg = PipelineConfig(max_detect_hz=float(rng.uniform(0.5, 12.0)),
+                             track_loss_frames=int(rng.integers(1, 5)))
+        outputs, stats = run_stream(frames, cfg, _labels_unless_3d_missing)
+        actions = [a for out in outputs for a in out.actions]
+        assert stats == PipelineStats(
+            detect_invocations=actions.count("detect"),
+            classify_invocations=actions.count("classify"),
+            tracked_frames=sum(out.mode == TRACKED for out in outputs),
+            untracked_frames=sum(out.mode == UNTRACKED for out in outputs))
 
 
 def test_config_validation_and_io():

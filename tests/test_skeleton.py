@@ -315,6 +315,22 @@ def test_float_array_rejects_a_bool_among_numbers(value):
         float_array(value, "x")
 
 
+def test_float_array_stacks_a_list_of_float64_rows_bitwise():
+    rows = list(np.random.default_rng(36).normal(size=(50, 12)))
+    assert float_array(rows, "features", (50, 12)).tobytes() == np.stack(rows).tobytes()
+
+
+@pytest.mark.parametrize("value", [
+    [np.ones(3), np.array([True, False, True])],
+    [np.ones((2, 3)), [[1.0, 2.0, 3.0], np.array([0, 1, 0], dtype=bool)]],
+    [np.array(True), 0.5],
+], ids=["bool-row", "bool-row-nested", "bool-0d"])
+def test_float_array_reads_a_bool_row_by_its_dtype(value):
+    # an ndarray entry's dtype stands for its elements, which are not walked
+    with pytest.raises(TypeError, match="^x must hold numbers, got a bool among them$"):
+        float_array(value, "x")
+
+
 @pytest.mark.parametrize("value", [2.5, [0.5, 1], [[1, 2.0], [3, 4]]])
 def test_float_array_takes_numbers_of_any_depth(value):
     np.testing.assert_array_equal(float_array(value, "x"), np.asarray(value, dtype=float))

@@ -91,4 +91,23 @@ hg features-2d features --frames test-2d.jsonl
 hg features-no-hand features --frames no-hand.jsonl
 hg classify-gestures-schema-9 classify --features features.jsonl --gestures gestures-9.json
 hg train-mlp-tag train --data right.jsonl --config train-mlp-tag.json --out model-mlp-tag.json
+echo '{"label": "OK"}' >pred-ok.jsonl
+echo '{"label": "Wave"}' >truth-wave.jsonl
+hg eval-pred-ok eval --pred pred-ok.jsonl --truth test.jsonl
+hg eval-truth-wave eval --pred pred-rules.jsonl --truth truth-wave.jsonl
+# the packaged gestures with the second gesture's name, then its priority,
+# set to the first's
+python3 - <<'PY'
+import copy, json
+from handgest.heuristic import DEFAULT_CONFIG_JSON
+for key in ("name", "priority"):
+    doc = copy.deepcopy(DEFAULT_CONFIG_JSON)
+    doc["gestures"][1][key] = doc["gestures"][0][key]
+    with open(f"gestures-same-{key}.json", "w") as out:
+        out.write(json.dumps(doc) + "\n")
+PY
+hg classify-gestures-same-name classify --features features.jsonl \
+    --gestures gestures-same-name.json
+hg classify-gestures-same-priority classify --features features.jsonl \
+    --gestures gestures-same-priority.json
 exit 0

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRotation, DegenerateScale, MalformedFrame, finite_at_least
-from .skeleton import INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST, float_array
+from .skeleton import (FINGER_KEYPOINTS, INDEX_MCP, MIDDLE_MCP, NUM_KEYPOINTS, PINKY_MCP, WRIST,
+                       Finger, float_array)
 
 # Knuckles defining the crop center.
 CENTER_KEYPOINTS = (INDEX_MCP, MIDDLE_MCP, PINKY_MCP)
 
 # Knuckles eligible for the scale estimate: every joint except wrist and tips.
-SCALE_KEYPOINTS = (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19)
+SCALE_KEYPOINTS = tuple(i for f in Finger for i in FINGER_KEYPOINTS[f][:-1])
 _SCALE_AT = np.array(SCALE_KEYPOINTS)
 
 EPS_ROTATION_PX = 1e-6

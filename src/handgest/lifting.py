@@ -54,12 +54,6 @@ ABDUCTION_BOX = (-0.6, 0.6)
 THUMB_ROLL_BOX = (-1.0, 1.0)
 TZ_BOX = (0.05, 3.0)
 
-# lo/hi per joint angle, in the module docstring's joint order
-JOINT_BOXES = np.array(
-    [FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX, THUMB_ROLL_BOX]
-    + [FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX] * 4
-)
-
 MIN_BONE_M = 0.005
 MAX_BONE_M = 0.12
 
@@ -270,6 +264,7 @@ _SLOT_JOINT = np.array([[4, 1, 0, 2, 3]]
 FLEXION_JOINTS = _SLOT_JOINT[:, 2:]
 _SLOT_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0])
 _SLOT_AXIS = np.array([1, 2, 0, 0, 0])
+_SLOT_BOX = np.array([THUMB_ROLL_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX, FLEXION_BOX])
 # the finger point (0 = its base on the palm) each slot turns the rest about
 _SLOT_PIVOT = np.array([0, 0, 0, 1, 2])
 _SLOTS = np.arange(5)
@@ -287,6 +282,10 @@ _ROT_I, _ROT_J = (_SLOT_AXIS[_REAL_SLOT] + 1) % 3, (_SLOT_AXIS[_REAL_SLOT] + 2) 
 _ROT_ROW = np.concatenate([_ROT_I, _ROT_J, _ROT_I, _ROT_J])
 _ROT_COL = np.concatenate([_ROT_I, _ROT_J, _ROT_J, _ROT_I])
 _ROT_AT = np.tile(9 * np.flatnonzero(_REAL), 4) + 3 * _ROT_ROW + _ROT_COL
+
+# lo/hi per joint angle, in the module docstring's joint order: its slot's box
+JOINT_BOXES = np.empty((NUM_JOINT_ANGLES, 2))
+JOINT_BOXES[_REAL_JOINT] = _SLOT_BOX[_REAL_SLOT]
 
 
 class _Kinematics(NamedTuple):

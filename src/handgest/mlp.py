@@ -30,6 +30,8 @@ from .skeleton import (check_keys, check_list, check_name, check_number, decode_
                        float_array, read_json, write_json)
 
 LAYER_SIZES = (FEATURE_SIZE, 50, 50, 50, len(CLASSES))
+# (fan_out, fan_in) of each layer, the shape of its weights
+_SHAPES = tuple(zip(LAYER_SIZES[1:], LAYER_SIZES))
 MODEL_SCHEMA = "mlp/1"
 
 NEGATIVE_INDEX = CLASSES.index(NEGATIVE_LABEL)
@@ -57,15 +59,14 @@ class MlpModel:
     __slots__ = ("weights", "biases", "feat_mean", "feat_std", "tau", "history")
 
     def __init__(self, weights, biases, feat_mean, feat_std, tau=0.0, history=None):
-        shapes = list(zip(LAYER_SIZES[1:], LAYER_SIZES))  # (fan_out, fan_in)
         weights, biases = list(weights), list(biases)
-        if len(weights) != len(shapes) or len(biases) != len(shapes):
-            raise ShapeMismatch(f"expected {len(shapes)} layers, "
+        if len(weights) != len(_SHAPES) or len(biases) != len(_SHAPES):
+            raise ShapeMismatch(f"expected {len(_SHAPES)} layers, "
                                 f"got {len(weights)} weights / {len(biases)} biases")
         weights = [float_array(w, f"layer {k} weights", shape)
-                   for k, (w, shape) in enumerate(zip(weights, shapes))]
+                   for k, (w, shape) in enumerate(zip(weights, _SHAPES))]
         biases = [float_array(b, f"layer {k} bias", shape[:1])
-                  for k, (b, shape) in enumerate(zip(biases, shapes))]
+                  for k, (b, shape) in enumerate(zip(biases, _SHAPES))]
         if not all(np.isfinite(a).all() for a in weights + biases):
             raise MalformedConfig("non-finite weights or biases")
         feat_mean = float_array(feat_mean, "feat_mean", (FEATURE_SIZE,))
@@ -283,10 +284,9 @@ def train(examples, config: TrainConfig | None = None) -> MlpModel:
     # draw order is frozen: weights, then the split, then epoch shuffles.
     # Every weight and bias is a view of one flat buffer, in gradient_check's
     # order (w0, b0, w1, b1, ...), so one Adam update steps them all
-    params = np.zeros(sum((fan_in + 1) * fan_out
-                          for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:])))
+    params = np.zeros(sum((fan_in + 1) * fan_out for fan_out, fan_in in _SHAPES))
     weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(LAYER_SIZES, LAYER_SIZES[1:]):
+    for fan_out, fan_in in _SHAPES:
         w = params[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
         limit = np.sqrt(6.0 / fan_in)
         w[...] = rng.uniform(-limit, limit, w.shape)

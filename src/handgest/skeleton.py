@@ -24,7 +24,9 @@ Frames stream as JSONL, one object per line:
 A hand object holds no other keys; kp3d may be left out. frame_to_dict and
 frame_from_dict are the whole codec, the hand included. A frame checks
 itself when it is made, whether read, generated or lifted: HandFrame and
-HandSkeleton raise MalformedFrame on any field outside this schema.
+HandSkeleton raise MalformedFrame on a field outside this schema, but a
+caller's keypoints given as strings or bools raise TypeError and a ragged
+list ShapeMismatch; frame_from_dict raises MalformedFrame for all three.
 
 Every file the package opens, frames or config or model, goes through
 read_json, read_jsonl or open_output, and every JSON file it writes through
@@ -66,7 +68,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
-from itertools import chain
+from itertools import chain, pairwise
 from stat import S_IMODE, S_ISREG
 from typing import Iterator, TextIO
 
@@ -100,15 +102,12 @@ FINGER_KEYPOINTS = {
 # Chain used for feature angles: wrist, base, two intermediates, tip.
 CHAIN_INDICES = {f: (WRIST,) + FINGER_KEYPOINTS[f] for f in Finger}
 
-INDEX_MCP = 5
-MIDDLE_MCP = 9
-PINKY_MCP = 17
+INDEX_MCP = FINGER_KEYPOINTS[Finger.INDEX][0]
+MIDDLE_MCP = FINGER_KEYPOINTS[Finger.MIDDLE][0]
+PINKY_MCP = FINGER_KEYPOINTS[Finger.PINKY][0]
 
-# Parent of each non-wrist keypoint; defines the 20 bones of the hand.
-BONE_PARENTS = tuple(
-    WRIST if i in (1, 5, 9, 13, 17) else i - 1 for i in range(1, NUM_KEYPOINTS)
-)
-BONES = tuple((p, i) for i, p in zip(range(1, NUM_KEYPOINTS), BONE_PARENTS))
+# The 20 bones of the hand, (parent, child) along each chain, thumb first.
+BONES = tuple(pair for f in Finger for pair in pairwise(CHAIN_INDICES[f]))
 
 HANDEDNESS_VALUES = ("Left", "Right")
 # a frame's other keys pass; a misspelt "kp3D" must not read as a 2D-only hand

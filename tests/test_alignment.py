@@ -117,6 +117,11 @@ def test_alignment_scale_excludes_tips_and_wrist():
     assert _scale(kp, palm_center(kp)) == pytest.approx(5.0)
 
 
+def test_scale_keypoints_are_the_fingers_without_their_tips():
+    # the knuckles once typed out: every joint but the wrist and the tips
+    assert SCALE_KEYPOINTS == (1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 17, 18, 19)
+
+
 def test_alignment_scale_matches_exhaustive_scan():
     for seed in range(8):
         kp = random_kp2d(seed)

@@ -201,6 +201,19 @@ def _binds_the_pose_layout(node):
                for target in targets for n in ast.walk(target))
 
 
+def _zips_the_layer_sizes(node):
+    """zip(...) with LAYER_SIZES among its arguments, sliced or not."""
+    return (isinstance(node, ast.Call) and _name_of(node.func) == "zip"
+            and any(_name_of(n) == "LAYER_SIZES" for arg in node.args for n in ast.walk(arg)))
+
+
+def _types_out_joint_boxes(node):
+    """JOINT_BOXES bound to a value that holds a list literal."""
+    return (isinstance(node, ast.Assign)
+            and any(_name_of(t) == "JOINT_BOXES" for t in node.targets)
+            and any(isinstance(n, ast.List) for n in ast.walk(node.value)))
+
+
 def _raises(error):
     """A predicate: a raise statement that calls ``error``."""
     def predicate(node):
@@ -329,10 +342,14 @@ def test_rule_lives_only_in_its_home(predicate, home):
     (_binds_the_pose_layout, [("lifting.py", None)]),
     # features.frame_features is the one step from a frame to its features
     (_raises("Missing3D"), [("features.py", "frame_features")]),
+    # mlp._SHAPES is the one (fan_out, fan_in) table of the layers
+    (_zips_the_layer_sizes, [("mlp.py", None)]),
+    # lifting.JOINT_BOXES is read from the FK slot table, not typed out
+    (_types_out_joint_boxes, []),
 ], ids=["numpy-error-state", "palm-center", "unknown-keys", "key-subset", "unknown-keys-message",
         "needs-key-message", "one-of-message", "list-message", "frame-shape-message",
         "frame-finite-message", "pixel-finite-message", "frame-size", "timestamp",
-        "unique-message", "pose-layout", "missing-3d"])
+        "unique-message", "pose-layout", "missing-3d", "layer-shapes", "joint-boxes"])
 def test_rule_lives_in_one_function(predicate, home):
     assert _functions_with(predicate) == home
 
@@ -431,3 +448,9 @@ def test_the_frame_codec_is_two_functions():
     # frame_to_dict and frame_from_dict hold the hand's half of the format
     retired = {"skeleton_to_dict", "skeleton_from_dict"}
     assert _modules_with(lambda node: _name_of(node) in retired) == []
+
+
+def test_bones_are_read_along_the_chains():
+    # skeleton.BONES pairs each CHAIN_INDICES chain's neighbours, with no
+    # parent table beside FINGER_KEYPOINTS
+    assert _modules_with(lambda node: _name_of(node) == "BONE_PARENTS") == []

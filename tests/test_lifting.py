@@ -17,6 +17,8 @@ from handgest.harness import SynthConfig, sample_rng, synth_params, synth_pose
 from handgest.labels import ALL_GESTURES
 from handgest import lifting
 from handgest.lifting import (
+    ABDUCTION_BOX,
+    FLEXION_BOX,
     FLEXION_JOINTS,
     FRONTAL_ROTATION,
     BOX_WEIGHT_JOINT,
@@ -25,6 +27,7 @@ from handgest.lifting import (
     JOINTS,
     NUM_POSE_PARAMS,
     ROTVEC,
+    THUMB_ROLL_BOX,
     TRANSLATION,
     TZ_BOX,
     CameraIntrinsics,
@@ -1168,6 +1171,14 @@ def test_joint_layout_comes_from_the_slot_table():
                                        [17, 19, 20]]
     assert neutral_joints().tolist() == ([0.30, 0.0, 0.40, 0.30, 0.0]
                                          + [0.35, 0.0, 0.35, 0.20] * 4)
+
+
+def test_joint_boxes_come_from_the_slot_table():
+    # the boxes once typed out, in the module docstring's joint order
+    typed = np.array([FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX, THUMB_ROLL_BOX]
+                     + [FLEXION_BOX, ABDUCTION_BOX, FLEXION_BOX, FLEXION_BOX] * 4)
+    assert JOINT_BOXES.shape == typed.shape
+    assert JOINT_BOXES.tobytes() == typed.tobytes()
 
 
 # -- the FK chain and the LM step, bit for bit ---------------------------------

@@ -21,7 +21,10 @@ from handgest.skeleton import (
     BONES,
     CHAIN_INDICES,
     FINGER_KEYPOINTS,
+    INDEX_MCP,
+    MIDDLE_MCP,
     NUM_KEYPOINTS,
+    PINKY_MCP,
     Finger,
     HandFrame,
     HandSkeleton,
@@ -69,6 +72,15 @@ def test_bones_form_a_tree():
     assert sorted(children) == list(range(1, NUM_KEYPOINTS))
     for parent, child in BONES:
         assert parent < child
+
+
+def test_bones_and_knuckles_come_from_the_finger_keypoints():
+    # the parent rule and the knuckle indices once typed out beside
+    # FINGER_KEYPOINTS: each base's parent is the wrist, each other point's
+    # the point before it
+    parents = tuple(0 if i in (1, 5, 9, 13, 17) else i - 1 for i in range(1, NUM_KEYPOINTS))
+    assert BONES == tuple((p, i) for i, p in zip(range(1, NUM_KEYPOINTS), parents))
+    assert (INDEX_MCP, MIDDLE_MCP, PINKY_MCP) == (5, 9, 17)
 
 
 def test_frame_accepts_good_frame():

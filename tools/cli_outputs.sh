@@ -82,6 +82,12 @@ row["w"] = row["h"] = 10 ** 150
 open("huge-2d.jsonl", "w").write(json.dumps(row) + "\n")
 PY
 hg lift-huge lift --frames huge-2d.jsonl --out lifted-huge.jsonl
+# 1 rad of joint jitter clips about a third of the template joints to a box
+# edge, so the fits reach the joint boxes, past which their penalty rows turn on
+echo '{"seed": 5, "jitter_std_rad": 1.0, "noise_px": 1.0}' >jitter.json
+hg synth-jitter synth --config jitter.json --per-gesture 2 --out jitter.jsonl
+drop_kp3d jitter.jsonl jitter-2d.jsonl
+hg lift-jitter lift --frames jitter-2d.jsonl --out lifted-jitter.jsonl
 hg stream-3d stream --frames test.jsonl --pipeline pipeline.json --stats stats-3d.json
 hg stream-2d stream --frames test-2d.jsonl --pipeline pipeline.json --stats stats-2d.json
 hg stream-nn stream --frames test.jsonl --pipeline pipeline-nn.json
